@@ -525,17 +525,16 @@ AdversarialResult AdversarialGapFinder::find_pop_cs_gap(
       PopCsOracle(const net::Topology& topo, const te::PathSet& paths,
                   te::PopConfig pop, te::ClientSplitConfig cs,
                   std::vector<std::uint64_t> seeds)
-          : topo_(topo), paths_(paths), pop_(pop), cs_(cs),
-            seeds_(std::move(seeds)) {}
+          : lp_(topo, paths), pop_(pop), cs_(cs), seeds_(std::move(seeds)) {}
       [[nodiscard]] int num_leader_vars() const override {
-        return paths_.num_pairs();
+        return lp_.paths().num_pairs();
       }
       [[nodiscard]] te::GapResult evaluate(
           const std::vector<double>& volumes) const override {
         count_evaluation();
         te::GapResult out;
-        const te::MaxFlowResult opt =
-            te::solve_max_flow(topo_, paths_, volumes);
+        // OPT cold, every partition warm from its basis (as te::gap.h).
+        const te::MaxFlowResult opt = lp_.solve(volumes);
         if (opt.status != lp::SolveStatus::Optimal) {
           out.status = opt.status;
           return out;
@@ -546,7 +545,7 @@ AdversarialResult AdversarialGapFinder::find_pop_cs_gap(
           te::PopConfig c = pop_;
           c.seed = seed;
           const te::PopResult pop =
-              te::solve_pop_cs(topo_, paths_, volumes, c, cs_);
+              te::solve_pop_cs(lp_, volumes, c, cs_, opt.basis.get());
           if (pop.status != lp::SolveStatus::Optimal) {
             out.status = pop.status;
             return out;
@@ -559,8 +558,7 @@ AdversarialResult AdversarialGapFinder::find_pop_cs_gap(
         return out;
       }
      private:
-      const net::Topology& topo_;
-      const te::PathSet& paths_;
+      te::MaxFlowLp lp_;
       te::PopConfig pop_;
       te::ClientSplitConfig cs_;
       std::vector<std::uint64_t> seeds_;

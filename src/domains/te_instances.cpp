@@ -107,17 +107,19 @@ heur::SolutionBreakdown TeDpInstance::explain_solution(
     const heur::ProbeOptions& options) const {
   heur::SolutionBreakdown out;
 
+  // Solved as DpGapOracle solves it: OPT cold, DP warm from OPT's basis.
+  const te::MaxFlowLp max_flow(topo_, paths_);
+  te::MaxFlowOptions mf;
+  mf.certify = options.certify;
+  const te::MaxFlowResult opt = max_flow.solve(leader, mf);
+  if (opt.status != lp::SolveStatus::Optimal) return out;
+
   te::DpConfig dp;
   dp.threshold = threshold_;
   dp.demand_ub = demand_ub_;
   dp.certify = options.certify;
   const te::DpResult heur =
-      te::solve_demand_pinning(topo_, paths_, leader, dp);
-
-  te::MaxFlowOptions mf;
-  mf.certify = options.certify;
-  const te::MaxFlowResult opt = te::solve_max_flow(topo_, paths_, leader, mf);
-  if (opt.status != lp::SolveStatus::Optimal) return out;
+      te::solve_demand_pinning(max_flow, leader, dp, opt.basis.get());
 
   out.available = true;
   out.certified = opt.certified && (!heur.feasible || heur.certified);

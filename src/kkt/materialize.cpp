@@ -8,12 +8,4 @@ void materialize_constraints(lp::Model& model, const InnerProblem& inner) {
   }
 }
 
-void materialize(lp::Model& model, const InnerProblem& inner) {
-  materialize_constraints(model, inner);
-  model.set_objective(inner.sense(), inner.objective());
-  for (const auto& [vid, coef] : inner.quadratic_objective()) {
-    model.add_quadratic_objective(lp::Var{vid}, coef);
-  }
-}
-
 }  // namespace metaopt::kkt

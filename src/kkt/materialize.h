@@ -1,10 +1,12 @@
-// Materializing an InnerProblem as an ordinary optimization over a Model.
+// Materializing an InnerProblem's constraints into a Model.
 //
-// The TE formulations are written once as InnerProblems; the *direct*
-// solvers (used by the black-box searchers, by the primal heuristic
-// inside branch-and-bound, and by tests as ground truth) materialize them
-// into the model and run the simplex, while the white-box path feeds the
-// same InnerProblem through emit_kkt. One source of truth, two consumers.
+// The TE formulations are written once as InnerProblems. The white-box
+// path feeds them through emit_kkt; a few callers instead want the
+// inner feasible region as plain rows of an ordinary model — the
+// encoding builders composing several inner problems under one
+// objective, and the tests that solve an encoding as ground truth.
+// (Direct TE solves do not come through here: they re-solve one
+// te::MaxFlowLp by bound changes.)
 #pragma once
 
 #include "kkt/inner_problem.h"
@@ -12,13 +14,10 @@
 
 namespace metaopt::kkt {
 
-/// Adds the inner problem's constraints to `model` and installs its
-/// objective (sense and quadratic part included). The inner problem must
-/// have been built over `model`'s variables.
-void materialize(lp::Model& model, const InnerProblem& inner);
-
-/// Same but only the constraints — for composing several inner problems
-/// into one model with a custom objective.
+/// Adds the inner problem's constraints to `model` (the inner problem
+/// must have been built over `model`'s variables). The objective is left
+/// to the caller, so several inner problems can be composed into one
+/// model with a custom objective.
 void materialize_constraints(lp::Model& model, const InnerProblem& inner);
 
 }  // namespace metaopt::kkt

@@ -153,14 +153,15 @@ class RevisedSimplex {
   std::vector<double> w_, rho_, y_, resid_, cost1_;
 };
 
-/// Per-search-tree warm-start state threaded through
-/// SimplexSolver::solve_with_bounds: the BoundedForm built once per
-/// tree, the revised-simplex engine (with its factorization cache), and
-/// the per-solve hint/result basis handles.
+/// Warm-start state threaded through SimplexSolver::solve_with_bounds:
+/// the BoundedForm built once per model (a B&B tree, a te::MaxFlowLp),
+/// the revised-simplex engine (with its factorization cache), and the
+/// per-solve hint/result basis handles.
 ///
 /// Not thread-safe: in a parallel tree search every worker owns its own
-/// context (form + engine + hint slot). Workers still share node bases
-/// freely — `hint` points at an immutable shared Basis and `result_` is
+/// context (form + engine + hint slot), and te::MaxFlowLp lends one
+/// context per concurrent solve. Solvers still share bases freely —
+/// `hint` points at an immutable shared Basis and `result_` is
 /// published as shared_ptr<const Basis>.
 class WarmStartContext {
  public:

@@ -16,7 +16,9 @@ namespace metaopt::lp {
 namespace {
 
 // Hot-loop instrumentation: one relaxed-atomic branch each while
-// observability is off (obs::enabled() == false).
+// observability is off (obs::enabled() == false). simplex.solves and the
+// simplex.solve span/histogram count each public SimplexSolver call once,
+// whichever rung of the fallback ladder answers it.
 const obs::Counter c_solves = obs::counter("simplex.solves");
 const obs::Counter c_pivots = obs::counter("simplex.pivots");
 const obs::Counter c_degenerate = obs::counter("simplex.degenerate_pivots");
@@ -25,6 +27,8 @@ const obs::Counter c_phase1 = obs::counter("simplex.phase1_solves");
 const obs::Counter c_warm_solves = obs::counter("simplex.warm_solves");
 const obs::Counter c_warm_fallbacks = obs::counter("simplex.warm_fallbacks");
 const obs::Counter c_cold_revised = obs::counter("simplex.cold_revised_solves");
+const obs::Counter c_tableau_fallbacks =
+    obs::counter("simplex.tableau_fallbacks");
 const obs::Histogram h_solve_ns = obs::histogram("simplex.solve_ns");
 
 /// Dense tableau state for one solve.
@@ -298,6 +302,8 @@ class Tableau {
 }  // namespace
 
 Solution SimplexSolver::solve(const Model& model) const {
+  MO_SPAN_HIST("simplex.solve", h_solve_ns);
+  c_solves.inc();
   Solution sol = solve_standard(StandardForm::build(model), model);
   maybe_certify(model, sol, nullptr, nullptr);
   return sol;
@@ -306,16 +312,17 @@ Solution SimplexSolver::solve(const Model& model) const {
 Solution SimplexSolver::solve_with_bounds(const Model& model,
                                           const std::vector<double>& lb,
                                           const std::vector<double>& ub) const {
-  Solution sol = solve_standard(StandardForm::build(model, lb.data(), ub.data()),
-                                model);
-  maybe_certify(model, sol, &lb, &ub);
-  return sol;
+  MO_SPAN_HIST("simplex.solve", h_solve_ns);
+  c_solves.inc();
+  return solve_tableau(model, lb, ub);
 }
 
 Solution SimplexSolver::solve_with_bounds(const Model& model,
                                           const std::vector<double>& lb,
                                           const std::vector<double>& ub,
                                           WarmStartContext& warm) const {
+  MO_SPAN_HIST("simplex.solve", h_solve_ns);
+  c_solves.inc();
   warm.set_result(nullptr);
   bool accepted = false;
   if (warm.hint != nullptr) {
@@ -338,7 +345,17 @@ Solution SimplexSolver::solve_with_bounds(const Model& model,
     }
   }
   warm.last_path = WarmStartContext::Path::Tableau;
-  return solve_with_bounds(model, lb, ub);
+  c_tableau_fallbacks.inc();
+  return solve_tableau(model, lb, ub);
+}
+
+Solution SimplexSolver::solve_tableau(const Model& model,
+                                      const std::vector<double>& lb,
+                                      const std::vector<double>& ub) const {
+  Solution sol = solve_standard(StandardForm::build(model, lb.data(), ub.data()),
+                                model);
+  maybe_certify(model, sol, &lb, &ub);
+  return sol;
 }
 
 Solution SimplexSolver::solve_revised(const Model& model,
@@ -412,8 +429,6 @@ void SimplexSolver::maybe_certify(const Model& model, Solution& sol,
 
 Solution SimplexSolver::solve_standard(const StandardForm& sf,
                                        const Model& model) const {
-  MO_SPAN_HIST("simplex.solve", h_solve_ns);
-  c_solves.inc();
   util::Stopwatch watch;
   Solution sol;
 

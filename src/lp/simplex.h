@@ -1,13 +1,24 @@
-// Two-phase dense-tableau primal simplex over the StandardForm program.
+// The LP solver front end, SimplexSolver, with two engines behind it.
 //
-// Handles LessEqual and Equal rows, negative right-hand sides (via row
-// scaling + artificials), degenerate cycling (Dantzig pricing with a
-// permanent switch to Bland's rule after a stall), infeasibility and
-// unboundedness detection, and optimal dual / reduced-cost extraction.
+//  * The warm-start overload of solve_with_bounds runs the revised
+//    simplex core (lp/revised_simplex.h) through a three-rung fallback
+//    ladder. Branch-and-bound node LPs and the TE direct solves
+//    (te::MaxFlowLp) take this path.
+//  * solve() and the two-argument solve_with_bounds run a two-phase
+//    dense-tableau primal simplex over the StandardForm program. It is
+//    the ladder's last rung and the differential baseline for tests;
+//    the KKT primal heuristic (kkt::solve_inner_at) still calls it
+//    directly.
 //
-// This is the workhorse the MIP layer calls at every branch-and-bound
-// node, and — through the KKT rewrite — the engine behind the paper's
-// single-shot metaoptimization.
+// The tableau handles LessEqual and Equal rows, negative right-hand
+// sides (via row scaling + artificials), degenerate cycling (Dantzig
+// pricing with a permanent switch to Bland's rule after a stall),
+// infeasibility and unboundedness detection, and optimal dual /
+// reduced-cost extraction.
+//
+// Metrics: every public solve counts once in simplex.solves and the
+// simplex.solve span, whichever rung answers it; simplex.tableau_fallbacks
+// counts warm-start-overload solves that dropped to the tableau rung.
 #pragma once
 
 #include "lp/model.h"
@@ -76,7 +87,8 @@ class SimplexSolver {
   ///   1. bounded dual simplex from `warm.hint` (when non-null),
   ///   2. cold revised simplex,
   ///   3. the dense-tableau solver above (always succeeds or reports
-  ///      honestly — same contract as the two-argument overload).
+  ///      honestly — same contract as the two-argument overload;
+  ///      counted in simplex.tableau_fallbacks).
   /// Records the winning rung in warm.last_path and, when a revised rung
   /// proved optimality, the optimal basis in warm (take_result()).
   [[nodiscard]] Solution solve_with_bounds(const Model& model,
@@ -92,6 +104,11 @@ class SimplexSolver {
 
  private:
   Solution solve_standard(const StandardForm& sf, const Model& model) const;
+
+  /// The tableau path of the two-argument overload, uncounted (the
+  /// public entry points own the solve metrics).
+  Solution solve_tableau(const Model& model, const std::vector<double>& lb,
+                         const std::vector<double>& ub) const;
 
   /// One revised-simplex rung (warm when use_hint, else cold). Sets
   /// *accepted when the result can be returned as-is; otherwise the

@@ -3,10 +3,12 @@
 // client splitting) and complementarity pairs (the KKT multiplicative
 // constraints that Gurobi models as SOS1 — §3.1).
 //
-// The search is best-bound first. Relaxations are solved by the dense
-// simplex with the node's tightened variable bounds; fixing a
-// complementarity side to zero substitutes the column away entirely, so
-// deep nodes solve strictly smaller LPs.
+// The search is best-bound first. Each node relaxation is a bound change
+// on one per-tree lp::BoundedForm, re-solved by the revised dual simplex
+// from the parent's optimal basis (SimplexSolver's warm-start ladder,
+// whose last rung is the dense tableau). With use_warm_start off every
+// node runs the dense tableau, where fixing a complementarity side to
+// zero substitutes the column away, so deep nodes solve smaller LPs.
 //
 // With MipOptions::threads > 1 the same search runs as a worker pool
 // over one shared best-bound queue: per-worker simplex engines, a

@@ -67,6 +67,15 @@ PopResult solve_pop_cs(const net::Topology& topo, const PathSet& paths,
                        const std::vector<double>& volumes,
                        const PopConfig& pop_config,
                        const ClientSplitConfig& cs_config) {
+  return solve_pop_cs(MaxFlowLp(topo, paths), volumes, pop_config, cs_config);
+}
+
+PopResult solve_pop_cs(const MaxFlowLp& max_flow,
+                       const std::vector<double>& volumes,
+                       const PopConfig& pop_config,
+                       const ClientSplitConfig& cs_config,
+                       const lp::Basis* hint) {
+  const PathSet& paths = max_flow.paths();
   if (volumes.size() != static_cast<std::size_t>(paths.num_pairs())) {
     throw std::invalid_argument("solve_pop_cs: volume size mismatch");
   }
@@ -96,7 +105,7 @@ PopResult solve_pop_cs(const net::Topology& topo, const PathSet& paths,
     options.include = &include;
     options.capacity_scale = 1.0 / pop_config.num_partitions;
     const MaxFlowResult part_result =
-        solve_max_flow(topo, paths, part_volumes, options);
+        max_flow.solve(part_volumes, options, hint);
     if (part_result.status != lp::SolveStatus::Optimal) {
       result.status = part_result.status;
       return result;

@@ -47,11 +47,20 @@ std::vector<Demand> client_split(const std::vector<Demand>& demands,
                                  const ClientSplitConfig& config);
 
 /// POP with client splitting, procedurally: transform, then partition
-/// the virtual clients and solve per partition.
+/// the virtual clients and solve per partition (one-shot MaxFlowLp,
+/// partitions solved cold).
 PopResult solve_pop_cs(const net::Topology& topo, const PathSet& paths,
                        const std::vector<double>& volumes,
                        const PopConfig& pop_config,
                        const ClientSplitConfig& cs_config);
+
+/// Same, with every partition solved on `max_flow`, warm-started from
+/// `hint` when non-null (an OPT basis of the same input).
+PopResult solve_pop_cs(const MaxFlowLp& max_flow,
+                       const std::vector<double>& volumes,
+                       const PopConfig& pop_config,
+                       const ClientSplitConfig& cs_config,
+                       const lp::Basis* hint = nullptr);
 
 /// Convex encoding of POP + client splitting over outer demand vars.
 struct PopCsEncoding {

@@ -8,6 +8,14 @@ namespace metaopt::te {
 DpResult solve_demand_pinning(const net::Topology& topo, const PathSet& paths,
                               const std::vector<double>& volumes,
                               const DpConfig& config) {
+  return solve_demand_pinning(MaxFlowLp(topo, paths), volumes, config);
+}
+
+DpResult solve_demand_pinning(const MaxFlowLp& max_flow,
+                              const std::vector<double>& volumes,
+                              const DpConfig& config, const lp::Basis* hint) {
+  const net::Topology& topo = max_flow.topology();
+  const PathSet& paths = max_flow.paths();
   if (volumes.size() != static_cast<std::size_t>(paths.num_pairs())) {
     throw std::invalid_argument("solve_demand_pinning: volume size mismatch");
   }
@@ -53,7 +61,7 @@ DpResult solve_demand_pinning(const net::Topology& topo, const PathSet& paths,
   options.capacity_override = &residual;
   options.certify = config.certify;
   const MaxFlowResult residual_flow =
-      solve_max_flow(topo, paths, volumes, options);
+      max_flow.solve(volumes, options, hint);
   if (residual_flow.status != lp::SolveStatus::Optimal) {
     result.status = residual_flow.status;
     return result;

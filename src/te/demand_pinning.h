@@ -4,8 +4,9 @@
 //
 // Two implementations with one semantics:
 //  * solve_demand_pinning — the procedural heuristic exactly as deployed:
-//    pin, subtract capacity, solve the residual LP. Detects the §5
-//    infeasibility mode (pinned flows oversubscribing a link).
+//    pin, subtract capacity, solve the residual LP (a bound change on a
+//    MaxFlowLp). Detects the §5 infeasibility mode (pinned flows
+//    oversubscribing a link).
 //  * build_demand_pinning — the convex encoding of §3.2 for the
 //    white-box search: an outer indicator b_k ∈ {0,1} with big-M rows
 //    enforcing b_k = 1 ⇔ d_k <= T_d, plus inner big-M rows forcing
@@ -66,10 +67,18 @@ struct DpResult {
   bool certified = false;
 };
 
-/// Runs Demand Pinning procedurally on concrete volumes.
+/// Runs Demand Pinning procedurally on concrete volumes (one-shot
+/// MaxFlowLp, residual LP solved cold).
 DpResult solve_demand_pinning(const net::Topology& topo, const PathSet& paths,
                               const std::vector<double>& volumes,
                               const DpConfig& config);
+
+/// Same, with the residual LP solved on `max_flow`, warm-started from `hint`
+/// when non-null (DpGapOracle passes the OPT basis of the same input).
+DpResult solve_demand_pinning(const MaxFlowLp& max_flow,
+                              const std::vector<double>& volumes,
+                              const DpConfig& config,
+                              const lp::Basis* hint = nullptr);
 
 /// The convex encoding over outer demand variables.
 struct DpEncoding {

@@ -1,10 +1,15 @@
 // Direct gap evaluation: gap(d) = OPT(d) - Heuristic(d).
 //
 // These oracles are the shared ground truth of the whole system: the
-// black-box searchers (§3.4) climb on them, the white-box search uses
-// them as its branch-and-bound primal heuristic (so every incumbent is a
-// genuine adversarial input), and the tests compare the convex encodings
-// against them.
+// black-box searchers (§3.4) climb on them, the white-box search seeds
+// its incumbent with them, explain probes re-solve through them, and the
+// tests compare the convex encodings against them.
+//
+// Each oracle owns one MaxFlowLp. An evaluate() solves OPT cold, then
+// warm-starts every heuristic LP (DP's residual LP; each POP partition
+// of each instantiation) from that OPT basis. The answer is therefore a
+// pure function of the input vector, never of earlier evaluations, and
+// a const oracle may be shared across threads.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +33,10 @@ class DpGapOracle final : public GapOracle {
  public:
   DpGapOracle(const net::Topology& topo, const PathSet& paths,
               DpConfig config)
-      : topo_(topo), paths_(paths), config_(config) {}
+      : lp_(topo, paths), config_(config) {}
 
   [[nodiscard]] int num_leader_vars() const override {
-    return paths_.num_pairs();
+    return lp_.paths().num_pairs();
   }
   [[nodiscard]] GapResult evaluate(
       const std::vector<double>& volumes) const override;
@@ -39,8 +44,7 @@ class DpGapOracle final : public GapOracle {
   [[nodiscard]] const DpConfig& config() const { return config_; }
 
  private:
-  const net::Topology& topo_;
-  const PathSet& paths_;
+  MaxFlowLp lp_;
   DpConfig config_;
 };
 
@@ -51,18 +55,19 @@ class PopGapOracle final : public GapOracle {
  public:
   PopGapOracle(const net::Topology& topo, const PathSet& paths,
                PopConfig config, std::vector<std::uint64_t> seeds)
-      : topo_(topo), paths_(paths), config_(config), seeds_(std::move(seeds)) {}
+      : lp_(topo, paths), config_(config), seeds_(std::move(seeds)) {}
 
   [[nodiscard]] int num_leader_vars() const override {
-    return paths_.num_pairs();
+    return lp_.paths().num_pairs();
   }
   /// heur = mean POP value across the instantiation seeds.
   [[nodiscard]] GapResult evaluate(
       const std::vector<double>& volumes) const override;
 
-  /// Per-instantiation heuristic values (Fig. 5a generalization test).
-  /// When `certified` is given it is ANDed with every instantiation's
-  /// certification verdict.
+  /// Per-instantiation heuristic values (Fig. 5a generalization test),
+  /// solved exactly as evaluate() solves them (warm from a cold OPT
+  /// solve). When `certified` is given it is ANDed with every
+  /// instantiation's certification verdict.
   [[nodiscard]] std::vector<double> per_instance_heur(
       const std::vector<double>& volumes, bool* certified = nullptr) const;
 
@@ -72,8 +77,12 @@ class PopGapOracle final : public GapOracle {
   }
 
  private:
-  const net::Topology& topo_;
-  const PathSet& paths_;
+  /// per_instance_heur with the partitions warm-started from `hint`.
+  [[nodiscard]] std::vector<double> heur_values(
+      const std::vector<double>& volumes, const lp::Basis* hint,
+      bool* certified) const;
+
+  MaxFlowLp lp_;
   PopConfig config_;
   std::vector<std::uint64_t> seeds_;
 };

@@ -18,6 +18,13 @@ std::vector<int> random_partition(int num_demands, int c, util::Rng& rng) {
 PopResult solve_pop(const net::Topology& topo, const PathSet& paths,
                     const std::vector<double>& volumes,
                     const PopConfig& config) {
+  return solve_pop(MaxFlowLp(topo, paths), volumes, config);
+}
+
+PopResult solve_pop(const MaxFlowLp& max_flow,
+                    const std::vector<double>& volumes,
+                    const PopConfig& config, const lp::Basis* hint) {
+  const PathSet& paths = max_flow.paths();
   if (volumes.size() != static_cast<std::size_t>(paths.num_pairs())) {
     throw std::invalid_argument("solve_pop: volume size mismatch");
   }
@@ -38,7 +45,7 @@ PopResult solve_pop(const net::Topology& topo, const PathSet& paths,
     options.capacity_scale = 1.0 / config.num_partitions;
     options.certify = config.certify;
     const MaxFlowResult part_result =
-        solve_max_flow(topo, paths, volumes, options);
+        max_flow.solve(volumes, options, hint);
     if (part_result.status != lp::SolveStatus::Optimal) {
       result.status = part_result.status;
       result.certified = false;

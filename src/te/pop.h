@@ -2,7 +2,8 @@
 //
 // POP divides the demand pairs uniformly at random into `num_partitions`
 // disjoint subsets, gives every partition a 1/num_partitions share of
-// each edge capacity, and solves OptMaxFlow independently per partition.
+// each edge capacity, and solves OptMaxFlow independently per partition
+// (each partition is a bound change on one MaxFlowLp).
 // The heuristic value is the sum of the per-partition optima.
 //
 // Because partitioning is random, POP(I) is a random variable (§3.2):
@@ -47,10 +48,18 @@ struct PopResult {
   bool certified = false;
 };
 
-/// Runs POP procedurally: solves one LP per partition and sums.
+/// Runs POP procedurally: solves one LP per partition and sums (one-shot
+/// MaxFlowLp, partitions solved cold).
 PopResult solve_pop(const net::Topology& topo, const PathSet& paths,
                     const std::vector<double>& volumes,
                     const PopConfig& config);
+
+/// Same, with every partition solved on `max_flow` (include mask + 1/c
+/// capacity scale as bounds), warm-started from `hint` when non-null
+/// (PopGapOracle passes the OPT basis of the same input).
+PopResult solve_pop(const MaxFlowLp& max_flow,
+                    const std::vector<double>& volumes,
+                    const PopConfig& config, const lp::Basis* hint = nullptr);
 
 /// The convex encoding of one POP instantiation: an independent
 /// OptMaxFlow inner problem per partition (each later KKT-rewritten on

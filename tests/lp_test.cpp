@@ -6,7 +6,9 @@
 
 #include "lp/model.h"
 #include "lp/model_io.h"
+#include "lp/revised_simplex.h"
 #include "lp/simplex.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace metaopt::lp {
@@ -217,6 +219,87 @@ TEST(Simplex, ObjectiveConstantCarries) {
   const Solution sol = SimplexSolver().solve(m);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.objective, 11.0, 1e-9);
+}
+
+// ---- solve metrics: one count per public solve, whichever rung ----
+
+double metric(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const obs::MetricValue* m = snap.find(name);
+  if (m == nullptr) return 0.0;
+  return m->kind == obs::MetricKind::Histogram
+             ? static_cast<double>(m->hist.count)
+             : m->value;
+}
+
+Model two_var_max() {
+  Model m;
+  Var x = m.add_var("x");
+  Var y = m.add_var("y");
+  m.add_constraint(x + y <= LinExpr(4.0));
+  m.add_constraint(x + 3.0 * y <= LinExpr(6.0));
+  m.set_objective(ObjSense::Maximize, 3.0 * x + 2.0 * y);
+  return m;
+}
+
+/// Runs `solve` with recording on and returns the metric deltas.
+template <typename F>
+obs::MetricsSnapshot recorded(F solve) {
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  solve();
+  const obs::MetricsSnapshot after = obs::snapshot();
+  obs::set_enabled(false);
+  return obs::diff(before, after);
+}
+
+TEST(SimplexMetrics, EveryPublicSolveCountsOnce) {
+  const Model m = two_var_max();
+  const std::vector<double> lb(2, 0.0);
+  const std::vector<double> ub(2, kInf);
+  const SimplexSolver solver;
+  WarmStartContext warm(m);
+  std::shared_ptr<const Basis> basis;
+  const obs::MetricsSnapshot d = recorded([&] {
+    EXPECT_EQ(solver.solve(m).status, SolveStatus::Optimal);
+    EXPECT_EQ(solver.solve_with_bounds(m, lb, ub).status,
+              SolveStatus::Optimal);
+    EXPECT_EQ(solver.solve_with_bounds(m, lb, ub, warm).status,
+              SolveStatus::Optimal);
+    EXPECT_EQ(warm.last_path, WarmStartContext::Path::ColdRevised);
+    basis = warm.take_result();
+    ASSERT_NE(basis, nullptr);
+    warm.hint = basis.get();
+    EXPECT_EQ(solver.solve_with_bounds(m, lb, ub, warm).status,
+              SolveStatus::Optimal);
+    EXPECT_EQ(warm.last_path, WarmStartContext::Path::WarmDual);
+  });
+  EXPECT_EQ(metric(d, "simplex.solves"), 4.0);
+  EXPECT_EQ(metric(d, "simplex.solve_ns"), 4.0);
+  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), 1.0);
+  EXPECT_EQ(metric(d, "simplex.warm_solves"), 1.0);
+  EXPECT_EQ(metric(d, "simplex.tableau_fallbacks"), 0.0);
+}
+
+TEST(SimplexMetrics, ForcedTableauFallbackIsCountedOnce) {
+  // A zero iteration budget stops both revised rungs before their first
+  // pivot, so the ladder must drop to the tableau (which stops too).
+  const Model m = two_var_max();
+  const std::vector<double> lb(2, 0.0);
+  const std::vector<double> ub(2, kInf);
+  SimplexOptions options;
+  options.max_iterations = 0;
+  const SimplexSolver solver(options);
+  WarmStartContext warm(m);
+  const obs::MetricsSnapshot d = recorded([&] {
+    EXPECT_EQ(solver.solve_with_bounds(m, lb, ub, warm).status,
+              SolveStatus::IterationLimit);
+  });
+  EXPECT_EQ(warm.last_path, WarmStartContext::Path::Tableau);
+  EXPECT_EQ(warm.take_result(), nullptr);
+  EXPECT_EQ(metric(d, "simplex.tableau_fallbacks"), 1.0);
+  EXPECT_EQ(metric(d, "simplex.solves"), 1.0);
+  EXPECT_EQ(metric(d, "simplex.solve_ns"), 1.0);
+  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), 0.0);
 }
 
 TEST(Simplex, DegenerateProblemTerminates) {

@@ -1,13 +1,24 @@
 // Tests for the TE formulations: OptMaxFlow, Demand Pinning, POP —
-// procedural solvers, convex encodings, and their equivalence.
+// procedural solvers, convex encodings, and their equivalence — plus the
+// direct-solve LP (MaxFlowLp) against a tableau reference and the gap
+// oracles' purity and thread-safety contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "kkt/kkt_rewriter.h"
 #include "kkt/materialize.h"
 #include "mip/branch_and_bound.h"
 #include "net/topologies.h"
+#include "obs/metrics.h"
 #include "te/demand.h"
 #include "te/demand_pinning.h"
 #include "te/gap.h"
@@ -15,6 +26,7 @@
 #include "te/path_set.h"
 #include "te/pop.h"
 #include "util/rng.h"
+#include "util/tolerances.h"
 
 namespace metaopt::te {
 namespace {
@@ -138,6 +150,7 @@ TEST(MaxFlow, IncludeMaskDropsDemands) {
       MaxFlowOptions{.capacity_scale = 1.0, .include = &include});
   ASSERT_EQ(none.status, lp::SolveStatus::Optimal);
   EXPECT_NEAR(none.total_flow, 0.0, 1e-9);
+  for (const auto& flows : none.path_flow) EXPECT_TRUE(flows.empty());
 }
 
 TEST(MaxFlow, KktEncodingMatchesDirect) {
@@ -422,6 +435,271 @@ TEST(GapOracles, PopOracleAveragesInstances) {
   ASSERT_EQ(per.size(), 3u);
   EXPECT_NEAR(gap.heur, (per[0] + per[1] + per[2]) / 3.0, 1e-9);
   EXPECT_GE(gap.gap(), -1e-9);  // POP can't beat OPT
+}
+
+// ---------------------------------------------------------------------
+// MaxFlowLp: differential test against a tableau reference
+// ---------------------------------------------------------------------
+
+/// A seeded demand vector for the DP / POP corpora: a quarter zeros,
+/// half at or below twice the DP threshold (so some pairs pin), the rest
+/// anywhere up to the largest link capacity.
+std::vector<double> corpus_vector(const Topology& topo, const PathSet& paths,
+                                  double threshold, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> volumes(paths.num_pairs(), 0.0);
+  for (double& v : volumes) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.25) continue;
+    v = u < 0.75 ? rng.uniform(0.0, 2.0 * threshold)
+                 : rng.uniform(0.0, topo.max_capacity());
+  }
+  return volumes;
+}
+
+/// The reference solve: build_max_flow's encoding materialized into a
+/// fresh model and solved from scratch on the dense tableau.
+lp::Solution reference_solve(const Topology& topo, const PathSet& paths,
+                             const std::vector<double>& volumes,
+                             const MaxFlowOptions& options) {
+  lp::Model model;
+  std::vector<lp::LinExpr> demand(volumes.begin(), volumes.end());
+  const FlowEncoding enc =
+      build_max_flow(model, topo, paths, demand, "ref.", options);
+  kkt::materialize_constraints(model, enc.inner);
+  model.set_objective(lp::ObjSense::Maximize, enc.total_flow);
+  lp::SimplexOptions simplex;
+  simplex.certify = options.certify;
+  return lp::SimplexSolver(simplex).solve(model);
+}
+
+void expect_matches(const MaxFlowResult& got, const lp::Solution& ref,
+                    const std::string& what) {
+  ASSERT_EQ(ref.status, lp::SolveStatus::Optimal) << what;
+  ASSERT_EQ(got.status, lp::SolveStatus::Optimal) << what;
+  EXPECT_NEAR(got.total_flow, ref.objective,
+              tol::kFeasTol * (1.0 + std::abs(ref.objective)))
+      << what;
+  EXPECT_TRUE(got.certified) << what;
+  EXPECT_NE(got.basis, nullptr) << what;
+}
+
+class MaxFlowLpDiff : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MaxFlowLpDiff, MatchesTableauReference) {
+  const Topology topo =
+      GetParam() == "b4" ? topologies::b4() : topologies::abilene();
+  const PathSet paths = make_paths(topo, 2);
+  const MaxFlowLp lp(topo, paths);
+  DpConfig dp;
+  dp.certify = true;
+  int residual_cases = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::vector<double> volumes =
+        corpus_vector(topo, paths, dp.threshold, util::derive_seed(61, seed));
+    const std::string tag = GetParam() + " seed " + std::to_string(seed);
+
+    // OPT: a cold solve.
+    MaxFlowOptions mf;
+    mf.certify = true;
+    const MaxFlowResult opt = lp.solve(volumes, mf);
+    expect_matches(opt, reference_solve(topo, paths, volumes, mf),
+                   tag + " OPT");
+
+    // DP's residual LP, warm from the OPT basis and cold: pin as
+    // solve_demand_pinning does, then route the rest on what is left.
+    std::vector<double> residual(topo.num_edges());
+    for (net::EdgeId e = 0; e < topo.num_edges(); ++e) {
+      residual[e] = topo.edge(e).capacity;
+    }
+    std::vector<bool> include(paths.num_pairs(), false);
+    double pinned = 0.0;
+    for (int k = 0; k < paths.num_pairs(); ++k) {
+      if (volumes[k] > dp.threshold) {
+        include[k] = true;
+        continue;
+      }
+      pinned += volumes[k];
+      for (net::EdgeId e : paths.shortest(k).edges) residual[e] -= volumes[k];
+    }
+    const bool oversubscribed = std::any_of(
+        residual.begin(), residual.end(), [](double r) { return r < -1e-9; });
+    const DpResult dp_result =
+        solve_demand_pinning(lp, volumes, dp, opt.basis.get());
+    EXPECT_EQ(dp_result.feasible, !oversubscribed) << tag;
+    if (!oversubscribed) {
+      ++residual_cases;
+      for (double& r : residual) r = std::max(r, 0.0);
+      MaxFlowOptions res = mf;
+      res.include = &include;
+      res.capacity_override = &residual;
+      const lp::Solution ref = reference_solve(topo, paths, volumes, res);
+      expect_matches(lp.solve(volumes, res, opt.basis.get()), ref,
+                     tag + " DP residual (warm)");
+      expect_matches(lp.solve(volumes, res), ref, tag + " DP residual (cold)");
+      EXPECT_NEAR(dp_result.total_flow, pinned + ref.objective,
+                  tol::kFeasTol * (1.0 + std::abs(dp_result.total_flow)))
+          << tag;
+      EXPECT_TRUE(dp_result.certified) << tag;
+    }
+
+    // POP partitions, warm from the OPT basis.
+    for (const int c : {2, 3}) {
+      util::Rng rng(seed);
+      const std::vector<int> assignment =
+          random_partition(paths.num_pairs(), c, rng);
+      for (int part = 0; part < c; ++part) {
+        std::vector<bool> in_part(paths.num_pairs(), false);
+        for (int k = 0; k < paths.num_pairs(); ++k) {
+          in_part[k] = assignment[k] == part;
+        }
+        MaxFlowOptions po = mf;
+        po.include = &in_part;
+        po.capacity_scale = 1.0 / c;
+        expect_matches(lp.solve(volumes, po, opt.basis.get()),
+                       reference_solve(topo, paths, volumes, po),
+                       tag + " POP c=" + std::to_string(c) + " part " +
+                           std::to_string(part));
+      }
+    }
+  }
+  EXPECT_GT(residual_cases, 0) << "corpus never reached a DP residual LP";
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, MaxFlowLpDiff,
+                         ::testing::Values("abilene", "b4"));
+
+// ---------------------------------------------------------------------
+// Gap oracles: evaluate() is a pure function of its input
+// ---------------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_identical(const GapResult& a, const GapResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.status, b.status) << what;
+  EXPECT_TRUE(same_bits(a.opt, b.opt)) << what << ": opt " << a.opt << " vs "
+                                       << b.opt;
+  EXPECT_TRUE(same_bits(a.heur, b.heur))
+      << what << ": heur " << a.heur << " vs " << b.heur;
+  EXPECT_EQ(a.heuristic_feasible, b.heuristic_feasible) << what;
+  EXPECT_EQ(a.certified, b.certified) << what;
+}
+
+std::vector<std::vector<double>> b4_corpus(const Topology& topo,
+                                           const PathSet& paths,
+                                           double threshold) {
+  std::vector<std::vector<double>> corpus;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    corpus.push_back(
+        corpus_vector(topo, paths, threshold, util::derive_seed(4, i)));
+  }
+  return corpus;
+}
+
+/// Evaluates `corpus` on `oracle` serially, in reverse order and from 4
+/// threads sharing it, and on a fresh oracle; every result must be
+/// bit-identical to the serial one.
+void expect_pure(const GapOracle& oracle,
+                 const std::function<std::unique_ptr<GapOracle>()>& fresh,
+                 const std::vector<std::vector<double>>& corpus) {
+  const std::size_t n = corpus.size();
+  std::vector<GapResult> serial(n);
+  for (std::size_t i = 0; i < n; ++i) serial[i] = oracle.evaluate(corpus[i]);
+
+  std::vector<GapResult> reversed(n);
+  for (std::size_t i = n; i-- > 0;) reversed[i] = oracle.evaluate(corpus[i]);
+
+  std::vector<GapResult> threaded(n);
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      for (std::size_t i = next++; i < n; i = next++) {
+        threaded[i] = oracle.evaluate(corpus[i]);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  const std::unique_ptr<GapOracle> other = fresh();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string what = "vector " + std::to_string(i);
+    ASSERT_EQ(serial[i].status, lp::SolveStatus::Optimal) << what;
+    expect_identical(serial[i], reversed[i], what + " (reverse order)");
+    expect_identical(serial[i], threaded[i], what + " (4 threads)");
+    expect_identical(serial[i], other->evaluate(corpus[i]),
+                     what + " (fresh oracle)");
+  }
+}
+
+TEST(GapOracles, DpEvaluateIsPureAndThreadSafe) {
+  const Topology topo = topologies::b4();
+  const PathSet paths = make_paths(topo, 2);
+  const DpConfig config;
+  const auto corpus = b4_corpus(topo, paths, config.threshold);
+  const DpGapOracle oracle(topo, paths, config);
+  expect_pure(
+      oracle,
+      [&] { return std::make_unique<DpGapOracle>(topo, paths, config); },
+      corpus);
+  int feasible = 0;
+  for (const auto& v : corpus) {
+    feasible += oracle.evaluate(v).heuristic_feasible ? 1 : 0;
+  }
+  EXPECT_GT(feasible, 0) << "corpus never reached a DP residual LP";
+}
+
+TEST(GapOracles, PopEvaluateIsPureAndThreadSafe) {
+  const Topology topo = topologies::b4();
+  const PathSet paths = make_paths(topo, 2);
+  PopConfig config;
+  config.num_partitions = 2;
+  const auto corpus = b4_corpus(topo, paths, DpConfig{}.threshold);
+  const PopGapOracle oracle(topo, paths, config, {1, 2, 3});
+  expect_pure(
+      oracle,
+      [&] {
+        return std::make_unique<PopGapOracle>(
+            topo, paths, config, std::vector<std::uint64_t>{1, 2, 3});
+      },
+      corpus);
+}
+
+double metric(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const obs::MetricValue* m = snap.find(name);
+  return m ? m->value : 0.0;
+}
+
+TEST(GapOracles, DpCorpusStaysOnTheRevisedCore) {
+  // Every DP evaluation is one cold OPT solve plus, when pinning leaves
+  // a feasible residual, one warm residual solve from the OPT basis —
+  // none of them reaches the dense tableau.
+  const Topology topo = topologies::b4();
+  const PathSet paths = make_paths(topo, 2);
+  const DpConfig config;
+  const auto corpus = b4_corpus(topo, paths, config.threshold);
+  const DpGapOracle oracle(topo, paths, config);
+
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  int feasible = 0;
+  for (const auto& v : corpus) {
+    feasible += oracle.evaluate(v).heuristic_feasible ? 1 : 0;
+  }
+  const obs::MetricsSnapshot after = obs::snapshot();
+  obs::set_enabled(false);
+
+  const obs::MetricsSnapshot d = obs::diff(before, after);
+  const double n = static_cast<double>(corpus.size());
+  EXPECT_EQ(metric(d, "simplex.tableau_fallbacks"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.warm_fallbacks"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.pivots"), 0.0);  // tableau pivots
+  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), n);
+  EXPECT_EQ(metric(d, "simplex.warm_solves"), feasible);
+  EXPECT_EQ(metric(d, "simplex.solves"), n + feasible);
 }
 
 }  // namespace
