@@ -34,7 +34,8 @@ struct FindOptions {
   /// Independently certify the incumbent (check::certify_mip) and any
   /// direct re-solves backing the reported gap.
   bool certify = false;
-  /// B&B worker threads (clamped to 1 inside a parallel sweep pool).
+  /// B&B worker threads (MipOptions::threads; not clamped inside a
+  /// sweep, the shared scheduler bounds the total).
   int mip_threads = 1;
   /// Entering-variable pricing rule for the node LPs (CLI: --pricing).
   lp::Pricing pricing = lp::Pricing::Partial;

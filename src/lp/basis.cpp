@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "obs/obs.h"
+#include "util/stopwatch.h"
 
 namespace metaopt::lp {
 
@@ -16,6 +17,9 @@ const obs::Counter c_fillin_triggers =
 // Fill-in per factorization, recorded in percent of the basis-matrix
 // nonzeros (100 == no fill at all).
 const obs::Histogram h_fillin_ratio = obs::histogram("simplex.fillin_ratio");
+// Wall time of each successful factorization of a non-empty basis (the
+// events simplex.fillin_ratio records): the lp.factorize ledger bucket.
+const obs::Histogram h_factorize_ns = obs::histogram("simplex.factorize_ns");
 
 }  // namespace
 
@@ -26,6 +30,7 @@ bool BasisFactor::factorize(const BoundedForm& form,
   // counted separately by the engine.
   if (fillin_triggered()) c_fillin_triggers.inc();
 
+  const util::Stopwatch watch;
   const int m = form.num_rows;
   m_ = 0;
   pivots_ = 0;
@@ -52,6 +57,7 @@ bool BasisFactor::factorize(const BoundedForm& form,
   m_ = m;
   h_fillin_ratio.observe(
       static_cast<std::uint64_t>(std::llround(fillin_ratio() * 100.0)));
+  h_factorize_ns.observe(watch.elapsed_ns());
   return true;
 }
 
@@ -167,7 +173,8 @@ void BasisFactor::btran_dense(std::vector<double>& x) const {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse kind: left-looking LU with Markowitz-threshold pivoting.
+// Sparse kind: left-looking LU with Markowitz-threshold pivoting and a
+// symbolic reach per column.
 // ---------------------------------------------------------------------------
 
 bool BasisFactor::factorize_sparse(const BoundedForm& form,
@@ -178,16 +185,16 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   // Static row counts of the basis matrix (Markowitz tie-break) and
   // per-position column counts (elimination order: cheapest first).
   row_count_.assign(m, 0);
-  std::vector<int> col_nnz(m, 0);
+  col_nnz_.assign(m, 0);
   for (int p = 0; p < m; ++p) {
     const int j = basic[p];
     if (j < form.num_structs) {
-      col_nnz[p] = form.col_start[j + 1] - form.col_start[j];
+      col_nnz_[p] = form.col_start[j + 1] - form.col_start[j];
       for (int t = form.col_start[j]; t < form.col_start[j + 1]; ++t) {
         ++row_count_[form.col_row[t]];
       }
     } else {
-      col_nnz[p] = 1;
+      col_nnz_[p] = 1;
       const int row = j < form.num_structs + m ? j - form.num_structs
                                                : j - form.num_structs - m;
       ++row_count_[row];
@@ -196,7 +203,7 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   col_order_.resize(m);
   for (int p = 0; p < m; ++p) col_order_[p] = p;
   std::stable_sort(col_order_.begin(), col_order_.end(),
-                   [&](int a, int b) { return col_nnz[a] < col_nnz[b]; });
+                   [&](int a, int b) { return col_nnz_[a] < col_nnz_[b]; });
 
   pivrow_.assign(m, -1);
   col_of_step_.assign(m, -1);
@@ -208,6 +215,7 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   ucol_.clear();
   fwork_.assign(m, 0.0);
   fmark_.assign(m, 0);
+  reached_.assign(m, 0);
   ftouched_.clear();
 
   const auto touch = [&](int row) {
@@ -242,11 +250,37 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
       fwork_[row] += 1.0;
     }
 
-    // Left-looking elimination: apply the L columns of every earlier
+    // Symbolic reach (Gilbert & Peierls, SIAM J. Sci. Stat. Comput.
+    // 1988): the earlier steps whose pivot row can be nonzero in this
+    // column. The seeds are the scattered rows that are already
+    // pivoted; step t reaches the step of every pivoted row in L
+    // column t. Any other step's pivot row is never touched, so it
+    // stays an exact zero and the elimination below would skip it.
+    reach_.clear();
+    const auto visit = [&](int row) {
+      const int step = rowpos_[row];
+      if (step >= 0 && reached_[step] == 0) {
+        reached_[step] = 1;
+        reach_.push_back(step);
+      }
+    };
+    for (const int row : ftouched_) visit(row);
+    for (std::size_t i = 0; i < reach_.size(); ++i) {
+      const int t = reach_[i];
+      for (int e = lstart_[t]; e < lstart_[t + 1]; ++e) visit(lcol_[e].idx);
+    }
+    // Ascending step order is topological (L column t only holds rows
+    // pivoted after step t), and it is the order of a full 0..k-1
+    // scan, so the arithmetic and the touch order match that scan bit
+    // for bit.
+    std::sort(reach_.begin(), reach_.end());
+    for (const int t : reach_) reached_[t] = 0;
+
+    // Left-looking elimination: apply the L columns of every reached
     // step whose pivot row carries a nonzero. A pivot row, once read
     // here, is never modified by later steps (their L columns only hold
     // still-unpivoted rows), so fwork_[pivrow_[t]] IS u_{t,k} below.
-    for (int t = 0; t < k; ++t) {
+    for (const int t : reach_) {
       const double u = fwork_[pivrow_[t]];
       if (u == 0.0) continue;
       for (int e = lstart_[t]; e < lstart_[t + 1]; ++e) {
@@ -257,7 +291,7 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
     }
 
     // Gather the U column.
-    for (int t = 0; t < k; ++t) {
+    for (const int t : reach_) {
       const double u = fwork_[pivrow_[t]];
       if (u != 0.0) ucol_.push_back({t, u});
     }

@@ -22,6 +22,10 @@
 //    and the pivot row is the fewest-nonzeros row among those within a
 //    threshold factor of the largest candidate magnitude, so fill-in
 //    stays near the network-flow sparsity of the KKT-rewritten models.
+//    Each column visits only the earlier steps in its symbolic reach
+//    (Gilbert–Peierls), so a factorization costs O(m + nnz(B)) plus
+//    time proportional to the factor's nonzeros and the arithmetic on
+//    them (and a sort of each column's reach), not O(m^2) step visits.
 //    Basis exchanges append sparse eta vectors (the product-form /
 //    Forrest–Tomlin eta representation: one elementary transform per
 //    pivot, applied after the LU solve in ftran and before it in
@@ -188,11 +192,12 @@ class BasisFactor {
   int eta_nnz_ = 0;
   int lu_nnz_ = 0;
 
-  // factorization scratch (sparse kind)
+  // factorization scratch (sparse kind); reached_ is reset through
+  // reach_ after each column, not by an O(m) clear
   std::vector<double> fwork_;
   std::vector<int> ftouched_;
-  std::vector<signed char> fmark_;
-  std::vector<int> row_count_, col_order_, rowpos_;
+  std::vector<signed char> fmark_, reached_;
+  std::vector<int> row_count_, col_nnz_, col_order_, rowpos_, reach_;
   mutable std::vector<double> zwork_;
 };
 

@@ -80,10 +80,9 @@ struct MipOptions {
   /// to proven optimality: every node LP is a pure function of (node
   /// box, hint basis), so the tree — and the certified optimal objective
   /// — is bit-identical for any N; only exploration order, node counts
-  /// and early-stop paths may differ. Clamped to 1 (with a log line)
-  /// when the solve is already running inside a parallel region wider
-  /// than one thread (e.g. a SweepRunner job), so sweep x B&B threads
-  /// never oversubscribe the machine.
+  /// and early-stop paths may differ. Not clamped inside a sweep:
+  /// helpers come from the process-wide scheduler, so a SweepRunner job
+  /// adds no threads beyond max(sweep width, mip threads).
   int threads = 1;
   lp::SimplexOptions lp;
 };

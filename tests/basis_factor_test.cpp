@@ -1,7 +1,11 @@
 // Unit tests for BasisFactor: the sparse LU backend against the dense
-// explicit inverse on the same bases, the product-form eta update, the
-// fill-in-triggered refactorize, and the factored-set cache key staying
-// in sync across warm solves (regression for the PR 4 stale-key class).
+// explicit inverse on the same bases (random ones, a chain whose
+// symbolic reach is transitive, and a sparse KKT node basis),
+// the product-form eta update, singular bases, the fill-in-triggered
+// refactorize, the factorization timer, and the factored-set cache key
+// staying in sync across warm solves (regression for the stale-key bug
+// class).
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -9,12 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include "kkt/kkt_rewriter.h"
 #include "lp/basis.h"
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "lp/standard_form.h"
+#include "net/topologies.h"
 #include "obs/obs.h"
+#include "te/demand.h"
+#include "te/demand_pinning.h"
+#include "te/max_flow.h"
+#include "te/path_set.h"
 #include "util/rng.h"
 
 namespace metaopt {
@@ -83,12 +93,162 @@ std::vector<int> pick_basis(const BoundedForm& form, util::Rng& rng) {
   return logicals;
 }
 
+/// A basis matrix together with the form its columns come from.
+struct BasisCase {
+  std::string name;
+  BoundedForm form;
+  std::vector<int> basic;
+};
+
+/// A cyclic chain: structural column j < m-1 is e_j + a e_{j+1} (lower
+/// bidiagonal) and the last column is e_0 + b e_{m-1}. The elimination
+/// pivots rows 0..m-2 in order, each L column carrying the next row, so
+/// the last column's only pivoted seed (row 0) reaches every earlier
+/// step, all but one of them indirectly. Its final pivot is
+/// b + (-a)^(m-1).
+BoundedForm chain_form(int m, double a, double b) {
+  BoundedForm form;
+  form.num_structs = m;
+  form.num_rows = m;
+  form.col_start.push_back(0);
+  for (int j = 0; j < m; ++j) {
+    const bool last = j == m - 1;
+    form.col_row.push_back(last ? 0 : j);
+    form.col_val.push_back(1.0);
+    form.col_row.push_back(last ? m - 1 : j + 1);
+    form.col_val.push_back(last ? b : a);
+    form.col_start.push_back(static_cast<int>(form.col_row.size()));
+  }
+  form.rhs.assign(m, 0.0);
+  form.row_is_eq.assign(m, false);
+  form.source_con.resize(m);
+  for (int i = 0; i < m; ++i) form.source_con[i] = i;
+  form.cost.assign(m, 0.0);
+  return form;
+}
+
+std::vector<int> structural_basis(int m) {
+  std::vector<int> basic(m);
+  for (int j = 0; j < m; ++j) basic[j] = j;
+  return basic;
+}
+
+/// The root LP relaxation of a small DP metaoptimization model (the
+/// Fig. 6 construction: adversarial demands, KKT-rewritten OPT and DP
+/// followers) on a 3x4 grid, and its optimal basis: the shape of a
+/// branch-and-bound node basis, mostly singleton columns.
+BasisCase kkt_root_case() {
+  const net::Topology topo = net::topologies::grid(3, 4);
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  lp::Model model;
+  const double ub = topo.max_capacity();
+  std::vector<lp::Var> dvars;
+  std::vector<lp::LinExpr> dexprs;
+  for (int k = 0; k < paths.num_pairs(); ++k) {
+    dvars.push_back(model.add_var("d[" + std::to_string(k) + "]", 0.0, ub));
+    dexprs.emplace_back(dvars.back());
+  }
+  const te::FlowEncoding opt_enc =
+      te::build_max_flow(model, topo, paths, dexprs, "opt.", {});
+  const kkt::KktArtifacts opt_art = kkt::emit_kkt(model, opt_enc.inner, "opt.");
+  te::DpConfig dp;
+  dp.threshold = 50.0;
+  dp.demand_ub = ub;
+  const te::DpEncoding dp_enc =
+      te::build_demand_pinning(model, topo, paths, dvars, dp, "dp.");
+  const kkt::KktArtifacts dp_art = kkt::emit_kkt(model, dp_enc.inner, "dp.");
+  model.set_objective(ObjSense::Maximize,
+                      opt_art.objective_expr - dp_art.objective_expr);
+
+  std::vector<double> lb(model.num_vars()), ub_v(model.num_vars());
+  for (lp::VarId v = 0; v < model.num_vars(); ++v) {
+    lb[v] = model.var(v).lb;
+    ub_v[v] = model.var(v).ub;
+  }
+  lp::SimplexOptions opt;
+  opt.want_duals = false;
+  opt.certify = false;
+  lp::WarmStartContext ctx(model);
+  long iters = 0;
+  EXPECT_EQ(ctx.engine.solve_cold(opt, lb, ub_v, &iters),
+            lp::SolveStatus::Optimal);
+  lp::Basis root;
+  ctx.engine.export_basis(root);
+
+  BasisCase c{"kkt-root", BoundedForm::build(model), {}};
+  for (int j = 0; j < static_cast<int>(root.status.size()); ++j) {
+    if (root.status[j] == lp::VarStatus::Basic) c.basic.push_back(j);
+  }
+  // Keep the case at the shape the reach path is meant to cover: most
+  // basis columns hold one nonzero (logicals, and structurals such as
+  // a single row's dual or slack variable).
+  EXPECT_GE(c.form.num_rows, 1000);
+  const auto singletons =
+      std::count_if(c.basic.begin(), c.basic.end(), [&](int j) {
+        return j >= c.form.num_structs ||
+               c.form.col_start[j + 1] - c.form.col_start[j] == 1;
+      });
+  EXPECT_GT(2 * singletons, c.form.num_rows);
+  return c;
+}
+
+/// Bases with known structure, added to the random ones: chains of
+/// several lengths (transitive reach) and the KKT root basis (m >= 1000,
+/// mostly singleton columns).
+const std::vector<BasisCase>& structured_cases() {
+  static const std::vector<BasisCase> cases = [] {
+    std::vector<BasisCase> out;
+    for (const int m : {2, 3, 17, 200}) {
+      out.push_back({"chain-" + std::to_string(m), chain_form(m, -0.9, 1.5),
+                     structural_basis(m)});
+    }
+    out.push_back(kkt_root_case());
+    return out;
+  }();
+  return cases;
+}
+
 void expect_vec_near(const std::vector<double>& got,
                      const std::vector<double>& want, double tol,
                      const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_NEAR(got[i], want[i], tol) << what << " index " << i;
+  }
+}
+
+/// ftran and btran of both factors agree on random right-hand sides.
+void expect_solves_match(const BasisFactor& sparse, const BasisFactor& dense,
+                         int m, util::Rng& rng, double tol,
+                         const std::string& what) {
+  std::vector<double> x(m);
+  for (double& v : x) v = rng.uniform(-5.0, 5.0);
+  std::vector<double> xs = x, xd = x;
+  sparse.ftran(xs);
+  dense.ftran(xd);
+  expect_vec_near(xs, xd, tol, "ftran" + what);
+
+  for (double& v : x) v = rng.uniform(-5.0, 5.0);
+  std::vector<double> ys = x, yd = x;
+  sparse.btran(ys);
+  dense.btran(yd);
+  expect_vec_near(ys, yd, tol, "btran" + what);
+}
+
+/// Applies the same `count` product-form updates to both factors: B <-
+/// B * E with a well-conditioned random column. The represented
+/// operator stays identical whatever each backend does internally.
+void apply_same_updates(BasisFactor& sparse, BasisFactor& dense, int m,
+                        int count, util::Rng& rng) {
+  for (int u = 0; u < count; ++u) {
+    const int r = rng.uniform_int(0, m - 1);
+    std::vector<double> w(m);
+    for (double& v : w) {
+      v = rng.bernoulli(0.5) ? rng.uniform(-2.0, 2.0) : 0.0;
+    }
+    w[r] = rng.uniform(1.0, 3.0);  // safely away from the pivot tol
+    ASSERT_TRUE(sparse.update(r, w, 1e-9));
+    ASSERT_TRUE(dense.update(r, w, 1e-9));
   }
 }
 
@@ -108,19 +268,34 @@ TEST(BasisFactor, SparseAndDenseSolveIdentically) {
     ASSERT_TRUE(dense.factorize(form, basic, 1e-9));
     EXPECT_EQ(sparse.kind(), FactorKind::SparseLU);
     EXPECT_EQ(dense.kind(), FactorKind::DenseInverse);
+    expect_solves_match(sparse, dense, form.num_rows, rng, 1e-8, "");
+  }
+  for (const BasisCase& c : structured_cases()) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(static_cast<int>(c.basic.size()), c.form.num_rows);
+    BasisFactor sparse(FactorKind::SparseLU);
+    BasisFactor dense(FactorKind::DenseInverse);
+    ASSERT_TRUE(sparse.factorize(c.form, c.basic, 1e-9));
+    ASSERT_TRUE(dense.factorize(c.form, c.basic, 1e-9));
+    expect_solves_match(sparse, dense, c.form.num_rows, rng, 1e-9, "");
+  }
+}
 
-    std::vector<double> x(form.num_rows);
-    for (double& v : x) v = rng.uniform(-5.0, 5.0);
-    std::vector<double> xs = x, xd = x;
-    sparse.ftran(xs);
-    dense.ftran(xd);
-    expect_vec_near(xs, xd, 1e-8, "ftran");
-
-    for (double& v : x) v = rng.uniform(-5.0, 5.0);
-    std::vector<double> ys = x, yd = x;
-    sparse.btran(ys);
-    dense.btran(yd);
-    expect_vec_near(ys, yd, 1e-8, "btran");
+TEST(BasisFactor, SingularBasesAreReported) {
+  // A repeated column, and a chain whose last pivot cancels exactly
+  // only through its indirect reach: b = -(-a)^(m-1) with a = -0.5
+  // leaves every intermediate value a power of two.
+  for (const int m : {2, 5, 40}) {
+    SCOPED_TRACE("m = " + std::to_string(m));
+    const BoundedForm chain = chain_form(m, -0.5, -std::ldexp(1.0, 1 - m));
+    std::vector<int> repeated = structural_basis(m);
+    repeated[m - 1] = 0;
+    for (const std::vector<int>& basic : {structural_basis(m), repeated}) {
+      BasisFactor sparse(FactorKind::SparseLU);
+      BasisFactor dense(FactorKind::DenseInverse);
+      EXPECT_FALSE(sparse.factorize(chain, basic, 1e-9));
+      EXPECT_FALSE(dense.factorize(chain, basic, 1e-9));
+    }
   }
 }
 
@@ -139,35 +314,21 @@ TEST(BasisFactor, EtaUpdatesTrackDenseInverse) {
     ASSERT_TRUE(sparse.factorize(form, basic, 1e-9));
     ASSERT_TRUE(dense.factorize(form, basic, 1e-9));
 
-    // Apply the same product-form updates to both: B <- B * E with a
-    // well-conditioned random column. The represented operator stays
-    // identical whatever each backend does internally.
     const int updates = rng.uniform_int(1, 5);
-    for (int u = 0; u < updates; ++u) {
-      const int r = rng.uniform_int(0, m - 1);
-      std::vector<double> w(m);
-      for (double& v : w) {
-        v = rng.bernoulli(0.5) ? rng.uniform(-2.0, 2.0) : 0.0;
-      }
-      w[r] = rng.uniform(1.0, 3.0);  // safely away from the pivot tol
-      ASSERT_TRUE(sparse.update(r, w, 1e-9));
-      ASSERT_TRUE(dense.update(r, w, 1e-9));
-    }
+    apply_same_updates(sparse, dense, m, updates, rng);
     EXPECT_EQ(sparse.pivots_since_factor(), updates);
     EXPECT_EQ(sparse.eta_count(), updates);
-
-    std::vector<double> x(m);
-    for (double& v : x) v = rng.uniform(-5.0, 5.0);
-    std::vector<double> xs = x, xd = x;
-    sparse.ftran(xs);
-    dense.ftran(xd);
-    expect_vec_near(xs, xd, 1e-7, "ftran after updates");
-
-    for (double& v : x) v = rng.uniform(-5.0, 5.0);
-    std::vector<double> ys = x, yd = x;
-    sparse.btran(ys);
-    dense.btran(yd);
-    expect_vec_near(ys, yd, 1e-7, "btran after updates");
+    expect_solves_match(sparse, dense, m, rng, 1e-7, " after updates");
+  }
+  for (const BasisCase& c : structured_cases()) {
+    SCOPED_TRACE(c.name);
+    const int m = c.form.num_rows;
+    BasisFactor sparse(FactorKind::SparseLU);
+    BasisFactor dense(FactorKind::DenseInverse);
+    ASSERT_TRUE(sparse.factorize(c.form, c.basic, 1e-9));
+    ASSERT_TRUE(dense.factorize(c.form, c.basic, 1e-9));
+    apply_same_updates(sparse, dense, m, 3, rng);
+    expect_solves_match(sparse, dense, m, rng, 1e-9, " after updates");
   }
 }
 
@@ -210,6 +371,24 @@ TEST(BasisFactor, ResidualAccuracyOnFactorizedBasis) {
           << "column " << i << " row " << r;
     }
   }
+}
+
+TEST(BasisFactor, FactorizeTimerObservesEachSuccessfulFactorization) {
+  obs::set_enabled(true);
+  const BasisCase& chain = structured_cases().front();
+  const BoundedForm singular = chain_form(5, -0.5, -std::ldexp(1.0, -4));
+  BasisFactor factor(FactorKind::SparseLU);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(factor.factorize(chain.form, chain.basic, 1e-9));
+  }
+  EXPECT_FALSE(factor.factorize(singular, structural_basis(5), 1e-9));
+  const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
+  obs::set_enabled(false);
+  const obs::MetricValue* h = d.find("simplex.factorize_ns");
+  ASSERT_NE(h, nullptr);
+  ASSERT_EQ(h->kind, obs::MetricKind::Histogram);
+  EXPECT_EQ(h->hist.count, 3u);
 }
 
 TEST(BasisFactor, FillInTriggersRefactorizeBeforePivotInterval) {

@@ -119,7 +119,8 @@ TEST_F(ObsTest, GaugeTakesLastWrite) {
   const Gauge g = gauge("test.gauge");
   g.set(1.5);
   g.set(-2.25);
-  const MetricValue* m = snapshot().find("test.gauge");
+  const MetricsSnapshot snap = snapshot();
+  const MetricValue* m = snap.find("test.gauge");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->kind, MetricKind::Gauge);
   EXPECT_EQ(m->value, -2.25);
@@ -131,7 +132,8 @@ TEST_F(ObsTest, HistogramBucketsCountAndSum) {
   h.observe(1);    // bucket 1
   h.observe(5);    // bucket 3: [4, 8)
   h.observe(700);  // bucket 10: [512, 1024)
-  const MetricValue* m = snapshot().find("test.hist");
+  const MetricsSnapshot snap = snapshot();
+  const MetricValue* m = snap.find("test.hist");
   ASSERT_NE(m, nullptr);
   ASSERT_EQ(m->kind, MetricKind::Histogram);
   EXPECT_EQ(m->hist.count, 4u);
@@ -158,7 +160,8 @@ TEST_F(ObsTest, SpanRecordsCompleteEventAndHistogram) {
   EXPECT_STREQ(events[0].name, "test.span");
   EXPECT_EQ(events[0].phase, 'X');
   EXPECT_GT(events[0].tid, 0u);
-  const MetricValue* m = snapshot().find("test.span_ns");
+  const MetricsSnapshot snap = snapshot();
+  const MetricValue* m = snap.find("test.span_ns");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->hist.count, 1u);
 }
