@@ -53,9 +53,9 @@ void run_blackbox(benchmark::State& state, const std::string& heuristic,
   for (auto _ : state) {
     const te::DpGapOracle dp_oracle(f.topo, f.paths, f.dp);
     const te::PopGapOracle pop_oracle(f.topo, f.paths, f.pop, f.pop_seeds);
-    const te::GapOracle& oracle =
-        heuristic == "dp" ? static_cast<const te::GapOracle&>(dp_oracle)
-                          : static_cast<const te::GapOracle&>(pop_oracle);
+    const heur::GapOracle& oracle =
+        heuristic == "dp" ? static_cast<const heur::GapOracle&>(dp_oracle)
+                          : static_cast<const heur::GapOracle&>(pop_oracle);
     search::SearchResult r;
     if (method == "hill") r = search::hill_climb(oracle, options);
     else if (method == "anneal") r = search::simulated_annealing(oracle, options);

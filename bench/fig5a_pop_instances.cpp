@@ -45,7 +45,7 @@ void Fig5a_TrainInstances(benchmark::State& state) {
     train_gap = r.normalized_gap;
     // Held-out evaluation: mean gap over 10 fresh partitions.
     const te::PopGapOracle heldout(topo, paths, pop, heldout_seeds);
-    const te::GapResult held = heldout.evaluate(r.volumes);
+    const heur::GapResult held = heldout.evaluate(r.volumes);
     heldout_gap = held.gap() / topo.total_capacity();
     auto out = bench::csv("fig5a");
     out.row("fig5a", "train_insts=" + std::to_string(train_instances),

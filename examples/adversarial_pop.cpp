@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> heldout;
   for (int i = 101; i <= 110; ++i) heldout.push_back(i);
   te::PopGapOracle oracle(topo, paths, pop, heldout);
-  const te::GapResult check = oracle.evaluate(r.volumes);
+  const heur::GapResult check = oracle.evaluate(r.volumes);
   const std::vector<double> per = oracle.per_instance_heur(r.volumes);
   std::printf("held-out gap on 10 fresh partitions: mean %.1f (%.2f%%)\n",
               check.gap(), 100.0 * check.gap() / cap);

@@ -34,7 +34,7 @@ int main() {
   dp.threshold = 50.0;  // 5% of a 1000-unit link; Fig. 1 uses 50
 
   const te::DpGapOracle oracle(topo, paths, dp);
-  const te::GapResult gap = oracle.evaluate(volumes);
+  const heur::GapResult gap = oracle.evaluate(volumes);
   std::printf("Figure 1 demands:   OPT = %.0f   DP = %.0f   gap = %.0f "
               "(%.1f%% of OPT)\n",
               gap.opt, gap.heur, gap.gap(), 100.0 * gap.gap() / gap.opt);

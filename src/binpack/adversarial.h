@@ -1,12 +1,14 @@
 // White-box adversarial search for first-fit(-decreasing) bin packing.
 //
-// Same Eq. 1 pipeline as core/adversarial.h, instantiated for the
-// bin-packing domain: the leader picks item sizes, the unrolled FF/FFD
-// procedure (binpack/encoding.h) plays the heuristic, the volume LP
-// plays the embedded OPT bound, and every incumbent is re-scored exactly
-// against the simulated heuristic and the assignment MIP — so the
-// reported gap is the *true* bins-wasted count even though the embedded
-// objective only upper-bounds it.
+// The same Eq. 1 driver as core/adversarial.h (core/single_shot.h), with
+// a bin-packing family: the leader picks item sizes, the unrolled FF/FFD
+// procedure (binpack/encoding.h) plays the heuristic, and the volume LP
+// is the one KKT follower, an embedded OPT bound. The family's hooks
+// snap candidates to the sorted canonical form, complete the FF trace,
+// seed with the 0.45C/0.26C worst-case family, and re-score every
+// candidate exactly against the simulated heuristic and the assignment
+// MIP — so the reported gap is the *true* bins-wasted count even though
+// the embedded objective only upper-bounds it.
 #pragma once
 
 #include <vector>

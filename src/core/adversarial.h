@@ -1,14 +1,19 @@
-// The paper's contribution: provable adversarial-input search (Eq. 1).
+// The paper's contribution: provable adversarial-input search (Eq. 1)
+// for the traffic-engineering heuristics.
 //
 //   argmax_{d in ConstrainedSet}  OPT(d) - Heuristic(d)
 //
-// Both followers are embedded as KKT systems (§3.1) in one single-shot
-// model solved by branch-and-bound over the complementarity pairs and
-// big-M binaries. At every node, the candidate demand vector is
-// re-evaluated with the small direct LPs and lifted to a full feasible
-// assignment (kkt/parametric.h), so each incumbent is a *genuine*
-// adversarial input with an exactly known gap, and the branch-and-bound
-// bound certifies how far it can be from the worst case.
+// Each find builds one TE family for the shared single-shot driver
+// (core/single_shot.h): the demand leader, OPT as the first KKT follower
+// (§3.1), the heuristic's inner problems as the next, the realistic input
+// constraints (§3.3), and the family's hooks — Demand Pinning's pin
+// completion and epsilon-band snap, POP's partition followers, client
+// splitting's level indicators and dead-band snap, and the direct oracle
+// that seeds the first incumbent. The driver re-solves every candidate
+// with the small direct LPs and lifts it to a full feasible assignment
+// (kkt/parametric.h), so each incumbent is a *genuine* adversarial input
+// with an exactly known gap, and the branch-and-bound bound certifies how
+// far it can be from the worst case.
 //
 // POP support follows §3.2: the heuristic objective is the empirical
 // mean of several partition instantiations (or, via
@@ -59,6 +64,22 @@ struct AdversarialOptions {
 /// The result shape is shared with every other heuristic domain now
 /// (heur/instance.h); the TE name survives as an alias.
 using AdversarialResult = heur::GapFindResult;
+
+/// The demand leader of a TE model: one variable per pair in the
+/// adversarial support.
+struct DemandVars {
+  std::vector<lp::Var> vars;       ///< invalid for excluded pairs
+  std::vector<lp::LinExpr> exprs;  ///< the variable, or constant 0
+  std::vector<bool> include;       ///< pairs carrying adversarial demand
+  double ub = 0.0;                 ///< demand box upper bound
+};
+
+/// Adds the demand leader to `model`. Pairs without paths or masked out
+/// by options.pair_mask are excluded. Throws std::invalid_argument when
+/// pair_mask is non-empty and does not have one entry per pair.
+DemandVars make_demand_vars(lp::Model& model, const net::Topology& topo,
+                            const te::PathSet& paths,
+                            const AdversarialOptions& options);
 
 /// Deterministic descriptor of the random POP(I) targeted by the search
 /// (§3.2): the empirical mean over the instantiation seeds, or an order

@@ -10,37 +10,6 @@ namespace {
 
 using lp::LinExpr;
 using lp::Model;
-using lp::Var;
-
-/// Demand variables for the bounding model (mirrors adversarial.cpp's
-/// helper; kept local to avoid exposing the internal struct).
-struct BoundDemand {
-  std::vector<Var> vars;
-  std::vector<LinExpr> exprs;
-  std::vector<bool> include;
-  double ub = 0.0;
-};
-
-BoundDemand make_demand(Model& model, const net::Topology& topo,
-                        const te::PathSet& paths,
-                        const AdversarialOptions& options) {
-  BoundDemand d;
-  d.ub = options.demand_ub > 0.0 ? options.demand_ub : topo.max_capacity();
-  d.vars.assign(paths.num_pairs(), Var{});
-  d.include.assign(paths.num_pairs(), false);
-  for (int k = 0; k < paths.num_pairs(); ++k) {
-    const bool in = !paths.paths(k).empty() &&
-                    (options.pair_mask.empty() || options.pair_mask[k]);
-    d.include[k] = in;
-    if (in) {
-      d.vars[k] = model.add_var("d[" + std::to_string(k) + "]", 0.0, d.ub);
-      d.exprs.emplace_back(d.vars[k]);
-    } else {
-      d.exprs.emplace_back(0.0);
-    }
-  }
-  return d;
-}
 
 GapBoundResult finish(Model& model, const net::Topology& topo,
                       const AdversarialOptions& options,
@@ -66,7 +35,7 @@ GapBoundResult GapBounder::bound_dp_gap(
     const te::DpConfig& config, const AdversarialOptions& options) const {
   util::Stopwatch watch;
   Model model;
-  BoundDemand d = make_demand(model, topo_, paths_, options);
+  DemandVars d = make_demand_vars(model, topo_, paths_, options);
 
   te::DpConfig dp_config = config;
   if (dp_config.demand_ub <= 0.0) dp_config.demand_ub = d.ub;
@@ -94,7 +63,7 @@ GapBoundResult GapBounder::bound_pop_gap(
     const AdversarialOptions& options) const {
   util::Stopwatch watch;
   Model model;
-  BoundDemand d = make_demand(model, topo_, paths_, options);
+  DemandVars d = make_demand_vars(model, topo_, paths_, options);
 
   te::MaxFlowOptions opt_options;
   opt_options.include = &d.include;

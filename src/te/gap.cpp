@@ -4,9 +4,10 @@
 
 namespace metaopt::te {
 
-GapResult DpGapOracle::evaluate(const std::vector<double>& volumes) const {
+heur::GapResult DpGapOracle::evaluate(
+    const std::vector<double>& volumes) const {
   count_evaluation();
-  GapResult result;
+  heur::GapResult result;
   MaxFlowOptions mf;
   mf.certify = config_.certify;
   const MaxFlowResult opt = lp_.solve(volumes, mf);
@@ -26,9 +27,10 @@ GapResult DpGapOracle::evaluate(const std::vector<double>& volumes) const {
   return result;
 }
 
-GapResult PopGapOracle::evaluate(const std::vector<double>& volumes) const {
+heur::GapResult PopGapOracle::evaluate(
+    const std::vector<double>& volumes) const {
   count_evaluation();
-  GapResult result;
+  heur::GapResult result;
   MaxFlowOptions mf;
   mf.certify = config_.certify;
   const MaxFlowResult opt = lp_.solve(volumes, mf);

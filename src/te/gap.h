@@ -22,14 +22,11 @@
 
 namespace metaopt::te {
 
-// The result/oracle core is domain-neutral now (heur/gap.h); these
-// aliases keep the established te:: spellings working. TE oracles use
+// The result/oracle core is domain-neutral (heur/gap.h). TE oracles use
 // the default Maximize sense: gap() = opt - heur.
-using GapResult = heur::GapResult;
-using GapOracle = heur::GapOracle;
 
 /// OPT vs Demand Pinning.
-class DpGapOracle final : public GapOracle {
+class DpGapOracle final : public heur::GapOracle {
  public:
   DpGapOracle(const net::Topology& topo, const PathSet& paths,
               DpConfig config)
@@ -38,7 +35,7 @@ class DpGapOracle final : public GapOracle {
   [[nodiscard]] int num_leader_vars() const override {
     return lp_.paths().num_pairs();
   }
-  [[nodiscard]] GapResult evaluate(
+  [[nodiscard]] heur::GapResult evaluate(
       const std::vector<double>& volumes) const override;
 
   [[nodiscard]] const DpConfig& config() const { return config_; }
@@ -51,7 +48,7 @@ class DpGapOracle final : public GapOracle {
 /// OPT vs POP, averaged over a fixed set of partition instantiations
 /// (the §3.2 expectation surrogate). A single seed reproduces the
 /// "1 random partition" column of Fig. 5a.
-class PopGapOracle final : public GapOracle {
+class PopGapOracle final : public heur::GapOracle {
  public:
   PopGapOracle(const net::Topology& topo, const PathSet& paths,
                PopConfig config, std::vector<std::uint64_t> seeds)
@@ -61,7 +58,7 @@ class PopGapOracle final : public GapOracle {
     return lp_.paths().num_pairs();
   }
   /// heur = mean POP value across the instantiation seeds.
-  [[nodiscard]] GapResult evaluate(
+  [[nodiscard]] heur::GapResult evaluate(
       const std::vector<double>& volumes) const override;
 
   /// Per-instantiation heuristic values (Fig. 5a generalization test),

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "runner/scheduler.h"
 #include "te/demand.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace metaopt::mip {
@@ -136,7 +135,7 @@ TEST(BnbParallel, NoClampAndBoundedWorkersInsideParallelRegion) {
   // honored everywhere — a nested B&B borrows workers from the same
   // process-wide pool instead of spawning its own — and the bound that
   // matters is structural: the pool grows to max(component requests),
-  // never their product, region marker or not.
+  // never their product.
   obs::set_enabled(true);
   util::Rng rng(util::derive_seed(20260807, 52));
   const Model m = make_random_mip(rng);
@@ -149,15 +148,14 @@ TEST(BnbParallel, NoClampAndBoundedWorkersInsideParallelRegion) {
   opt.threads = 4;
   const int before = runner::Scheduler::global().num_threads();
   {
-    const util::ScopedParallelWorker region(8);
     const auto sol = BranchAndBound(opt).solve(m);
     ASSERT_EQ(sol.status, SolveStatus::Optimal);
     // Request honored (no clamp) and the certified answer unchanged.
     EXPECT_EQ(metric(obs::snapshot(), "bnb.threads"), 4.0);
     EXPECT_EQ(sol.objective, ref.objective);
   }
-  // The shared pool grew to at most max(before, mip threads): the
-  // claimed width-8 region did not multiply into 8 x 4 workers.
+  // The shared pool grew to at most max(before, mip threads), never a
+  // product of nested widths.
   const int after = runner::Scheduler::global().num_threads();
   EXPECT_EQ(after, std::max(before, 4));
 

@@ -1,7 +1,10 @@
 // Tests for the adversarial gap finder (Eq. 1) and input constraints.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/adversarial.h"
+#include "core/gap_bound.h"
 #include "core/input_constraints.h"
 #include "search/search.h"
 #include "lp/simplex.h"
@@ -97,6 +100,21 @@ TEST(AdversarialDp, PairMaskRestrictsSupport) {
   }
 }
 
+TEST(AdversarialDp, ShortPairMaskRejected) {
+  // A mask must have one entry per pair; a shorter one would be read
+  // past its end by both the finder and the bounder.
+  const Topology topo = topologies::abilene();
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  te::DpConfig dp;
+  AdversarialOptions options = quick_options(1.0, 0.0);
+  options.pair_mask.assign(paths.num_pairs() / 2, true);
+  EXPECT_THROW(
+      (void)AdversarialGapFinder(topo, paths).find_dp_gap(dp, options),
+      std::invalid_argument);
+  EXPECT_THROW((void)GapBounder(topo, paths).bound_dp_gap(dp, options),
+               std::invalid_argument);
+}
+
 TEST(AdversarialDp, HigherThresholdFindsLargerGap) {
   // Fig. 4a's qualitative claim on a small ring (kept provable so the
   // trend is about thresholds, not solver budgets).
@@ -141,7 +159,7 @@ TEST(AdversarialPop, KktEncodingMatchesDirectAtScale) {
   AdversarialOptions options = quick_options(8.0, 1.0);
   const AdversarialResult r = finder.find_pop_gap(pop, {5}, options);
   te::PopGapOracle oracle(topo, paths, pop, {5});
-  const te::GapResult check = oracle.evaluate(r.volumes);
+  const heur::GapResult check = oracle.evaluate(r.volumes);
   EXPECT_NEAR(check.opt, r.opt_value, 1e-3);
   EXPECT_NEAR(check.heur, r.heur_value, 1e-3);
 }

@@ -1,0 +1,209 @@
+// Fixed-work golden answers for every white-box find entry point.
+//
+// Each case runs with seeding off, one B&B thread and either a node
+// budget or a proof of optimality, so its answer is a pure function of
+// the code: the node count, gap, bound, witness and model statistics
+// below are exact. They pin the single-shot pipeline (build order and
+// so variable ids, snapping, completion, rounding variants, B&B and
+// finalize); a refactor that moves any of them moves a golden value.
+// Cases that prove optimality are rerun at four B&B threads and must
+// prove the same gap and bound. The node count may differ there, and so
+// may the witness when the optimum has ties, so the four-thread witness
+// is re-scored by direct solves instead of compared.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "binpack/adversarial.h"
+#include "binpack/binpack.h"
+#include "core/adversarial.h"
+#include "net/topologies.h"
+#include "te/client_split.h"
+#include "te/demand.h"
+#include "te/gap.h"
+#include "te/max_flow.h"
+
+namespace metaopt {
+namespace {
+
+struct Golden {
+  lp::SolveStatus status;
+  long nodes;
+  double gap;
+  double bound;
+  double opt_value;
+  double heur_value;
+  lp::ModelStats stats;
+  std::vector<double> volumes;
+};
+
+void expect_golden(const heur::GapFindResult& r, const Golden& g) {
+  EXPECT_EQ(r.status, g.status);
+  EXPECT_EQ(r.nodes, g.nodes);
+  EXPECT_EQ(r.gap, g.gap);
+  EXPECT_EQ(r.bound, g.bound);
+  EXPECT_EQ(r.opt_value, g.opt_value);
+  EXPECT_EQ(r.heur_value, g.heur_value);
+  EXPECT_EQ(r.volumes, g.volumes);
+  EXPECT_EQ(r.stats.num_vars, g.stats.num_vars);
+  EXPECT_EQ(r.stats.num_binaries, g.stats.num_binaries);
+  EXPECT_EQ(r.stats.num_constraints, g.stats.num_constraints);
+  EXPECT_EQ(r.stats.num_complementarities, g.stats.num_complementarities);
+  EXPECT_EQ(r.stats.num_nonzeros, g.stats.num_nonzeros);
+}
+
+/// Same proved answer as `ref`, whatever the node count; `rescore`
+/// gives the direct gap of a witness.
+void expect_same_answer(
+    const heur::GapFindResult& r, const heur::GapFindResult& ref,
+    const std::function<double(const std::vector<double>&)>& rescore) {
+  EXPECT_EQ(r.status, ref.status);
+  EXPECT_EQ(r.gap, ref.gap);
+  EXPECT_EQ(r.bound, ref.bound);
+  ASSERT_TRUE(r.has_solution());
+  EXPECT_NEAR(rescore(r.volumes), r.gap, 1e-6);
+}
+
+core::AdversarialOptions fixed_work(double demand_ub, long max_nodes,
+                                    int threads = 1) {
+  core::AdversarialOptions o;
+  o.demand_ub = demand_ub;
+  o.mip.max_nodes = max_nodes;
+  o.mip.time_limit_seconds = 3600.0;  // a safety cap, never the stop
+  o.mip.threads = threads;
+  o.seed_search_seconds = 0.0;
+  return o;
+}
+
+constexpr long kProve = 1000000;  ///< node budget for cases that prove
+
+struct Fig1 {
+  net::Topology topo = net::topologies::fig1();
+  te::PathSet paths{topo, te::all_pairs(topo), 2};
+  core::AdversarialGapFinder finder{topo, paths};
+};
+
+TEST(FindGolden, DpFig1ProvesGap100) {
+  const Fig1 f;
+  te::DpConfig dp;
+  dp.threshold = 50.0;
+  const heur::GapFindResult r =
+      f.finder.find_dp_gap(dp, fixed_work(200.0, kProve));
+  expect_golden(r, {lp::SolveStatus::Optimal, 364, 100.0, 100.0, 260.0,
+                    160.0, {62, 3, 38, 24, 109},
+                    {100.0, 50.0, 0.0, 110.0, 0.0, 0.0}});
+}
+
+TEST(FindGolden, DpAbileneMaskedAtNodeBudget) {
+  const net::Topology topo = net::topologies::abilene();
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  const core::AdversarialGapFinder finder(topo, paths);
+  te::DpConfig dp;
+  dp.threshold = 50.0;
+  core::AdversarialOptions options = fixed_work(400.0, 200);
+  options.pair_mask.assign(paths.num_pairs(), false);
+  for (int k = 0; k < paths.num_pairs(); k += 5) options.pair_mask[k] = true;
+  const heur::GapFindResult r = finder.find_dp_gap(dp, options);
+
+  std::vector<double> volumes(paths.num_pairs(), 0.0);
+  const std::vector<std::pair<int, double>> nonzero = {
+      {10, 399.99999999999994}, {15, 400.0}, {20, 400.0}, {25, 400.0},
+      {30, 400.0}, {35, 400.0}, {40, 400.0}, {45, 400.0}, {50, 400.0},
+      {55, 400.0}, {60, 50.0}, {65, 400.0}, {75, 400.0}, {80, 50.0},
+      {85, 400.0}, {90, 50.0}, {95, 400.0}, {105, 400.0}};
+  for (const auto& [k, v] : nonzero) volumes[k] = v;
+  expect_golden(r, {lp::SolveStatus::Feasible, 200, 150.0, 5600.0, 6000.0,
+                    5850.0, {576, 22, 354, 222, 1384}, volumes});
+}
+
+TEST(FindGolden, PopMeanProvesOnFig1) {
+  const Fig1 f;
+  te::PopConfig pop;
+  pop.num_partitions = 2;
+  const std::vector<std::uint64_t> seeds{1, 2};
+  const heur::GapFindResult r =
+      f.finder.find_pop_gap(pop, seeds, fixed_work(0.0, kProve));
+  expect_golden(r, {lp::SolveStatus::Optimal, 96, 117.5, 117.5, 260.0,
+                    142.5, {81, 0, 45, 33, 120},
+                    {100.0, 50.0, 0.0, 110.0, 0.0, 0.0}});
+  const te::PopGapOracle oracle(f.topo, f.paths, pop, seeds);
+  expect_same_answer(
+      f.finder.find_pop_gap(pop, seeds, fixed_work(0.0, kProve, 4)), r,
+      [&](const std::vector<double>& v) { return oracle.evaluate(v).gap(); });
+}
+
+TEST(FindGolden, PopPercentileProvesOnFig1) {
+  const Fig1 f;
+  te::PopConfig pop;
+  pop.num_partitions = 2;
+  const std::vector<std::uint64_t> seeds{1, 2, 3};
+  core::PopObjective worst;
+  worst.kind = core::PopObjective::Kind::Percentile;
+  worst.percentile = 0.0;
+  const heur::GapFindResult r =
+      f.finder.find_pop_gap(pop, seeds, fixed_work(0.0, kProve), worst);
+  expect_golden(r, {lp::SolveStatus::Optimal, 2963, 130.0, 130.0, 260.0,
+                    130.0, {116, 3, 75, 44, 229},
+                    {100.0, 50.0, 0.0, 110.0, 0.0, 0.0}});
+  const te::PopGapOracle oracle(f.topo, f.paths, pop, seeds);
+  expect_same_answer(
+      f.finder.find_pop_gap(pop, seeds, fixed_work(0.0, kProve, 4), worst),
+      r, [&](const std::vector<double>& v) {
+        const std::vector<double> per = oracle.per_instance_heur(v);
+        return oracle.evaluate(v).opt -
+               *std::min_element(per.begin(), per.end());
+      });
+}
+
+TEST(FindGolden, PopClientSplitProvesOnFig1) {
+  const Fig1 f;
+  te::PopConfig pop;
+  pop.num_partitions = 2;
+  te::ClientSplitConfig cs;
+  cs.split_threshold = 100.0;
+  cs.max_splits = 1;
+  const std::vector<std::uint64_t> seeds{3, 4};
+  const heur::GapFindResult r =
+      f.finder.find_pop_cs_gap(pop, cs, seeds, fixed_work(0.0, kProve));
+  expect_golden(r, {lp::SolveStatus::Optimal, 2838, 119.99900000000002,
+                    119.99900000000002, 249.99900000000002, 130.0,
+                    {205, 12, 127, 81, 386},
+                    {99.999000000000024, 60.000999999999976, 0.0,
+                     99.999000000000024, 0.0, 0.0}});
+  expect_same_answer(
+      f.finder.find_pop_cs_gap(pop, cs, seeds, fixed_work(0.0, kProve, 4)),
+      r, [&](const std::vector<double>& v) {
+        double mean = 0.0;
+        for (const std::uint64_t seed : seeds) {
+          te::PopConfig c = pop;
+          c.seed = seed;
+          mean += te::solve_pop_cs(f.topo, f.paths, v, c, cs).total_flow /
+                  static_cast<double>(seeds.size());
+        }
+        return te::solve_max_flow(f.topo, f.paths, v).total_flow - mean;
+      });
+}
+
+TEST(FindGolden, FfdProvesOnSixItems) {
+  binpack::BinPackConfig config;
+  config.items = 6;
+  heur::FindOptions options;
+  options.budget_seconds = 3600.0;  // a safety cap; the B&B proves first
+  options.seed_search_seconds = 0.0;
+  const heur::GapFindResult r = binpack::find_ffd_gap(config, options);
+  expect_golden(r, {lp::SolveStatus::Optimal, 17, 1.0, 2.9997000000000003,
+                    2.0, 3.0, {103, 69, 235, 3, 601},
+                    {0.45, 0.45, 0.26, 0.26, 0.26, 0.26}});
+  options.mip_threads = 4;
+  const binpack::BinPackGapOracle oracle(config);
+  expect_same_answer(
+      binpack::find_ffd_gap(config, options), r,
+      [&](const std::vector<double>& v) { return oracle.evaluate(v).gap(); });
+}
+
+}  // namespace
+}  // namespace metaopt

@@ -91,21 +91,12 @@ TEST(SchedulerTest, EnsureThreadsOnlyGrows) {
   EXPECT_EQ(sched.num_threads(), width);
 }
 
-TEST(SchedulerTest, TasksSeeThePoolAsTheirParallelRegion) {
-  Scheduler& sched = Scheduler::global();
-  sched.ensure_threads(2);
-  int width = 0;
-  sched.join(sched.submit([&width] { width = util::parallel_region_width(); }));
-  EXPECT_EQ(width, sched.num_threads());
-}
-
-// The satellite regression this PR closes: parallel_region_width() was a
-// thread-local, so a sweep job that moved its solver call onto a raw
-// helper thread escaped the old oversubscription clamp entirely — the
-// helper thread had no marker and the B&B would spawn its full private
-// pool on top of the sweep's. With the shared scheduler the bound is
-// structural: no matter which thread asks, workers come from one pool
-// whose size is the max of all requests, never a product.
+// A sweep job that moves its solver call onto a raw helper thread must
+// not spawn a private B&B pool on top of the sweep's (an old
+// thread-local oversubscription clamp missed exactly this case). With
+// the shared scheduler the bound is structural: no matter which thread
+// asks, workers come from one pool whose size is the max of all
+// requests, never a product.
 TEST(SchedulerTest, NestedBnbOnHelperThreadNeverOversubscribes) {
   using mip::BranchAndBound;
   using mip::MipOptions;

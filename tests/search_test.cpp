@@ -154,7 +154,7 @@ TEST(MaskedOracle, ConcurrentEvaluationCountIsExact) {
   te::DpGapOracle base(f.topo, f.paths, f.config);
   std::vector<bool> include(6, false);
   include[0] = include[1] = true;
-  const MaskedGapOracle masked(base, include);
+  const heur::MaskedGapOracle masked(base, include);
   constexpr int kThreads = 4;
   constexpr int kEvalsPerThread = 25;
   std::vector<std::thread> workers;
@@ -175,14 +175,14 @@ TEST(MaskedOracle, ProjectsAndExpands) {
   te::DpGapOracle base(f.topo, f.paths, f.config);
   std::vector<bool> include(6, false);
   include[1] = true;  // only pair (0,2) adversarial
-  MaskedGapOracle masked(base, include);
+  heur::MaskedGapOracle masked(base, include);
   EXPECT_EQ(masked.num_demands(), 1);
   const std::vector<double> full = masked.expand({50.0});
   ASSERT_EQ(full.size(), 6u);
   EXPECT_DOUBLE_EQ(full[1], 50.0);
   EXPECT_DOUBLE_EQ(full[0], 0.0);
   // Pinning 50 on (0,2) with no other demand wastes nothing: gap 0.
-  const te::GapResult g = masked.evaluate({50.0});
+  const heur::GapResult g = masked.evaluate({50.0});
   EXPECT_NEAR(g.gap(), 0.0, 1e-9);
 }
 
@@ -219,20 +219,18 @@ TEST(MaskedOracle, IndexMaskSemanticsAreDomainNeutral) {
 }
 
 TEST(MaskedOracle, PopBehaviourUnchangedAfterHoist) {
-  // Regression for the heur:: hoist: a masked POP oracle must evaluate
-  // exactly like the unmasked one on the expanded point (the mask only
-  // renumbers, never rescales). Pre-hoist this lived in te::; the alias
-  // search::MaskedGapOracle must keep compiling too.
+  // A masked POP oracle must evaluate exactly like the unmasked one on
+  // the expanded point: the mask only renumbers, never rescales.
   Fig1Fixture f;
   te::PopConfig pop;
   pop.num_partitions = 2;
   const te::PopGapOracle base(f.topo, f.paths, pop, {1, 2});
   std::vector<bool> include(6, false);
   include[0] = include[2] = true;
-  const MaskedGapOracle masked(base, include);  // search:: alias
+  const heur::MaskedGapOracle masked(base, include);
   const std::vector<double> reduced = {40.0, 70.0};
-  const te::GapResult via_mask = masked.evaluate(reduced);
-  const te::GapResult direct = base.evaluate(masked.expand(reduced));
+  const heur::GapResult via_mask = masked.evaluate(reduced);
+  const heur::GapResult direct = base.evaluate(masked.expand(reduced));
   EXPECT_DOUBLE_EQ(via_mask.gap(), direct.gap());
   EXPECT_DOUBLE_EQ(via_mask.opt, direct.opt);
   EXPECT_DOUBLE_EQ(via_mask.heur, direct.heur);

@@ -107,7 +107,7 @@ TEST(PopPercentile, WorstInstanceObjectiveRunsAndVerifies) {
   const double worst = *std::min_element(per.begin(), per.end());
   EXPECT_NEAR(r.heur_value, worst, 1e-3);
   // Worst-instance gap dominates the mean gap for the same input.
-  const te::GapResult mean_gap = oracle.evaluate(r.volumes);
+  const heur::GapResult mean_gap = oracle.evaluate(r.volumes);
   EXPECT_GE(r.gap, mean_gap.gap() - 1e-6);
 }
 

@@ -401,7 +401,7 @@ TEST(GapOracles, DpOracleReproducesFig1) {
   DpConfig config;
   config.threshold = 50.0;
   DpGapOracle oracle(topo, paths, config);
-  const GapResult gap = oracle.evaluate(fig1_volumes(paths));
+  const heur::GapResult gap = oracle.evaluate(fig1_volumes(paths));
   EXPECT_NEAR(gap.opt, 260.0, 1e-6);
   EXPECT_NEAR(gap.heur, 160.0, 1e-6);
   EXPECT_NEAR(gap.gap(), 100.0, 1e-6);
@@ -416,7 +416,7 @@ TEST(GapOracles, InfeasibleDpInputYieldsNegativeGap) {
   DpConfig config;
   config.threshold = 40.0;
   DpGapOracle oracle(topo, paths, config);
-  const GapResult gap = oracle.evaluate({30.0, 30.0});
+  const heur::GapResult gap = oracle.evaluate({30.0, 30.0});
   EXPECT_FALSE(gap.heuristic_feasible);
   EXPECT_LT(gap.gap(), 0.0);
 }
@@ -429,7 +429,7 @@ TEST(GapOracles, PopOracleAveragesInstances) {
   PopGapOracle oracle(topo, paths, config, {1, 2, 3});
   DemandGenerator gen(topo, util::Rng(88));
   const std::vector<double> volumes = volumes_of(gen.uniform(50.0, 250.0));
-  const GapResult gap = oracle.evaluate(volumes);
+  const heur::GapResult gap = oracle.evaluate(volumes);
   ASSERT_EQ(gap.status, lp::SolveStatus::Optimal);
   const std::vector<double> per = oracle.per_instance_heur(volumes);
   ASSERT_EQ(per.size(), 3u);
@@ -577,7 +577,7 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-void expect_identical(const GapResult& a, const GapResult& b,
+void expect_identical(const heur::GapResult& a, const heur::GapResult& b,
                       const std::string& what) {
   EXPECT_EQ(a.status, b.status) << what;
   EXPECT_TRUE(same_bits(a.opt, b.opt)) << what << ": opt " << a.opt << " vs "
@@ -602,17 +602,18 @@ std::vector<std::vector<double>> b4_corpus(const Topology& topo,
 /// Evaluates `corpus` on `oracle` serially, in reverse order and from 4
 /// threads sharing it, and on a fresh oracle; every result must be
 /// bit-identical to the serial one.
-void expect_pure(const GapOracle& oracle,
-                 const std::function<std::unique_ptr<GapOracle>()>& fresh,
-                 const std::vector<std::vector<double>>& corpus) {
+void expect_pure(
+    const heur::GapOracle& oracle,
+    const std::function<std::unique_ptr<heur::GapOracle>()>& fresh,
+    const std::vector<std::vector<double>>& corpus) {
   const std::size_t n = corpus.size();
-  std::vector<GapResult> serial(n);
+  std::vector<heur::GapResult> serial(n);
   for (std::size_t i = 0; i < n; ++i) serial[i] = oracle.evaluate(corpus[i]);
 
-  std::vector<GapResult> reversed(n);
+  std::vector<heur::GapResult> reversed(n);
   for (std::size_t i = n; i-- > 0;) reversed[i] = oracle.evaluate(corpus[i]);
 
-  std::vector<GapResult> threaded(n);
+  std::vector<heur::GapResult> threaded(n);
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
@@ -624,7 +625,7 @@ void expect_pure(const GapOracle& oracle,
   }
   for (std::thread& w : workers) w.join();
 
-  const std::unique_ptr<GapOracle> other = fresh();
+  const std::unique_ptr<heur::GapOracle> other = fresh();
   for (std::size_t i = 0; i < n; ++i) {
     const std::string what = "vector " + std::to_string(i);
     ASSERT_EQ(serial[i].status, lp::SolveStatus::Optimal) << what;
