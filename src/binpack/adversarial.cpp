@@ -189,7 +189,6 @@ heur::GapFindResult find_ffd_gap(const BinPackConfig& config,
 
   core::SingleShotBudget budget;
   budget.mip.threads = options.mip_threads;
-  budget.mip.lp.pricing = options.pricing;
   if (options.certify) {
     budget.mip.certify = true;
     budget.mip.lp.certify = true;

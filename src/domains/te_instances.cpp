@@ -56,7 +56,6 @@ core::AdversarialOptions TeInstanceBase::adversarial_options(
   adv.mip.certify = options.certify;
   adv.mip.lp.certify = options.certify;
   adv.mip.threads = options.mip_threads;
-  adv.mip.lp.pricing = options.pricing;
   adv.seed_search_seconds = options.seed_search_seconds;
   return adv;
 }

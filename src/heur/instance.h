@@ -22,7 +22,6 @@
 
 #include "heur/gap.h"
 #include "lp/model.h"
-#include "lp/simplex.h"
 
 namespace metaopt::heur {
 
@@ -37,8 +36,6 @@ struct FindOptions {
   /// B&B worker threads (MipOptions::threads; not clamped inside a
   /// sweep, the shared scheduler bounds the total).
   int mip_threads = 1;
-  /// Entering-variable pricing rule for the node LPs (CLI: --pricing).
-  lp::Pricing pricing = lp::Pricing::Partial;
   /// Budget for the black-box pass that seeds the first incumbent
   /// (quantized climb + polish; §5's extremum-point observation).
   /// 0 disables seeding, which makes the run machine-load independent.

@@ -222,7 +222,7 @@ int RevisedSimplex::price_entering(const std::vector<double>& cost, bool bland,
 
   if (bland) {
     // Bland's rule needs a fixed total order: always first eligible
-    // from column 0, ignoring the pricing mode.
+    // from column 0, ignoring the pricing window.
     for (int j = 0; j < total_; ++j) {
       double score = 0.0;
       const int jdir = candidate(j, &score);
@@ -234,74 +234,29 @@ int RevisedSimplex::price_entering(const std::vector<double>& cost, bool bland,
     return -1;
   }
 
-  if (opt.pricing == Pricing::Partial) {
-    // Cyclic window scan resuming at price_cursor_: take the best
-    // candidate of the first window that has one; a full wrap with no
-    // candidate proves optimality.
-    const int window = std::max(kMinPriceWindow, total_ / 8);
-    double best = 0.0;
-    int idx = price_cursor_ >= total_ ? 0 : price_cursor_;
-    int in_window = 0;
-    for (int scanned = 0; scanned < total_; ++scanned) {
-      double score = 0.0;
-      const int jdir = candidate(idx, &score);
-      if (jdir != 0 && (q < 0 || score > best)) {
-        best = score;
-        q = idx;
-        *dir = jdir;
-      }
-      if (++idx == total_) idx = 0;
-      if (++in_window == window) {
-        if (q >= 0) break;
-        in_window = 0;
-      }
-    }
-    if (q >= 0) price_cursor_ = idx;
-    return q;
-  }
-
-  // Full-scan rules: Dantzig (|d|) or Devex-weighted steepest edge
-  // (d^2 / gamma_j against the reference framework).
-  const bool devex = opt.pricing == Pricing::SteepestEdge;
+  // Cyclic window scan resuming at price_cursor_: take the best
+  // candidate of the first window that has one; a full wrap with no
+  // candidate proves optimality.
+  const int window = std::max(kMinPriceWindow, total_ / 8);
   double best = 0.0;
-  for (int j = 0; j < total_; ++j) {
+  int idx = price_cursor_ >= total_ ? 0 : price_cursor_;
+  int in_window = 0;
+  for (int scanned = 0; scanned < total_; ++scanned) {
     double score = 0.0;
-    const int jdir = candidate(j, &score);
-    if (jdir == 0) continue;
-    if (devex) score = score * score / devex_[j];
-    if (q < 0 || score > best) {
+    const int jdir = candidate(idx, &score);
+    if (jdir != 0 && (q < 0 || score > best)) {
       best = score;
-      q = j;
+      q = idx;
       *dir = jdir;
     }
+    if (++idx == total_) idx = 0;
+    if (++in_window == window) {
+      if (q >= 0) break;
+      in_window = 0;
+    }
   }
+  if (q >= 0) price_cursor_ = idx;
   return q;
-}
-
-void RevisedSimplex::devex_update(int r, int q, int lcol,
-                                  const std::vector<double>& w) {
-  // Devex reference-weight propagation (Harris 1973; Forrest & Goldfarb
-  // 1992): with alpha = row r of B^{-1}A, every nonbasic weight rises to
-  // at least (alpha_j / alpha_q)^2 * gamma_q, and the leaving column
-  // re-enters the nonbasic set with the entering column's projected
-  // weight. One btran + one matrix sweep per pivot, only in
-  // SteepestEdge mode.
-  const double alpha_q = w[r];
-  if (alpha_q == 0.0) return;
-  rho_.assign(m_, 0.0);
-  rho_[r] = 1.0;
-  factor_.btran(rho_);
-  const double gamma_q = std::max(devex_[q], 1.0);
-  const double inv_aq2 = 1.0 / (alpha_q * alpha_q);
-  for (int j = 0; j < total_; ++j) {
-    if (status_[j] == VarStatus::Basic || j == q) continue;
-    if (cu_[j] - cl_[j] <= 0.0) continue;
-    const double alpha_j = col_dot(rho_, j);
-    if (alpha_j == 0.0) continue;
-    const double cand = alpha_j * alpha_j * inv_aq2 * gamma_q;
-    if (cand > devex_[j]) devex_[j] = cand;
-  }
-  devex_[lcol] = std::max(gamma_q * inv_aq2, 1.0);
 }
 
 void RevisedSimplex::apply_perturbation() {
@@ -372,7 +327,6 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
   long degen_streak = 0;
   bool bland = false;
   price_cursor_ = 0;
-  if (opt.pricing == Pricing::SteepestEdge) devex_.assign(total_, 1.0);
   for (;;) {
     if (*iters >= opt.max_iterations) return SolveStatus::IterationLimit;
     if ((*iters & 15) == 0 && watch_.seconds() > opt.time_limit_seconds) {
@@ -461,11 +415,6 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
     }
     x_[lcol] = leave_up ? cu_[lcol] : cl_[lcol];
     x_[q] += dir * step;
-    // Devex weights need row r of B^{-1}A for the *outgoing* basis, so
-    // update them before the exchange mutates the factor.
-    if (opt.pricing == Pricing::SteepestEdge && !bland) {
-      devex_update(leave, q, lcol, w_);
-    }
     status_[lcol] = leave_up ? VarStatus::AtUpper : VarStatus::AtLower;
     if (!exchange(leave, q, w_, opt.pivot_tol)) return SolveStatus::Error;
     ++*iters;

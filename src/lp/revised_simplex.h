@@ -100,14 +100,12 @@ class RevisedSimplex {
   /// Applies one basis exchange at position r (entering q along w).
   [[nodiscard]] bool exchange(int r, int q, const std::vector<double>& w,
                               double pivot_tol);
-  /// Entering-variable selection for primal_iterate per opt.pricing
-  /// (Bland's first-eligible rule when `bland`). Returns the column or
-  /// -1 (optimal), with the moving direction in *dir.
+  /// Entering-variable selection for primal_iterate: partial pricing
+  /// over a cyclic column window (Bland's first-eligible rule when
+  /// `bland`). Returns the column or -1 (optimal), with the moving
+  /// direction in *dir.
   [[nodiscard]] int price_entering(const std::vector<double>& cost, bool bland,
                                    const SimplexOptions& opt, int* dir);
-  /// Devex reference-weight update after a pivot (entering q at basis
-  /// position r along w = B^{-1} a_q, leaving column lcol).
-  void devex_update(int r, int q, int lcol, const std::vector<double>& w);
   /// Relaxes the active bounds of degenerate basic variables by
   /// deterministic per-column epsilons (EXPAND-style anti-degeneracy).
   void apply_perturbation();
@@ -138,8 +136,7 @@ class RevisedSimplex {
   util::Stopwatch watch_;  ///< reset at each solve entry (time limit)
 
   // pricing state (reset at each primal iterate entry)
-  int price_cursor_ = 0;       ///< partial pricing resume point
-  std::vector<double> devex_;  ///< Devex reference weights (SteepestEdge)
+  int price_cursor_ = 0;  ///< partial pricing resume point
 
   // anti-degeneracy perturbation (solve_cold only; see simplex.h)
   struct BoundPerturbation {

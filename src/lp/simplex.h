@@ -36,14 +36,6 @@ inline constexpr bool kCertifyByDefault = true;
 inline constexpr bool kCertifyByDefault = false;
 #endif
 
-/// Entering-variable pricing rule of the revised primal simplex (the
-/// dense tableau solver always prices Dantzig-style).
-enum class Pricing {
-  Dantzig,       ///< most negative reduced cost, full scan
-  Partial,       ///< best candidate in a cyclic column window (default)
-  SteepestEdge,  ///< Devex reference weights: d^2 / gamma, full scan
-};
-
 struct SimplexOptions {
   long max_iterations = 200000;
   double time_limit_seconds = 1e30;
@@ -51,7 +43,6 @@ struct SimplexOptions {
   double feas_tol = tol::kFeasTol;    ///< phase-1 residual treated as feasible
   double cost_tol = tol::kCostTol;    ///< reduced-cost optimality tolerance
   long stall_limit = 2000;   ///< degenerate pivots before Bland's rule
-  Pricing pricing = Pricing::Partial;  ///< revised primal pricing rule
   /// EXPAND-style anti-degeneracy: after `perturb_after` consecutive
   /// degenerate pivots, relax the active bounds of degenerate basic
   /// variables by deterministic per-column epsilons, finish the solve,

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -152,49 +152,12 @@ std::vector<double> parse_double_list(const std::string& key,
                                       const std::string& value) {
   std::vector<double> out;
   for (const std::string& cell : util::split(value, ',')) {
-    char* end = nullptr;
-    const double v = std::strtod(cell.c_str(), &end);
-    if (cell.empty() || end == nullptr || *end != '\0') {
+    const std::optional<double> v = util::parse_double(cell);
+    if (!v) {
       throw std::invalid_argument("sweep spec: bad number '" + cell +
                                   "' for key '" + key + "'");
     }
-    out.push_back(v);
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("sweep spec: empty value for key '" + key + "'");
-  }
-  return out;
-}
-
-// "1,2,4" and "1..8" (inclusive) -> integer list.
-std::vector<long long> parse_int_list(const std::string& key,
-                                      const std::string& value) {
-  std::vector<long long> out;
-  for (const std::string& cell : util::split(value, ',')) {
-    const std::size_t dots = cell.find("..");
-    const auto parse_one = [&](const std::string& s) {
-      char* end = nullptr;
-      const long long v = std::strtoll(s.c_str(), &end, 10);
-      if (s.empty() || end == nullptr || *end != '\0') {
-        throw std::invalid_argument("sweep spec: bad integer '" + cell +
-                                    "' for key '" + key + "'");
-      }
-      return v;
-    };
-    if (dots != std::string::npos) {
-      const long long lo = parse_one(cell.substr(0, dots));
-      const long long hi = parse_one(cell.substr(dots + 2));
-      if (hi < lo || hi - lo > 1000000) {
-        throw std::invalid_argument("sweep spec: bad range '" + cell +
-                                    "' for key '" + key + "'");
-      }
-      for (long long v = lo; v <= hi; ++v) out.push_back(v);
-    } else {
-      out.push_back(parse_one(cell));
-    }
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("sweep spec: empty value for key '" + key + "'");
+    out.push_back(*v);
   }
   return out;
 }
@@ -208,20 +171,56 @@ double parse_scalar(const std::string& key, const std::string& value) {
   return list.front();
 }
 
+// A non-negative decimal integer (counts and seeds), at most `max`.
 // Full-precision 64-bit parse: going through double would silently round
 // seeds above 2^53 and break reproducibility-from-spec.
-std::uint64_t parse_scalar_u64(const std::string& key,
-                               const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos ||
-      end == nullptr || *end != '\0' || errno == ERANGE) {
+std::uint64_t parse_uint(const std::string& key, const std::string& value,
+                         std::uint64_t max) {
+  const std::optional<std::uint64_t> v = util::parse_uint(value);
+  if (!v || *v > max) {
     throw std::invalid_argument("sweep spec: bad integer '" + value +
-                                "' for key '" + key + "'");
+                                "' for key '" + key +
+                                "' (want a non-negative integer)");
   }
-  return static_cast<std::uint64_t>(v);
+  return *v;
+}
+
+int parse_count(const std::string& key, const std::string& value) {
+  return static_cast<int>(
+      parse_uint(key, value, std::numeric_limits<int>::max()));
+}
+
+// "1,2,4" and "1..8" (inclusive) -> non-negative integer list.
+std::vector<std::uint64_t> parse_uint_list(const std::string& key,
+                                           const std::string& value,
+                                           std::uint64_t max) {
+  std::vector<std::uint64_t> out;
+  for (const std::string& cell : util::split(value, ',')) {
+    const std::size_t dots = cell.find("..");
+    if (dots == std::string::npos) {
+      out.push_back(parse_uint(key, cell, max));
+      continue;
+    }
+    const std::uint64_t lo = parse_uint(key, cell.substr(0, dots), max);
+    const std::uint64_t hi = parse_uint(key, cell.substr(dots + 2), max);
+    if (hi < lo || hi - lo > 1000000) {
+      throw std::invalid_argument("sweep spec: bad range '" + cell +
+                                  "' for key '" + key + "'");
+    }
+    // Count up from lo: `v <= hi` would never fail at hi = 2^64 - 1.
+    for (std::uint64_t k = 0; k <= hi - lo; ++k) out.push_back(lo + k);
+  }
+  return out;
+}
+
+std::vector<int> parse_count_list(const std::string& key,
+                                  const std::string& value) {
+  std::vector<int> out;
+  for (const std::uint64_t v :
+       parse_uint_list(key, value, std::numeric_limits<int>::max())) {
+    out.push_back(static_cast<int>(v));
+  }
+  return out;
 }
 
 }  // namespace
@@ -249,39 +248,29 @@ SweepSpec parse_sweep_spec(const std::vector<std::string>& tokens) {
     } else if (key == "threshold" || key == "thresholds") {
       spec.thresholds = parse_double_list(key, value);
     } else if (key == "partitions") {
-      spec.partitions.clear();
-      for (long long v : parse_int_list(key, value)) {
-        spec.partitions.push_back(static_cast<int>(v));
-      }
+      spec.partitions = parse_count_list(key, value);
     } else if (key == "items") {
-      spec.items.clear();
-      for (long long v : parse_int_list(key, value)) {
-        spec.items.push_back(static_cast<int>(v));
-      }
+      spec.items = parse_count_list(key, value);
     } else if (key == "dims") {
-      spec.dims = static_cast<int>(parse_scalar(key, value));
+      spec.dims = parse_count(key, value);
     } else if (key == "bins") {
-      spec.bins = static_cast<int>(parse_scalar(key, value));
+      spec.bins = parse_count(key, value);
     } else if (key == "paths") {
-      spec.paths_per_pair.clear();
-      for (long long v : parse_int_list(key, value)) {
-        spec.paths_per_pair.push_back(static_cast<int>(v));
-      }
+      spec.paths_per_pair = parse_count_list(key, value);
     } else if (key == "seed" || key == "seeds") {
-      spec.seeds.clear();
-      for (long long v : parse_int_list(key, value)) {
-        spec.seeds.push_back(static_cast<std::uint64_t>(v));
-      }
+      spec.seeds = parse_uint_list(key, value,
+                                   std::numeric_limits<std::uint64_t>::max());
     } else if (key == "instances") {
-      spec.pop_instances = static_cast<int>(parse_scalar(key, value));
+      spec.pop_instances = parse_count(key, value);
     } else if (key == "pairs") {
-      spec.pairs = static_cast<int>(parse_scalar(key, value));
+      spec.pairs = parse_count(key, value);
     } else if (key == "budget") {
       spec.budget_seconds = parse_scalar(key, value);
     } else if (key == "demand-ub") {
       spec.demand_ub = parse_scalar(key, value);
     } else if (key == "base-seed") {
-      spec.base_seed = parse_scalar_u64(key, value);
+      spec.base_seed =
+          parse_uint(key, value, std::numeric_limits<std::uint64_t>::max());
     } else if (key == "seed-fraction") {
       spec.seed_search_fraction = parse_scalar(key, value);
     } else if (key == "deterministic") {
@@ -289,9 +278,9 @@ SweepSpec parse_sweep_spec(const std::vector<std::string>& tokens) {
     } else if (key == "certify") {
       spec.certify = parse_scalar(key, value) != 0.0;
     } else if (key == "mip-threads") {
-      spec.mip_threads = static_cast<int>(parse_scalar(key, value));
+      spec.mip_threads = parse_count(key, value);
     } else if (key == "max-jobs") {
-      spec.max_jobs = static_cast<int>(parse_scalar(key, value));
+      spec.max_jobs = parse_count(key, value);
     } else {
       throw std::invalid_argument("sweep spec: unknown key '" + key + "'");
     }

@@ -146,8 +146,10 @@ std::vector<JobSpec> expand_spec(const SweepSpec& spec);
 ///   mip-threads=1
 ///
 /// Integer axes accept `lo..hi` inclusive ranges; comma lists work for
-/// every axis. Unknown keys and malformed values throw
-/// std::invalid_argument with the offending token in the message.
+/// every axis. Integer keys (counts and seeds) take non-negative decimal
+/// integers only, so `dims=1.5` or `seed=-1` is an error, not a rounding.
+/// Unknown keys and malformed values throw std::invalid_argument with
+/// the offending token in the message.
 SweepSpec parse_sweep_spec(const std::vector<std::string>& tokens);
 
 /// Order-sensitive fingerprint over every field of every expanded job

@@ -1,6 +1,9 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 
 namespace metaopt::util {
 
@@ -42,6 +45,27 @@ std::vector<std::string> split(const std::string& s, char delim) {
   }
   out.push_back(cur);
   return out;
+}
+
+std::optional<double> parse_double(const std::string& s) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (*end != '\0') return std::nullopt;
+  return v;
+}
+
+std::optional<std::uint64_t> parse_uint(const std::string& s) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return static_cast<std::uint64_t>(v);
 }
 
 }  // namespace metaopt::util

@@ -1,6 +1,9 @@
-// Small string helpers (formatting and joining) used across modules.
+// Small string helpers (formatting, joining, strict number parsing)
+// used across modules.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,5 +21,13 @@ bool starts_with(const std::string& s, const std::string& prefix);
 
 /// Splits on a single character delimiter; keeps empty fields.
 std::vector<std::string> split(const std::string& s, char delim);
+
+/// Strict whole-token parses, shared by the sweep grammar and the CLI
+/// flag tables: the entire string must be the number, so "", "2abc" and
+/// " 5" fail instead of yielding a prefix or a silent 0.
+/// parse_double takes strtod syntax; parse_uint takes decimal digits
+/// only (no sign) over the full 64-bit range.
+std::optional<double> parse_double(const std::string& s);
+std::optional<std::uint64_t> parse_uint(const std::string& s);
 
 }  // namespace metaopt::util

@@ -250,6 +250,15 @@ TEST(SweepSpecTest, ParserRejectsGarbage) {
   EXPECT_THROW(parse_sweep_spec({"seed=5..1"}), std::invalid_argument);
   EXPECT_THROW(parse_sweep_spec({"heuristic=magic"}), std::invalid_argument);
   EXPECT_THROW(parse_sweep_spec({"items=0..-1"}), std::invalid_argument);
+  // Integer keys take non-negative decimal integers only: no rounding of
+  // fractions, no wrap of negative seeds, no trailing garbage.
+  for (const char* token :
+       {"dims=1.5", "mip-threads=1.9", "seed=-1", "seed=1..-1", "bins=2.5",
+        "instances=1.5", "pairs=12.5", "max-jobs=1.5", "items=-4",
+        "partitions=2.5", "paths=2x", "dims=1e0", "seed= 1",
+        "mip-threads=99999999999"}) {
+    EXPECT_THROW(parse_sweep_spec({token}), std::invalid_argument) << token;
+  }
   // dims/bins/items validation happens at expansion time.
   EXPECT_THROW(expand_spec(parse_sweep_spec({"heuristic=ffd", "dims=0"})),
                std::invalid_argument);
@@ -263,6 +272,19 @@ TEST(SweepSpecTest, ParserRejectsGarbage) {
                std::invalid_argument);
 }
 
+TEST(SweepSpecTest, ValidSpecFingerprintIsPinned) {
+  // Resume manifests store this fingerprint: a parser change that parsed
+  // a valid spec differently would orphan every existing checkpoint.
+  // Recorded before the integer keys moved to the strict parser.
+  const SweepSpec spec = parse_sweep_spec(
+      {"topology=b4,swan", "heuristic=dp,pop,ffd", "threshold=2.5,50",
+       "partitions=2..4", "items=4..6,12", "paths=1,2", "seed=1..3",
+       "instances=4", "pairs=12", "budget=7.5", "dims=2", "bins=5",
+       "mip-threads=3", "max-jobs=99", "base-seed=17", "deterministic=0",
+       "certify=1", "seed-fraction=0.5", "demand-ub=0"});
+  EXPECT_EQ(jobs_fingerprint(expand_spec(spec)), 0x33dd584243367854ULL);
+}
+
 TEST(SweepSpecTest, BaseSeedKeepsFull64BitPrecision) {
   // Above 2^53 a double round-trip would silently round; the parser must
   // take the integer path so reproducibility-from-spec holds.
@@ -270,6 +292,10 @@ TEST(SweepSpecTest, BaseSeedKeepsFull64BitPrecision) {
   EXPECT_EQ(above.base_seed, 9007199254740993u);  // 2^53 + 1
   const SweepSpec max = parse_sweep_spec({"base-seed=18446744073709551615"});
   EXPECT_EQ(max.base_seed, 18446744073709551615u);  // 2^64 - 1
+  const SweepSpec top =
+      parse_sweep_spec({"seed=18446744073709551614..18446744073709551615"});
+  EXPECT_EQ(top.seeds, (std::vector<std::uint64_t>{18446744073709551614u,
+                                                   18446744073709551615u}));
 }
 
 TEST(SweepSpecTest, SeedFractionParsesAndPropagates) {

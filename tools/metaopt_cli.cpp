@@ -1,209 +1,186 @@
 // metaopt — command-line front end.
 //
 //   metaopt topo <name|file>                       topology summary
-//   metaopt find <heuristic> [options]             white-box adversarial search
-//   metaopt bound dp|pop [options]                 primal-dual upper bound
+//   metaopt find <heuristic> [flags]               white-box adversarial search
+//   metaopt bound dp|pop [flags]                   primal-dual upper bound
 //   metaopt search hill|anneal|random|quant <heuristic>
 //                                                  black-box baselines
-//   metaopt sweep key=value... [options]           parallel scenario sweep
+//   metaopt sweep key=value... [flags]             parallel scenario sweep
 //   metaopt merge-shards --out F shard...          recombine shard JSONL
-//   metaopt explain <heuristic> [options]          minimal adversarial core
+//   metaopt explain <heuristic> [flags]            minimal adversarial core
 //   metaopt help | --help                          subcommand overview
 //
-// <heuristic> is a registry name (dp, pop, ffd, ff, ...); it can also be
-// passed as --heuristic NAME. dp/pop are traffic engineering; ffd/ff are
-// vector bin packing (first-fit-decreasing / first-fit).
+// Each subcommand declares its flags in the tables below, next to a
+// global table (--metrics, --trace, --trace-jsonl, --log, --help);
+// `metaopt <cmd> --help` prints them. The sweep's key=value grammar is
+// documented at runner::parse_sweep_spec.
 //
-// Sweep grammar (cartesian grid; comma lists, `lo..hi` integer ranges):
-//   metaopt sweep topology=b4,swan heuristic=dp threshold=25,50,100
-//       paths=2 seed=1..3 pairs=12 budget=20 --threads 8
-//       --jsonl out/sweep.jsonl --csv out/sweep.csv
-// Per-job RNG streams are derived from the spec (splitmix), jobs are
-// aggregated by id, and wall-time fields sit last in each JSONL record,
-// so output is byte-identical across thread counts and reruns.
-// Sweep-only options:
-//   --threads N        worker threads (default: all hardware threads)
-//   --spec FILE        read key=value tokens (whitespace/newline
-//                      separated, # comments) from FILE before argv ones
-//   --jsonl FILE       write one JSON record per job
-//   --quiet            suppress per-job progress lines
-//   --shard i/N        run only jobs with id % N == i (partitioned after
-//                      expansion: shard outputs merge byte-identically)
-//   --checkpoint M     write a resume manifest to M (+ completed records
-//                      to M.partial.jsonl) as the campaign progresses
-//   --checkpoint-every K   manifest rewrite cadence (default 1 = every
-//                      completed job)
-//   --resume M         skip jobs a prior run's manifest M recorded done;
-//                      their JSONL lines carry over byte-for-byte
-// Sweep exit codes: 0 = ok (≥1 job finished with an incumbent), 1 = a
-// job failed, 3 = no failures but every job timed out empty-handed.
-//
-// merge-shards recombines per-shard campaign files:
-//   metaopt merge-shards --out merged.jsonl s0.jsonl s1.jsonl s2.jsonl
-// Records are carried over verbatim and sorted by job id, so the merged
-// file is byte-identical to the unsharded run (modulo wall-time fields,
-// which differ per machine — strip them when diffing).
-//
-// Explain shrinks a gap witness to a minimal adversarial core: the
-// smallest element subset (demand pairs / items) whose sub-instance
-// still exhibits the gap, every probe an exact certified re-solve.
-// Witness source: --jsonl FILE (a finished sweep campaign; --job N
-// picks a record, default = the representative of the worst region) or
-// a fresh `find` run with --budget. Explain-only options:
-//   --jsonl FILE       read witnesses from a sweep campaign file
-//   --job N            explain this campaign job id
-//   --strategy S       core minimizer: greedy (default) | ddmin
-//   --min-gap P        core must retain >= P% normalized gap
-//                      (default: 95% of the witness's own gap)
-//   --probe-budget S   seconds per embedded OPT solve    (default 10)
-//   --bench-out FILE   also write a schema-v1 BENCH json report
-// Explain exit codes: 0 = core found, 2 = usage, 3 = nothing to explain
-// (no gap-inducing witness / gap below threshold), 1 = error.
-//
-// Common options:
-//   --topology <b4|abilene|swan|fig1|file.topo>   (default b4)
-//   --paths N          paths per pair              (default 2)
-//   --budget SECONDS   solver budget               (default 30)
-//   --threshold T      DP pinning threshold        (default 50)
-//   --partitions C     POP partitions              (default 2)
-//   --instances R      POP instantiations          (default 3)
-//   --pairs N          restrict adversarial support to ~N pairs
-//   --demand-ub U      leader box upper bound      (default: max link
-//                      capacity for TE, bin capacity for bin packing)
-//   --items N          bin packing: items          (default 6)
-//   --dims D           bin packing: dimensions     (default 1)
-//   --bins B           bin packing: bin budget     (default: one per item)
-//   --seed S           RNG seed                    (default 1)
-//   --mip-threads N    B&B worker threads (find/bound; default 1;
-//                      sweep jobs take mip-threads= in the spec instead —
-//                      helpers come from the shared scheduler, so a
-//                      width-T sweep with M mip threads uses max(T, M)
-//                      workers total, never T x M)
-//   --pricing RULE     simplex pricing: partial (default) | dantzig |
-//                      steepest (Devex reference weights)
-//   --certify          independently certify every solve (find/bound)
-//   --csv FILE         append a result row to FILE
-//
-// Observability (any command; enables the obs subsystem for the run):
-//   --metrics          print the final metrics snapshot as one JSON line
-//   --trace FILE       write a Chrome-trace/Perfetto JSON of all spans
-//                      (load it at https://ui.perfetto.dev)
-//   --trace-jsonl FILE write the same events as one JSON object per line
-#include <cstdio>
-#include <cstdlib>
+// Exit codes: 0 = ok; 1 = error (sweep: a job failed); 2 = usage (unknown
+// command, flag or heuristic; missing or malformed value); 3 = nothing
+// found (sweep: every job timed out empty-handed; explain: no
+// gap-inducing witness, or its core falls below --min-gap).
+#include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <map>
+#include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include <fstream>
-#include <sstream>
-
-#include "core/adversarial.h"
 #include "core/gap_bound.h"
 #include "domains/domains.h"
+#include "domains/te_instances.h"
 #include "explain/cluster.h"
 #include "explain/core_minimizer.h"
 #include "explain/explain.h"
 #include "heur/instance.h"
+#include "net/paths.h"
 #include "obs/obs.h"
 #include "runner/jsonl_io.h"
 #include "runner/sweep_runner.h"
-#include "net/paths.h"
-#include "net/topologies.h"
-#include "net/topology_io.h"
 #include "search/search.h"
-#include "te/demand.h"
-#include "te/gap.h"
 #include "util/csv.h"
-#include "util/string_util.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 using namespace metaopt;
 
 namespace {
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
+// ---- flag tables ----
 
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : it->second;
+enum class Kind { Switch, Number, Integer, String };
+using enum Kind;
+
+struct Flag {
+  const char* name;
+  Kind kind;
+  const char* fallback;  ///< value when the flag is absent ("" = none)
+  const char* help;
+};
+
+using FlagTable = std::span<const Flag>;
+
+constexpr Flag kGlobalFlags[] = {
+    {"metrics", Switch, "", "print the final metrics snapshot as JSON"},
+    {"trace", String, "", "write a Chrome-trace/Perfetto JSON of all spans"},
+    {"trace-jsonl", String, "", "write the trace events as JSON lines"},
+    {"log", String, "warn", "trace|debug|info|warn|error|off"},
+    {"help", Switch, "", "list a subcommand's flags"},
+};
+
+constexpr Flag kInstanceFlags[] = {
+    {"heuristic", String, "", "registry name (or positional)"},
+    {"topology", String, "b4", "b4|abilene|swan|fig1|file.topo"},
+    {"paths", Integer, "2", "paths per pair"},
+    {"threshold", Number, "50", "DP pinning threshold"},
+    {"partitions", Integer, "2", "POP partitions"},
+    {"instances", Integer, "3", "POP instantiations, seeds seed.."},
+    {"pairs", Integer, "0", "adversarial support ~N pairs; 0 = all"},
+    {"demand-ub", Number, "0", "leader box bound; 0 = domain max"},
+    {"items", Integer, "6", "bin packing: items"},
+    {"dims", Integer, "1", "bin packing: dimensions"},
+    {"bins", Integer, "0", "bin packing: bin budget; 0 = one per item"},
+    {"seed", Integer, "1", "RNG seed"},
+};
+
+constexpr Flag kRunFlags[] = {
+    {"budget", Number, "30", "wall budget, seconds"},
+    {"csv", String, "", "append a result row to this file"},
+};
+
+constexpr Flag kSolveFlags[] = {
+    {"mip-threads", Integer, "1", "B&B threads (answers do not change)"},
+    {"certify", Switch, "", "independently certify every solve"},
+};
+
+constexpr Flag kExplainFlags[] = {
+    {"mip-threads", Integer, "1", "B&B threads of the witness find"},
+    {"jsonl", String, "", "take the witness from this sweep file"},
+    {"job", Integer, "", "campaign job (default: worst region's)"},
+    {"strategy", String, "greedy", "core minimizer: greedy|ddmin"},
+    {"min-gap", Number, "-1", "core keeps >= P% gap; -1 = 95% of own"},
+    {"probe-budget", Number, "10", "seconds per embedded OPT solve"},
+    {"bench-out", String, "", "also write a BENCH json report"},
+};
+
+constexpr Flag kSweepFlags[] = {
+    {"threads", Integer, "0", "worker threads; 0 = all hardware"},
+    {"spec", String, "", "read key=value tokens from this file first"},
+    {"jsonl", String, "", "write one JSON record per job"},
+    {"csv", String, "", "write one CSV row per finished job"},
+    {"quiet", Switch, "", "suppress per-job progress lines"},
+    {"shard", String, "", "i/N: run only jobs with id % N == i"},
+    {"checkpoint", String, "", "write a resume manifest to this file"},
+    {"checkpoint-every", Integer, "1", "manifest cadence, completed jobs"},
+    {"resume", String, "", "skip the jobs this manifest records done"},
+};
+
+constexpr Flag kMergeFlags[] = {
+    {"out", String, "", "merged JSONL output file"},
+};
+
+constexpr Flag kTopoFlags[] = {
+    {"topology", String, "b4", "b4|abilene|swan|fig1|file.topo"},
+};
+
+struct Command;
+
+/// A parsed command line. `values` holds every flag the subcommand and
+/// the global table declare, given or fallback, checked against its kind.
+struct Cli {
+  const Command* command = nullptr;
+  std::vector<std::string> positional;
+  std::map<std::string, std::string> values;
+
+  const std::string& str(const char* name) const { return values.at(name); }
+  bool on(const char* name) const { return !str(name).empty(); }
+  double number(const char* name) const {
+    return util::parse_double(str(name)).value();
   }
-  [[nodiscard]] double get_num(const std::string& key, double def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::atof(it->second.c_str());
+  std::uint64_t u64(const char* name) const {
+    return util::parse_uint(str(name)).value();
+  }
+  int integer(const char* name) const {
+    if (u64(name) > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument(std::string("--") + name + " is too large");
+    }
+    return static_cast<int>(u64(name));
   }
 };
 
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const std::string key = arg.substr(2);
-      // A following token that is itself a flag means this one is a
-      // boolean switch (e.g. --certify), not a key/value pair.
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        args.flags[key] = argv[++i];
-      } else {
-        args.flags[key] = "1";
-      }
-    } else {
-      args.positional.push_back(arg);
-    }
-  }
-  return args;
+struct Command {
+  const char* name;
+  const char* args;  ///< positional arguments, for usage lines
+  const char* summary;
+  std::vector<FlagTable> tables;
+  int max_positional;  ///< -1 = unlimited
+  int (*run)(const Cli&);
+};
+
+std::invalid_argument usage_error(const Cli& cli) {
+  return std::invalid_argument(std::string("usage: metaopt ") +
+                               cli.command->name + " " + cli.command->args +
+                               " [flags]");
 }
 
-/// --pricing partial|dantzig|steepest (default partial). Unknown names
-/// fall back to the default with a warning rather than failing the run.
-lp::Pricing parse_pricing(const Args& args) {
-  const std::string name = args.get("pricing", "partial");
-  if (name == "partial") return lp::Pricing::Partial;
-  if (name == "dantzig") return lp::Pricing::Dantzig;
-  if (name == "steepest") return lp::Pricing::SteepestEdge;
-  std::fprintf(stderr, "unknown --pricing '%s' (want partial|dantzig|steepest); using partial\n",
-               name.c_str());
-  return lp::Pricing::Partial;
-}
+// ---- subcommands ----
 
-net::Topology load_topology(const std::string& spec) {
-  if (spec == "b4") return net::topologies::b4();
-  if (spec == "abilene") return net::topologies::abilene();
-  if (spec == "swan") return net::topologies::swan();
-  if (spec == "fig1") return net::topologies::fig1();
-  return net::read_topology_file(spec);
-}
-
-std::vector<bool> make_mask(const te::PathSet& paths, int target) {
-  std::vector<bool> mask;
-  if (target <= 0 || target >= paths.num_pairs()) return mask;
-  mask.assign(paths.num_pairs(), false);
-  const int stride = std::max(1, paths.num_pairs() / target);
-  int enabled = 0;
-  for (int k = 0; k < paths.num_pairs() && enabled < target; k += stride) {
-    mask[k] = true;
-    ++enabled;
-  }
-  return mask;
-}
-
-void maybe_csv(const Args& args, const std::string& kind,
+void maybe_csv(const Cli& cli, const std::string& kind,
                const std::string& heuristic, double gap, double norm_gap,
                double seconds) {
-  const std::string path = args.get("csv", "");
-  if (path.empty()) return;
-  util::CsvWriter out(path, "kind,heuristic,gap,norm_gap,seconds");
+  if (!cli.on("csv")) return;
+  util::CsvWriter out(cli.str("csv"), "kind,heuristic,gap,norm_gap,seconds");
   out.row(kind, heuristic, gap, norm_gap, seconds);
 }
 
-int cmd_topo(const Args& args) {
-  const net::Topology topo = load_topology(
-      args.positional.size() > 1 ? args.positional[1] : args.get("topology", "b4"));
+int cmd_topo(const Cli& cli) {
+  const net::Topology topo = domains::load_topology(
+      cli.positional.empty() ? cli.str("topology") : cli.positional[0]);
   std::printf("name:             %s\n", topo.name().c_str());
   std::printf("nodes:            %d\n", topo.num_nodes());
   std::printf("directed edges:   %d\n", topo.num_edges());
@@ -215,58 +192,46 @@ int cmd_topo(const Args& args) {
 
 /// The heuristic name: `--heuristic NAME` wins, else the positional
 /// argument at `slot`; empty when neither is present.
-std::string heuristic_arg(const Args& args, std::size_t slot) {
-  const std::string flag = args.get("heuristic", "");
-  if (!flag.empty()) return flag;
-  return args.positional.size() > slot ? args.positional[slot] : "";
+std::string heuristic_arg(const Cli& cli, std::size_t slot) {
+  if (cli.on("heuristic")) return cli.str("heuristic");
+  return cli.positional.size() > slot ? cli.positional[slot] : "";
 }
 
-/// Fills the registry config from the common CLI flags. Domains ignore
-/// the knobs that are not theirs.
-heur::InstanceConfig instance_config(const Args& args,
-                                     const std::string& heuristic) {
+/// Fills the registry config from the instance flags, for the heuristic
+/// named by heuristic_arg(cli, slot). Domains ignore the knobs that are
+/// not theirs.
+heur::InstanceConfig instance_config(const Cli& cli, std::size_t slot) {
   heur::InstanceConfig config;
-  config.heuristic = heuristic;
-  config.leader_ub = args.get_num("demand-ub", 0.0);
-  config.support = static_cast<int>(args.get_num("pairs", 0));
-  config.seed = static_cast<std::uint64_t>(args.get_num("seed", 1));
+  config.heuristic = heuristic_arg(cli, slot);
+  if (config.heuristic.empty()) throw usage_error(cli);
+  config.leader_ub = cli.number("demand-ub");
+  config.support = cli.integer("pairs");
+  config.seed = cli.u64("seed");
   config.stream_seed = config.seed;
-  config.topology = args.get("topology", "b4");
-  config.paths_per_pair = static_cast<int>(args.get_num("paths", 2));
-  config.threshold = args.get_num("threshold", 50.0);
-  config.partitions = static_cast<int>(args.get_num("partitions", 2));
-  config.pop_instances = static_cast<int>(args.get_num("instances", 3));
+  config.topology = cli.str("topology");
+  config.paths_per_pair = cli.integer("paths");
+  config.threshold = cli.number("threshold");
+  config.partitions = cli.integer("partitions");
+  config.pop_instances = cli.integer("instances");
   // Long-standing CLI behaviour: POP instantiation seeds are
   // seed, seed+1, ... (not the splitmix stream the sweep runner uses).
   for (int i = 0; i < config.pop_instances; ++i) {
     config.pop_seeds.push_back(config.seed + static_cast<std::uint64_t>(i));
   }
-  config.items = static_cast<int>(args.get_num("items", 6));
-  config.dims = static_cast<int>(args.get_num("dims", 1));
-  config.bins = static_cast<int>(args.get_num("bins", 0));
+  config.items = cli.integer("items");
+  config.dims = cli.integer("dims");
+  config.bins = cli.integer("bins");
   return config;
 }
 
-int cmd_find(const Args& args) {
-  const std::string heuristic = heuristic_arg(args, 1);
-  if (heuristic.empty()) {
-    std::fprintf(stderr, "usage: metaopt find <heuristic> [options]\n");
-    return 2;
-  }
-  std::unique_ptr<heur::HeuristicInstance> instance;
-  try {
-    instance = heur::make_instance(instance_config(args, heuristic));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+int cmd_find(const Cli& cli) {
+  const std::unique_ptr<heur::HeuristicInstance> instance =
+      heur::make_instance(instance_config(cli, 0));
 
   heur::FindOptions options;
-  options.budget_seconds = args.get_num("budget", 30.0);
-  options.mip_threads =
-      std::max(1, static_cast<int>(args.get_num("mip-threads", 1)));
-  options.pricing = parse_pricing(args);
-  options.certify = args.flags.count("certify") > 0;
+  options.budget_seconds = cli.number("budget");
+  options.mip_threads = std::max(1, cli.integer("mip-threads"));
+  options.certify = cli.on("certify");
   options.seed_search_seconds = options.budget_seconds * 0.3;
 
   const heur::GapFindResult result = instance->find_gap(options);
@@ -281,7 +246,7 @@ int cmd_find(const Args& args) {
                   ? util::format_double(result.bound).c_str()
                   : "open");
   std::printf("nodes:       %ld in %.1fs\n", result.nodes, result.seconds);
-  if (args.flags.count("certify") > 0) {
+  if (options.certify) {
     std::printf("certified:   %s\n", result.certified ? "yes" : "NO");
   }
   std::printf("model:       %d vars, %d rows, %d SOS, %d binaries\n",
@@ -296,49 +261,37 @@ int cmd_find(const Args& args) {
       ++shown;
     }
   }
-  maybe_csv(args, "find", heuristic, result.gap, result.normalized_gap,
+  maybe_csv(cli, "find", instance->name(), result.gap, result.normalized_gap,
             result.seconds);
   return 0;
 }
 
-int cmd_bound(const Args& args) {
-  if (args.positional.size() < 2) {
-    std::fprintf(stderr, "usage: metaopt bound dp|pop [options]\n");
-    return 2;
+int cmd_bound(const Cli& cli) {
+  const std::unique_ptr<heur::HeuristicInstance> instance =
+      heur::make_instance(instance_config(cli, 0));
+  const auto* te = dynamic_cast<const domains::TeInstanceBase*>(instance.get());
+  if (te == nullptr) {
+    throw std::invalid_argument("bound supports the TE heuristics dp and pop, "
+                                "not '" + instance->name() + "'");
   }
-  const std::string heuristic = args.positional[1];
-  const net::Topology topo = load_topology(args.get("topology", "b4"));
-  const te::PathSet paths(topo, te::all_pairs(topo),
-                          static_cast<int>(args.get_num("paths", 2)));
-  core::GapBounder bounder(topo, paths);
+  core::GapBounder bounder(te->topology(), te->paths());
   core::AdversarialOptions options;
-  options.mip.time_limit_seconds = args.get_num("budget", 30.0);
-  options.mip.threads =
-      std::max(1, static_cast<int>(args.get_num("mip-threads", 1)));
-  options.mip.lp.pricing = parse_pricing(args);
-  if (args.flags.count("certify") > 0) {
-    options.mip.certify = true;
-    options.mip.lp.certify = true;
-  }
-  options.demand_ub = args.get_num("demand-ub", 0.0);
-  options.pair_mask =
-      make_mask(paths, static_cast<int>(args.get_num("pairs", 0)));
+  options.mip.time_limit_seconds = cli.number("budget");
+  options.mip.threads = std::max(1, cli.integer("mip-threads"));
+  options.mip.certify = cli.on("certify") || lp::kCertifyByDefault;
+  options.mip.lp.certify = options.mip.certify;
+  options.demand_ub = te->leader_ub();
+  options.pair_mask = te->pair_mask();
 
   core::GapBoundResult result;
-  if (heuristic == "dp") {
-    te::DpConfig dp;
-    dp.threshold = args.get_num("threshold", 50.0);
-    result = bounder.bound_dp_gap(dp, options);
-  } else if (heuristic == "pop") {
-    te::PopConfig pop;
-    pop.num_partitions = static_cast<int>(args.get_num("partitions", 2));
-    std::vector<std::uint64_t> seeds;
-    const int instances = static_cast<int>(args.get_num("instances", 3));
-    for (int i = 0; i < instances; ++i) seeds.push_back(1 + i);
-    result = bounder.bound_pop_gap(pop, seeds, options);
+  if (const auto* pop = dynamic_cast<const domains::TePopInstance*>(te)) {
+    te::PopConfig config;
+    config.num_partitions = cli.integer("partitions");
+    result = bounder.bound_pop_gap(config, pop->seeds(), options);
   } else {
-    std::fprintf(stderr, "unknown heuristic '%s'\n", heuristic.c_str());
-    return 2;
+    te::DpConfig config;
+    config.threshold = cli.number("threshold");
+    result = bounder.bound_dp_gap(config, options);
   }
   std::printf("status:       %s\n", lp::to_string(result.status));
   std::printf("upper bound:  %.3f (%.2f%% of total capacity)\n",
@@ -346,35 +299,25 @@ int cmd_bound(const Args& args) {
   std::printf("solve time:   %.2fs (model: %d vars, %d rows, 0 SOS)\n",
               result.seconds, result.stats.num_vars,
               result.stats.num_constraints);
-  if (args.flags.count("certify") > 0) {
+  if (cli.on("certify")) {
     std::printf("certified:    %s\n", result.certified ? "yes" : "NO");
   }
-  maybe_csv(args, "bound", heuristic, result.upper_bound,
+  maybe_csv(cli, "bound", instance->name(), result.upper_bound,
             result.normalized_upper_bound, result.seconds);
   return 0;
 }
 
-int cmd_search(const Args& args) {
-  const std::string heuristic = heuristic_arg(args, 2);
-  if (args.positional.size() < 2 || heuristic.empty()) {
-    std::fprintf(
-        stderr, "usage: metaopt search hill|anneal|random|quant <heuristic>\n");
-    return 2;
-  }
-  const std::string method = args.positional[1];
-  std::unique_ptr<heur::HeuristicInstance> instance;
-  try {
-    instance = heur::make_instance(instance_config(args, heuristic));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+int cmd_search(const Cli& cli) {
+  const std::unique_ptr<heur::HeuristicInstance> instance =
+      heur::make_instance(instance_config(cli, 1));
+  if (cli.positional.empty()) throw usage_error(cli);
+  const std::string& method = cli.positional[0];
   const std::unique_ptr<heur::GapOracle> oracle = instance->make_oracle();
 
   search::SearchOptions options;
-  options.time_limit_seconds = args.get_num("budget", 30.0);
+  options.time_limit_seconds = cli.number("budget");
   options.demand_ub = instance->leader_ub();
-  options.seed = static_cast<std::uint64_t>(args.get_num("seed", 1));
+  options.seed = cli.u64("seed");
   options.levels = instance->quantize_levels();
 
   search::SearchResult r;
@@ -382,78 +325,53 @@ int cmd_search(const Args& args) {
   else if (method == "anneal") r = search::simulated_annealing(*oracle, options);
   else if (method == "random") r = search::random_search(*oracle, options);
   else if (method == "quant") r = search::quantized_climb(*oracle, options);
-  else {
-    std::fprintf(stderr, "unknown method '%s'\n", method.c_str());
-    return 2;
-  }
+  else throw std::invalid_argument("unknown method '" + method + "'");
   const double normalizer = instance->gap_normalizer();
   std::printf("best gap:    %.3f (%.2f%% normalized)\n", r.best.gap(),
               100.0 * r.best.gap() / normalizer);
   std::printf("evaluations: %ld in %.1fs (%ld restarts)\n", r.evaluations,
               r.seconds, r.restarts);
-  maybe_csv(args, "search." + method, heuristic, r.best.gap(),
+  maybe_csv(cli, "search." + method, instance->name(), r.best.gap(),
             r.best.gap() / normalizer, r.seconds);
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
-  // Spec tokens: everything after "sweep" that looks like key=value,
-  // optionally preceded by the contents of --spec FILE.
+int cmd_sweep(const Cli& cli) {
+  // Spec tokens: the contents of --spec FILE (# starts a comment), then
+  // the positional key=value arguments.
   std::vector<std::string> tokens;
-  const std::string spec_file = args.get("spec", "");
-  if (!spec_file.empty()) {
-    std::ifstream in(spec_file);
-    if (!in) {
-      std::fprintf(stderr, "cannot open spec file '%s'\n", spec_file.c_str());
-      return 2;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (const std::size_t hash = line.find('#'); hash != std::string::npos) {
-        line.erase(hash);
-      }
-      std::istringstream words(line);
-      std::string word;
-      while (words >> word) tokens.push_back(word);
+  if (cli.on("spec")) {
+    std::ifstream in(cli.str("spec"));
+    if (!in) throw std::invalid_argument("cannot open " + cli.str("spec"));
+    for (std::string line; std::getline(in, line);) {
+      std::istringstream words(line.substr(0, line.find('#')));
+      for (std::string word; words >> word;) tokens.push_back(word);
     }
   }
-  for (std::size_t i = 1; i < args.positional.size(); ++i) {
-    tokens.push_back(args.positional[i]);
-  }
-  if (tokens.empty()) {
-    std::fprintf(stderr,
-                 "usage: metaopt sweep key=value... (see header comment)\n");
-    return 2;
-  }
+  tokens.insert(tokens.end(), cli.positional.begin(), cli.positional.end());
+  if (tokens.empty()) throw usage_error(cli);
 
   const runner::SweepSpec spec = runner::parse_sweep_spec(tokens);
   runner::SweepOptions options;
-  options.threads = static_cast<int>(args.get_num("threads", 0));
+  options.threads = cli.integer("threads");
   options.log_progress = false;
   // --shard i/N: run only the jobs with id % N == i (partitioned after
-  // expansion, so shard output merges byte-identically — see
-  // merge-shards).
-  if (const std::string shard = args.get("shard", ""); !shard.empty()) {
-    const std::size_t slash = shard.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= shard.size()) {
-      std::fprintf(stderr, "--shard wants i/N (e.g. --shard 0/3), got '%s'\n",
-                   shard.c_str());
-      return 2;
+  // expansion, so shard output merges byte-identically).
+  if (const std::string& shard = cli.str("shard"); !shard.empty()) {
+    const std::vector<std::string> parts = util::split(shard, '/');
+    const auto index = util::parse_uint(parts.front());
+    const auto count = util::parse_uint(parts.back());
+    if (parts.size() != 2 || !index || !count || *index >= *count ||
+        *count > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("--shard wants i/N with i < N, not " + shard);
     }
-    options.shard_index = std::atoi(shard.substr(0, slash).c_str());
-    options.shard_count = std::atoi(shard.substr(slash + 1).c_str());
-    if (options.shard_count < 1 || options.shard_index < 0 ||
-        options.shard_index >= options.shard_count) {
-      std::fprintf(stderr, "--shard %s: index out of range\n", shard.c_str());
-      return 2;
-    }
+    options.shard_index = static_cast<int>(*index);
+    options.shard_count = static_cast<int>(*count);
   }
-  options.checkpoint_path = args.get("checkpoint", "");
-  options.checkpoint_every =
-      static_cast<int>(args.get_num("checkpoint-every", 1));
-  options.resume_manifest = args.get("resume", "");
-  if (args.flags.count("quiet") == 0) {
+  options.checkpoint_path = cli.str("checkpoint");
+  options.checkpoint_every = cli.integer("checkpoint-every");
+  options.resume_manifest = cli.str("resume");
+  if (!cli.on("quiet")) {
     options.on_progress = [](const runner::JobResult& job, int done,
                              int total) {
       std::fprintf(stderr,
@@ -483,26 +401,24 @@ int cmd_sweep(const Args& args) {
   }
   std::printf("threads:   %d\n", report.threads);
   std::printf("wall:      %.2fs\n", report.wall_seconds);
-  double worst = 0.0;
-  const runner::JobResult* worst_job = nullptr;
+  const runner::JobResult* worst = nullptr;
   for (const runner::JobResult& job : report.jobs) {
     if (job.status == runner::JobStatus::Ok &&
-        job.result.normalized_gap >= worst) {
-      worst = job.result.normalized_gap;
-      worst_job = &job;
+        job.result.normalized_gap >=
+            (worst ? worst->result.normalized_gap : 0.0)) {
+      worst = &job;
     }
   }
-  if (worst_job != nullptr) {
-    const bool binpack = runner::is_binpack(worst_job->spec.heuristic);
-    const std::string where =
-        binpack ? "d=" + std::to_string(worst_job->spec.dims)
-                : worst_job->spec.topology;
+  if (worst != nullptr) {
+    const bool binpack = runner::is_binpack(worst->spec.heuristic);
+    const std::string where = binpack
+                                  ? "d=" + std::to_string(worst->spec.dims)
+                                  : worst->spec.topology;
     std::printf("worst gap: %.3f (%.2f%% of %s) at %s %s x=%s\n",
-                worst_job->result.gap,
-                100.0 * worst_job->result.normalized_gap,
+                worst->result.gap, 100.0 * worst->result.normalized_gap,
                 binpack ? "bin budget" : "capacity",
-                runner::to_string(worst_job->spec.heuristic), where.c_str(),
-                util::format_double(worst_job->spec.axis_value()).c_str());
+                runner::to_string(worst->spec.heuristic), where.c_str(),
+                util::format_double(worst->spec.axis_value()).c_str());
   }
   for (const runner::JobResult& job : report.jobs) {
     if (job.status == runner::JobStatus::Failed) {
@@ -510,13 +426,13 @@ int cmd_sweep(const Args& args) {
     }
   }
 
-  if (const std::string path = args.get("jsonl", ""); !path.empty()) {
-    report.write_jsonl(path);
-    std::printf("jsonl:     %s\n", path.c_str());
+  if (cli.on("jsonl")) {
+    report.write_jsonl(cli.str("jsonl"));
+    std::printf("jsonl:     %s\n", cli.str("jsonl").c_str());
   }
-  if (const std::string path = args.get("csv", ""); !path.empty()) {
-    report.write_csv(path, "sweep");
-    std::printf("csv:       %s\n", path.c_str());
+  if (cli.on("csv")) {
+    report.write_csv(cli.str("csv"), "sweep");
+    std::printf("csv:       %s\n", cli.str("csv").c_str());
   }
   // 0 = at least one job produced a gap and none threw; 1 = some job
   // failed; 3 = nothing failed but no job finished ok either (every job
@@ -525,52 +441,33 @@ int cmd_sweep(const Args& args) {
   return report.num_ok > 0 ? 0 : 3;
 }
 
-int cmd_merge_shards(const Args& args) {
-  // metaopt merge-shards --out merged.jsonl shard0.jsonl shard1.jsonl ...
-  const std::string out_path = args.get("out", "");
-  std::vector<std::string> inputs(args.positional.begin() + 1,
-                                  args.positional.end());
-  if (out_path.empty() || inputs.empty()) {
-    std::fprintf(stderr,
-                 "usage: metaopt merge-shards --out merged.jsonl "
-                 "shard0.jsonl shard1.jsonl ...\n");
-    return 2;
-  }
-  const std::string merged = runner::merge_shard_jsonl(inputs);
+int cmd_merge_shards(const Cli& cli) {
+  const std::string& out_path = cli.str("out");
+  if (out_path.empty() || cli.positional.empty()) throw usage_error(cli);
+  const std::string merged = runner::merge_shard_jsonl(cli.positional);
   std::ofstream out(out_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open '%s'\n", out_path.c_str());
-    return 1;
-  }
-  out << merged;
-  out.close();
-  std::size_t records = 0;
-  for (char c : merged) records += c == '\n';
-  std::printf("merged %zu records from %zu shards into %s\n", records,
-              inputs.size(), out_path.c_str());
+  if (!(out << merged)) throw std::runtime_error("cannot write " + out_path);
+  std::printf("merged %td records from %zu shards into %s\n",
+              std::count(merged.begin(), merged.end(), '\n'),
+              cli.positional.size(), out_path.c_str());
   return 0;
 }
 
-int cmd_explain(const Args& args) {
-  const std::string jsonl = args.get("jsonl", "");
-  std::string heuristic = heuristic_arg(args, 1);
-  if (jsonl.empty() && heuristic.empty()) {
-    std::fprintf(stderr,
-                 "usage: metaopt explain <heuristic> [options], or "
-                 "metaopt explain --jsonl FILE [--job N]\n");
-    return 2;
-  }
+int cmd_explain(const Cli& cli) {
+  const std::string& jsonl = cli.str("jsonl");
+  const std::string heuristic = heuristic_arg(cli, 0);
+  if (jsonl.empty() && heuristic.empty()) throw usage_error(cli);
 
   // --bench-out implies obs so probe counters land in the report.
-  const std::string bench_out = args.get("bench-out", "");
+  const std::string& bench_out = cli.str("bench-out");
   if (!bench_out.empty()) obs::set_enabled(true);
   const obs::MetricsSnapshot obs_baseline = obs::snapshot();
 
   explain::ExplainOptions options;
-  options.strategy = args.get("strategy", "greedy");
-  options.min_gap_percent = args.get_num("min-gap", -1.0);
-  options.seed = static_cast<std::uint64_t>(args.get_num("seed", 1));
-  options.probe.opt_budget_seconds = args.get_num("probe-budget", 10.0);
+  options.strategy = cli.str("strategy");
+  options.min_gap_percent = cli.number("min-gap");
+  options.seed = cli.u64("seed");
+  options.probe.opt_budget_seconds = cli.number("probe-budget");
 
   std::unique_ptr<heur::HeuristicInstance> instance;
   std::vector<double> witness;
@@ -587,14 +484,14 @@ int cmd_explain(const Args& args) {
     }
     regions = explain::cluster_regions(records, /*min_norm_gap=*/1e-9);
     const runner::JobRecord* record = nullptr;
-    if (args.flags.count("job") > 0) {
-      const int want = static_cast<int>(args.get_num("job", -1));
+    if (cli.on("job")) {
+      const int want = cli.integer("job");
       for (const runner::JobRecord& r : records) {
         if (r.job == want) record = &r;
       }
       if (record == nullptr) {
-        std::fprintf(stderr, "no job %d in %s\n", want, jsonl.c_str());
-        return 2;
+        throw std::invalid_argument("no job " + cli.str("job") + " in " +
+                                    jsonl);
       }
       if (!record->ok() || record->volumes.empty()) {
         std::fprintf(stderr,
@@ -616,16 +513,10 @@ int cmd_explain(const Args& args) {
     witness = record->volumes;
     options.source = jsonl + ":job=" + std::to_string(record->job);
   } else {
-    try {
-      instance = heur::make_instance(instance_config(args, heuristic));
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
+    instance = heur::make_instance(instance_config(cli, 0));
     heur::FindOptions find;
-    find.budget_seconds = args.get_num("budget", 30.0);
-    find.mip_threads =
-        std::max(1, static_cast<int>(args.get_num("mip-threads", 1)));
+    find.budget_seconds = cli.number("budget");
+    find.mip_threads = std::max(1, cli.integer("mip-threads"));
     find.certify = true;
     // No black-box seeding: keeps the witness (and hence the whole
     // explain run) machine-load independent.
@@ -661,7 +552,7 @@ int cmd_explain(const Args& args) {
     bench.write(bench_out);
     std::printf("bench:     %s\n", bench_out.c_str());
   }
-  maybe_csv(args, "explain", instance->name(), outcome.report.core.gap,
+  maybe_csv(cli, "explain", instance->name(), outcome.report.core.gap,
             instance->gap_normalizer() > 0.0
                 ? outcome.report.core.gap / instance->gap_normalizer()
                 : 0.0,
@@ -669,65 +560,124 @@ int cmd_explain(const Args& args) {
   return outcome.ok ? 0 : 3;
 }
 
-/// Full subcommand overview; `out` is stdout for help requests and
-/// stderr for usage errors (same text either way).
+const std::vector<Command> kCommands = {
+    {"topo", "<name|file>", "topology summary", {kTopoFlags}, 1, cmd_topo},
+    {"find", "<heuristic>", "white-box adversarial search (Eq. 1)",
+     {kInstanceFlags, kRunFlags, kSolveFlags}, 1, cmd_find},
+    {"bound", "dp|pop", "primal-dual gap upper bound",
+     {kInstanceFlags, kRunFlags, kSolveFlags}, 1, cmd_bound},
+    {"search", "hill|anneal|random|quant <heuristic>", "black-box baselines",
+     {kInstanceFlags, kRunFlags}, 2, cmd_search},
+    {"sweep", "key=value...", "parallel scenario sweep over a key=value grid",
+     {kSweepFlags}, -1, cmd_sweep},
+    {"merge-shards", "--out F shard...",
+     "recombine sweep shards, byte-identical to the unsharded run",
+     {kMergeFlags}, -1, cmd_merge_shards},
+    {"explain", "<heuristic>",
+     "minimal adversarial core of a gap witness (find or sweep JSONL)",
+     {kInstanceFlags, kRunFlags, kExplainFlags}, 1, cmd_explain},
+    {"help", "", "this overview", {}, 0, nullptr},
+};
+
+/// Walks argv against the global table and, from the subcommand on, the
+/// subcommand's tables. Switches never consume the next token; any other
+/// flag takes exactly one value, checked against its kind. Throws
+/// std::invalid_argument naming the offending flag or token.
+Cli parse_cli(int argc, char** argv) {
+  Cli cli;
+  std::map<std::string, const Flag*> declared;
+  const auto declare = [&](FlagTable table) {
+    for (const Flag& flag : table) {
+      declared[flag.name] = &flag;
+      cli.values[flag.name] = flag.fallback;
+    }
+  };
+  const auto error = [](const std::string& what) {
+    return std::invalid_argument(what + " (see --help)");
+  };
+  declare(kGlobalFlags);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (!util::starts_with(arg, "--")) {
+      if (cli.command != nullptr) {
+        if (std::ssize(cli.positional) == cli.command->max_positional) {
+          throw error("unexpected argument '" + arg + "'");
+        }
+        cli.positional.push_back(arg);
+        continue;
+      }
+      for (const Command& command : kCommands) {
+        if (arg == command.name) cli.command = &command;
+      }
+      if (cli.command == nullptr) throw error("unknown command '" + arg + "'");
+      for (FlagTable table : cli.command->tables) declare(table);
+      continue;
+    }
+    const auto it = declared.find(arg.substr(2));
+    if (it == declared.end()) throw error("unknown flag " + arg);
+    const Kind kind = it->second->kind;
+    if (kind == Switch) {
+      cli.values[it->first] = "1";
+      continue;
+    }
+    if (i + 1 == argc || util::starts_with(argv[i + 1], "--")) {
+      throw error(arg + " needs a value");
+    }
+    const std::string value = argv[++i];
+    if ((kind == Number && !util::parse_double(value)) ||
+        (kind == Integer && !util::parse_uint(value))) {
+      throw error(arg + " wants " +
+                  (kind == Number ? "a number" : "a count >= 0") + ", got '" +
+                  value + "'");
+    }
+    cli.values[it->first] = value;
+  }
+  return cli;
+}
+
+void print_flags(FlagTable table) {
+  static const char* const kValue[] = {"", " <number>", " <int>", " <text>"};
+  for (const Flag& flag : table) {
+    const std::string left =
+        std::string("--") + flag.name + kValue[static_cast<int>(flag.kind)];
+    std::printf("  %-26s %s", left.c_str(), flag.help);
+    if (*flag.fallback != '\0') std::printf(" (default %s)", flag.fallback);
+    std::printf("\n");
+  }
+}
+
+/// Subcommand overview; `out` is stdout for help requests and stderr for
+/// usage errors (same text either way).
 void print_help(std::FILE* out) {
-  std::fputs(
-      "metaopt — adversarial gap analysis for fast heuristics\n"
-      "\n"
-      "subcommands:\n"
-      "  topo <name|file>      topology summary\n"
-      "  find <heuristic>      white-box adversarial search (Eq. 1)\n"
-      "  bound dp|pop          primal-dual gap upper bound\n"
-      "  search hill|anneal|random|quant <heuristic>\n"
-      "                        black-box baselines\n"
-      "  sweep key=value...    parallel scenario sweep\n"
-      "                        (--shard i/N, --checkpoint M, --resume M\n"
-      "                        for sharded / restartable campaigns)\n"
-      "  merge-shards --out F  recombine per-shard sweep JSONL files\n"
-      "                        (byte-identical to the unsharded run)\n"
-      "  explain <heuristic>   minimal adversarial core of a gap witness\n"
-      "                        (also: explain --jsonl FILE from a sweep)\n"
-      "  help                  this overview\n"
-      "\n",
-      out);
-  std::string names;
-  for (const std::string& name : heur::registered_heuristics()) {
-    if (!names.empty()) names += ", ";
-    names += name;
+  std::fputs("metaopt — adversarial gap analysis for fast heuristics\n\n"
+             "subcommands:\n", out);
+  for (const Command& command : kCommands) {
+    std::fprintf(out, "  %s %s\n      %s\n", command.name, command.args,
+                 command.summary);
   }
-  std::fprintf(out, "registered heuristics: %s\n", names.c_str());
-  std::string strategies;
-  for (const std::string& name : explain::minimizer_names()) {
-    if (!strategies.empty()) strategies += ", ";
-    strategies += name;
-  }
-  std::fprintf(out, "core-minimizer strategies: %s\n", strategies.c_str());
-  std::fputs(
-      "\ncommon solver options:\n"
-      "  --mip-threads N       B&B worker threads (answers are\n"
-      "                        thread-count-invariant)\n"
-      "  --pricing RULE        node-LP pricing: partial (default),\n"
-      "                        dantzig, steepest\n"
-      "  --certify             independently certify every solve\n"
-      "\nsee the header of tools/metaopt_cli.cpp for all options\n", out);
+  std::fprintf(out,
+               "\nregistered heuristics: %s\ncore-minimizer strategies: %s\n"
+               "\n`metaopt <cmd> --help` lists a subcommand's flags.\n"
+               "exit codes: 0 ok, 1 error, 2 usage, 3 nothing found\n",
+               util::join(heur::registered_heuristics(), ", ").c_str(),
+               util::join(explain::minimizer_names(), ", ").c_str());
 }
 
 /// Exports whatever the obs subsystem recorded (runs even when the
 /// command failed, so a partial trace of a crash-adjacent run survives).
-void export_obs(const Args& args) {
+void export_obs(const Cli& cli) {
   if (!obs::enabled()) return;
-  if (const std::string path = args.get("trace", ""); !path.empty()) {
-    obs::write_chrome_trace(path);
+  if (cli.on("trace")) {
+    obs::write_chrome_trace(cli.str("trace"));
     std::fprintf(stderr, "trace:      %s (%zu events, %llu dropped)\n",
-                 path.c_str(), obs::trace_events().size(),
+                 cli.str("trace").c_str(), obs::trace_events().size(),
                  static_cast<unsigned long long>(obs::trace_dropped()));
   }
-  if (const std::string path = args.get("trace-jsonl", ""); !path.empty()) {
-    obs::write_trace_jsonl(path);
-    std::fprintf(stderr, "trace-jsonl: %s\n", path.c_str());
+  if (cli.on("trace-jsonl")) {
+    obs::write_trace_jsonl(cli.str("trace-jsonl"));
+    std::fprintf(stderr, "trace-jsonl: %s\n", cli.str("trace-jsonl").c_str());
   }
-  if (args.flags.count("metrics") > 0) {
+  if (cli.on("metrics")) {
     std::printf("metrics:   %s\n", obs::snapshot().to_json().c_str());
   }
 }
@@ -735,45 +685,38 @@ void export_obs(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::set_log_level(util::LogLevel::Warn);
   domains::register_builtin();
-  const Args args = parse_args(argc, argv);
-  if (const auto it = args.flags.find("log"); it != args.flags.end()) {
-    util::set_log_level(it->second);
-  }
-  if (args.flags.count("help") > 0) {
-    print_help(stdout);
-    return 0;
-  }
-  if (args.positional.empty()) {
-    // Same overview as --help, but on stderr and failing: a bare
-    // `metaopt` is a usage error, not a help request.
-    print_help(stderr);
-    return 2;
-  }
-  if (args.flags.count("metrics") > 0 || !args.get("trace", "").empty() ||
-      !args.get("trace-jsonl", "").empty()) {
-    obs::set_enabled(true);
-  }
-  const std::string& command = args.positional[0];
-  int rc = 2;
+  Cli cli;
+  int rc = 1;
   try {
-    if (command == "topo") rc = cmd_topo(args);
-    else if (command == "find") rc = cmd_find(args);
-    else if (command == "bound") rc = cmd_bound(args);
-    else if (command == "search") rc = cmd_search(args);
-    else if (command == "sweep") rc = cmd_sweep(args);
-    else if (command == "merge-shards") rc = cmd_merge_shards(args);
-    else if (command == "explain") rc = cmd_explain(args);
-    else if (command == "help") { print_help(stdout); rc = 0; }
-    else {
-      std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-      print_help(stderr);
+    cli = parse_cli(argc, argv);
+    if (!util::set_log_level(cli.str("log"))) {
+      throw std::invalid_argument("--log: unknown level " + cli.str("log"));
     }
+    if (cli.command != nullptr && cli.on("help")) {
+      std::printf("usage: metaopt %s %s [flags]\n%s\n\nflags:\n",
+                  cli.command->name, cli.command->args, cli.command->summary);
+      for (FlagTable table : cli.command->tables) print_flags(table);
+      print_flags(kGlobalFlags);
+      return 0;
+    }
+    if (cli.command == nullptr || cli.command->run == nullptr) {
+      // `metaopt help` and `metaopt --help` print the overview; a bare
+      // `metaopt` prints it too, but on stderr and failing.
+      const bool asked = cli.command != nullptr || cli.on("help");
+      print_help(asked ? stdout : stderr);
+      return asked ? 0 : 2;
+    }
+    if (cli.on("metrics") || cli.on("trace") || cli.on("trace-jsonl")) {
+      obs::set_enabled(true);
+    }
+    rc = cli.command->run(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "metaopt: %s\n", e.what());
+    rc = 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    rc = 1;
   }
-  export_obs(args);
+  export_obs(cli);
   return rc;
 }
