@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <utility>
 
 #include "kkt/parametric.h"
+#include "obs/obs.h"
 #include "search/search.h"
 
 namespace metaopt::core {
@@ -26,8 +28,16 @@ void keep_best(std::optional<Candidate>& best,
 
 class Pipeline {
  public:
-  Pipeline(const lp::Model& model, const SingleShot& shot)
-      : model_(model), shot_(shot) {}
+  /// Builds one InnerLp per follower, solved with `lp`.
+  Pipeline(const lp::Model& model, const SingleShot& shot,
+           const lp::SimplexOptions& lp)
+      : model_(model), shot_(shot) {
+    inner_lps_.reserve(shot.followers.size());
+    for (const Follower& f : shot.followers) {
+      inner_lps_.push_back(
+          std::make_unique<const kkt::InnerLp>(*f.inner, model, lp));
+    }
+  }
 
   /// The leader values of a model point, clamped to the leader box.
   [[nodiscard]] std::vector<double> leader_values(
@@ -53,10 +63,10 @@ class Pipeline {
     if (shot_.complete && !shot_.complete(leader, assign)) {
       return std::nullopt;
     }
-    for (const Follower& f : shot_.followers) {
-      const kkt::ParametricSolve ps =
-          kkt::solve_inner_at(*f.inner, model_, assign);
-      if (!kkt::assemble_kkt_point(model_, *f.inner, *f.kkt, ps, assign)) {
+    for (std::size_t i = 0; i < inner_lps_.size(); ++i) {
+      const kkt::InnerLp& lp = *inner_lps_[i];
+      if (!kkt::assemble_kkt_point(lp, *shot_.followers[i].kkt,
+                                   lp.solve(assign), assign)) {
         return std::nullopt;
       }
     }
@@ -68,6 +78,7 @@ class Pipeline {
   /// each rounding of them.
   [[nodiscard]] std::optional<Candidate> round(
       const std::vector<double>& relax) const {
+    MO_SPAN("core.primal_heuristic");
     const std::vector<double> raw = leader_values(relax);
     std::optional<Candidate> best = assemble(raw);
     for (const auto& rounding : shot_.roundings) {
@@ -111,6 +122,8 @@ class Pipeline {
  private:
   const lp::Model& model_;
   const SingleShot& shot_;
+  /// One per follower, in shot_.followers order.
+  std::vector<std::unique_ptr<const kkt::InnerLp>> inner_lps_;
 };
 
 }  // namespace
@@ -129,7 +142,7 @@ heur::GapFindResult solve_single_shot(const lp::Model& model,
                                       const util::Stopwatch& watch) {
   heur::GapFindResult result;
   result.stats = model.stats();
-  const Pipeline pipeline(model, shot);
+  const Pipeline pipeline(model, shot, budget.mip.lp);
 
   mip::MipCallbacks callbacks;
   if (budget.use_primal_heuristic) {

@@ -10,8 +10,9 @@
 //
 //   1. assemble: a leader vector is snapped, written into an all-zero
 //      assignment, completed (auxiliary binaries that are a function of
-//      the leader), re-solved follower by follower with the direct LPs
-//      and lifted to a KKT point (kkt/parametric.h), then finished;
+//      the leader), re-solved follower by follower on its kkt::InnerLp
+//      (built once per run with the run's LP options) and lifted to a
+//      KKT point (kkt/parametric.h), then finished;
 //   2. primal heuristic, at every node: the relaxation's leader values
 //      and each rounding variant of them are assembled; the best wins;
 //   3. seeding: the deterministic trials, plus a quantized climb and a

@@ -3,83 +3,114 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
+
+#include "lp/revised_simplex.h"
+#include "obs/obs.h"
 
 namespace metaopt::kkt {
 
-namespace {
-
-/// Builds the substituted fresh LinExpr: decision-var terms remapped,
-/// parameter terms folded into the constant.
-lp::LinExpr substitute(const lp::LinExpr& expr,
-                       const std::unordered_map<lp::VarId, lp::VarId>& remap,
-                       const std::vector<double>& outer_values) {
-  lp::LinExpr out;
-  out.add_constant(expr.constant());
-  for (const auto& [vid, coef] : expr.terms()) {
-    auto it = remap.find(vid);
-    if (it != remap.end()) {
-      out.add_term(it->second, coef);
-    } else {
-      out.add_constant(coef * outer_values[vid]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-ParametricSolve solve_inner_at(const InnerProblem& inner,
-                               const lp::Model& outer,
-                               const std::vector<double>& outer_values) {
+InnerLp::InnerLp(const InnerProblem& inner, const lp::Model& outer,
+                 lp::SimplexOptions options)
+    : inner_(inner),
+      outer_(outer),
+      decision_col_(outer.num_vars(), -1),
+      options_(options),
+      pool_(model_) {
   if (!inner.quadratic_objective().empty()) {
     throw std::invalid_argument(
-        "solve_inner_at: quadratic inner objectives are not supported");
+        "InnerLp: quadratic inner objectives are not supported");
   }
-  if (outer_values.size() != static_cast<std::size_t>(outer.num_vars())) {
-    throw std::invalid_argument("solve_inner_at: outer value size mismatch");
-  }
+  options_.want_duals = true;
 
-  lp::Model fresh;
-  std::unordered_map<lp::VarId, lp::VarId> remap;
-  remap.reserve(inner.decision_vars().size());
   for (const lp::Var v : inner.decision_vars()) {
     const lp::VarInfo& info = outer.var(v);
-    const lp::Var nv = fresh.add_var(info.name, info.lb, info.ub);
-    remap.emplace(v.id, nv.id);
+    decision_col_[v.id] = model_.add_var(info.name, info.lb, info.ub).id;
   }
+  // col[v]: the column of outer variable v, decision or outer; -1 until
+  // a row references it.
+  std::vector<int> col = decision_col_;
   for (const InnerConstraint& c : inner.constraints()) {
     lp::ConstraintSpec spec;
     spec.sense = c.spec.sense;
-    lp::LinExpr lhs = substitute(c.spec.lhs, remap, outer_values);
-    spec.rhs = c.spec.rhs - lhs.constant();
-    lhs.add_constant(-lhs.constant());
-    lhs.normalize();
-    spec.lhs = std::move(lhs);
-    fresh.add_constraint(std::move(spec), c.name);
+    spec.rhs = c.spec.rhs - c.spec.lhs.constant();
+    for (const auto& [vid, coef] : c.spec.lhs.terms()) {
+      int& k = col[vid];
+      if (k < 0) {
+        // Placeholder bounds [0, 0]: the anchor's outer values.
+        k = model_.add_var(outer.var(vid).name, 0.0, 0.0).id;
+        outer_col_var_.push_back(vid);
+      }
+      spec.lhs.add_term(k, coef);
+    }
+    spec.lhs.normalize();
+    model_.add_constraint(std::move(spec), c.name);
   }
-  lp::LinExpr obj = substitute(inner.objective(), remap, outer_values);
-  fresh.set_objective(inner.sense(), std::move(obj));
+  lp::LinExpr objective(inner.objective().constant());
+  for (const auto& [vid, coef] : inner.objective().terms()) {
+    if (decision_col_[vid] >= 0) objective.add_term(decision_col_[vid], coef);
+  }
+  model_.set_objective(inner.sense(), std::move(objective));
 
+  std::vector<double> lb;
+  std::vector<double> ub;
+  bounds_at(std::vector<double>(outer.num_vars(), 0.0), lb, ub);
+  lp::WarmStartPool::Lease lease(pool_);
+  const lp::Solution anchor = lp::SimplexSolver(options_).solve_with_bounds(
+      model_, lb, ub, lease.context());
+  if (anchor.status == lp::SolveStatus::Optimal) {
+    anchor_ = lease.context().take_result();
+  }
+}
+
+void InnerLp::bounds_at(const std::vector<double>& outer_values,
+                        std::vector<double>& lb,
+                        std::vector<double>& ub) const {
+  const std::size_t num_decisions = inner_.decision_vars().size();
+  lb.resize(model_.num_vars());
+  ub.resize(model_.num_vars());
+  for (std::size_t j = 0; j < num_decisions; ++j) {
+    lb[j] = model_.var(static_cast<lp::VarId>(j)).lb;
+    ub[j] = model_.var(static_cast<lp::VarId>(j)).ub;
+  }
+  for (std::size_t k = 0; k < outer_col_var_.size(); ++k) {
+    const double v = outer_values[outer_col_var_[k]];
+    lb[num_decisions + k] = v;
+    ub[num_decisions + k] = v;
+  }
+}
+
+ParametricSolve InnerLp::solve(const std::vector<double>& outer_values) const {
+  MO_SPAN("kkt.inner_solve");
+  if (outer_values.size() != static_cast<std::size_t>(outer_.num_vars())) {
+    throw std::invalid_argument("InnerLp::solve: outer value size mismatch");
+  }
+  std::vector<double> lb;
+  std::vector<double> ub;
+  bounds_at(outer_values, lb, ub);
+  lp::WarmStartPool::Lease lease(pool_);
+  lp::WarmStartContext& context = lease.context();
+  context.hint = anchor_.get();
   ParametricSolve out;
-  out.solution = lp::SimplexSolver().solve(fresh);
+  out.solution =
+      lp::SimplexSolver(options_).solve_with_bounds(model_, lb, ub, context);
   return out;
 }
 
-bool assemble_kkt_point(const lp::Model& outer, const InnerProblem& inner,
-                        const KktArtifacts& art, const ParametricSolve& ps,
+bool assemble_kkt_point(const InnerLp& lp, const KktArtifacts& art,
+                        const ParametricSolve& ps,
                         std::vector<double>& assignment) {
+  const lp::Model& outer = lp.outer();
   if (!ps.ok()) return false;
   if (assignment.size() != static_cast<std::size_t>(outer.num_vars())) {
     return false;
   }
 
-  // Decision values: fresh var j == inner.decision_vars()[j].
-  std::unordered_map<lp::VarId, int> fresh_index;
-  for (std::size_t j = 0; j < inner.decision_vars().size(); ++j) {
-    const lp::Var v = inner.decision_vars()[j];
+  // Decision values: column j == inner.decision_vars()[j].
+  const std::vector<lp::Var>& decisions = lp.inner().decision_vars();
+  for (std::size_t j = 0; j < decisions.size(); ++j) {
+    const lp::Var v = decisions[j];
     if (std::isfinite(outer.var(v).ub)) return false;  // see header
-    fresh_index.emplace(v.id, static_cast<int>(j));
     assignment[v.id] = ps.solution.values[j];
   }
 
@@ -92,7 +123,8 @@ bool assemble_kkt_point(const lp::Model& outer, const InnerProblem& inner,
         break;
       case KktRowInfo::Source::LowerBound:
         dual_value = std::max(
-            ps.solution.reduced_costs[fresh_index.at(row.bound_var)], 0.0);
+            ps.solution.reduced_costs[lp.decision_column(row.bound_var)],
+            0.0);
         break;
       case KktRowInfo::Source::UpperBound:
         return false;  // unreachable given the finite-ub check above

@@ -151,13 +151,14 @@ class RevisedSimplex {
 };
 
 /// Warm-start state threaded through SimplexSolver::solve_with_bounds:
-/// the BoundedForm built once per model (a B&B tree, a te::MaxFlowLp),
-/// the revised-simplex engine (with its factorization cache), and the
-/// per-solve hint/result basis handles.
+/// the BoundedForm built once per model (a B&B tree, a te::MaxFlowLp, a
+/// kkt::InnerLp), the revised-simplex engine (with its factorization
+/// cache), and the per-solve hint/result basis handles.
 ///
 /// Not thread-safe: in a parallel tree search every worker owns its own
-/// context (form + engine + hint slot), and te::MaxFlowLp lends one
-/// context per concurrent solve. Solvers still share bases freely —
+/// context (form + engine + hint slot), and te::MaxFlowLp and
+/// kkt::InnerLp lend one context per concurrent solve from an
+/// lp::WarmStartPool. Solvers still share bases freely —
 /// `hint` points at an immutable shared Basis and `result_` is
 /// published as shared_ptr<const Basis>.
 class WarmStartContext {

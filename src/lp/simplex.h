@@ -2,13 +2,14 @@
 //
 //  * The warm-start overload of solve_with_bounds runs the revised
 //    simplex core (lp/revised_simplex.h) through a three-rung fallback
-//    ladder. Branch-and-bound node LPs and the TE direct solves
-//    (te::MaxFlowLp) take this path.
+//    ladder. Every product solve takes this path: branch-and-bound node
+//    LPs, the TE direct solves (te::MaxFlowLp) and the KKT primal
+//    heuristic's inner solves (kkt::InnerLp).
 //  * solve() and the two-argument solve_with_bounds run a two-phase
 //    dense-tableau primal simplex over the StandardForm program. It is
-//    the ladder's last rung and the differential baseline for tests;
-//    the KKT primal heuristic (kkt::solve_inner_at) still calls it
-//    directly.
+//    the ladder's last rung and the differential baseline for tests
+//    and for branch-and-bound with MipOptions::use_warm_start off
+//    (bench/warmstart_nodes).
 //
 // The tableau handles LessEqual and Equal rows, negative right-hand
 // sides (via row scaling + artificials), degenerate cycling (Dantzig
@@ -19,6 +20,7 @@
 // Metrics: every public solve counts once in simplex.solves and the
 // simplex.solve span, whichever rung answers it; simplex.tableau_fallbacks
 // counts warm-start-overload solves that dropped to the tableau rung.
+// Certification runs inside the simplex.certify span.
 #pragma once
 
 #include "lp/model.h"

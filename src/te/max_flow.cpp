@@ -1,11 +1,10 @@
 #include "te/max_flow.h"
 
 #include <algorithm>
-#include <new>
 #include <stdexcept>
-#include <utility>
 
 #include "lp/revised_simplex.h"
+#include "lp/warm_start_pool.h"
 
 namespace metaopt::te {
 
@@ -80,6 +79,7 @@ struct MaxFlowLp::Structure {
   std::vector<std::vector<lp::VarId>> flow_col;  ///< [k][p]; empty: no paths
   std::vector<lp::VarId> demand_col;  ///< per pair; kInvalidVar: no paths
   std::vector<lp::VarId> cap_col;     ///< per edge; kInvalidVar: unused
+  lp::WarmStartPool pool{model};
 
   Structure(const net::Topology& topo, const PathSet& paths) {
     const int num_pairs = paths.num_pairs();
@@ -141,42 +141,6 @@ const MaxFlowLp::Structure& MaxFlowLp::structure() const {
   return *structure_;
 }
 
-/// A revised-simplex context borrowed for one solve: taken from the
-/// free list (or built when the list is empty) on construction, handed
-/// back on destruction.
-class MaxFlowLp::Lease {
- public:
-  explicit Lease(const MaxFlowLp& owner) : owner_(owner) {
-    {
-      const std::lock_guard<std::mutex> lock(owner_.mutex_);
-      if (!owner_.free_.empty()) {
-        context_ = std::move(owner_.free_.back());
-        owner_.free_.pop_back();
-      }
-    }
-    if (!context_) {
-      context_ = std::make_unique<lp::WarmStartContext>(
-          owner_.structure().model);
-    }
-  }
-  ~Lease() {
-    const std::lock_guard<std::mutex> lock(owner_.mutex_);
-    try {
-      owner_.free_.push_back(std::move(context_));
-    } catch (const std::bad_alloc&) {
-      // Dropping the context only costs a rebuild on a later solve.
-    }
-  }
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-
-  [[nodiscard]] lp::WarmStartContext& context() { return *context_; }
-
- private:
-  const MaxFlowLp& owner_;
-  std::unique_ptr<lp::WarmStartContext> context_;
-};
-
 MaxFlowResult MaxFlowLp::solve(const std::vector<double>& volumes,
                                const MaxFlowOptions& options,
                                const lp::Basis* hint) const {
@@ -216,7 +180,7 @@ MaxFlowResult MaxFlowLp::solve(const std::vector<double>& volumes,
   lp::SimplexOptions simplex;
   simplex.certify = options.certify;
   simplex.want_duals = options.certify;  // the certifier's dual pillars
-  Lease lease(*this);
+  lp::WarmStartPool::Lease lease(st.pool);
   lp::WarmStartContext& context = lease.context();
   context.hint = hint;
   const lp::Solution sol =

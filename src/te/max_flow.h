@@ -4,7 +4,7 @@
 //  * build_max_flow expresses it as an InnerProblem over demand
 //    expressions (constants or outer variables). The white-box search
 //    passes it through emit_kkt, and the KKT primal heuristic solves it
-//    at fixed outer values (kkt::solve_inner_at).
+//    at fixed outer values (kkt::InnerLp).
 //  * MaxFlowLp is the direct-solve form: one LP per (topology, path
 //    set) whose demands, pair masks and capacities are all column
 //    bounds. Every direct solve (the gap oracles, solve_max_flow and the
@@ -34,10 +34,6 @@
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "te/path_set.h"
-
-namespace metaopt::lp {
-class WarmStartContext;
-}  // namespace metaopt::lp
 
 namespace metaopt::te {
 
@@ -116,10 +112,10 @@ std::vector<double> edge_loads(const net::Topology& topo, const PathSet& paths,
 /// any other solve on the same object.
 ///
 /// Thread-safety: solve() is const and may run concurrently. Each call
-/// borrows a revised-simplex context from a mutex-guarded free list and
-/// returns it afterwards; a cold solve, and a warm solve from a given
-/// hint, are pure functions of (bounds, hint), so which context serves
-/// a call never changes its answer.
+/// borrows a revised-simplex context from an lp::WarmStartPool; a cold
+/// solve, and a warm solve from a given hint, are pure functions of
+/// (bounds, hint), so which context serves a call never changes its
+/// answer.
 class MaxFlowLp {
  public:
   MaxFlowLp(const net::Topology& topo, const PathSet& paths);
@@ -139,8 +135,7 @@ class MaxFlowLp {
   [[nodiscard]] const PathSet& paths() const { return paths_; }
 
  private:
-  struct Structure;  ///< the model and its column maps
-  class Lease;       ///< one solve's context, borrowed from free_
+  struct Structure;  ///< the model, its column maps and context pool
 
   /// Builds the structure on first use (oracles are often constructed
   /// and never, or only later, evaluated).
@@ -150,8 +145,6 @@ class MaxFlowLp {
   const PathSet& paths_;
   mutable std::once_flag built_;
   mutable std::unique_ptr<const Structure> structure_;
-  mutable std::mutex mutex_;  ///< guards free_
-  mutable std::vector<std::unique_ptr<lp::WarmStartContext>> free_;
 };
 
 /// Solves OptMaxFlow directly for concrete demand volumes (one cold

@@ -188,10 +188,10 @@ TEST(FfdEncoding, CompletedPointSatisfiesWholeSingleShotModel) {
                         f.enc.bins_used - art.objective_expr);
   std::vector<double> assign(f.model.num_vars(), 0.0);
   ASSERT_TRUE(complete_ffd_assignment(f.enc, kGapOne, assign).has_value());
-  const kkt::ParametricSolve ps =
-      kkt::solve_inner_at(f.enc.inner, f.model, assign);
+  const kkt::InnerLp lp(f.enc.inner, f.model);
+  const kkt::ParametricSolve ps = lp.solve(assign);
   ASSERT_TRUE(ps.ok());
-  ASSERT_TRUE(kkt::assemble_kkt_point(f.model, f.enc.inner, art, ps, assign));
+  ASSERT_TRUE(kkt::assemble_kkt_point(lp, art, ps, assign));
   EXPECT_NEAR(f.model.max_violation(assign), 0.0, 1e-7);
   // Surrogate objective at this point: 3 bins - volume bound max(1, 2.0).
   EXPECT_NEAR(f.model.objective_value(assign), 1.0, 1e-7);

@@ -9,12 +9,15 @@
 // Cases that prove optimality are rerun at four B&B threads and must
 // prove the same gap and bound. The node count may differ there, and so
 // may the witness when the optimum has ties, so the four-thread witness
-// is re-scored by direct solves instead of compared.
+// is re-scored by direct solves instead of compared. Every case runs
+// with metrics on and must never reach the dense tableau: no ladder
+// solve falls back to it and no solve pivots on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "binpack/binpack.h"
 #include "core/adversarial.h"
 #include "net/topologies.h"
+#include "obs/metrics.h"
 #include "te/client_split.h"
 #include "te/demand.h"
 #include "te/gap.h"
@@ -68,6 +72,33 @@ void expect_same_answer(
   EXPECT_NEAR(rescore(r.volumes), r.gap, 1e-6);
 }
 
+/// Records metrics across each case and checks that no solve used the
+/// dense tableau.
+class FindGolden : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    obs::set_enabled(true);
+    before_ = obs::snapshot();
+  }
+  void TearDown() override {
+    const obs::MetricsSnapshot d = obs::diff(before_, obs::snapshot());
+    obs::set_enabled(false);
+    if (!obs::kCompiledIn) return;
+    EXPECT_GT(count(d, "simplex.solves"), 0.0);
+    EXPECT_EQ(count(d, "simplex.tableau_fallbacks"), 0.0);
+    EXPECT_EQ(count(d, "simplex.pivots"), 0.0);  // tableau pivots
+  }
+
+ private:
+  static double count(const obs::MetricsSnapshot& snap,
+                      const std::string& name) {
+    const obs::MetricValue* m = snap.find(name);
+    return m == nullptr ? 0.0 : m->value;
+  }
+
+  obs::MetricsSnapshot before_;
+};
+
 core::AdversarialOptions fixed_work(double demand_ub, long max_nodes,
                                     int threads = 1) {
   core::AdversarialOptions o;
@@ -87,7 +118,7 @@ struct Fig1 {
   core::AdversarialGapFinder finder{topo, paths};
 };
 
-TEST(FindGolden, DpFig1ProvesGap100) {
+TEST_F(FindGolden, DpFig1ProvesGap100) {
   const Fig1 f;
   te::DpConfig dp;
   dp.threshold = 50.0;
@@ -98,7 +129,7 @@ TEST(FindGolden, DpFig1ProvesGap100) {
                     {100.0, 50.0, 0.0, 110.0, 0.0, 0.0}});
 }
 
-TEST(FindGolden, DpAbileneMaskedAtNodeBudget) {
+TEST_F(FindGolden, DpAbileneMaskedAtNodeBudget) {
   const net::Topology topo = net::topologies::abilene();
   const te::PathSet paths(topo, te::all_pairs(topo), 2);
   const core::AdversarialGapFinder finder(topo, paths);
@@ -120,7 +151,7 @@ TEST(FindGolden, DpAbileneMaskedAtNodeBudget) {
                     5850.0, {576, 22, 354, 222, 1384}, volumes});
 }
 
-TEST(FindGolden, PopMeanProvesOnFig1) {
+TEST_F(FindGolden, PopMeanProvesOnFig1) {
   const Fig1 f;
   te::PopConfig pop;
   pop.num_partitions = 2;
@@ -136,7 +167,7 @@ TEST(FindGolden, PopMeanProvesOnFig1) {
       [&](const std::vector<double>& v) { return oracle.evaluate(v).gap(); });
 }
 
-TEST(FindGolden, PopPercentileProvesOnFig1) {
+TEST_F(FindGolden, PopPercentileProvesOnFig1) {
   const Fig1 f;
   te::PopConfig pop;
   pop.num_partitions = 2;
@@ -159,7 +190,7 @@ TEST(FindGolden, PopPercentileProvesOnFig1) {
       });
 }
 
-TEST(FindGolden, PopClientSplitProvesOnFig1) {
+TEST_F(FindGolden, PopClientSplitProvesOnFig1) {
   const Fig1 f;
   te::PopConfig pop;
   pop.num_partitions = 2;
@@ -188,7 +219,7 @@ TEST(FindGolden, PopClientSplitProvesOnFig1) {
       });
 }
 
-TEST(FindGolden, FfdProvesOnSixItems) {
+TEST_F(FindGolden, FfdProvesOnSixItems) {
   binpack::BinPackConfig config;
   config.items = 6;
   heur::FindOptions options;
