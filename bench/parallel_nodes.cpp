@@ -65,8 +65,9 @@ void ParallelNodes(benchmark::State& state) {
     instances.push_back({"fig1/t" + std::to_string(static_cast<int>(threshold)),
                          net::topologies::fig1(), threshold, 200.0});
   }
-  // demand_ub 0 = "max link capacity"; 6 adversarial pairs keep the
-  // ring tree provably closable (see warmstart_nodes.cpp).
+  // demand_ub 0 = "max link capacity" (the tight 200 box zeroes the
+  // gap); 6 adversarial pairs keep the tree provably closable — the
+  // unrestricted ring times out even at full budget in Debug builds.
   instances.push_back({"ring6/t50", net::topologies::circulant(6, 1), 50.0,
                        0.0, 6});
 

@@ -4,7 +4,7 @@
 // hand-rolled simplex and branch-and-bound behind them: a silent
 // numerical bug would fabricate or hide gaps with no visible failure.
 // The certifier re-verifies a reported solution *from the raw model* —
-// no tableau, no basis, no solver internals — so a passing certificate
+// no basis, no factorization, no solver internals — so a passing certificate
 // is evidence independent of the code path that produced the solution.
 //
 // certify_lp checks the four KKT pillars of the continuous relaxation:

@@ -50,10 +50,7 @@ bool BasisFactor::factorize(const BoundedForm& form,
                       : 1;
   }
 
-  const bool ok = kind_ == FactorKind::DenseInverse
-                      ? factorize_dense(form, basic, pivot_tol)
-                      : factorize_sparse(form, basic, pivot_tol);
-  if (!ok) return false;
+  if (!factorize_lu(form, basic, pivot_tol)) return false;
   m_ = m;
   h_fillin_ratio.observe(
       static_cast<std::uint64_t>(std::llround(fillin_ratio() * 100.0)));
@@ -63,121 +60,20 @@ bool BasisFactor::factorize(const BoundedForm& form,
 
 double BasisFactor::fillin_ratio() const {
   if (m_ == 0) return 1.0;
-  const double stored = kind_ == FactorKind::DenseInverse
-                            ? static_cast<double>(m_) * m_
-                            : static_cast<double>(lu_nnz_ + eta_nnz_);
-  return stored / std::max(1, basis_nnz_);
+  return static_cast<double>(lu_nnz_ + eta_nnz_) / std::max(1, basis_nnz_);
 }
 
 bool BasisFactor::fillin_triggered() const {
-  if (kind_ != FactorKind::SparseLU || m_ == 0) return false;
+  if (m_ == 0) return false;
   return static_cast<double>(eta_nnz_) > kEtaFillFactor * (lu_nnz_ + m_);
 }
 
 // ---------------------------------------------------------------------------
-// Dense kind: explicit inverse via Gauss-Jordan, product-form updates.
+// Left-looking LU with Markowitz-threshold pivoting and a symbolic reach
+// per column.
 // ---------------------------------------------------------------------------
 
-bool BasisFactor::factorize_dense(const BoundedForm& form,
-                                  const std::vector<int>& basic,
-                                  double pivot_tol) {
-  const int m = form.num_rows;
-
-  // Assemble B column-by-column into `scratch_` (row-major m x m) and
-  // reduce [B | I] by Gauss-Jordan with partial pivoting, leaving the
-  // inverse in inv_.
-  scratch_.assign(static_cast<std::size_t>(m) * m, 0.0);
-  inv_.assign(static_cast<std::size_t>(m) * m, 0.0);
-  for (int k = 0; k < m; ++k) {
-    const int j = basic[k];
-    if (j < form.num_structs) {
-      for (int t = form.col_start[j]; t < form.col_start[j + 1]; ++t) {
-        scratch_[static_cast<std::size_t>(form.col_row[t]) * m + k] =
-            form.col_val[t];
-      }
-    } else {
-      // Logical and artificial columns are both +e_row.
-      const int row = j < form.num_structs + form.num_rows
-                          ? j - form.num_structs
-                          : j - form.num_structs - form.num_rows;
-      scratch_[static_cast<std::size_t>(row) * m + k] = 1.0;
-    }
-    inv_[static_cast<std::size_t>(k) * m + k] = 1.0;
-  }
-
-  double* b = scratch_.data();
-  double* inv = inv_.data();
-  for (int col = 0; col < m; ++col) {
-    int pivot_row = -1;
-    double best = pivot_tol;
-    for (int i = col; i < m; ++i) {
-      const double a = std::abs(b[static_cast<std::size_t>(i) * m + col]);
-      if (a > best) {
-        best = a;
-        pivot_row = i;
-      }
-    }
-    if (pivot_row < 0) return false;
-    if (pivot_row != col) {
-      for (int k = 0; k < m; ++k) {
-        std::swap(b[static_cast<std::size_t>(pivot_row) * m + k],
-                  b[static_cast<std::size_t>(col) * m + k]);
-        std::swap(inv[static_cast<std::size_t>(pivot_row) * m + k],
-                  inv[static_cast<std::size_t>(col) * m + k]);
-      }
-    }
-    const double piv = b[static_cast<std::size_t>(col) * m + col];
-    const double scale = 1.0 / piv;
-    for (int k = 0; k < m; ++k) {
-      b[static_cast<std::size_t>(col) * m + k] *= scale;
-      inv[static_cast<std::size_t>(col) * m + k] *= scale;
-    }
-    for (int i = 0; i < m; ++i) {
-      if (i == col) continue;
-      const double factor = b[static_cast<std::size_t>(i) * m + col];
-      if (factor == 0.0) continue;
-      for (int k = 0; k < m; ++k) {
-        b[static_cast<std::size_t>(i) * m + k] -=
-            factor * b[static_cast<std::size_t>(col) * m + k];
-        inv[static_cast<std::size_t>(i) * m + k] -=
-            factor * inv[static_cast<std::size_t>(col) * m + k];
-      }
-    }
-  }
-  return true;
-}
-
-void BasisFactor::ftran_dense(std::vector<double>& x) const {
-  work_.assign(m_, 0.0);
-  const double* inv = inv_.data();
-  for (int i = 0; i < m_; ++i) {
-    const double* row = inv + static_cast<std::size_t>(i) * m_;
-    double acc = 0.0;
-    for (int k = 0; k < m_; ++k) acc += row[k] * x[k];
-    work_[i] = acc;
-  }
-  for (int i = 0; i < m_; ++i) x[i] = work_[i];
-}
-
-void BasisFactor::btran_dense(std::vector<double>& x) const {
-  work_.assign(m_, 0.0);
-  const double* inv = inv_.data();
-  // y = inv' x: accumulate each row of inv scaled by x[i].
-  for (int i = 0; i < m_; ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const double* row = inv + static_cast<std::size_t>(i) * m_;
-    for (int k = 0; k < m_; ++k) work_[k] += xi * row[k];
-  }
-  for (int i = 0; i < m_; ++i) x[i] = work_[i];
-}
-
-// ---------------------------------------------------------------------------
-// Sparse kind: left-looking LU with Markowitz-threshold pivoting and a
-// symbolic reach per column.
-// ---------------------------------------------------------------------------
-
-bool BasisFactor::factorize_sparse(const BoundedForm& form,
+bool BasisFactor::factorize_lu(const BoundedForm& form,
                                    const std::vector<int>& basic,
                                    double pivot_tol) {
   const int m = form.num_rows;
@@ -348,7 +244,8 @@ bool BasisFactor::factorize_sparse(const BoundedForm& form,
   return true;
 }
 
-void BasisFactor::ftran_sparse(std::vector<double>& x) const {
+void BasisFactor::ftran(std::vector<double>& x) const {
+  if (m_ == 0) return;
   // Forward: L y = P x, in original row space.
   for (int k = 0; k < m_; ++k) {
     const double xk = x[pivrow_[k]];
@@ -379,7 +276,8 @@ void BasisFactor::ftran_sparse(std::vector<double>& x) const {
   }
 }
 
-void BasisFactor::btran_sparse(std::vector<double>& x) const {
+void BasisFactor::btran(std::vector<double>& x) const {
+  if (m_ == 0) return;
   // Eta transposes, newest first.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
     double acc = x[it->r];
@@ -409,49 +307,11 @@ void BasisFactor::btran_sparse(std::vector<double>& x) const {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Shared interface.
-// ---------------------------------------------------------------------------
-
-void BasisFactor::ftran(std::vector<double>& x) const {
-  if (m_ == 0) return;
-  if (kind_ == FactorKind::DenseInverse) {
-    ftran_dense(x);
-  } else {
-    ftran_sparse(x);
-  }
-}
-
-void BasisFactor::btran(std::vector<double>& x) const {
-  if (m_ == 0) return;
-  if (kind_ == FactorKind::DenseInverse) {
-    btran_dense(x);
-  } else {
-    btran_sparse(x);
-  }
-}
-
 bool BasisFactor::update(int r, const std::vector<double>& w,
                          double pivot_tol) {
   if (m_ == 0) return false;
   const double piv = w[r];
   if (std::abs(piv) <= pivot_tol) return false;
-
-  if (kind_ == FactorKind::DenseInverse) {
-    double* inv = inv_.data();
-    const double scale = 1.0 / piv;
-    double* row_r = inv + static_cast<std::size_t>(r) * m_;
-    for (int k = 0; k < m_; ++k) row_r[k] *= scale;
-    for (int i = 0; i < m_; ++i) {
-      if (i == r) continue;
-      const double factor = w[i];
-      if (factor == 0.0) continue;
-      double* row_i = inv + static_cast<std::size_t>(i) * m_;
-      for (int k = 0; k < m_; ++k) row_i[k] -= factor * row_r[k];
-    }
-    ++pivots_;
-    return true;
-  }
 
   Eta eta;
   eta.r = r;

@@ -14,32 +14,25 @@
 // different threads; each worker's own engine copies the statuses into
 // private scratch before pivoting.
 //
-// `BasisFactor` comes in two kinds behind one interface:
+// `BasisFactor` is a sparse LU factorization built column-by-column
+// (left-looking) with Markowitz-threshold pivoting: columns are
+// eliminated cheapest-first (ascending nonzero count) and the pivot row
+// is the fewest-nonzeros row among those within a threshold factor of
+// the largest candidate magnitude, so fill-in stays near the
+// network-flow sparsity of the KKT-rewritten models. Each column visits
+// only the earlier steps in its symbolic reach (Gilbert–Peierls), so a
+// factorization costs O(m + nnz(B)) plus time proportional to the
+// factor's nonzeros and the arithmetic on them (and a sort of each
+// column's reach), not O(m^2) step visits. Basis exchanges append
+// sparse eta vectors (the product-form / Forrest–Tomlin eta
+// representation: one elementary transform per pivot, applied after the
+// LU solve in ftran and before it in btran). The eta file is monitored
+// for fill-in: when its nonzeros outgrow the LU factors,
+// needs_refactor() fires and the solver rebuilds from scratch — the
+// fill-in-triggered refactorize that keeps updates from degenerating
+// into a dense product form.
 //
-//  * FactorKind::SparseLU (default) — a sparse LU factorization built
-//    column-by-column (left-looking) with Markowitz-threshold pivoting:
-//    columns are eliminated cheapest-first (ascending nonzero count)
-//    and the pivot row is the fewest-nonzeros row among those within a
-//    threshold factor of the largest candidate magnitude, so fill-in
-//    stays near the network-flow sparsity of the KKT-rewritten models.
-//    Each column visits only the earlier steps in its symbolic reach
-//    (Gilbert–Peierls), so a factorization costs O(m + nnz(B)) plus
-//    time proportional to the factor's nonzeros and the arithmetic on
-//    them (and a sort of each column's reach), not O(m^2) step visits.
-//    Basis exchanges append sparse eta vectors (the product-form /
-//    Forrest–Tomlin eta representation: one elementary transform per
-//    pivot, applied after the LU solve in ftran and before it in
-//    btran). The eta file is monitored for fill-in: when its nonzeros
-//    outgrow the LU factors, needs_refactor() fires and the solver
-//    rebuilds from scratch — the fill-in-triggered refactorize that
-//    keeps updates from degenerating into a dense product form.
-//
-//  * FactorKind::DenseInverse — the original explicit dense inverse
-//    (Gauss-Jordan O(m^3) refactorize, O(m^2) product-form updates).
-//    Kept verbatim as the differential-testing and benchmarking
-//    baseline; the fuzz harness solves every instance both ways.
-//
-// Either kind drifts with updates, so the solver refactorizes every
+// The factor drifts with updates, so the solver refactorizes every
 // kRefactorInterval pivots (or at the fill-in trigger) and runs a
 // residual accuracy check before trusting a terminal point (see
 // revised_simplex.cpp).
@@ -48,7 +41,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "lp/standard_form.h"
+#include "lp/bounded_form.h"
 
 namespace metaopt::lp {
 
@@ -75,20 +68,14 @@ struct Basis {
   }
 };
 
-/// Which factorization backs a BasisFactor.
-enum class FactorKind : std::uint8_t {
-  SparseLU,      ///< sparse LU + eta file (default)
-  DenseInverse,  ///< explicit dense inverse (differential baseline)
-};
-
 /// Pivots between full refactorizations. Eta/product-form updates cost
 /// little but accumulate roundoff; a periodic rebuild keeps the factor
 /// honest (and the accuracy check catches the rare escape).
 inline constexpr int kRefactorInterval = 64;
 
 /// Eta-file fill-in trigger: refactorize once the eta nonzeros exceed
-/// this multiple of (LU nonzeros + m). Each refactorization is cheap for
-/// the sparse kind, so the trigger is tight — past this point applying
+/// this multiple of (LU nonzeros + m). Each refactorization is cheap,
+/// so the trigger is tight — past this point applying
 /// the eta file costs more than a fresh factorization would.
 inline constexpr double kEtaFillFactor = 1.0;
 
@@ -98,13 +85,10 @@ inline constexpr double kEtaFillFactor = 1.0;
 /// the textbook and HiGHS/SuiteSparse default neighborhood).
 inline constexpr double kMarkowitzThreshold = 0.1;
 
-/// Factorization of the basis matrix of a BoundedForm (see file header
-/// for the two kinds).
+/// Sparse LU factorization of the basis matrix of a BoundedForm (see
+/// file header).
 class BasisFactor {
  public:
-  explicit BasisFactor(FactorKind kind = FactorKind::SparseLU)
-      : kind_(kind) {}
-
   /// Factorizes the basis given by `basic` (column ids, one per row;
   /// order defines the position <-> row mapping). Returns false when the
   /// matrix is numerically singular — the caller must repair or fall
@@ -125,18 +109,17 @@ class BasisFactor {
   /// update would divide by numerical dust).
   bool update(int r, const std::vector<double>& w, double pivot_tol);
 
-  [[nodiscard]] FactorKind kind() const { return kind_; }
   [[nodiscard]] bool valid() const { return m_ > 0 || factorized_empty_; }
   [[nodiscard]] int pivots_since_factor() const { return pivots_; }
 
-  /// Eta vectors appended since the last factorize (sparse kind only).
+  /// Eta vectors appended since the last factorize.
   [[nodiscard]] int eta_count() const { return static_cast<int>(etas_.size()); }
 
   /// (LU + eta nonzeros) / basis-matrix nonzeros — 1.0 means "no fill at
-  /// all"; the dense kind reports m^2 / basis nonzeros.
+  /// all".
   [[nodiscard]] double fillin_ratio() const;
 
-  /// True once the eta file outgrew the LU factors (sparse kind only);
+  /// True once the eta file outgrew the LU factors;
   /// cleared by the next factorize().
   [[nodiscard]] bool fillin_triggered() const;
 
@@ -145,27 +128,15 @@ class BasisFactor {
   }
 
  private:
-  bool factorize_dense(const BoundedForm& form, const std::vector<int>& basic,
-                       double pivot_tol);
-  bool factorize_sparse(const BoundedForm& form, const std::vector<int>& basic,
-                        double pivot_tol);
-  void ftran_dense(std::vector<double>& x) const;
-  void btran_dense(std::vector<double>& x) const;
-  void ftran_sparse(std::vector<double>& x) const;
-  void btran_sparse(std::vector<double>& x) const;
+  bool factorize_lu(const BoundedForm& form, const std::vector<int>& basic,
+                    double pivot_tol);
 
-  FactorKind kind_;
   int m_ = 0;
   int pivots_ = 0;
   bool factorized_empty_ = false;
   int basis_nnz_ = 0;  ///< nonzeros of the factorized basis matrix
 
-  // ---- dense kind ----
-  std::vector<double> inv_;  // row-major m x m
-  std::vector<double> scratch_;
-  mutable std::vector<double> work_;
-
-  // ---- sparse kind: PBQ = LU in elimination-step order ----
+  // PBQ = LU in elimination-step order.
   // Step k eliminates basis position col_of_step_[k] with pivot row
   // pivrow_[k]. L is unit lower triangular: lcol_[lstart_[k]..) holds
   // (original row, multiplier) strictly below the diagonal. U is upper
@@ -192,7 +163,7 @@ class BasisFactor {
   int eta_nnz_ = 0;
   int lu_nnz_ = 0;
 
-  // factorization scratch (sparse kind); reached_ is reset through
+  // factorization scratch; reached_ is reset through
   // reach_ after each column, not by an O(m) clear
   std::vector<double> fwork_;
   std::vector<int> ftouched_;

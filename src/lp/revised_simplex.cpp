@@ -42,12 +42,11 @@ double hash01(std::uint64_t x) {
 
 }  // namespace
 
-RevisedSimplex::RevisedSimplex(const BoundedForm& form, FactorKind factor)
+RevisedSimplex::RevisedSimplex(const BoundedForm& form)
     : form_(form),
       n_(form.num_structs),
       m_(form.num_rows),
-      total_(form.num_cols()),
-      factor_(factor) {
+      total_(form.num_cols()) {
   cost2_.assign(total_, 0.0);
   for (int j = 0; j < n_; ++j) cost2_[j] = form_.cost[j];
   cl_.assign(total_, 0.0);
@@ -144,7 +143,7 @@ void RevisedSimplex::compute_y(const std::vector<double>& cost,
 bool RevisedSimplex::accuracy_ok(double feas_tol) const {
   // Terminal safety net against product-form drift: bounds and row
   // residuals must hold at a loose multiple of the feasibility
-  // tolerance, else the result is discarded (Error -> fallback).
+  // tolerance, else the result is discarded (Error).
   const double tol = 10.0 * feas_tol;
   for (int j = 0; j < total_; ++j) {
     const double xj = x_[j];
@@ -655,8 +654,8 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
     // epsilon-sized) primal violations — costs never changed, so the
     // basis is still dual feasible. Unboundedness survives restoration
     // (the recession cone ignores bound offsets); a cleanup that ends
-    // Infeasible contradicts phase 1 and is reported as Error so the
-    // fallback ladder re-solves without trusting it.
+    // Infeasible contradicts phase 1 and is reported as Error rather
+    // than trusted.
     remove_perturbation();
     if (st == SolveStatus::Optimal) {
       for (int j = 0; j < total_; ++j) {

@@ -10,12 +10,12 @@
 //     tightening (costs and matrix are untouched), so a branch-and-bound
 //     child re-solves in a handful of dual pivots instead of a full
 //     two-phase cold start. Unusable hints (singular basis, lost dual
-//     feasibility) return Error and the caller falls back.
+//     feasibility) return Error and the caller solves cold instead.
 //
 // The engine keeps the factorization of the last basis it touched:
 // when the next warm solve's hint matches (the common case while the
 // search plunges) and the factor is pristine (no product-form updates
-// since the last full factorize), the O(m^3) refactorization is skipped
+// since the last full factorize), the refactorization is skipped
 // entirely. The pristine gate makes every solve a pure function of
 // (bounds, hint) — bit-identical whether or not the cache hit — which
 // is what lets the parallel branch-and-bound explore the *same* tree
@@ -41,7 +41,7 @@
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "lp/solution.h"
-#include "lp/standard_form.h"
+#include "lp/bounded_form.h"
 #include "util/stopwatch.h"
 
 namespace metaopt::lp {
@@ -49,14 +49,12 @@ namespace metaopt::lp {
 class RevisedSimplex {
  public:
   /// `form` must outlive the engine (WarmStartContext owns both).
-  /// `factor` picks the basis factorization backend — sparse LU by
-  /// default, the dense inverse for differential tests and benchmarks.
-  explicit RevisedSimplex(const BoundedForm& form,
-                          FactorKind factor = FactorKind::SparseLU);
+  explicit RevisedSimplex(const BoundedForm& form);
 
   /// Cold solve with the given model-space variable bounds (size
   /// num_structs). Optimal/Infeasible/Unbounded are trustworthy;
-  /// Error means "fall back to the tableau solver".
+  /// Error means the engine could not reach a trustworthy terminal point
+  /// (singular basis, failed accuracy check) and has no answer.
   SolveStatus solve_cold(const SimplexOptions& opt,
                          const std::vector<double>& lb,
                          const std::vector<double>& ub, long* iterations);
@@ -163,9 +161,8 @@ class RevisedSimplex {
 /// published as shared_ptr<const Basis>.
 class WarmStartContext {
  public:
-  explicit WarmStartContext(const Model& model,
-                            FactorKind factor = FactorKind::SparseLU)
-      : form(BoundedForm::build(model)), engine(form, factor) {}
+  explicit WarmStartContext(const Model& model)
+      : form(BoundedForm::build(model)), engine(form) {}
   WarmStartContext(const WarmStartContext&) = delete;
   WarmStartContext& operator=(const WarmStartContext&) = delete;
 
@@ -176,12 +173,12 @@ class WarmStartContext {
   /// null solves cold through the revised core).
   const Basis* hint = nullptr;
 
-  enum class Path { WarmDual, ColdRevised, Tableau };
+  enum class Path { WarmDual, ColdRevised };
   /// Which ladder rung produced the last solve's answer.
-  Path last_path = Path::Tableau;
+  Path last_path = Path::ColdRevised;
 
-  /// Optimal basis of the last revised solve (null when the tableau
-  /// fallback answered or the solve was not Optimal).
+  /// Optimal basis of the last solve (null when the solve was not
+  /// Optimal or its optimum failed certification).
   [[nodiscard]] std::shared_ptr<const Basis> take_result() {
     return std::move(result_);
   }

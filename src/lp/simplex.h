@@ -1,31 +1,21 @@
-// The LP solver front end, SimplexSolver, with two engines behind it.
+// The LP solver front end, SimplexSolver, over one engine: the revised
+// simplex core (lp/revised_simplex.h) on the bounds-kept BoundedForm
+// with a sparse LU basis factorization (lp/basis.h).
 //
-//  * The warm-start overload of solve_with_bounds runs the revised
-//    simplex core (lp/revised_simplex.h) through a three-rung fallback
-//    ladder. Every product solve takes this path: branch-and-bound node
-//    LPs, the TE direct solves (te::MaxFlowLp) and the KKT primal
-//    heuristic's inner solves (kkt::InnerLp).
-//  * solve() and the two-argument solve_with_bounds run a two-phase
-//    dense-tableau primal simplex over the StandardForm program. It is
-//    the ladder's last rung and the differential baseline for tests
-//    and for branch-and-bound with MipOptions::use_warm_start off
-//    (bench/warmstart_nodes).
-//
-// The tableau handles LessEqual and Equal rows, negative right-hand
-// sides (via row scaling + artificials), degenerate cycling (Dantzig
-// pricing with a permanent switch to Bland's rule after a stall),
-// infeasibility and unboundedness detection, and optimal dual /
-// reduced-cost extraction.
+// Every product solve goes through the warm-start overload of
+// solve_with_bounds: branch-and-bound node LPs, the TE direct solves
+// (te::MaxFlowLp) and the KKT primal heuristic's inner solves
+// (kkt::InnerLp). solve() is the one-shot entry point, a cold revised
+// solve through a local WarmStartContext.
 //
 // Metrics: every public solve counts once in simplex.solves and the
-// simplex.solve span, whichever rung answers it; simplex.tableau_fallbacks
-// counts warm-start-overload solves that dropped to the tableau rung.
+// simplex.solve span; simplex.warm_solves, simplex.warm_fallbacks and
+// simplex.cold_revised_solves say which rung answered it.
 // Certification runs inside the simplex.certify span.
 #pragma once
 
 #include "lp/model.h"
 #include "lp/solution.h"
-#include "lp/standard_form.h"
 #include "util/tolerances.h"
 
 namespace metaopt::lp {
@@ -67,23 +57,21 @@ class SimplexSolver {
   explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
 
   /// Solves the continuous linear relaxation of `model` (binaries are
-  /// relaxed to their boxes; complementarity pairs are ignored).
+  /// relaxed to their boxes; complementarity pairs are ignored): a cold
+  /// solve_with_bounds at the model's own bounds.
   [[nodiscard]] Solution solve(const Model& model) const;
 
-  /// Same, with per-variable bound overrides (size model.num_vars()).
-  [[nodiscard]] Solution solve_with_bounds(const Model& model,
-                                           const std::vector<double>& lb,
-                                           const std::vector<double>& ub) const;
-
-  /// Same, through the warm-started revised simplex core. Rungs of a
-  /// fallback ladder, first trustworthy answer wins:
-  ///   1. bounded dual simplex from `warm.hint` (when non-null),
-  ///   2. cold revised simplex,
-  ///   3. the dense-tableau solver above (always succeeds or reports
-  ///      honestly — same contract as the two-argument overload;
-  ///      counted in simplex.tableau_fallbacks).
-  /// Records the winning rung in warm.last_path and, when a revised rung
-  /// proved optimality, the optimal basis in warm (take_result()).
+  /// Same, with per-variable bound overrides (size model.num_vars()),
+  /// through the warm-started revised simplex core. Two rungs, first
+  /// accepted answer wins:
+  ///   1. bounded dual simplex from `warm.hint` (when non-null); an
+  ///      unusable hint (Error, IterationLimit) or an optimum the
+  ///      certifier rejects drops to rung 2,
+  ///   2. cold revised simplex, whose answer is final: Error and
+  ///      IterationLimit come back as-is (no values), and a rejected
+  ///      optimum comes back with certified == false (already logged).
+  /// Records the answering rung in warm.last_path and, when it proved
+  /// optimality, the optimal basis in warm (take_result()).
   [[nodiscard]] Solution solve_with_bounds(const Model& model,
                                            const std::vector<double>& lb,
                                            const std::vector<double>& ub,
@@ -96,26 +84,19 @@ class SimplexSolver {
   void set_time_limit(double seconds) { options_.time_limit_seconds = seconds; }
 
  private:
-  Solution solve_standard(const StandardForm& sf, const Model& model) const;
-
-  /// The tableau path of the two-argument overload, uncounted (the
-  /// public entry points own the solve metrics).
-  Solution solve_tableau(const Model& model, const std::vector<double>& lb,
-                         const std::vector<double>& ub) const;
-
   /// One revised-simplex rung (warm when use_hint, else cold). Sets
   /// *accepted when the result can be returned as-is; otherwise the
-  /// caller drops to the next rung.
+  /// caller drops to the cold rung.
   Solution solve_revised(const Model& model, const std::vector<double>& lb,
                          const std::vector<double>& ub, WarmStartContext& warm,
                          bool use_hint, bool* accepted) const;
 
   /// When options_.certify is set, runs check::certify_lp on an Optimal
-  /// `sol` against `model` (with `lb`/`ub` overriding the model bounds
-  /// when non-null) and records the verdict in sol.certified.
+  /// `sol` against `model` with `lb`/`ub` overriding the model bounds
+  /// and records the verdict in sol.certified.
   void maybe_certify(const Model& model, Solution& sol,
-                     const std::vector<double>* lb,
-                     const std::vector<double>* ub) const;
+                     const std::vector<double>& lb,
+                     const std::vector<double>& ub) const;
 
   SimplexOptions options_;
 };

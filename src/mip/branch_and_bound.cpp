@@ -74,7 +74,8 @@ struct Node {
   double bound = 0.0;  ///< parent relaxation objective (valid for children)
   int depth = 0;
   /// Parent's optimal basis (statuses only, shared across siblings);
-  /// null when the parent's answer came from the tableau fallback.
+  /// null at the root, below an unbounded parent, and when the parent's
+  /// optimum failed certification.
   std::shared_ptr<const lp::Basis> basis;
 
   /// Deep plunges create chains thousands of nodes long; default
@@ -136,17 +137,13 @@ struct QueueEntry {
 /// engine scratch is stateful and must never be shared; only the
 /// immutable Basis objects hanging off nodes cross threads.
 struct WorkerState {
-  explicit WorkerState(const lp::SimplexOptions& lp_opts, const Model& model,
-                       bool use_warm_start, lp::FactorKind factor)
-      : solver(lp_opts) {
+  WorkerState(const lp::SimplexOptions& lp_opts, const Model& model)
+      : solver(lp_opts), warm(model) {
     c_solver_instances.inc();
-    if (use_warm_start) {
-      warm = std::make_unique<lp::WarmStartContext>(model, factor);
-    }
   }
 
   lp::SimplexSolver solver;
-  std::unique_ptr<lp::WarmStartContext> warm;
+  lp::WarmStartContext warm;
   lp::PresolveResult pre;
   std::vector<double> lbs, ubs;
   long nodes = 0;
@@ -228,9 +225,12 @@ class TreeSearch {
   long seq_ = 0;
   long nodes_ = 0;      ///< explored (popped and not bound-pruned at pop)
   int in_flight_ = 0;   ///< popped, still being processed by a worker
-  /// Best dir-score among nodes a worker had popped when a stop cut the
-  /// processing short (LP time-limit) — still "open" for bound purposes.
+  /// Best dir-score among popped nodes whose processing was cut short
+  /// (LP time-limit stop or failed node LP) — still "open" for bound
+  /// purposes.
   double abandoned_score_ = -lp::kInf;
+  /// Some node LP failed, so an exhausted queue proves nothing.
+  bool node_failed_ = false;
   std::exception_ptr worker_error_;
 
   // ---- termination ----
@@ -359,18 +359,13 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
       std::max(0.05, options_.time_limit_seconds - watch_.seconds()));
   ++ws.lp_solves;
   c_lp_solves.inc();
-  std::shared_ptr<const lp::Basis> node_basis;
-  Solution relax;
-  if (ws.warm) {
-    ws.warm->hint = entry.node ? entry.node->basis.get() : nullptr;
-    relax = ws.solver.solve_with_bounds(model_, ws.lbs, ws.ubs, *ws.warm);
-    node_basis = ws.warm->take_result();
-    if (ws.warm->hint != nullptr &&
-        ws.warm->last_path == lp::WarmStartContext::Path::WarmDual) {
-      ++ws.warm_reuse;
-    }
-  } else {
-    relax = ws.solver.solve_with_bounds(model_, ws.lbs, ws.ubs);
+  ws.warm.hint = entry.node ? entry.node->basis.get() : nullptr;
+  const Solution relax =
+      ws.solver.solve_with_bounds(model_, ws.lbs, ws.ubs, ws.warm);
+  const std::shared_ptr<const lp::Basis> node_basis = ws.warm.take_result();
+  if (ws.warm.hint != nullptr &&
+      ws.warm.last_path == lp::WarmStartContext::Path::WarmDual) {
+    ++ws.warm_reuse;
   }
   if (relax.status == SolveStatus::TimeLimit) {
     // The node is abandoned mid-solve: count it, and keep its bound
@@ -438,10 +433,16 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
     request_stop(SolveStatus::Unbounded);
     return;
   }
-  if (!relax.has_solution()) {
+  if (relax.status != SolveStatus::Optimal) {
+    // The LP engine gave no answer (Error, IterationLimit): the subtree
+    // is unexplored, not pruned. Keep its bound open and bar the tree
+    // from claiming a proof (see run()).
     MO_LOG(Warn) << "B&B: node relaxation failed ("
-                 << lp::to_string(relax.status) << "); pruning";
+                 << lp::to_string(relax.status) << "); abandoning node";
     c_failed.inc();
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    abandoned_score_ = std::max(abandoned_score_, entry.score);
+    node_failed_ = true;
     return;
   }
   const double node_bound = relax.objective;
@@ -534,8 +535,7 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
 }
 
 void TreeSearch::worker_loop() {
-  WorkerState ws(lp_opts_, model_, options_.use_warm_start,
-                 options_.lp_factor);
+  WorkerState ws(lp_opts_, model_);
   for (;;) {
     QueueEntry entry;
     {
@@ -712,8 +712,8 @@ Solution TreeSearch::run(int threads) {
   if (inc_have_) {
     best.objective = inc_obj_;
     best.values = std::move(inc_values_);
-    if (stopped_early_) {
-      best.status = stop_reason_ == SolveStatus::TimeLimit
+    if (stopped_early_ || node_failed_) {
+      best.status = stopped_early_ && stop_reason_ == SolveStatus::TimeLimit
                         ? SolveStatus::TimeLimit
                         : SolveStatus::Feasible;
       // Remaining open nodes can sit on the wrong side of the incumbent
@@ -731,6 +731,11 @@ Solution TreeSearch::run(int threads) {
     best.status = SolveStatus::TimeLimit;
     best.best_bound =
         open_score <= -lp::kInf ? dir_ * root_score_ : dir_ * open_score;
+  } else if (node_failed_) {
+    // Exhausted, but over subtrees some failed LPs never explored: no
+    // incumbent proves nothing either way.
+    best.status = SolveStatus::Error;
+    best.best_bound = dir_ * open_score;
   } else {
     best.status = SolveStatus::Infeasible;
   }

@@ -4,11 +4,12 @@
 // constraints that Gurobi models as SOS1 — §3.1).
 //
 // The search is best-bound first. Each node relaxation is a bound change
-// on one per-tree lp::BoundedForm, re-solved by the revised dual simplex
-// from the parent's optimal basis (SimplexSolver's warm-start ladder,
-// whose last rung is the dense tableau). With use_warm_start off every
-// node runs the dense tableau, where fixing a complementarity side to
-// zero substitutes the column away, so deep nodes solve smaller LPs.
+// on one per-worker lp::BoundedForm, re-solved by the revised dual
+// simplex from the parent's optimal basis (SimplexSolver's warm-start
+// ladder: cold revised simplex when there is no usable basis). A node
+// whose LP fails (Error, IterationLimit) is abandoned, not pruned: its
+// bound stays open and the tree can no longer claim Optimal or
+// Infeasible (counted in bnb.nodes_failed).
 //
 // With MipOptions::threads > 1 the same search runs as a worker pool
 // over one shared best-bound queue: per-worker simplex engines, a
@@ -32,7 +33,6 @@
 #include <optional>
 #include <vector>
 
-#include "lp/basis.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
 #include "lp/solution.h"
@@ -57,17 +57,6 @@ struct MipOptions {
   /// infeasible nodes without an LP solve and shrinks node LPs by fixing
   /// variables (big-M indicator rows propagate well).
   bool use_presolve = true;
-  /// Warm-start node relaxations: each child re-solves from its parent's
-  /// optimal basis via the revised dual simplex instead of a cold
-  /// tableau solve (falls back automatically per node when a basis is
-  /// stale or numerically unusable). Off forces every node cold —
-  /// identical answers, useful for differential tests and benchmarks.
-  bool use_warm_start = true;
-  /// Basis factorization backend for the per-worker revised simplex
-  /// engines. Sparse LU is the production default; the dense explicit
-  /// inverse is kept as the differential baseline for tests and the
-  /// dense-vs-sparse node-throughput benchmark.
-  lp::FactorKind lp_factor = lp::FactorKind::SparseLU;
   /// Lint the model before the search and run check::certify_mip on the
   /// final incumbent, recording the outcome in Solution::certified
   /// (failures are logged at Error level). On by default in Debug
@@ -119,9 +108,10 @@ class BranchAndBound {
 
   /// Solves `model` (linear objective; binaries and complementarity pairs
   /// enforced). Returns the best incumbent with `best_bound` set to the
-  /// proven bound. Status: Optimal (gap closed), Feasible (stopped early
-  /// with an incumbent), Infeasible, Unbounded, or TimeLimit (stopped
-  /// early, no incumbent).
+  /// proven bound. Status: Optimal (gap closed), Feasible (stopped early,
+  /// or some node LP failed, with an incumbent), Infeasible, Unbounded,
+  /// TimeLimit (stopped early, no incumbent), or Error (some node LP
+  /// failed and there is no incumbent).
   [[nodiscard]] lp::Solution solve(const lp::Model& model,
                                    const MipCallbacks& callbacks = {}) const;
 

@@ -12,7 +12,7 @@
 //     "timestamp_unix": 1754550000,
 //     "config": {"scale": "1", "threads": "4", ...},   // string map
 //     "wall_seconds": 12.34,
-//     "metrics": {"simplex.pivots": 123, ...},          // snapshot JSON
+//     "metrics": {"simplex.solves": 123, ...},          // snapshot JSON
 //     "summaries": {
 //       "job_wall_seconds": {"count":15,"mean":..,"stddev":..,"min":..,
 //                            "max":..,"sum":..,"p50":..,"p90":..,"p99":..}

@@ -1,6 +1,6 @@
 // Lock-free, thread-sharded metrics registry.
 //
-// Metrics are named hierarchically ("simplex.pivots", "bnb.nodes_explored")
+// Metrics are named hierarchically ("simplex.solves", "bnb.nodes_explored")
 // and come in three kinds:
 //   * Counter   — monotonic per-thread-sharded uint64; add()/inc()
 //   * Gauge     — last-write-wins global double; set()

@@ -2,9 +2,9 @@
 //
 //   obs::set_enabled(true);          // one relaxed-atomic switch
 //   MO_SPAN("simplex.solve");        // RAII span into the trace ring
-//   c_pivots.inc();                  // lock-free sharded counter
+//   c_solves.inc();                  // lock-free sharded counter
 //   obs::record_counter("bnb.incumbent", obj);   // timeline event
-//   obs::snapshot().to_json();       // {"simplex.pivots":123,...}
+//   obs::snapshot().to_json();       // {"simplex.solves":123,...}
 //   obs::write_chrome_trace("trace.json");       // open in Perfetto
 //
 // See metrics.h (registry), trace.h (spans/export), bench_report.h

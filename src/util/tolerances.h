@@ -8,9 +8,9 @@
 // unrelated to the solver would silently drift. Keep them coupled.
 //
 // Rationale for the magnitudes:
-//  * the dense-tableau simplex does O(m*n) arithmetic per pivot on
-//    problems whose data sits around 1e0..1e4 (capacities, demands), so
-//    residuals of ~1e-10..1e-8 per binding row are routine;
+//  * the simplex solves basis systems through an LU factor plus eta
+//    updates on problems whose data sits around 1e0..1e4 (capacities,
+//    demands), so residuals of ~1e-10..1e-8 per binding row are routine;
 //  * branch-and-bound composes simplex answers, so its integrality /
 //    complementarity tolerances sit an order of magnitude looser;
 //  * KKT points assembled from direct solves (kkt/parametric.h) push
@@ -22,8 +22,8 @@ namespace metaopt::tol {
 
 // ---- simplex (lp/simplex.h defaults) ----
 
-/// Minimum magnitude for a tableau pivot element; anything smaller is
-/// treated as zero to avoid dividing by numerical dust.
+/// Minimum magnitude for a pivot element; anything smaller is treated as
+/// zero to avoid dividing by numerical dust.
 inline constexpr double kPivotTol = 1e-9;
 
 /// Phase-1 residual below which the program counts as feasible.
@@ -32,11 +32,10 @@ inline constexpr double kFeasTol = 1e-7;
 /// Reduced-cost threshold for simplex optimality ("dual" tolerance).
 inline constexpr double kCostTol = 1e-9;
 
-// ---- standard form / bound handling ----
+// ---- bound handling ----
 
-/// Bounds closer than this are treated as a fixed variable and the
-/// column is substituted away (lp/standard_form.cpp); also the slack
-/// used when branch-and-bound tests a node's box for emptiness.
+/// Slack used when branch-and-bound tests a node's box for emptiness
+/// (lb > ub + kFixTol).
 inline constexpr double kFixTol = 1e-12;
 
 // ---- branch-and-bound (mip/branch_and_bound.h defaults) ----
@@ -96,7 +95,7 @@ inline constexpr double kBigMWarn = 1e8;
 /// Base tolerance for the LP certificate's scaled primal / dual /
 /// complementary-slackness / objective checks: one order looser than
 /// kFeasTol because the certifier re-accumulates row activities in plain
-/// double sums without the tableau's cancellation structure.
+/// double sums without the solver's cancellation structure.
 inline constexpr double kCertifyTol = 1e-6;
 
 }  // namespace metaopt::tol

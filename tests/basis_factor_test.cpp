@@ -1,10 +1,10 @@
-// Unit tests for BasisFactor: the sparse LU backend against the dense
-// explicit inverse on the same bases (random ones, a chain whose
-// symbolic reach is transitive, and a sparse KKT node basis),
-// the product-form eta update, singular bases, the fill-in-triggered
-// refactorize, the factorization timer, and the factored-set cache key
-// staying in sync across warm solves (regression for the stale-key bug
-// class).
+// Unit tests for BasisFactor: ftran/btran residuals against the
+// explicit basis matrix, ||B ftran(b) - b|| and ||B' btran(c) - c||,
+// on random bases, chains whose symbolic reach is transitive and a
+// sparse KKT node basis, after factorize and after every product-form
+// eta update; singular bases, the fill-in-triggered refactorize, the
+// factorization timer, and the factored-set cache key staying in sync
+// across warm solves (regression for the stale-key bug class).
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -18,7 +18,6 @@
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
-#include "lp/standard_form.h"
 #include "net/topologies.h"
 #include "obs/obs.h"
 #include "te/demand.h"
@@ -32,7 +31,6 @@ namespace {
 
 using lp::BasisFactor;
 using lp::BoundedForm;
-using lp::FactorKind;
 using lp::Model;
 using lp::ObjSense;
 
@@ -63,8 +61,8 @@ Model make_model(util::Rng& rng, int n, int m) {
   return model;
 }
 
-/// A basis mixing structural and logical columns that both backends
-/// accept (falls back toward all-logical until factorization succeeds).
+/// A basis mixing structural and logical columns that factorizes (falls
+/// back toward all-logical until factorization succeeds).
 std::vector<int> pick_basis(const BoundedForm& form, util::Rng& rng) {
   const int m = form.num_rows;
   for (int attempt = 0; attempt < 20; ++attempt) {
@@ -81,12 +79,8 @@ std::vector<int> pick_basis(const BoundedForm& form, util::Rng& rng) {
       }
       basic.push_back(col >= 0 ? col : form.logical_col(i));
     }
-    BasisFactor probe(FactorKind::SparseLU);
-    BasisFactor dense(FactorKind::DenseInverse);
-    if (probe.factorize(form, basic, 1e-9) &&
-        dense.factorize(form, basic, 1e-9)) {
-      return basic;
-    }
+    BasisFactor probe;
+    if (probe.factorize(form, basic, 1e-9)) return basic;
   }
   std::vector<int> logicals;
   for (int i = 0; i < m; ++i) logicals.push_back(form.logical_col(i));
@@ -208,38 +202,105 @@ const std::vector<BasisCase>& structured_cases() {
   return cases;
 }
 
-void expect_vec_near(const std::vector<double>& got,
-                     const std::vector<double>& want, double tol,
-                     const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_NEAR(got[i], want[i], tol) << what << " index " << i;
+/// The basis matrix as an explicit dense m x m array (row-major;
+/// column p is the form column basic[p]), independent of BasisFactor.
+struct DenseBasis {
+  int m = 0;
+  std::vector<double> a;
+
+  DenseBasis(const BoundedForm& form, const std::vector<int>& basic)
+      : m(form.num_rows), a(static_cast<std::size_t>(m) * m, 0.0) {
+    for (int p = 0; p < m; ++p) {
+      const int col = basic[p];
+      if (col < form.num_structs) {
+        for (int t = form.col_start[col]; t < form.col_start[col + 1]; ++t) {
+          at(form.col_row[t], p) += form.col_val[t];
+        }
+      } else {
+        // Logical and artificial columns are both +e_row.
+        const int row = col < form.num_structs + form.num_rows
+                            ? col - form.num_structs
+                            : col - form.num_structs - form.num_rows;
+        at(row, p) += 1.0;
+      }
+    }
+  }
+
+  double& at(int row, int col) {
+    return a[static_cast<std::size_t>(row) * m + col];
+  }
+  [[nodiscard]] double at(int row, int col) const {
+    return a[static_cast<std::size_t>(row) * m + col];
+  }
+
+  /// B x (x by basis position, result by row).
+  [[nodiscard]] std::vector<double> times(const std::vector<double>& x) const {
+    std::vector<double> out(m, 0.0);
+    for (int r = 0; r < m; ++r) {
+      for (int p = 0; p < m; ++p) out[r] += at(r, p) * x[p];
+    }
+    return out;
+  }
+
+  /// B' y (y by row, result by basis position).
+  [[nodiscard]] std::vector<double> transpose_times(
+      const std::vector<double>& y) const {
+    std::vector<double> out(m, 0.0);
+    for (int r = 0; r < m; ++r) {
+      for (int p = 0; p < m; ++p) out[p] += at(r, p) * y[r];
+    }
+    return out;
+  }
+
+  /// The exchange BasisFactor::update(r, w) represents: position r takes
+  /// the column whose ftran image is w, i.e. the column B w.
+  void replace(int r, const std::vector<double>& w) {
+    const std::vector<double> col = times(w);
+    for (int row = 0; row < m; ++row) at(row, r) = col[row];
+  }
+};
+
+double max_abs(const std::vector<double>& v) {
+  double out = 0.0;
+  for (const double x : v) out = std::max(out, std::abs(x));
+  return out;
+}
+
+/// ftran and btran of `factor` solve the explicit basis `basis` on random
+/// right-hand sides: ||B ftran(b) - b|| and ||B' btran(c) - c|| stay
+/// below tol, scaled by the solution's magnitude.
+void expect_small_residuals(const BasisFactor& factor, const DenseBasis& basis,
+                            util::Rng& rng, double tol,
+                            const std::string& what) {
+  const int m = basis.m;
+  std::vector<double> b(m);
+  for (double& v : b) v = rng.uniform(-5.0, 5.0);
+  std::vector<double> x = b;
+  factor.ftran(x);
+  const std::vector<double> bx = basis.times(x);
+  const double fscale = std::max(1.0, max_abs(x));
+  for (int i = 0; i < m; ++i) {
+    EXPECT_NEAR(bx[i], b[i], tol * fscale) << "ftran" << what << " row " << i;
+  }
+
+  std::vector<double> c(m);
+  for (double& v : c) v = rng.uniform(-5.0, 5.0);
+  std::vector<double> y = c;
+  factor.btran(y);
+  const std::vector<double> bty = basis.transpose_times(y);
+  const double bscale = std::max(1.0, max_abs(y));
+  for (int p = 0; p < m; ++p) {
+    EXPECT_NEAR(bty[p], c[p], tol * bscale)
+        << "btran" << what << " position " << p;
   }
 }
 
-/// ftran and btran of both factors agree on random right-hand sides.
-void expect_solves_match(const BasisFactor& sparse, const BasisFactor& dense,
-                         int m, util::Rng& rng, double tol,
-                         const std::string& what) {
-  std::vector<double> x(m);
-  for (double& v : x) v = rng.uniform(-5.0, 5.0);
-  std::vector<double> xs = x, xd = x;
-  sparse.ftran(xs);
-  dense.ftran(xd);
-  expect_vec_near(xs, xd, tol, "ftran" + what);
-
-  for (double& v : x) v = rng.uniform(-5.0, 5.0);
-  std::vector<double> ys = x, yd = x;
-  sparse.btran(ys);
-  dense.btran(yd);
-  expect_vec_near(ys, yd, tol, "btran" + what);
-}
-
-/// Applies the same `count` product-form updates to both factors: B <-
-/// B * E with a well-conditioned random column. The represented
-/// operator stays identical whatever each backend does internally.
-void apply_same_updates(BasisFactor& sparse, BasisFactor& dense, int m,
-                        int count, util::Rng& rng) {
+/// Applies `count` product-form updates with well-conditioned random
+/// columns to `factor`, mirrors each exchange in `basis`, and checks
+/// the residuals after every one.
+void update_and_check(BasisFactor& factor, DenseBasis& basis, int count,
+                      util::Rng& rng, double tol) {
+  const int m = basis.m;
   for (int u = 0; u < count; ++u) {
     const int r = rng.uniform_int(0, m - 1);
     std::vector<double> w(m);
@@ -247,12 +308,14 @@ void apply_same_updates(BasisFactor& sparse, BasisFactor& dense, int m,
       v = rng.bernoulli(0.5) ? rng.uniform(-2.0, 2.0) : 0.0;
     }
     w[r] = rng.uniform(1.0, 3.0);  // safely away from the pivot tol
-    ASSERT_TRUE(sparse.update(r, w, 1e-9));
-    ASSERT_TRUE(dense.update(r, w, 1e-9));
+    ASSERT_TRUE(factor.update(r, w, 1e-9));
+    basis.replace(r, w);
+    expect_small_residuals(factor, basis, rng, tol,
+                           " after update " + std::to_string(u + 1));
   }
 }
 
-TEST(BasisFactor, SparseAndDenseSolveIdentically) {
+TEST(BasisFactor, FactorSolvesHaveSmallResiduals) {
   util::Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
@@ -262,22 +325,17 @@ TEST(BasisFactor, SparseAndDenseSolveIdentically) {
     const BoundedForm form = BoundedForm::build(model);
     const std::vector<int> basic = pick_basis(form, rng);
 
-    BasisFactor sparse(FactorKind::SparseLU);
-    BasisFactor dense(FactorKind::DenseInverse);
-    ASSERT_TRUE(sparse.factorize(form, basic, 1e-9));
-    ASSERT_TRUE(dense.factorize(form, basic, 1e-9));
-    EXPECT_EQ(sparse.kind(), FactorKind::SparseLU);
-    EXPECT_EQ(dense.kind(), FactorKind::DenseInverse);
-    expect_solves_match(sparse, dense, form.num_rows, rng, 1e-8, "");
+    BasisFactor factor;
+    ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+    expect_small_residuals(factor, DenseBasis(form, basic), rng, 1e-9, "");
   }
   for (const BasisCase& c : structured_cases()) {
     SCOPED_TRACE(c.name);
     ASSERT_EQ(static_cast<int>(c.basic.size()), c.form.num_rows);
-    BasisFactor sparse(FactorKind::SparseLU);
-    BasisFactor dense(FactorKind::DenseInverse);
-    ASSERT_TRUE(sparse.factorize(c.form, c.basic, 1e-9));
-    ASSERT_TRUE(dense.factorize(c.form, c.basic, 1e-9));
-    expect_solves_match(sparse, dense, c.form.num_rows, rng, 1e-9, "");
+    BasisFactor factor;
+    ASSERT_TRUE(factor.factorize(c.form, c.basic, 1e-9));
+    expect_small_residuals(factor, DenseBasis(c.form, c.basic), rng, 1e-9,
+                           "");
   }
 }
 
@@ -291,15 +349,13 @@ TEST(BasisFactor, SingularBasesAreReported) {
     std::vector<int> repeated = structural_basis(m);
     repeated[m - 1] = 0;
     for (const std::vector<int>& basic : {structural_basis(m), repeated}) {
-      BasisFactor sparse(FactorKind::SparseLU);
-      BasisFactor dense(FactorKind::DenseInverse);
-      EXPECT_FALSE(sparse.factorize(chain, basic, 1e-9));
-      EXPECT_FALSE(dense.factorize(chain, basic, 1e-9));
+      BasisFactor factor;
+      EXPECT_FALSE(factor.factorize(chain, basic, 1e-9));
     }
   }
 }
 
-TEST(BasisFactor, EtaUpdatesTrackDenseInverse) {
+TEST(BasisFactor, EtaUpdatesKeepResidualsSmall) {
   util::Rng rng(11);
   for (int trial = 0; trial < 30; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
@@ -309,63 +365,44 @@ TEST(BasisFactor, EtaUpdatesTrackDenseInverse) {
     const BoundedForm form = BoundedForm::build(model);
     const std::vector<int> basic = pick_basis(form, rng);
 
-    BasisFactor sparse(FactorKind::SparseLU);
-    BasisFactor dense(FactorKind::DenseInverse);
-    ASSERT_TRUE(sparse.factorize(form, basic, 1e-9));
-    ASSERT_TRUE(dense.factorize(form, basic, 1e-9));
+    BasisFactor factor;
+    ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+    DenseBasis basis(form, basic);
+    expect_small_residuals(factor, basis, rng, 1e-9, "");
 
     const int updates = rng.uniform_int(1, 5);
-    apply_same_updates(sparse, dense, m, updates, rng);
-    EXPECT_EQ(sparse.pivots_since_factor(), updates);
-    EXPECT_EQ(sparse.eta_count(), updates);
-    expect_solves_match(sparse, dense, m, rng, 1e-7, " after updates");
+    update_and_check(factor, basis, updates, rng, 1e-8);
+    EXPECT_EQ(factor.pivots_since_factor(), updates);
+    EXPECT_EQ(factor.eta_count(), updates);
   }
   for (const BasisCase& c : structured_cases()) {
     SCOPED_TRACE(c.name);
-    const int m = c.form.num_rows;
-    BasisFactor sparse(FactorKind::SparseLU);
-    BasisFactor dense(FactorKind::DenseInverse);
-    ASSERT_TRUE(sparse.factorize(c.form, c.basic, 1e-9));
-    ASSERT_TRUE(dense.factorize(c.form, c.basic, 1e-9));
-    apply_same_updates(sparse, dense, m, 3, rng);
-    expect_solves_match(sparse, dense, m, rng, 1e-9, " after updates");
+    BasisFactor factor;
+    ASSERT_TRUE(factor.factorize(c.form, c.basic, 1e-9));
+    DenseBasis basis(c.form, c.basic);
+    update_and_check(factor, basis, 3, rng, 1e-8);
   }
 }
 
 TEST(BasisFactor, ResidualAccuracyOnFactorizedBasis) {
-  // B * ftran(e_i) must reproduce column i of the basis matrix: feed
-  // unit vectors through and check the row residual against the CSC
-  // columns directly. This is the factor-level version of the solver's
-  // terminal accuracy check.
+  // B * ftran(e_i) must reproduce e_i: feed unit vectors through and
+  // check the row residual. This is the factor-level version of the
+  // solver's terminal accuracy check.
   util::Rng rng(23);
   const Model model = make_model(rng, 6, 6);
   const BoundedForm form = BoundedForm::build(model);
   const std::vector<int> basic = pick_basis(form, rng);
+  const DenseBasis basis(form, basic);
   const int m = form.num_rows;
 
-  BasisFactor factor(FactorKind::SparseLU);
+  BasisFactor factor;
   ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
 
   for (int i = 0; i < m; ++i) {
     std::vector<double> e(m, 0.0);
     e[i] = 1.0;
     factor.ftran(e);  // e := B^{-1} e_i, basis-position indexed
-    // Reassemble B * e and compare with e_i.
-    std::vector<double> be(m, 0.0);
-    for (int p = 0; p < m; ++p) {
-      const int col = basic[p];
-      if (col < form.num_structs) {
-        for (int t = form.col_start[col]; t < form.col_start[col + 1]; ++t) {
-          be[form.col_row[t]] += form.col_val[t] * e[p];
-        }
-      } else {
-        // Logical and artificial columns are +e_row.
-        const int row = col < form.num_structs + form.num_rows
-                            ? col - form.num_structs
-                            : col - form.num_structs - form.num_rows;
-        be[row] += e[p];
-      }
-    }
+    const std::vector<double> be = basis.times(e);
     for (int r = 0; r < m; ++r) {
       EXPECT_NEAR(be[r], r == i ? 1.0 : 0.0, 1e-9)
           << "column " << i << " row " << r;
@@ -377,7 +414,7 @@ TEST(BasisFactor, FactorizeTimerObservesEachSuccessfulFactorization) {
   obs::set_enabled(true);
   const BasisCase& chain = structured_cases().front();
   const BoundedForm singular = chain_form(5, -0.5, -std::ldexp(1.0, -4));
-  BasisFactor factor(FactorKind::SparseLU);
+  BasisFactor factor;
   const obs::MetricsSnapshot before = obs::snapshot();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(factor.factorize(chain.form, chain.basic, 1e-9));
@@ -400,7 +437,7 @@ TEST(BasisFactor, FillInTriggersRefactorizeBeforePivotInterval) {
   std::vector<int> basic;
   for (int i = 0; i < m; ++i) basic.push_back(form.logical_col(i));
 
-  BasisFactor factor(FactorKind::SparseLU);
+  BasisFactor factor;
   const obs::MetricsSnapshot before = obs::snapshot();
   ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
   EXPECT_FALSE(factor.fillin_triggered());
@@ -482,9 +519,9 @@ TEST(BasisFactor, WarmSolveFactorCacheKeyStaysInSync) {
     const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
     ASSERT_TRUE(child.status == lp::SolveStatus::Optimal ||
                 child.status == lp::SolveStatus::Infeasible);
-    // The revised core must answer; a tableau fallback would make the
-    // counter assertions below vacuous.
-    ASSERT_NE(ctx.last_path, lp::WarmStartContext::Path::Tableau);
+    // The warm rung must answer; a cold fallback would make the counter
+    // assertions below vacuous.
+    ASSERT_EQ(ctx.last_path, lp::WarmStartContext::Path::WarmDual);
     objectives.push_back(child.status == lp::SolveStatus::Optimal
                              ? child.objective
                              : -1.0);

@@ -68,33 +68,29 @@ TEST(BnbParallel, ThreadsBitIdenticalOnRandomCorpus) {
   // The determinism contract: every node LP is a pure function of (node
   // box, hint basis), so for trees solved to proven optimality the
   // certified optimal objective is BIT-identical across thread counts —
-  // EXPECT_EQ on doubles, not EXPECT_NEAR. Warm and cold both.
+  // EXPECT_EQ on doubles, not EXPECT_NEAR.
   util::Rng rng(util::derive_seed(20260807, 51));
   for (int trial = 0; trial < 40; ++trial) {
     const Model m = make_random_mip(rng);
-    for (const bool warm : {true, false}) {
-      MipOptions base;
-      base.use_warm_start = warm;
-      base.certify = true;
-      base.lp.certify = false;  // per-node LP certification is separate
-      base.threads = 1;
-      const auto ref = BranchAndBound(base).solve(m);
-      ASSERT_EQ(ref.status, SolveStatus::Optimal)
-          << "trial " << trial << " warm=" << warm;
-      ASSERT_TRUE(ref.certified) << "trial " << trial << " warm=" << warm;
-      for (const int threads : {2, 4}) {
-        MipOptions opt = base;
-        opt.threads = threads;
-        const auto got = BranchAndBound(opt).solve(m);
-        ASSERT_EQ(got.status, SolveStatus::Optimal)
-            << "trial " << trial << " warm=" << warm << " threads=" << threads;
-        EXPECT_EQ(got.objective, ref.objective)
-            << "trial " << trial << " warm=" << warm << " threads=" << threads;
-        EXPECT_EQ(got.best_bound, ref.best_bound)
-            << "trial " << trial << " warm=" << warm << " threads=" << threads;
-        EXPECT_TRUE(got.certified)
-            << "trial " << trial << " warm=" << warm << " threads=" << threads;
-      }
+    MipOptions base;
+    base.certify = true;
+    base.lp.certify = false;  // per-node LP certification is separate
+    base.threads = 1;
+    const auto ref = BranchAndBound(base).solve(m);
+    ASSERT_EQ(ref.status, SolveStatus::Optimal) << "trial " << trial;
+    ASSERT_TRUE(ref.certified) << "trial " << trial;
+    for (const int threads : {2, 4}) {
+      MipOptions opt = base;
+      opt.threads = threads;
+      const auto got = BranchAndBound(opt).solve(m);
+      ASSERT_EQ(got.status, SolveStatus::Optimal)
+          << "trial " << trial << " threads=" << threads;
+      EXPECT_EQ(got.objective, ref.objective)
+          << "trial " << trial << " threads=" << threads;
+      EXPECT_EQ(got.best_bound, ref.best_bound)
+          << "trial " << trial << " threads=" << threads;
+      EXPECT_TRUE(got.certified)
+          << "trial " << trial << " threads=" << threads;
     }
   }
 }

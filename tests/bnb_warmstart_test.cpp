@@ -1,17 +1,17 @@
-// Warm-started branch-and-bound: differential equivalence (warm on vs
-// off must reach identical incumbents and proven bounds), solver-hoist
+// Warm-started branch-and-bound: optimal objectives checked against
+// exhaustive enumeration of the binaries (each fixed-binary LP solved by
+// the test-only dense tableau), thread-count bit-identity, solver-hoist
 // and warm-start observability counters, and target_objective early
 // stops reporting a bound that still covers the true optimum.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "core/adversarial.h"
 #include "mip/branch_and_bound.h"
-#include "net/topologies.h"
 #include "obs/metrics.h"
-#include "te/demand.h"
+#include "tableau_reference.h"
 #include "util/rng.h"
 
 namespace metaopt::mip {
@@ -64,74 +64,67 @@ Model make_random_mip(util::Rng& rng, int* n_out = nullptr) {
   return m;
 }
 
-TEST(BnbWarmStart, RandomMipsAgreeWarmVsCold) {
-  // Differential sweep: the warm-start path must be invisible in the
-  // answers — same status, same optimal objective, same proven bound —
-  // and the thread count must be invisible on top of that: for each
-  // warm setting, threads 2 and 4 must reproduce the 1-thread answer
-  // exactly (the parallel search explores the same tree).
+/// The MIP optimum by brute force: every assignment of the binaries,
+/// each fixed-binary LP solved on the dense tableau. Returns -inf when
+/// no assignment is feasible (the family is maximized).
+double enumerated_optimum(const Model& m) {
+  std::vector<lp::VarId> binaries;
+  std::vector<double> lb(m.num_vars());
+  std::vector<double> ub(m.num_vars());
+  for (lp::VarId v = 0; v < m.num_vars(); ++v) {
+    lb[v] = m.var(v).lb;
+    ub[v] = m.var(v).ub;
+    if (m.var(v).kind == lp::VarKind::Binary) binaries.push_back(v);
+  }
+  double best = -lp::kInf;
+  for (unsigned mask = 0; mask < (1u << binaries.size()); ++mask) {
+    for (std::size_t i = 0; i < binaries.size(); ++i) {
+      const double bit = (mask >> i) & 1u ? 1.0 : 0.0;
+      lb[binaries[i]] = bit;
+      ub[binaries[i]] = bit;
+    }
+    const lp::Solution sol = testref::solve_tableau(m, lb, ub);
+    if (sol.status == SolveStatus::Optimal) {
+      best = std::max(best, sol.objective);
+    } else {
+      EXPECT_EQ(sol.status, SolveStatus::Infeasible) << "mask " << mask;
+    }
+  }
+  return best;
+}
+
+TEST(BnbWarmStart, RandomMipsMatchExhaustiveEnumeration) {
+  // Differential sweep: the warm-started tree must prove the optimum
+  // that enumerating every binary assignment finds, and the thread
+  // count must be invisible on top of that: threads 2 and 4 must
+  // reproduce the 1-thread answer exactly (the parallel search explores
+  // the same tree).
   util::Rng rng(util::derive_seed(20260807, 41));
-  MipOptions warm_opt;
-  warm_opt.use_warm_start = true;
-  MipOptions cold_opt;
-  cold_opt.use_warm_start = false;
+  const MipOptions serial;
   int branched = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const Model m = make_random_mip(rng);
-    const auto warm = BranchAndBound(warm_opt).solve(m);
-    const auto cold = BranchAndBound(cold_opt).solve(m);
-    ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
-    ASSERT_EQ(warm.status, SolveStatus::Optimal) << "trial " << trial;
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "trial " << trial;
-    EXPECT_NEAR(warm.best_bound, cold.best_bound, 1e-6) << "trial " << trial;
+    const auto sol = BranchAndBound(serial).solve(m);
+    ASSERT_EQ(sol.status, SolveStatus::Optimal) << "trial " << trial;
+    const double oracle = enumerated_optimum(m);
+    EXPECT_NEAR(sol.objective, oracle, 1e-6) << "trial " << trial;
+    EXPECT_NEAR(sol.best_bound, oracle, 1e-6) << "trial " << trial;
     for (const int threads : {2, 4}) {
-      for (MipOptions opt : {warm_opt, cold_opt}) {
-        opt.threads = threads;
-        const auto par = BranchAndBound(opt).solve(m);
-        const auto& ref = opt.use_warm_start ? warm : cold;
-        ASSERT_EQ(par.status, ref.status)
-            << "trial " << trial << " threads=" << threads
-            << " warm=" << opt.use_warm_start;
-        EXPECT_EQ(par.objective, ref.objective)
-            << "trial " << trial << " threads=" << threads
-            << " warm=" << opt.use_warm_start;
-        EXPECT_EQ(par.best_bound, ref.best_bound)
-            << "trial " << trial << " threads=" << threads
-            << " warm=" << opt.use_warm_start;
-      }
+      MipOptions opt = serial;
+      opt.threads = threads;
+      const auto par = BranchAndBound(opt).solve(m);
+      ASSERT_EQ(par.status, sol.status)
+          << "trial " << trial << " threads=" << threads;
+      EXPECT_EQ(par.objective, sol.objective)
+          << "trial " << trial << " threads=" << threads;
+      EXPECT_EQ(par.best_bound, sol.best_bound)
+          << "trial " << trial << " threads=" << threads;
     }
-    if (warm.iterations > 1) ++branched;
+    if (sol.iterations > 1) ++branched;
   }
   // The family is built to branch; if it stopped doing so the sweep
   // would silently stop exercising basis inheritance.
   EXPECT_GT(branched, 20);
-}
-
-TEST(BnbWarmStart, Fig1DpGapIdenticalWarmVsCold) {
-  // Paper-scale differential check: the Fig. 1 worst-case DP gap (100,
-  // proven) must come out identical with node warm-starting on or off.
-  const net::Topology topo = net::topologies::fig1();
-  const te::PathSet paths(topo, te::all_pairs(topo), 2);
-  core::AdversarialGapFinder finder(topo, paths);
-  te::DpConfig dp;
-  dp.threshold = 50.0;
-  core::AdversarialOptions options;
-  options.mip.time_limit_seconds = 60.0;
-  options.seed_search_seconds = 0.25;
-  options.demand_ub = 200.0;
-
-  options.mip.use_warm_start = true;
-  const core::AdversarialResult warm = finder.find_dp_gap(dp, options);
-  options.mip.use_warm_start = false;
-  const core::AdversarialResult cold = finder.find_dp_gap(dp, options);
-
-  ASSERT_EQ(warm.status, lp::SolveStatus::Optimal);
-  ASSERT_EQ(cold.status, lp::SolveStatus::Optimal);
-  EXPECT_NEAR(warm.gap, 100.0, 1e-4);
-  EXPECT_NEAR(warm.gap, cold.gap, 1e-6);
-  EXPECT_NEAR(warm.bound, cold.bound, 1e-6);
-  EXPECT_NEAR(warm.opt_value, cold.opt_value, 1e-6);
-  EXPECT_NEAR(warm.heur_value, cold.heur_value, 1e-6);
 }
 
 TEST(BnbWarmStart, WarmSolveMetricsAndSolverHoist) {
@@ -140,8 +133,7 @@ TEST(BnbWarmStart, WarmSolveMetricsAndSolverHoist) {
   // child nodes on the warm dual path with rare fallbacks.
   obs::set_enabled(true);
   util::Rng rng(util::derive_seed(20260807, 42));
-  MipOptions opt;
-  opt.use_warm_start = true;
+  const MipOptions opt;
   const Model m = make_random_mip(rng);
 
   const obs::MetricsSnapshot before = obs::snapshot();
@@ -169,26 +161,6 @@ TEST(BnbWarmStart, WarmSolveMetricsAndSolverHoist) {
   ASSERT_NE(reuse, nullptr);
   EXPECT_GT(reuse->value, 0.0);
   EXPECT_LE(reuse->value, 1.0);
-}
-
-TEST(BnbWarmStart, ColdTreeStillHoistsSolver) {
-  // The per-tree solver/presolve hoist is independent of warm-starting.
-  obs::set_enabled(true);
-  util::Rng rng(util::derive_seed(20260807, 43));
-  MipOptions opt;
-  opt.use_warm_start = false;
-  const Model m = make_random_mip(rng);
-
-  const obs::MetricsSnapshot before = obs::snapshot();
-  const auto sol = BranchAndBound(opt).solve(m);
-  const obs::MetricsSnapshot after = obs::snapshot();
-  obs::set_enabled(false);
-
-  ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  const obs::MetricsSnapshot d = obs::diff(before, after);
-  EXPECT_EQ(metric(d, "bnb.solver_instances"), 1.0);
-  EXPECT_GT(metric(d, "bnb.lp_solves"), 1.0);
-  EXPECT_EQ(metric(d, "simplex.warm_solves"), 0.0);
 }
 
 TEST(BnbWarmStart, TargetObjectiveMaximizeReportsValidBound) {

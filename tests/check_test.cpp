@@ -16,6 +16,7 @@
 #include "check/certify.h"
 #include "check/lint.h"
 #include "lp/model.h"
+#include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "mip/branch_and_bound.h"
 
@@ -326,8 +327,9 @@ TEST(CertifyLp, RespectsBoundOverrides) {
 
   lp::SimplexOptions opts;
   opts.certify = true;
+  lp::WarmStartContext ctx(m);
   const lp::Solution sol =
-      lp::SimplexSolver(opts).solve_with_bounds(m, lb, ub);
+      lp::SimplexSolver(opts).solve_with_bounds(m, lb, ub, ctx);
   ASSERT_EQ(sol.status, lp::SolveStatus::Optimal);
   EXPECT_NEAR(sol.values[x.id], 2.0, 1e-9);
   // The hook certified against the override box, not the model box.

@@ -7,7 +7,7 @@
 // zero. The solver must terminate anyway — via the stall switch to
 // Bland's rule, via the EXPAND-style bound perturbation, or both — and
 // the answer must agree with the independently safeguarded dense
-// tableau solver and pass the LP certifier.
+// tableau reference (tests/support) and pass the LP certifier.
 //
 // Each instance runs in a 4-way config sweep (perturbation on/off x
 // stall limit tiny/default) under a hard iteration budget: returning
@@ -28,6 +28,7 @@
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "lp/solution.h"
+#include "tableau_reference.h"
 
 namespace metaopt {
 namespace {
@@ -162,23 +163,21 @@ TEST(Cycling, BealeTerminatesAndCertifies) {
 
   // Reference: the dense tableau solver (own Bland safeguard), plus the
   // closed form z* = -1/20.
-  lp::SimplexOptions ref_opt;
-  const Solution ref =
-      lp::SimplexSolver(ref_opt).solve_with_bounds(model, lb, ub);
+  const Solution ref = testref::solve_tableau(model, lb, ub);
   ASSERT_EQ(ref.status, SolveStatus::Optimal);
   EXPECT_NEAR(ref.objective, -0.05, 1e-9);
 
   run_configs(model, ref.objective, ref.status);
 
-  // Through the ladder with certification: the revised core must answer
-  // (no tableau fallback) and the certificate must hold.
+  // Through the ladder with certification: the cold revised rung answers
+  // and the certificate must hold.
   lp::SimplexOptions opt;
   opt.certify = true;
   lp::WarmStartContext warm(model);
   const Solution sol =
       lp::SimplexSolver(opt).solve_with_bounds(model, lb, ub, warm);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_NE(warm.last_path, lp::WarmStartContext::Path::Tableau);
+  EXPECT_EQ(warm.last_path, lp::WarmStartContext::Path::ColdRevised);
   EXPECT_NEAR(sol.objective, -0.05, 1e-9);
   EXPECT_TRUE(sol.certified);
 }
@@ -188,9 +187,7 @@ TEST(Cycling, MarshallSuurballeTerminatesAndCertifies) {
   std::vector<double> lb, ub;
   collect_bounds(model, lb, ub);
 
-  lp::SimplexOptions ref_opt;
-  const Solution ref =
-      lp::SimplexSolver(ref_opt).solve_with_bounds(model, lb, ub);
+  const Solution ref = testref::solve_tableau(model, lb, ub);
   ASSERT_EQ(ref.status, SolveStatus::Optimal);
 
   run_configs(model, ref.objective, ref.status);
@@ -201,7 +198,7 @@ TEST(Cycling, MarshallSuurballeTerminatesAndCertifies) {
   const Solution sol =
       lp::SimplexSolver(opt).solve_with_bounds(model, lb, ub, warm);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
-  EXPECT_NE(warm.last_path, lp::WarmStartContext::Path::Tableau);
+  EXPECT_EQ(warm.last_path, lp::WarmStartContext::Path::ColdRevised);
   EXPECT_NEAR(sol.objective, ref.objective, 1e-9);
   EXPECT_TRUE(sol.certified);
 }

@@ -106,7 +106,7 @@ constexpr const char* kSweepRecord =
     R"("opt":260,"heur":160,"bound":100,"certified":true,"nodes":12,)"
     R"("vars":50,"rows":80,"sos":6,"binaries":6,"nonzeros":200,)"
     R"("volumes":[100,50,0,110,0,0],"solve_seconds":0.5,)"
-    R"("wall_seconds":0.6,"metrics":{"simplex.pivots":123}})";
+    R"("wall_seconds":0.6,"metrics":{"simplex.solves":123}})";
 
 TEST(SweepJsonl, ParsesRecords) {
   const std::string path = temp_path("sweep_records.jsonl");

@@ -261,8 +261,6 @@ TEST(SimplexMetrics, EveryPublicSolveCountsOnce) {
   std::shared_ptr<const Basis> basis;
   const obs::MetricsSnapshot d = recorded([&] {
     EXPECT_EQ(solver.solve(m).status, SolveStatus::Optimal);
-    EXPECT_EQ(solver.solve_with_bounds(m, lb, ub).status,
-              SolveStatus::Optimal);
     EXPECT_EQ(solver.solve_with_bounds(m, lb, ub, warm).status,
               SolveStatus::Optimal);
     EXPECT_EQ(warm.last_path, WarmStartContext::Path::ColdRevised);
@@ -273,16 +271,18 @@ TEST(SimplexMetrics, EveryPublicSolveCountsOnce) {
               SolveStatus::Optimal);
     EXPECT_EQ(warm.last_path, WarmStartContext::Path::WarmDual);
   });
-  EXPECT_EQ(metric(d, "simplex.solves"), 4.0);
-  EXPECT_EQ(metric(d, "simplex.solve_ns"), 4.0);
-  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), 1.0);
+  // solve() is a cold solve through its own context.
+  EXPECT_EQ(metric(d, "simplex.solves"), 3.0);
+  EXPECT_EQ(metric(d, "simplex.solve_ns"), 3.0);
+  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), 2.0);
   EXPECT_EQ(metric(d, "simplex.warm_solves"), 1.0);
-  EXPECT_EQ(metric(d, "simplex.tableau_fallbacks"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.warm_fallbacks"), 0.0);
 }
 
-TEST(SimplexMetrics, ForcedTableauFallbackIsCountedOnce) {
-  // A zero iteration budget stops both revised rungs before their first
-  // pivot, so the ladder must drop to the tableau (which stops too).
+TEST(SimplexMetrics, ZeroIterationBudgetReturnsIterationLimit) {
+  // A zero iteration budget stops the cold rung before its first pivot;
+  // the ladder has no further rung, so the status comes back as-is,
+  // without values or a basis, counted once.
   const Model m = two_var_max();
   const std::vector<double> lb(2, 0.0);
   const std::vector<double> ub(2, kInf);
@@ -291,15 +291,15 @@ TEST(SimplexMetrics, ForcedTableauFallbackIsCountedOnce) {
   const SimplexSolver solver(options);
   WarmStartContext warm(m);
   const obs::MetricsSnapshot d = recorded([&] {
-    EXPECT_EQ(solver.solve_with_bounds(m, lb, ub, warm).status,
-              SolveStatus::IterationLimit);
+    const Solution sol = solver.solve_with_bounds(m, lb, ub, warm);
+    EXPECT_EQ(sol.status, SolveStatus::IterationLimit);
+    EXPECT_TRUE(sol.values.empty());
   });
-  EXPECT_EQ(warm.last_path, WarmStartContext::Path::Tableau);
+  EXPECT_EQ(warm.last_path, WarmStartContext::Path::ColdRevised);
   EXPECT_EQ(warm.take_result(), nullptr);
-  EXPECT_EQ(metric(d, "simplex.tableau_fallbacks"), 1.0);
   EXPECT_EQ(metric(d, "simplex.solves"), 1.0);
   EXPECT_EQ(metric(d, "simplex.solve_ns"), 1.0);
-  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), 1.0);
 }
 
 TEST(Simplex, DegenerateProblemTerminates) {

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "mip/branch_and_bound.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace metaopt::mip {
@@ -188,6 +190,53 @@ TEST(BranchAndBound, TimeLimitReturnsBestEffort) {
   EXPECT_TRUE(sol.status == SolveStatus::TimeLimit ||
               sol.status == SolveStatus::Feasible ||
               sol.status == SolveStatus::Optimal);
+}
+
+double metric(const obs::MetricsSnapshot& snap, const std::string& name) {
+  const obs::MetricValue* m = snap.find(name);
+  return m ? m->value : 0.0;
+}
+
+/// max 3a + 2b s.t. 2a + 2b <= 3: the root LP is fractional, so it needs
+/// simplex pivots.
+Model two_binary_knapsack() {
+  Model m;
+  const Var a = m.add_binary("a");
+  const Var b = m.add_binary("b");
+  m.add_constraint(2.0 * a + 2.0 * b <= LinExpr(3.0));
+  m.set_objective(ObjSense::Maximize, 3.0 * a + 2.0 * b);
+  return m;
+}
+
+TEST(BranchAndBound, FailedNodeLpNeverClaimsAProof) {
+  // A zero LP iteration budget makes every node LP fail (IterationLimit,
+  // no values). The tree must neither read the missing relaxation point
+  // nor prove anything over the subtree it never explored.
+  const Model m = two_binary_knapsack();
+  MipOptions opt;
+  opt.lp.max_iterations = 0;
+
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  const auto sol = BranchAndBound(opt).solve(m);
+  const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
+  obs::set_enabled(false);
+
+  EXPECT_NE(sol.status, SolveStatus::Optimal);
+  EXPECT_NE(sol.status, SolveStatus::Infeasible);
+  EXPECT_EQ(sol.status, SolveStatus::Error);
+  if (obs::kCompiledIn) {
+    EXPECT_GE(metric(d, "bnb.nodes_failed"), 1.0);
+  }
+
+  // With an incumbent the answer is Feasible, and the failed root's
+  // bound stays open instead of collapsing onto the incumbent.
+  MipCallbacks cb;
+  cb.initial_incumbents.push_back({2.0, {0.0, 1.0}});
+  const auto seeded = BranchAndBound(opt).solve(m, cb);
+  EXPECT_EQ(seeded.status, SolveStatus::Feasible);
+  EXPECT_NEAR(seeded.objective, 2.0, 1e-9);
+  EXPECT_GT(seeded.best_bound, seeded.objective);
 }
 
 class RandomKnapsackTest : public ::testing::TestWithParam<int> {};

@@ -4,7 +4,7 @@
 // DP, B4 POP, 6-item FFD) and 16 seeded outer points each, an InnerLp
 // solve must agree with the reference it replaced: the inner problem
 // with the outer values substituted into a fresh model, solved by the
-// dense tableau. Its answers must be pure (bit-identical serially, in
+// test-only dense tableau (tests/support). Its answers must be pure (bit-identical serially, in
 // reverse, from 4 threads sharing it, and on a fresh InnerLp), and
 // certified when asked. Through the single-shot driver, the run's LP
 // options must reach the inner solves, and a traced find must record
@@ -35,6 +35,7 @@
 #include "te/max_flow.h"
 #include "te/path_set.h"
 #include "te/pop.h"
+#include "tableau_reference.h"
 #include "util/rng.h"
 #include "util/tolerances.h"
 
@@ -205,7 +206,7 @@ std::vector<std::unique_ptr<const kkt::InnerLp>> make_lps(
 
 /// The reference: `inner` with the outer values substituted into a
 /// fresh model (decision variable j is fresh variable j), solved by the
-/// dense tableau.
+/// test-only dense tableau.
 lp::Solution reference_solve(const kkt::InnerProblem& inner,
                              const lp::Model& outer,
                              const std::vector<double>& outer_values) {
@@ -238,7 +239,7 @@ lp::Solution reference_solve(const kkt::InnerProblem& inner,
     fresh.add_constraint(std::move(spec), c.name);
   }
   fresh.set_objective(inner.sense(), substitute(inner.objective()));
-  return lp::SimplexSolver().solve(fresh);
+  return testref::solve_tableau(fresh);
 }
 
 /// The inner objective, outer terms included, at an InnerLp solution.

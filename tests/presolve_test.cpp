@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "lp/presolve.h"
+#include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "mip/branch_and_bound.h"
 #include "util/rng.h"
@@ -104,8 +105,9 @@ TEST_P(PresolvePreservesOptimumTest, SameLpOptimum) {
   const Solution plain = SimplexSolver().solve(m);
   const PresolveResult pre = presolve(m);
   ASSERT_FALSE(pre.infeasible);
+  WarmStartContext ctx(m);
   const Solution tightened =
-      SimplexSolver().solve_with_bounds(m, pre.lb, pre.ub);
+      SimplexSolver().solve_with_bounds(m, pre.lb, pre.ub, ctx);
   ASSERT_EQ(plain.status, SolveStatus::Optimal);
   ASSERT_EQ(tightened.status, SolveStatus::Optimal);
   EXPECT_NEAR(plain.objective, tightened.objective, 1e-6)

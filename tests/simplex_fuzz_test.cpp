@@ -3,18 +3,19 @@
 // Seeded random LPs (mixed <=/>=/== rows, negative right-hand sides,
 // free/bounded/fixed variables, both objective senses) are solved three
 // ways and must agree:
-//   * the dense-tableau solver (reference),
+//   * the test-only dense-tableau solver (testref::solve_tableau, the
+//     reference and the only independent check of Infeasible and
+//     Unbounded verdicts),
 //   * the cold revised simplex (via the warm-start ladder with no hint),
 //   * the warm dual simplex re-solving a bound-tightened child from the
-//     parent-optimal basis, against a cold solve of the same child.
+//     parent-optimal basis, against a tableau solve of the same child.
 // Optimal solves additionally pass check::certify_lp with duals.
 //
 // A second harness drives hostile structured families — highly
 // degenerate RHS (many rows active at one vertex), near-singular bases,
-// singleton-heavy columns, totally-unimodular flow matrices — through a
-// three-way differential: dense tableau vs cold revised with the sparse
-// LU factor vs cold revised with the dense explicit inverse, plus
-// sparse-vs-dense warm child re-solves from each root basis.
+// singleton-heavy columns, totally-unimodular flow matrices — through
+// the same differential: tableau vs cold revised at the root, and
+// tableau vs a warm child re-solve from the root basis.
 //
 // The root seed comes from METAOPT_FUZZ_SEED when set (CI rotates it per
 // run and echoes it for replay); instances derive per-index streams with
@@ -36,6 +37,7 @@
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "lp/solution.h"
+#include "tableau_reference.h"
 #include "util/rng.h"
 
 namespace metaopt {
@@ -397,7 +399,6 @@ TEST(SimplexFuzz, WarmAndColdAgreeWithTableauAndCertifier) {
   int optimal_roots = 0;
   int warm_dual_answers = 0;
   int warm_attempts = 0;
-  int tableau_fallbacks = 0;
 
   const int kInstances = instance_count();
   for (int i = 0; i < kInstances; ++i) {
@@ -411,28 +412,24 @@ TEST(SimplexFuzz, WarmAndColdAgreeWithTableauAndCertifier) {
     const lp::SimplexSolver solver(opt);
 
     // Reference: dense tableau.
-    const Solution ref = solver.solve_with_bounds(model, lb, ub);
+    const Solution ref = testref::solve_tableau(model, lb, ub, opt);
     ASSERT_TRUE(terminal(ref.status));
     certify_optimal(model, ref, lb, ub, "tableau root");
 
-    // Cold revised via the ladder (no hint).
+    // Cold revised via the ladder (no hint): no rung below it, so it
+    // must answer every instance itself.
     lp::WarmStartContext warm(model);
     const Solution cold = solver.solve_with_bounds(model, lb, ub, warm);
-    if (warm.last_path == lp::WarmStartContext::Path::Tableau) {
-      ++tableau_fallbacks;
-    }
     expect_same_answer(cold, ref, "cold revised vs tableau");
     certify_optimal(model, cold, lb, ub, "cold revised root");
     std::shared_ptr<const lp::Basis> root_basis = warm.take_result();
 
     if (cold.status != SolveStatus::Optimal) continue;
     ++optimal_roots;
-    ASSERT_TRUE(root_basis != nullptr ||
-                warm.last_path == lp::WarmStartContext::Path::Tableau);
-    if (root_basis == nullptr) continue;
+    ASSERT_NE(root_basis, nullptr);
 
     // Child: tighten bounds, re-solve warm from the parent basis and
-    // compare against an independent cold solve of the same child.
+    // compare against an independent tableau solve of the same child.
     std::vector<double> clb = lb, cub = ub;
     tighten_child_bounds(rng, cold, clb, cub);
     bool empty_box = false;
@@ -441,7 +438,7 @@ TEST(SimplexFuzz, WarmAndColdAgreeWithTableauAndCertifier) {
     }
     if (empty_box) continue;
 
-    const Solution child_ref = solver.solve_with_bounds(model, clb, cub);
+    const Solution child_ref = testref::solve_tableau(model, clb, cub, opt);
     ASSERT_TRUE(terminal(child_ref.status));
 
     warm.hint = root_basis.get();
@@ -450,7 +447,7 @@ TEST(SimplexFuzz, WarmAndColdAgreeWithTableauAndCertifier) {
     if (warm.last_path == lp::WarmStartContext::Path::WarmDual) {
       ++warm_dual_answers;
     }
-    expect_same_answer(child_warm, child_ref, "warm child vs cold child");
+    expect_same_answer(child_warm, child_ref, "warm child vs tableau child");
     certify_optimal(model, child_warm, clb, cub, "warm child");
 
     // Sibling: a second child warmed from the SAME parent basis through
@@ -464,7 +461,7 @@ TEST(SimplexFuzz, WarmAndColdAgreeWithTableauAndCertifier) {
       if (slb[v] > sub[v]) sibling_empty = true;
     }
     if (sibling_empty) continue;
-    const Solution sib_ref = solver.solve_with_bounds(model, slb, sub);
+    const Solution sib_ref = testref::solve_tableau(model, slb, sub, opt);
     ASSERT_TRUE(terminal(sib_ref.status));
     warm.hint = root_basis.get();
     ++warm_attempts;
@@ -472,19 +469,16 @@ TEST(SimplexFuzz, WarmAndColdAgreeWithTableauAndCertifier) {
     if (warm.last_path == lp::WarmStartContext::Path::WarmDual) {
       ++warm_dual_answers;
     }
-    expect_same_answer(sib_warm, sib_ref, "sibling warm child vs cold child");
+    expect_same_answer(sib_warm, sib_ref,
+                       "sibling warm child vs tableau child");
     certify_optimal(model, sib_warm, slb, sub, "sibling warm child");
   }
 
   std::printf(
       "[simplex_fuzz] %d instances: %d optimal roots, %d/%d warm-dual "
-      "answers, %d tableau fallbacks\n",
-      kInstances, optimal_roots, warm_dual_answers, warm_attempts,
-      tableau_fallbacks);
+      "answers\n",
+      kInstances, optimal_roots, warm_dual_answers, warm_attempts);
 
-  // The revised core must carry its weight: the ladder may fall back to
-  // the tableau occasionally, but not habitually.
-  EXPECT_LE(tableau_fallbacks, kInstances / 20);
   ASSERT_GT(warm_attempts, kInstances / 4);
   EXPECT_GE(warm_dual_answers, (warm_attempts * 3) / 4);
 }
@@ -560,7 +554,7 @@ TEST(SimplexFuzz, ConcurrentWarmSolvesFromSharedBasisBitIdentical) {
   EXPECT_GT(exercised, kConcurrentInstances / 3);
 }
 
-TEST(SimplexFuzz, HostileFamiliesSparseDenseTableauDifferential) {
+TEST(SimplexFuzz, HostileFamiliesRevisedVsTableauDifferential) {
   const std::uint64_t seed = root_seed();
   std::printf("[simplex_fuzz] hostile root seed = %llu\n",
               static_cast<unsigned long long>(seed));
@@ -582,7 +576,7 @@ TEST(SimplexFuzz, HostileFamiliesSparseDenseTableauDifferential) {
   const int per_family = std::max(instance_count() / 4, 10);
 
   int optimal_roots = 0;
-  int warm_pairs = 0;
+  int warm_children = 0;
   for (std::size_t fi = 0; fi < std::size(families); ++fi) {
     const Family& family = families[fi];
     for (int i = 0; i < per_family; ++i) {
@@ -595,69 +589,53 @@ TEST(SimplexFuzz, HostileFamiliesSparseDenseTableauDifferential) {
       std::vector<double> lb, ub;
       collect_bounds(model, lb, ub);
 
-      // Three-way root differential: tableau is the reference, both
-      // revised-factor backends must reproduce it.
-      const Solution ref = solver.solve_with_bounds(model, lb, ub);
+      // Root differential: the tableau is the reference, the cold
+      // revised core must reproduce it.
+      const Solution ref = testref::solve_tableau(model, lb, ub, opt);
       ASSERT_TRUE(terminal(ref.status));
       certify_optimal(model, ref, lb, ub, "tableau root");
 
-      lp::WarmStartContext sparse_ctx(model, lp::FactorKind::SparseLU);
-      const Solution cold_sparse =
-          solver.solve_with_bounds(model, lb, ub, sparse_ctx);
-      expect_same_answer(cold_sparse, ref, "cold sparse vs tableau");
-      certify_optimal(model, cold_sparse, lb, ub, "cold sparse root");
+      lp::WarmStartContext ctx(model);
+      const Solution cold = solver.solve_with_bounds(model, lb, ub, ctx);
+      expect_same_answer(cold, ref, "cold revised vs tableau");
+      certify_optimal(model, cold, lb, ub, "cold revised root");
 
-      lp::WarmStartContext dense_ctx(model, lp::FactorKind::DenseInverse);
-      const Solution cold_dense =
-          solver.solve_with_bounds(model, lb, ub, dense_ctx);
-      expect_same_answer(cold_dense, ref, "cold dense vs tableau");
-      certify_optimal(model, cold_dense, lb, ub, "cold dense root");
-
-      const std::shared_ptr<const lp::Basis> sparse_basis =
-          sparse_ctx.take_result();
-      const std::shared_ptr<const lp::Basis> dense_basis =
-          dense_ctx.take_result();
-      if (cold_sparse.status != SolveStatus::Optimal) continue;
+      const std::shared_ptr<const lp::Basis> basis = ctx.take_result();
+      if (cold.status != SolveStatus::Optimal) continue;
       ++optimal_roots;
-      if (sparse_basis == nullptr || dense_basis == nullptr) continue;
+      ASSERT_NE(basis, nullptr);
 
-      // Warm child re-solve, sparse vs dense, each from its own root
-      // basis, both against an independent tableau solve of the child.
+      // Warm child re-solve from the root basis against an independent
+      // tableau solve of the child.
       std::vector<double> clb = lb, cub = ub;
-      tighten_child_bounds(rng, cold_sparse, clb, cub);
+      tighten_child_bounds(rng, cold, clb, cub);
       bool empty_box = false;
       for (std::size_t v = 0; v < clb.size(); ++v) {
         if (clb[v] > cub[v]) empty_box = true;
       }
       if (empty_box) continue;
 
-      const Solution child_ref = solver.solve_with_bounds(model, clb, cub);
+      const Solution child_ref = testref::solve_tableau(model, clb, cub, opt);
       ASSERT_TRUE(terminal(child_ref.status));
 
-      sparse_ctx.hint = sparse_basis.get();
-      const Solution child_sparse =
-          solver.solve_with_bounds(model, clb, cub, sparse_ctx);
-      expect_same_answer(child_sparse, child_ref, "warm sparse child");
-      certify_optimal(model, child_sparse, clb, cub, "warm sparse child");
-
-      dense_ctx.hint = dense_basis.get();
-      const Solution child_dense =
-          solver.solve_with_bounds(model, clb, cub, dense_ctx);
-      expect_same_answer(child_dense, child_ref, "warm dense child");
-      certify_optimal(model, child_dense, clb, cub, "warm dense child");
-      ++warm_pairs;
+      ctx.hint = basis.get();
+      const Solution child =
+          solver.solve_with_bounds(model, clb, cub, ctx);
+      expect_same_answer(child, child_ref, "warm child vs tableau child");
+      certify_optimal(model, child, clb, cub, "warm child");
+      ++warm_children;
     }
   }
   std::printf(
-      "[simplex_fuzz] hostile: %d optimal roots, %d warm sparse/dense "
-      "pairs over %d instances/family\n",
-      optimal_roots, warm_pairs, per_family);
+      "[simplex_fuzz] hostile: %d optimal roots, %d warm children over %d "
+      "instances/family\n",
+      optimal_roots, warm_children, per_family);
   // Feasible-biased generators: if Optimal stops dominating, the
   // families regressed into vacuous coverage.
   const int total =
       per_family * static_cast<int>(std::size(families));
   EXPECT_GT(optimal_roots, total / 3);
-  EXPECT_GT(warm_pairs, total / 6);
+  EXPECT_GT(warm_children, total / 6);
 }
 
 }  // namespace
