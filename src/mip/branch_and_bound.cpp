@@ -19,7 +19,6 @@
 #include "obs/obs.h"
 #include "runner/scheduler.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 #include "util/tolerances.h"
 
@@ -259,7 +258,7 @@ void TreeSearch::request_stop(SolveStatus reason) {
     stopped_early_ = true;
     // Under the mutex before notifying: a worker that just evaluated the
     // wait predicate cannot miss this (same lost-wakeup discipline as
-    // runner::ThreadPool::submit).
+    // runner::Scheduler::submit).
     stop_.store(true, std::memory_order_release);
   }
   work_cv_.notify_all();
@@ -485,15 +484,13 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
   // Primal heuristic on the (possibly fractional) relaxation point.
   if (callbacks_.primal_heuristic) {
     if (auto cand = callbacks_.primal_heuristic(relax.values)) {
-      bool ok = true;
-      if (callbacks_.verify_heuristic) {
-        // Tolerance sized for assembled KKT points, whose duals/slacks
-        // carry simplex-tolerance noise through stationarity sums.
-        ok = cand->second.size() ==
-                 static_cast<std::size_t>(model_.num_vars()) &&
-             model_.max_violation(cand->second) <= tol::kAssembledPointTol;
+      // Tolerance sized for assembled KKT points, whose duals/slacks
+      // carry simplex-tolerance noise through stationarity sums.
+      if (cand->second.size() ==
+              static_cast<std::size_t>(model_.num_vars()) &&
+          model_.max_violation(cand->second) <= tol::kAssembledPointTol) {
+        accept_incumbent(cand->first, cand->second);
       }
-      if (ok) accept_incumbent(cand->first, cand->second);
     }
   }
 
@@ -645,11 +642,8 @@ Solution TreeSearch::run(int threads) {
   best.status = SolveStatus::Error;
 
   for (const auto& [obj, values] : callbacks_.initial_incumbents) {
-    bool ok = values.size() == static_cast<std::size_t>(model_.num_vars());
-    if (ok && callbacks_.verify_heuristic) {
-      ok = model_.max_violation(values) <= tol::kAssembledPointTol;
-    }
-    if (ok) {
+    if (values.size() == static_cast<std::size_t>(model_.num_vars()) &&
+        model_.max_violation(values) <= tol::kAssembledPointTol) {
       accept_incumbent(obj, values);
     } else {
       MO_LOG(Warn) << "B&B: rejected infeasible initial incumbent";
@@ -658,38 +652,14 @@ Solution TreeSearch::run(int threads) {
 
   queue_.push(QueueEntry{root_score_, seq_++, nullptr});
 
-  if (threads > 1) {
-    // Helper workers are shared-scheduler tasks, not owned threads: the
-    // pool is grown to at least `threads` (max over components, never a
-    // product — a sweep's width does not multiply with ours), helpers
-    // are tagged one depth below the current task so nested B&B work
-    // sits at the hot front of the submitting worker's deque, and
-    // join() runs still-unclaimed helpers inline, so even a 1-worker
-    // scheduler whose only worker is this caller cannot deadlock. Late
-    // helpers are cheap: worker_loop() exits as soon as the queue is
-    // empty with nothing in flight.
-    const std::uint64_t obs_group = obs::current_group();
-    runner::Scheduler& sched = runner::Scheduler::global();
-    sched.ensure_threads(threads);
-    const int helper_depth = util::task_depth() + 1;
-    std::vector<runner::TaskHandle> helpers;
-    helpers.reserve(static_cast<std::size_t>(threads - 1));
-    for (int w = 1; w < threads; ++w) {
-      helpers.push_back(sched.submit(
-          [this, obs_group] { worker_main(obs_group); },
-          helper_depth));
-    }
-    worker_main(obs_group);
-    for (const runner::TaskHandle& h : helpers) sched.join(h);
-  } else {
-    // Serial fast path: same worker code, no obs shard to adopt.
-    try {
-      worker_loop();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (!worker_error_) worker_error_ = std::current_exception();
-    }
-  }
+  // Node workers run through the shared scheduler's fork_join: this
+  // thread is worker 0 and the pool grows to at least `threads` - 1
+  // (max over components, never a product — a sweep's width does not
+  // multiply with ours). Late helpers are cheap: worker_loop() exits as
+  // soon as the queue is empty with nothing in flight.
+  const std::uint64_t obs_group = obs::current_group();
+  runner::Scheduler::global().fork_join(
+      threads, [this, obs_group](int) { worker_main(obs_group); });
   if (worker_error_) std::rethrow_exception(worker_error_);
 
   // ---- assemble the Solution (single-threaded from here on).
@@ -769,7 +739,7 @@ Solution BranchAndBound::solve(const Model& model,
 
   // No oversubscription clamp anymore: helper workers come from the
   // process-wide scheduler, whose size is the max of every component's
-  // request — running inside a sweep worker adds zero threads beyond
+  // request — running inside a sweep lane adds zero threads beyond
   // max(sweep width, mip threads). (The old clamp forced threads = 1
   // inside any parallel region, and silently failed to fire when a job
   // body moved the solve to an unmarked helper thread; the shared pool

@@ -11,7 +11,8 @@
 // bound stays open and the tree can no longer claim Optimal or
 // Infeasible (counted in bnb.nodes_failed).
 //
-// With MipOptions::threads > 1 the same search runs as a worker pool
+// With MipOptions::threads > 1 the same search runs as that many workers
+// (runner::Scheduler::fork_join, the calling thread being one of them)
 // over one shared best-bound queue: per-worker simplex engines, a
 // CAS-claimed atomic incumbent, and an in-flight counter that separates
 // "queue momentarily empty" from "tree exhausted". See DESIGN.md
@@ -81,8 +82,8 @@ struct MipCallbacks {
   /// return a feasible assignment and its objective, or nullopt. The
   /// returned assignment is trusted to be feasible for the *original*
   /// problem semantics (the metaopt layer constructs it from direct
-  /// solves); it is still screened by Model::max_violation when
-  /// `verify_heuristic` is true. With MipOptions::threads > 1 this is
+  /// solves); it is still screened by Model::max_violation before
+  /// acceptance. With MipOptions::threads > 1 this is
   /// called concurrently from worker threads — it must be reentrant
   /// (the metaopt layer's heuristics are: they only read shared const
   /// state and build local solves).
@@ -95,11 +96,8 @@ struct MipCallbacks {
   std::function<void(double, double, const std::vector<double>&)> on_incumbent;
   /// Feasible starting solutions (objective, values) accepted before the
   /// search starts — e.g. seeds from a cheap black-box pass. Screened
-  /// like heuristic solutions when `verify_heuristic` is set.
+  /// like heuristic solutions.
   std::vector<std::pair<double, std::vector<double>>> initial_incumbents;
-  /// When true (default), heuristic solutions are checked against the
-  /// model before acceptance.
-  bool verify_heuristic = true;
 };
 
 class BranchAndBound {

@@ -20,17 +20,17 @@
 //   snapshot_group()  — all shards tagged with the calling thread's
 //                       shard group (see ScopedShardGroup); SweepRunner
 //                       diffs it around each job for per-job attribution
-//                       that stays correct when the job itself spawns
-//                       worker threads (parallel B&B)
+//                       that stays correct when the job's work runs on
+//                       scheduler workers too (parallel B&B)
 //   diff(before, after) — per-metric delta, zero deltas dropped
 //
 // Shard groups: a thread opens a ScopedShardGroup to mint a fresh
-// process-unique group id and tag its shard with it; threads it spawns
-// adopt the id (ScopedShardGroup{current_group()} captured before the
-// spawn). snapshot_group() then sums exactly the shards working for
-// that job. Retired workers keep their tag — blocks are never freed —
-// so counts recorded by a worker that already exited still land in the
-// closing snapshot; ids are never reused, so a stale tag can't leak
+// process-unique group id and tag its shard with it; scheduler workers
+// that lend it a hand join the group through a ScopedWorkerShard on the
+// id captured with current_group() before the fork. snapshot_group()
+// then sums exactly the shards working for that job. Blocks are never
+// freed, so a helper's fresh block still lands in the closing snapshot
+// after its scope ended; ids are never reused, so a stale tag can't leak
 // into a later group's sums.
 #pragma once
 
@@ -178,30 +178,17 @@ struct MetricsSnapshot {
 };
 
 /// The calling thread's current shard-group id (0 when ungrouped).
-/// Capture it before spawning workers; each worker adopts it with
-/// adopt_shard_group(id) as its first act.
+/// Capture it before forking work; each helper joins the group with a
+/// ScopedWorkerShard on that id.
 std::uint64_t current_group();
 
-/// Permanently tags the calling thread's shard with `id` — the form for
-/// worker threads that exit when their work is done. Unlike the RAII
-/// ScopedShardGroup there is no restore: the tag survives the thread,
-/// so the spawner's snapshot_group() after join still attributes the
-/// retired worker's counts to the job. (Group ids are never reused, so
-/// a stale tag can only ever match its own group again.) Threads that
-/// outlive the job — pool workers — must use ScopedShardGroup instead.
-void adopt_shard_group(std::uint64_t id);
-
-/// RAII shard-group membership for the calling thread.
-///
-/// Default-constructed: mints a fresh process-unique id and tags this
-/// thread's shard with it — the "open a job" form. Constructed with an
-/// explicit id: adopts an existing group — the "worker joins its
-/// spawner's job" form. Either way the previous tag is restored on
-/// destruction, so nesting (a grouped job starting a sub-group) works.
+/// RAII shard-group membership for the calling thread: mints a fresh
+/// process-unique id and tags this thread's shard with it — the "open a
+/// job" form. The previous tag is restored on destruction, so nesting (a
+/// grouped job starting a sub-group) works.
 class ScopedShardGroup {
  public:
   ScopedShardGroup();
-  explicit ScopedShardGroup(std::uint64_t adopt);
   ~ScopedShardGroup();
 
   ScopedShardGroup(const ScopedShardGroup&) = delete;
@@ -217,10 +204,8 @@ class ScopedShardGroup {
 /// RAII shard-group membership for a *persistent* pool worker lending a
 /// hand to someone else's job.
 ///
-/// Neither existing form fits a worker that outlives jobs:
-/// adopt_shard_group() tags the worker's shard forever (later jobs'
-/// counts would leak into the old group), and ScopedShardGroup re-tags
-/// the worker's one shard — whose *cumulative history* would then be
+/// Re-tagging a worker that outlives jobs would not do: the worker's
+/// one shard carries its *cumulative history*, which would then be
 /// summed into the job's closing snapshot_group() but not its opening
 /// one, over-attributing every count the worker ever recorded.
 ///
@@ -230,8 +215,7 @@ class ScopedShardGroup {
 /// snapshot and — blocks are never freed, ids never reused — it is
 /// summed in full by the closing one, which is precisely the delta the
 /// job should see. The worker's own shard (and its tag) are untouched.
-/// Cost: one ThreadBlock allocation per adoption, the same price the
-/// spawn-a-thread-per-job pattern always paid.
+/// Cost: one ThreadBlock allocation per adoption.
 ///
 /// Adopting id 0 (no group) or the group the thread is already in is a
 /// no-op: counts keep flowing to the current shard, which the target

@@ -12,8 +12,9 @@
 // are overwritten (the dropped count is reported by `trace_dropped()`).
 // Pushes from concurrent threads claim distinct slots with one relaxed
 // fetch_add. Export/clear/trace_events must run quiesced (no concurrent
-// pushes) — SweepRunner's wait_idle() and single-threaded CLI commands
-// both satisfy that naturally.
+// pushes) — a sweep is quiesced once fork_join returns in
+// SweepRunner::run_jobs, and single-threaded CLI commands are quiesced
+// throughout.
 //
 // Exports:
 //   write_chrome_trace — Chrome trace-event JSON ("traceEvents" array);

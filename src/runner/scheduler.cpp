@@ -1,10 +1,11 @@
 #include "runner/scheduler.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
-#include "util/parallel.h"
 
 namespace metaopt::runner {
 
@@ -20,15 +21,13 @@ const obs::Counter c_tasks = obs::counter("sched.tasks");
 const obs::Counter c_steals = obs::counter("sched.steals");
 const obs::Counter c_inline_joins = obs::counter("sched.inline_joins");
 const obs::Gauge g_threads = obs::gauge("sched.threads");
-const obs::Histogram h_task_depth = obs::histogram("sched.task_depth");
 
 }  // namespace
 
 Scheduler& Scheduler::global() {
   // Function-local static: constructed on first use, destroyed (workers
-  // joined) after main() returns. Every user drains its own work before
-  // then — ThreadPool in its destructor, the B&B before run() returns —
-  // so the queues are empty at teardown.
+  // joined) after main() returns. fork_join() drains its own work before
+  // returning, so the queues are empty at teardown.
   static Scheduler sched;
   return sched;
 }
@@ -64,11 +63,35 @@ void Scheduler::ensure_threads(int n) {
   g_threads.set(static_cast<double>(n));
 }
 
-TaskHandle Scheduler::submit(std::function<void()> fn, int depth) {
+void Scheduler::fork_join(int width, const std::function<void(int)>& body) {
+  if (width <= 1) {
+    body(0);
+    return;
+  }
+  // The caller is one of the `width` runners, so width - 1 workers
+  // suffice; an extra idle worker would only pick up forks at random.
+  ensure_threads(width - 1);
+  std::vector<TaskHandle> forks;
+  forks.reserve(static_cast<std::size_t>(width - 1));
+  for (int i = 1; i < width; ++i) {
+    forks.push_back(submit([&body, i] { body(i); }));
+  }
+  // The forks reference `body` and the caller's frame, so they are
+  // joined even when body(0) throws.
+  std::exception_ptr error;
+  try {
+    body(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (const TaskHandle& fork : forks) join(fork);
+  if (error) std::rethrow_exception(error);
+}
+
+TaskHandle Scheduler::submit(std::function<void()> fn) {
   if (num_workers_.load(std::memory_order_acquire) == 0) ensure_threads(1);
   auto task = std::make_shared<detail::SchedTask>();
   task->fn = std::move(fn);
-  task->depth = depth;
 
   const int self = t_sched == this ? t_sched_index : -1;
   const auto n =
@@ -146,11 +169,7 @@ TaskHandle Scheduler::try_pop(int self) {
 
 void Scheduler::execute(detail::SchedTask& task) {
   c_tasks.inc();
-  h_task_depth.observe(static_cast<std::uint64_t>(std::max(0, task.depth)));
-  {
-    const util::ScopedTaskDepth depth(task.depth);
-    task.fn();
-  }
+  task.fn();
   task.fn = nullptr;  // release captured state before signalling done
   {
     std::lock_guard<std::mutex> lock(task.mutex);

@@ -1,10 +1,9 @@
 // Process-wide work-stealing scheduler with nested-parallelism support.
 //
-// One pool of workers serves every parallel component in the process —
-// the sweep runner's ThreadPool façade *and* the branch-and-bound's
-// node workers — replacing the old two-pool split whose only
-// coordination was a clamp that forced every inner B&B serial inside a
-// sweep. With a single pool the worker count is bounded by the largest
+// One pool of workers serves every parallel component in the process,
+// and fork_join() is the one way to use it: the sweep runner's job
+// lanes and the branch-and-bound's node workers both call it. With a
+// single pool the worker count is bounded by the largest
 // ensure_threads() request ever made (max over components, never their
 // product), and a sweep whose jobs are deep in their B&B phase keeps
 // every core busy instead of idling the pool width minus one.
@@ -14,21 +13,21 @@
 // from inside a task pushes at the *front* of its own deque and pops
 // its own work front-first (LIFO — nested B&B tasks run hot, right
 // after their parent). Thieves steal from the *back* of a sibling's
-// deque (FIFO — the oldest, outermost work: whole sweep jobs), so
-// stealing drains the campaign breadth-first while each worker drills
-// depth-first. Per-deque mutexes rather than a lock-free Chase-Lev
+// deque (FIFO — the oldest work: a sweep lane not yet started, or a
+// B&B helper). Stealing only moves those tasks between threads; which
+// job runs next is decided by the sweep lanes' shared job counter, not
+// by the deques. Per-deque mutexes rather than a lock-free Chase-Lev
 // deque: tasks here are milliseconds-to-seconds of solver work, queue
 // overhead is noise, and the locking version is ThreadSanitizer-clean
 // by construction.
 //
-// Nested parallelism without deadlock: every task carries a depth tag
-// (util::task_depth() + 1 at submission) and a joinable handle. join()
-// first tries to *claim and run the task inline* on the joining thread
-// — only if another worker already claimed it does join() block. A
-// component that submits helpers and then joins them therefore always
-// makes progress on its own stack, even on a 1-CPU host where the
-// joining thread is the only worker; helpers that lose the claim race
-// simply never run (their claimed state is observed and skipped).
+// Nested parallelism without deadlock: every task has a joinable
+// handle. join() first tries to *claim and run the task inline* on the
+// joining thread — only if another worker already claimed it does
+// join() block. fork_join() therefore always makes progress on its own
+// stack, even on a 1-CPU host where the joining thread is the only
+// worker; tasks that lose the claim race simply never run (their
+// claimed state is observed and skipped).
 //
 // Determinism: the scheduler makes no ordering promises. Callers that
 // need reproducible output key results by task identity (SweepRunner's
@@ -37,7 +36,7 @@
 //
 // Tasks must not throw: an exception escaping a task body propagates
 // out of a worker thread and terminates the process (both in-repo users
-// catch inside the task). The pool only grows, never shrinks, up to
+// catch inside the body). The pool only grows, never shrinks, up to
 // kMaxWorkers; workers are joined when the process exits.
 #pragma once
 
@@ -60,7 +59,6 @@ namespace detail {
 /// worker running it.
 struct SchedTask {
   std::function<void()> fn;
-  int depth = 0;
   /// 0 = pending (claimable), 1 = running, 2 = done. Claimed exactly
   /// once via CAS(0 -> 1) by whichever of {worker, joiner} gets there
   /// first; the loser (a worker popping an inline-claimed husk) skips.
@@ -72,8 +70,7 @@ struct SchedTask {
 
 }  // namespace detail
 
-/// Handle to a submitted task; pass to Scheduler::join() or drop for
-/// fire-and-forget (ThreadPool tracks completion by its own counters).
+/// Handle to a submitted task; pass to Scheduler::join().
 using TaskHandle = std::shared_ptr<detail::SchedTask>;
 
 class Scheduler {
@@ -98,20 +95,20 @@ class Scheduler {
     return num_workers_.load(std::memory_order_acquire);
   }
 
-  /// Enqueues a task tagged with `depth` (submit at
-  /// util::task_depth() + 1 so nesting is recorded correctly). From a
-  /// worker: front of its own deque (LIFO). From an external thread:
-  /// round-robin to some worker's back. Grows the pool to one worker if
-  /// ensure_threads() was never called.
-  TaskHandle submit(std::function<void()> fn, int depth = 0);
-
-  /// Blocks until `task` has finished. If no worker has claimed it yet,
-  /// the calling thread claims and runs it inline (at the task's depth)
-  /// — the non-negotiable deadlock-freedom rule for nested parallelism
-  /// on small hosts.
-  void join(const TaskHandle& task);
+  /// Runs body(0), ..., body(width - 1) and returns when all have
+  /// finished: grows the pool to `width` - 1 workers, submits
+  /// body(1..width-1), runs body(0) on the calling thread, then joins
+  /// the rest, running any that no worker claimed yet inline. Safe from any thread, including
+  /// from inside another fork_join's body. `width` <= 1 just runs
+  /// body(0). If body(0) throws, the others are still joined before the
+  /// exception propagates; the other bodies must not throw.
+  void fork_join(int width, const std::function<void(int)>& body);
 
  private:
+  /// Unit tests reach submit()/join() directly (lost-wakeup and
+  /// inline-join regressions); product code goes through fork_join().
+  friend class SchedulerTestPeer;
+
   Scheduler() = default;
   ~Scheduler();
 
@@ -124,9 +121,19 @@ class Scheduler {
     std::thread thread;
   };
 
+  /// Enqueues a task. From a worker: front of its own deque (LIFO).
+  /// From an external thread: round-robin to some worker's back. Grows
+  /// the pool to one worker if ensure_threads() was never called.
+  TaskHandle submit(std::function<void()> fn);
+
+  /// Blocks until `task` has finished. If no worker has claimed it yet,
+  /// the calling thread claims and runs it inline — the non-negotiable
+  /// deadlock-freedom rule for nested parallelism on small hosts.
+  void join(const TaskHandle& task);
+
   void worker_loop(int self);
   TaskHandle try_pop(int self);
-  /// Runs an already-claimed task: depth marker, fn, done.
+  /// Runs an already-claimed task, then marks it done.
   void execute(detail::SchedTask& task);
 
   /// Fixed-capacity slot array so thieves can scan concurrently with

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -12,7 +13,7 @@
 #include <utility>
 
 #include "obs/obs.h"
-#include "runner/thread_pool.h"
+#include "runner/scheduler.h"
 #include "util/csv.h"
 #include "util/jsonl.h"
 #include "util/logging.h"
@@ -395,7 +396,7 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
     }
   }
 
-  // Pre-fill resumed slots; only the rest are submitted to the pool.
+  // Pre-fill resumed slots; only the rest are handed to the lanes.
   std::vector<std::size_t> to_run;
   to_run.reserve(mine.size());
   for (std::size_t i = 0; i < mine.size(); ++i) {
@@ -419,89 +420,112 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
     ++report.num_resumed;
   }
 
-  ThreadPool pool(options_.threads);
-  report.threads = pool.num_threads();
+  const int threads = options_.threads > 0 ? options_.threads
+                                           : Scheduler::default_threads();
+  report.threads = threads;
 
   std::mutex progress_mutex;
   std::atomic<bool> stopped{false};
   int completed = 0;
   const int total = static_cast<int>(to_run.size());
 
-  for (const std::size_t i : to_run) {
-    pool.submit([&, i] {
-      // Each job owns slot i outright; only the progress bookkeeping is
-      // shared. A throw is contained here — the campaign never dies.
-      JobResult& slot = report.jobs[i];
-      slot.spec = mine[i];
-      if (stopped.load(std::memory_order_relaxed)) {
-        // Simulated kill (stop_after): record the skip, keep it out of
-        // the checkpoint so a resume re-executes it.
+  const auto run_job = [&](std::size_t i) {
+    // Each job owns slot i outright; only the progress bookkeeping is
+    // shared. A throw from the job body is contained here as a failed
+    // slot — it never takes down the campaign.
+    JobResult& slot = report.jobs[i];
+    slot.spec = mine[i];
+    if (stopped.load(std::memory_order_relaxed)) {
+      // Simulated kill (stop_after): record the skip, keep it out of
+      // the checkpoint so a resume re-executes it.
+      slot.status = JobStatus::Failed;
+      slot.error = "not executed: campaign stopped (stop_after)";
+      return;
+    }
+    util::Stopwatch watch;
+    // Per-job metric attribution: the job body starts on this lane's
+    // thread, but may fan out onto scheduler workers (multi-threaded
+    // B&B adopts the spawner's shard group), so bracket the job with
+    // group snapshots — the thread-only diff would under-report any
+    // solver work done off this thread. The "metrics" field rides in
+    // the JSONL strip-suffix zone, so the deterministic byte-prefix
+    // is unchanged by this wider attribution.
+    const obs::ScopedShardGroup shard_group;
+    const obs::MetricsSnapshot before = obs::snapshot_group();
+    try {
+      MO_SPAN("sweep.job");
+      slot.result = fn(mine[i]);
+      // The B&B reports TimeLimit even when it carries a budget-bounded
+      // incumbent; only an *incumbent-less* budget exhaustion is a
+      // timeout — everything with a genuine adversarial input is ok.
+      if (slot.result.status == lp::SolveStatus::Error) {
         slot.status = JobStatus::Failed;
-        slot.error = "not executed: campaign stopped (stop_after)";
-        return;
+        slot.error = "solver error";
+      } else if (slot.result.status == lp::SolveStatus::TimeLimit &&
+                 !slot.result.has_solution()) {
+        slot.status = JobStatus::Timeout;
+      } else {
+        slot.status = JobStatus::Ok;
       }
-      util::Stopwatch watch;
-      // Per-job metric attribution: the job body starts on this worker
-      // thread, but may fan out onto its own workers (multi-threaded
-      // B&B adopts the spawner's shard group), so bracket the job with
-      // group snapshots — the thread-only diff would under-report any
-      // solver work done off this thread. The "metrics" field rides in
-      // the JSONL strip-suffix zone, so the deterministic byte-prefix
-      // is unchanged by this wider attribution.
-      const obs::ScopedShardGroup shard_group;
-      const obs::MetricsSnapshot before = obs::snapshot_group();
-      try {
-        MO_SPAN("sweep.job");
-        slot.result = fn(mine[i]);
-        // The B&B reports TimeLimit even when it carries a budget-bounded
-        // incumbent; only an *incumbent-less* budget exhaustion is a
-        // timeout — everything with a genuine adversarial input is ok.
-        if (slot.result.status == lp::SolveStatus::Error) {
-          slot.status = JobStatus::Failed;
-          slot.error = "solver error";
-        } else if (slot.result.status == lp::SolveStatus::TimeLimit &&
-                   !slot.result.has_solution()) {
-          slot.status = JobStatus::Timeout;
-        } else {
-          slot.status = JobStatus::Ok;
-        }
-      } catch (const std::exception& e) {
-        slot.status = JobStatus::Failed;
-        slot.error = e.what();
-      } catch (...) {
-        slot.status = JobStatus::Failed;
-        slot.error = "unknown exception";
-      }
-      slot.wall_seconds = watch.seconds();
-      slot.metrics = obs::diff(before, obs::snapshot_group());
-      slot.serialized = to_json(slot);
+    } catch (const std::exception& e) {
+      slot.status = JobStatus::Failed;
+      slot.error = e.what();
+    } catch (...) {
+      slot.status = JobStatus::Failed;
+      slot.error = "unknown exception";
+    }
+    slot.wall_seconds = watch.seconds();
+    slot.metrics = obs::diff(before, obs::snapshot_group());
+    slot.serialized = to_json(slot);
 
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      ++completed;
-      if (ckpt.enabled) {
-        ckpt.partial << slot.serialized << '\n';
-        ckpt.done_ids.push_back(slot.spec.id);
-        if (++ckpt.since_write >= std::max(1, options_.checkpoint_every)) {
-          write_manifest(ckpt, fingerprint, options_.shard_index,
-                         options_.shard_count, static_cast<int>(mine.size()));
-          ckpt.since_write = 0;
-        }
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    ++completed;
+    if (ckpt.enabled) {
+      ckpt.partial << slot.serialized << '\n';
+      ckpt.done_ids.push_back(slot.spec.id);
+      if (++ckpt.since_write >= std::max(1, options_.checkpoint_every)) {
+        write_manifest(ckpt, fingerprint, options_.shard_index,
+                       options_.shard_count, static_cast<int>(mine.size()));
+        ckpt.since_write = 0;
       }
-      if (options_.stop_after > 0 && completed >= options_.stop_after) {
-        stopped.store(true, std::memory_order_relaxed);
+    }
+    if (options_.stop_after > 0 && completed >= options_.stop_after) {
+      stopped.store(true, std::memory_order_relaxed);
+    }
+    if (options_.log_progress) {
+      MO_LOG(Info) << "[sweep] " << completed << "/" << total << " job "
+                   << slot.spec.id << " (" << to_string(slot.spec.heuristic)
+                   << " " << slot.spec.topology << " x="
+                   << slot.spec.axis_value() << ") " << to_string(slot.status)
+                   << " gap=" << slot.result.gap << " in " << slot.wall_seconds
+                   << "s";
+    }
+    if (options_.on_progress) options_.on_progress(slot, completed, total);
+  };
+
+  // `threads` lanes share one job counter, so at most `threads` jobs are
+  // in flight (however wide mip-threads grew the shared pool) and jobs
+  // start in submission order. A job's own throw is contained in its
+  // slot; a throw from the bookkeeping (a checkpoint write, the progress
+  // callback) stops every lane from taking more jobs and is rethrown
+  // here once they have all returned.
+  std::atomic<std::size_t> next_job{0};
+  std::atomic<bool> aborted{false};
+  std::exception_ptr abort_error;  // guarded by progress_mutex
+  Scheduler::global().fork_join(threads, [&](int) {
+    while (!aborted.load(std::memory_order_relaxed)) {
+      const std::size_t k = next_job.fetch_add(1);
+      if (k >= to_run.size()) return;
+      try {
+        run_job(to_run[k]);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        if (!abort_error) abort_error = std::current_exception();
+        aborted.store(true, std::memory_order_relaxed);
       }
-      if (options_.log_progress) {
-        MO_LOG(Info) << "[sweep] " << completed << "/" << total << " job "
-                     << slot.spec.id << " (" << to_string(slot.spec.heuristic)
-                     << " " << slot.spec.topology << " x="
-                     << slot.spec.axis_value() << ") " << to_string(slot.status)
-                     << " gap=" << slot.result.gap << " in " << slot.wall_seconds
-                     << "s";
-      }
-      if (options_.on_progress) options_.on_progress(slot, completed, total);
-    });
-  }
-  pool.wait_idle();
+    }
+  });
+  if (abort_error) std::rethrow_exception(abort_error);
   if (ckpt.enabled) {
     write_manifest(ckpt, fingerprint, options_.shard_index,
                    options_.shard_count, static_cast<int>(mine.size()));

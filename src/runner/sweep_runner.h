@@ -2,11 +2,15 @@
 //
 // Jobs are independent single-shot MetaOpt solves — embarrassingly
 // parallel (the POP insight of Narayanan et al., SOSP '21, applied to
-// our own harness) — so SweepRunner fans them out over a work-stealing
-// ThreadPool with per-job fault isolation: a job that throws is recorded
-// as `failed` (with the exception message), a job whose solver gave up
-// without an incumbent is `timeout`, and neither ever takes down the
-// campaign or poisons a sibling's slot.
+// our own harness) — so SweepRunner runs them on `threads` lanes of the
+// shared work-stealing scheduler (Scheduler::fork_join), each lane
+// taking the next job in submission order, with per-job fault
+// isolation: a job that throws is recorded as `failed` (with the
+// exception message), a job whose solver gave up without an incumbent
+// is `timeout`, and neither ever takes down the campaign or poisons a
+// sibling's slot. Only a failure of the campaign's own bookkeeping (a
+// checkpoint write, the progress callback) stops it: run_jobs()
+// rethrows it once the running jobs have finished.
 //
 // Determinism: each job writes into its own pre-allocated result slot,
 // aggregation sorts by job id, every double is printed with a fixed
@@ -40,11 +44,11 @@ struct JobResult {
   JobStatus status = JobStatus::Failed;
   std::string error;                ///< exception message when Failed
   heur::GapFindResult result;       ///< valid unless Failed
-  double wall_seconds = 0.0;        ///< job wall time inside the pool
+  double wall_seconds = 0.0;        ///< job wall time on its lane
   /// Per-job obs metric deltas (shard-group diff around the job body:
-  /// the group tag follows the job onto any worker threads it spawns,
+  /// the group tag follows the job onto any scheduler workers it uses,
   /// e.g. a multi-threaded B&B, so the delta covers the whole job, not
-  /// just the pool thread it started on). Empty when recording is off —
+  /// just the lane thread it started on). Empty when recording is off —
   /// and then omitted from the JSONL record, so the byte format is
   /// unchanged for existing campaigns.
   obs::MetricsSnapshot metrics;
@@ -87,10 +91,11 @@ struct SweepReport {
 std::string to_json(const JobResult& result);
 
 struct SweepOptions {
-  /// Worker threads; <= 0 means hardware_concurrency().
+  /// Jobs in flight at once (lanes); <= 0 means hardware_concurrency().
   int threads = 0;
-  /// Invoked after each job completes (from worker threads, serialized
-  /// by the runner): (result, completed, total).
+  /// Invoked after each job completes (from the lanes, serialized by
+  /// the runner): (result, completed, total). A throw stops the campaign
+  /// and is rethrown by run_jobs().
   std::function<void(const JobResult&, int, int)> on_progress;
   /// Log one Info line per completed job and a campaign summary.
   bool log_progress = true;

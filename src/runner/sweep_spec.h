@@ -81,7 +81,8 @@ struct SweepSpec {
   bool certify = false;
   /// B&B worker threads per job (MipOptions::threads). Helpers come
   /// from the shared work-stealing scheduler, so a sweep of width T
-  /// with mip_threads M runs on max(T, M) workers total — never T x M.
+  /// with mip_threads M runs on max(T, M) threads total, the calling
+  /// thread included — never T x M.
   /// Answers are thread-count-invariant (see mip/branch_and_bound.h),
   /// so this never changes results.
   int mip_threads = 1;

@@ -11,8 +11,8 @@
 // there, and so may the witness when the optimum has ties, so the rerun
 // witness is re-scored by direct solves instead of compared. The DP
 // determinism gate adds certified fig1 proofs at thresholds 25 and 100
-// and a six-pair B4 proof, each bit-identical at one, two and four
-// threads. Every case runs with metrics on and no node LP may fail
+// and six-pair B4 and ring proofs, each bit-identical at one, two and
+// four threads. Every case runs with metrics on and no node LP may fail
 // (bnb.nodes_failed = 0).
 #include <gtest/gtest.h>
 
@@ -193,6 +193,15 @@ TEST_F(FindGolden, DpB4SixPairsBitIdenticalAcrossThreads) {
   // the tree closable (§3's scalability caveat).
   expect_dp_threads_bit_identical(net::topologies::b4(), 50.0, 0.0, 6, 8908,
                                   150.0000000000002);
+}
+
+TEST_F(FindGolden, DpRing6SixPairsBitIdenticalAcrossThreads) {
+  // A six-node ring with six of its 30 pairs adversarial and demand_ub
+  // 0 = the largest link capacity: DP provably has no gap here (gap and
+  // bound 0 after 8,647 nodes), a certified negative answer every thread
+  // count must reproduce. The unrestricted ring does not close quickly.
+  expect_dp_threads_bit_identical(net::topologies::circulant(6, 1), 50.0, 0.0,
+                                  6, 8647, 0.0);
 }
 
 TEST_F(FindGolden, DpAbileneMaskedAtNodeBudget) {

@@ -32,22 +32,6 @@ KNOWN = frozenset(REQUIRED) | OPTIONAL
 SUMMARY_KEYS = ("count", "mean", "stddev", "min", "max", "sum",
                 "p50", "p90", "p99")
 
-# Per-bench contracts on top of the generic schema: config keys and
-# summary vectors that particular bench promises to emit (CI dashboards
-# key on them, so dropping one is a silent break without this check).
-PER_BENCH = {
-    "unified_sched": {
-        "config": ("sweep_threads", "mip_threads", "hardware_concurrency",
-                   "speedup"),
-        "summaries": ("serial_wall_seconds", "joint_wall_seconds",
-                      "job_wall_seconds_serial", "job_wall_seconds_joint"),
-    },
-    "parallel_nodes": {
-        "config": ("mip_threads", "hardware_concurrency", "speedup"),
-        "summaries": ("serial_nodes_per_sec", "parallel_nodes_per_sec"),
-    },
-}
-
 
 def check(path):
     errors = []
@@ -83,16 +67,6 @@ def check(path):
         for k in SUMMARY_KEYS:
             if k not in summary:
                 errors.append(f"summary '{name}' missing '{k}'")
-    contract = PER_BENCH.get(doc.get("bench"))
-    if contract:
-        for key in contract["config"]:
-            if key not in doc.get("config", {}):
-                errors.append(f"bench '{doc['bench']}' promises config "
-                              f"key '{key}'")
-        for name in contract["summaries"]:
-            if name not in doc.get("summaries", {}):
-                errors.append(f"bench '{doc['bench']}' promises summary "
-                              f"'{name}'")
     return errors
 
 

@@ -53,7 +53,8 @@ namespace {
 
 // ---- flag tables ----
 
-enum class Kind { Switch, Number, Integer, String };
+/// Integer takes a count >= 0; Positive a count >= 1 (thread counts).
+enum class Kind { Switch, Number, Integer, Positive, String };
 using enum Kind;
 
 struct Flag {
@@ -94,12 +95,12 @@ constexpr Flag kRunFlags[] = {
 };
 
 constexpr Flag kSolveFlags[] = {
-    {"mip-threads", Integer, "1", "B&B threads (answers do not change)"},
+    {"mip-threads", Positive, "1", "B&B threads (answers do not change)"},
     {"certify", Switch, "", "independently certify every solve"},
 };
 
 constexpr Flag kExplainFlags[] = {
-    {"mip-threads", Integer, "1", "B&B threads of the witness find"},
+    {"mip-threads", Positive, "1", "B&B threads of the witness find"},
     {"jsonl", String, "", "take the witness from this sweep file"},
     {"job", Integer, "", "campaign job (default: worst region's)"},
     {"strategy", String, "greedy", "core minimizer: greedy|ddmin"},
@@ -109,7 +110,7 @@ constexpr Flag kExplainFlags[] = {
 };
 
 constexpr Flag kSweepFlags[] = {
-    {"threads", Integer, "0", "worker threads; 0 = all hardware"},
+    {"threads", Integer, "0", "jobs at once; 0 = all hardware"},
     {"spec", String, "", "read key=value tokens from this file first"},
     {"jsonl", String, "", "write one JSON record per job"},
     {"csv", String, "", "write one CSV row per finished job"},
@@ -230,7 +231,7 @@ int cmd_find(const Cli& cli) {
 
   heur::FindOptions options;
   options.budget_seconds = cli.number("budget");
-  options.mip_threads = std::max(1, cli.integer("mip-threads"));
+  options.mip_threads = cli.integer("mip-threads");
   options.certify = cli.on("certify");
   options.seed_search_seconds = options.budget_seconds * 0.3;
 
@@ -277,7 +278,7 @@ int cmd_bound(const Cli& cli) {
   core::GapBounder bounder(te->topology(), te->paths());
   core::AdversarialOptions options;
   options.mip.time_limit_seconds = cli.number("budget");
-  options.mip.threads = std::max(1, cli.integer("mip-threads"));
+  options.mip.threads = cli.integer("mip-threads");
   options.mip.certify = cli.on("certify") || lp::kCertifyByDefault;
   options.mip.lp.certify = options.mip.certify;
   options.demand_ub = te->leader_ub();
@@ -516,7 +517,7 @@ int cmd_explain(const Cli& cli) {
     instance = heur::make_instance(instance_config(cli, 0));
     heur::FindOptions find;
     find.budget_seconds = cli.number("budget");
-    find.mip_threads = std::max(1, cli.integer("mip-threads"));
+    find.mip_threads = cli.integer("mip-threads");
     find.certify = true;
     // No black-box seeding: keeps the witness (and hence the whole
     // explain run) machine-load independent.
@@ -579,6 +580,18 @@ const std::vector<Command> kCommands = {
     {"help", "", "this overview", {}, 0, nullptr},
 };
 
+/// What a value of `kind` must be, or nullptr when `value` is one.
+const char* value_problem(Kind kind, const std::string& value) {
+  switch (kind) {
+    case Number: return util::parse_double(value) ? nullptr : "a number";
+    case Integer: return util::parse_uint(value) ? nullptr : "a count >= 0";
+    case Positive:
+      return util::parse_uint(value).value_or(0) > 0 ? nullptr
+                                                      : "a count >= 1";
+    default: return nullptr;
+  }
+}
+
 /// Walks argv against the global table and, from the subcommand on, the
 /// subcommand's tables. Switches never consume the next token; any other
 /// flag takes exactly one value, checked against its kind. Throws
@@ -624,11 +637,8 @@ Cli parse_cli(int argc, char** argv) {
       throw error(arg + " needs a value");
     }
     const std::string value = argv[++i];
-    if ((kind == Number && !util::parse_double(value)) ||
-        (kind == Integer && !util::parse_uint(value))) {
-      throw error(arg + " wants " +
-                  (kind == Number ? "a number" : "a count >= 0") + ", got '" +
-                  value + "'");
+    if (const char* wanted = value_problem(kind, value)) {
+      throw error(arg + " wants " + wanted + ", got '" + value + "'");
     }
     cli.values[it->first] = value;
   }
@@ -636,7 +646,8 @@ Cli parse_cli(int argc, char** argv) {
 }
 
 void print_flags(FlagTable table) {
-  static const char* const kValue[] = {"", " <number>", " <int>", " <text>"};
+  static const char* const kValue[] = {"", " <number>", " <int>", " <int>",
+                                       " <text>"};
   for (const Flag& flag : table) {
     const std::string left =
         std::string("--") + flag.name + kValue[static_cast<int>(flag.kind)];
