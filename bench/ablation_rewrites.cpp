@@ -14,6 +14,7 @@
 #include "bench_common.h"
 #include "core/adversarial.h"
 #include "core/gap_bound.h"
+#include "domains/te_instances.h"
 
 namespace {
 
@@ -33,7 +34,7 @@ struct Fixture {
   Fixture() {
     dp.threshold = 50.0;
     pop.num_partitions = 2;
-    mask = bench::spread_mask(paths.num_pairs(), kMaskPairs);
+    mask = domains::make_support_mask(paths.num_pairs(), kMaskPairs);
   }
 };
 

@@ -51,35 +51,6 @@ inline util::CsvWriter csv(const std::string& figure) {
                          "figure,series,x,y,extra");
 }
 
-/// Every `stride`-th pair enabled, ~`target` pairs total. This is the
-/// partially-specified-goalpost trick (§3.3) we use to keep the
-/// single-shot models tractable on the from-scratch dense simplex (the
-/// paper's own §3 scalability caveat); see EXPERIMENTS.md.
-inline std::vector<bool> spread_mask(int num_pairs, int target) {
-  std::vector<bool> mask(num_pairs, false);
-  // A non-positive target means "no restriction" (mirrors the CLI's
-  // --pairs 0); it must not reach the stride division below.
-  if (target <= 0 || target >= num_pairs) {
-    mask.assign(num_pairs, true);
-    return mask;
-  }
-  const int stride = num_pairs / target;
-  int enabled = 0;
-  for (int k = 0; k < num_pairs && enabled < target; k += stride) {
-    mask[k] = true;
-    ++enabled;
-  }
-  return mask;
-}
-
-/// Topology lookup by name for sweep benches.
-inline net::Topology topology_by_name(const std::string& name) {
-  if (name == "b4") return net::topologies::b4();
-  if (name == "abilene") return net::topologies::abilene();
-  if (name == "swan") return net::topologies::swan();
-  throw std::invalid_argument("unknown topology " + name);
-}
-
 /// Turns obs recording on for this bench and returns the baseline
 /// metrics snapshot to diff against in write_bench_report().
 inline obs::MetricsSnapshot obs_begin() {

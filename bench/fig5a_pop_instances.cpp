@@ -10,6 +10,7 @@
 
 #include "bench_common.h"
 #include "core/adversarial.h"
+#include "domains/te_instances.h"
 #include "te/gap.h"
 #include "util/stats.h"
 
@@ -36,7 +37,7 @@ void Fig5a_TrainInstances(benchmark::State& state) {
   core::AdversarialOptions options;
   options.mip.time_limit_seconds = bench::scaled(kBudget);
   options.seed_search_seconds = bench::scaled(kBudget) * 0.6;
-  options.pair_mask = bench::spread_mask(paths.num_pairs(), kMaskPairs);
+  options.pair_mask = domains::make_support_mask(paths.num_pairs(), kMaskPairs);
 
   double train_gap = 0.0, heldout_gap = 0.0;
   for (auto _ : state) {

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "mip/branch_and_bound.h"
-
 namespace metaopt::check {
 
 namespace {
@@ -506,24 +504,21 @@ const char* to_string(ViolationClass cls) {
   return "Unknown";
 }
 
-CertifyOptions CertifyOptions::for_lp(const lp::SimplexOptions& opts) {
+CertifyOptions CertifyOptions::for_lp() {
   CertifyOptions out;
-  out.primal_tol = std::max(tol::kCertifyTol, 10.0 * opts.feas_tol);
-  out.dual_tol = std::max(tol::kCertifyTol, 100.0 * opts.cost_tol);
+  out.primal_tol = std::max(tol::kCertifyTol, 10.0 * tol::kFeasTol);
+  out.dual_tol = std::max(tol::kCertifyTol, 100.0 * tol::kCostTol);
   return out;
 }
 
-CertifyOptions CertifyOptions::for_mip(const mip::MipOptions& opts) {
-  CertifyOptions out = for_lp(opts.lp);
+CertifyOptions CertifyOptions::for_mip() {
+  CertifyOptions out = for_lp();
   // MIP incumbents may be externally assembled KKT points, screened at
   // the assembled-point tolerance — the certifier must accept what the
   // search was configured to accept.
   out.primal_tol = std::max(out.primal_tol, tol::kAssembledPointTol);
   out.obj_tol = std::max(out.obj_tol, tol::kAssembledPointTol);
-  out.compl_tol = std::max(opts.compl_tol, tol::kAssembledPointTol);
-  out.int_tol = opts.int_tol;
-  out.mip_rel_gap = opts.rel_gap;
-  out.mip_abs_gap = opts.abs_gap;
+  out.compl_tol = std::max(tol::kComplTol, tol::kAssembledPointTol);
   return out;
 }
 

@@ -42,13 +42,8 @@
 #include <vector>
 
 #include "lp/model.h"
-#include "lp/simplex.h"
 #include "lp/solution.h"
 #include "util/tolerances.h"
-
-namespace metaopt::mip {
-struct MipOptions;
-}
 
 namespace metaopt::check {
 
@@ -98,10 +93,11 @@ struct CertifyOptions {
   /// and objective pillars only.
   bool require_duals = false;
 
-  /// Defaults matched to a solver configuration: the certifier must not
-  /// be stricter than what the solver was asked to achieve.
-  static CertifyOptions for_lp(const lp::SimplexOptions& opts);
-  static CertifyOptions for_mip(const mip::MipOptions& opts);
+  /// Defaults matched to the solvers' tolerances (util/tolerances.h):
+  /// the certifier must not be stricter than what the simplex and
+  /// branch-and-bound were asked to achieve.
+  static CertifyOptions for_lp();
+  static CertifyOptions for_mip();
 };
 
 struct Certificate {

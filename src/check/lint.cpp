@@ -7,6 +7,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "util/tolerances.h"
+
 namespace metaopt::check {
 
 namespace {
@@ -60,8 +62,7 @@ bool same_row(const LinExpr& a, const LinExpr& b) {
 
 class Linter {
  public:
-  Linter(const Model& model, const LintOptions& options)
-      : model_(model), options_(options) {}
+  explicit Linter(const Model& model) : model_(model) {}
 
   LintReport run() {
     lint_vars();
@@ -110,7 +111,7 @@ class Linter {
       if (!std::isfinite(coef)) {
         add(LintCode::NonFiniteValue, LintSeverity::Error, "objective", -1,
             "non-finite objective coefficient on " + var_name(v));
-      } else if (std::abs(coef) >= options_.big_m_threshold) {
+      } else if (std::abs(coef) >= tol::kBigMWarn) {
         add(LintCode::SuspiciousBigM, LintSeverity::Warning, "objective", -1,
             "objective coefficient " + std::to_string(coef) + " on " +
                 var_name(v));
@@ -150,7 +151,7 @@ class Linter {
           add(LintCode::NonFiniteValue, LintSeverity::Error, where, ci,
               "infinite rhs makes the row unsatisfiable");
         }
-      } else if (std::abs(con.rhs) >= options_.big_m_threshold) {
+      } else if (std::abs(con.rhs) >= tol::kBigMWarn) {
         add(LintCode::SuspiciousBigM, LintSeverity::Warning, where, ci,
             "rhs magnitude " + std::to_string(con.rhs));
       }
@@ -161,7 +162,7 @@ class Linter {
           add(LintCode::NonFiniteValue, LintSeverity::Error, where, ci,
               "non-finite coefficient on " + var_name(v));
           finite_terms = false;
-        } else if (std::abs(coef) >= options_.big_m_threshold) {
+        } else if (std::abs(coef) >= tol::kBigMWarn) {
           add(LintCode::SuspiciousBigM, LintSeverity::Warning, where, ci,
               "coefficient " + std::to_string(coef) + " on " + var_name(v));
         }
@@ -199,8 +200,7 @@ class Linter {
                      : "constant row is trivially satisfied");
       }
 
-      if (options_.check_duplicate_rows && finite_terms &&
-          !normalized.terms().empty()) {
+      if (finite_terms && !normalized.terms().empty()) {
         const std::uint64_t h = hash_row(normalized, con.sense, con.rhs);
         auto& bucket = buckets[h];
         for (const int other : bucket) {
@@ -290,7 +290,6 @@ class Linter {
   }
 
   const Model& model_;
-  const LintOptions& options_;
   LintReport report_;
 };
 
@@ -340,8 +339,8 @@ std::string LintReport::to_string() const {
   return out.str();
 }
 
-LintReport lint_model(const lp::Model& model, const LintOptions& options) {
-  return Linter(model, options).run();
+LintReport lint_model(const lp::Model& model) {
+  return Linter(model).run();
 }
 
 }  // namespace metaopt::check

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "lp/model.h"
-#include "util/tolerances.h"
 
 namespace metaopt::check {
 
@@ -48,7 +47,7 @@ enum class LintCode {
   StructurallyUnboundedColumn,
   /// Variable that appears in no constraint and no objective (Warning).
   UnusedVariable,
-  /// Coefficient or rhs magnitude at or above the big-M threshold
+  /// Coefficient or rhs magnitude at or above tol::kBigMWarn
   /// (Warning): breaks the discrete meaning of the KKT rewrite's
   /// indicator rows through floating-point absorption.
   SuspiciousBigM,
@@ -75,14 +74,6 @@ struct LintDiagnostic {
   std::string message;
 };
 
-struct LintOptions {
-  /// |coefficient| or |rhs| at or above this flags SuspiciousBigM.
-  double big_m_threshold = tol::kBigMWarn;
-  /// Duplicate-row detection hashes every normalized row; disable for
-  /// very large models in hot paths.
-  bool check_duplicate_rows = true;
-};
-
 struct LintReport {
   std::vector<LintDiagnostic> diagnostics;
 
@@ -96,7 +87,6 @@ struct LintReport {
 
 /// Lints `model`. Never throws; a malformed model yields Error
 /// diagnostics instead.
-[[nodiscard]] LintReport lint_model(const lp::Model& model,
-                                    const LintOptions& options = {});
+[[nodiscard]] LintReport lint_model(const lp::Model& model);
 
 }  // namespace metaopt::check

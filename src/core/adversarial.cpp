@@ -191,7 +191,9 @@ SingleShot dp_shot(Model& model, const net::Topology& topo,
   // Out of the indicator's epsilon band, onto the pinned side.
   shot.snap = [dp](std::vector<double>& vols) {
     for (double& v : vols) {
-      if (v > dp.threshold && v < dp.threshold + dp.epsilon) v = dp.threshold;
+      if (v > dp.threshold && v < dp.threshold + te::kIndicatorEpsilon) {
+        v = dp.threshold;
+      }
     }
   };
   // §5: worst gaps concentrate at extreme points, so also try each
@@ -328,7 +330,7 @@ SingleShot pop_cs_shot(Model& model, const net::Topology& topo,
     for (double& v : vols) {
       for (int level = 0; level < cs.max_splits; ++level) {
         const double boundary = std::ldexp(cs.split_threshold, level);
-        if (v > boundary - cs.epsilon && v < boundary) {
+        if (v > boundary - te::kIndicatorEpsilon && v < boundary) {
           v = boundary;
           break;
         }

@@ -45,8 +45,7 @@ struct AdversarialOptions {
   /// partially-specified-goalpost trick of §3.3 and the main lever for
   /// problem size (§3's scalability caveat).
   std::vector<bool> pair_mask;
-  /// Solver budgets; progress-window / target-gap stops included
-  /// (mip::MipOptions, §3.3).
+  /// Solver budgets: the B&B time and node limits (mip::MipOptions).
   mip::MipOptions mip;
   /// Realistic input constraints (§3.3) and exclusions (§5).
   InputConstraints constraints;

@@ -54,9 +54,6 @@ class GapOracle {
   [[nodiscard]] virtual int num_leader_vars() const = 0;
   [[nodiscard]] virtual GapResult evaluate(
       const std::vector<double>& leader) const = 0;
-  /// TE-era spelling of num_leader_vars(); kept so long-lived call
-  /// sites read naturally in the TE domain.
-  [[nodiscard]] int num_demands() const { return num_leader_vars(); }
   /// Number of evaluate() calls so far (latency bookkeeping for Fig. 3).
   [[nodiscard]] long evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);

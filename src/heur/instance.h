@@ -228,9 +228,6 @@ using InstanceFactory =
 /// Registers (or replaces) a factory under `name`. Thread-safe.
 void register_heuristic(const std::string& name, InstanceFactory factory);
 
-/// True when `name` has a registered factory.
-[[nodiscard]] bool is_registered(const std::string& name);
-
 /// Registered names, sorted (error messages, --help listings).
 [[nodiscard]] std::vector<std::string> registered_heuristics();
 

@@ -65,6 +65,13 @@ class InnerProblem {
   /// bound constraints (lb/ub rows added by the rewrite).
   void set_bound_dual_bound(double b) { bound_dual_bound_ = b; }
 
+  /// Multiplies every dual bound set so far (constraint rows and the
+  /// decision-variable bound rows) by `factor`.
+  void scale_dual_bounds(double factor) {
+    for (InnerConstraint& c : constraints_) c.dual_bound *= factor;
+    bound_dual_bound_ *= factor;
+  }
+
   [[nodiscard]] lp::ObjSense sense() const { return sense_; }
   [[nodiscard]] const std::vector<lp::Var>& decision_vars() const {
     return decision_vars_;

@@ -6,6 +6,7 @@
 
 #include "obs/obs.h"
 #include "util/stopwatch.h"
+#include "util/tolerances.h"
 
 namespace metaopt::lp {
 
@@ -24,7 +25,7 @@ const obs::Histogram h_factorize_ns = obs::histogram("simplex.factorize_ns");
 }  // namespace
 
 bool BasisFactor::factorize(const BoundedForm& form,
-                            const std::vector<int>& basic, double pivot_tol) {
+                            const std::vector<int>& basic) {
   // A refactorization demanded by the eta-file fill-in monitor is the
   // event the counter tracks; interval and cold refactorizations are
   // counted separately by the engine.
@@ -50,7 +51,7 @@ bool BasisFactor::factorize(const BoundedForm& form,
                       : 1;
   }
 
-  if (!factorize_lu(form, basic, pivot_tol)) return false;
+  if (!factorize_lu(form, basic)) return false;
   m_ = m;
   h_fillin_ratio.observe(
       static_cast<std::uint64_t>(std::llround(fillin_ratio() * 100.0)));
@@ -74,8 +75,7 @@ bool BasisFactor::fillin_triggered() const {
 // ---------------------------------------------------------------------------
 
 bool BasisFactor::factorize_lu(const BoundedForm& form,
-                                   const std::vector<int>& basic,
-                                   double pivot_tol) {
+                               const std::vector<int>& basic) {
   const int m = form.num_rows;
 
   // Static row counts of the basis matrix (Markowitz tie-break) and
@@ -202,11 +202,12 @@ bool BasisFactor::factorize_lu(const BoundedForm& form,
       if (rowpos_[row] >= 0) continue;
       wmax = std::max(wmax, std::abs(fwork_[row]));
     }
-    if (wmax <= pivot_tol) {
+    if (wmax <= tol::kPivotTol) {
       clear_touched();
       return false;  // numerically singular
     }
-    const double accept = std::max(pivot_tol, kMarkowitzThreshold * wmax);
+    const double accept =
+        std::max(tol::kPivotTol, kMarkowitzThreshold * wmax);
     int best_row = -1;
     int best_cnt = std::numeric_limits<int>::max();
     for (const int row : ftouched_) {
@@ -219,7 +220,7 @@ bool BasisFactor::factorize_lu(const BoundedForm& form,
       }
     }
     if (best_row < 0) {
-      // Threshold floor sits above pivot_tol only when wmax does; the
+      // Threshold floor sits above kPivotTol only when wmax does; the
       // max() above guarantees at least the wmax row qualifies.
       clear_touched();
       return false;
@@ -307,11 +308,10 @@ void BasisFactor::btran(std::vector<double>& x) const {
   }
 }
 
-bool BasisFactor::update(int r, const std::vector<double>& w,
-                         double pivot_tol) {
+bool BasisFactor::update(int r, const std::vector<double>& w) {
   if (m_ == 0) return false;
   const double piv = w[r];
-  if (std::abs(piv) <= pivot_tol) return false;
+  if (std::abs(piv) <= tol::kPivotTol) return false;
 
   Eta eta;
   eta.r = r;

@@ -58,14 +58,6 @@ enum class VarStatus : std::uint8_t {
 /// from it on demand.
 struct Basis {
   std::vector<VarStatus> status;
-
-  [[nodiscard]] int num_basic() const {
-    int count = 0;
-    for (const VarStatus s : status) {
-      if (s == VarStatus::Basic) ++count;
-    }
-    return count;
-  }
 };
 
 /// Pivots between full refactorizations. Eta/product-form updates cost
@@ -93,8 +85,7 @@ class BasisFactor {
   /// order defines the position <-> row mapping). Returns false when the
   /// matrix is numerically singular — the caller must repair or fall
   /// back, the factor is unusable.
-  bool factorize(const BoundedForm& form, const std::vector<int>& basic,
-                 double pivot_tol);
+  bool factorize(const BoundedForm& form, const std::vector<int>& basic);
 
   /// x := B^{-1} x (forward transform: solve B y = x). Input is indexed
   /// by row, output by basis position.
@@ -105,9 +96,9 @@ class BasisFactor {
   void btran(std::vector<double>& x) const;
 
   /// Replaces basis position `r` by a column whose ftran image is `w`
-  /// (w = B^{-1} a_q). Returns false when |w[r]| <= pivot_tol (the
+  /// (w = B^{-1} a_q). Returns false when |w[r]| <= tol::kPivotTol (the
   /// update would divide by numerical dust).
-  bool update(int r, const std::vector<double>& w, double pivot_tol);
+  bool update(int r, const std::vector<double>& w);
 
   [[nodiscard]] bool valid() const { return m_ > 0 || factorized_empty_; }
   [[nodiscard]] int pivots_since_factor() const { return pivots_; }
@@ -128,8 +119,7 @@ class BasisFactor {
   }
 
  private:
-  bool factorize_lu(const BoundedForm& form, const std::vector<int>& basic,
-                    double pivot_tol);
+  bool factorize_lu(const BoundedForm& form, const std::vector<int>& basic);
 
   int m_ = 0;
   int pivots_ = 0;

@@ -82,13 +82,6 @@ void Model::set_bounds(Var v, double lb, double ub) {
   vars_[v.id].ub = ub;
 }
 
-std::optional<Var> Model::find_var(const std::string& name) const {
-  for (VarId i = 0; i < num_vars(); ++i) {
-    if (vars_[i].name == name) return Var{i};
-  }
-  return std::nullopt;
-}
-
 double Model::eval(const LinExpr& expr, std::span<const double> x) const {
   double value = expr.constant();
   for (const auto& [id, coef] : expr.terms()) value += coef * x[id];

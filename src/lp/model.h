@@ -108,9 +108,6 @@ class Model {
     return !quad_obj_.empty();
   }
 
-  /// Looks a variable up by name (linear scan; for tests/tools).
-  [[nodiscard]] std::optional<Var> find_var(const std::string& name) const;
-
   // ---- evaluation / checking ----
 
   /// Evaluates a linear expression at the assignment `x` (indexed by

@@ -17,12 +17,16 @@ const obs::Counter c_vars_fixed = obs::counter("presolve.vars_fixed");
 const obs::Counter c_rows_redundant = obs::counter("presolve.rows_redundant");
 const obs::Counter c_infeasible = obs::counter("presolve.infeasible");
 
+/// Propagation rounds per call. A cap rather than a fixpoint, because
+/// branch-and-bound presolves every node and the node LP finishes
+/// whatever propagation leaves.
+constexpr int kMaxRounds = 3;
+
 /// Metric accounting on every exit path of presolve(): deltas computed
 /// against the entry bounds so "vars_fixed" counts newly pinned boxes.
 class PresolveMetrics {
  public:
-  PresolveMetrics(const PresolveResult& result, double tol)
-      : result_(result), tol_(tol) {
+  explicit PresolveMetrics(const PresolveResult& result) : result_(result) {
     if (!obs::enabled()) return;
     active_ = true;
     fixed_at_entry_ = count_fixed();
@@ -47,13 +51,12 @@ class PresolveMetrics {
   [[nodiscard]] int count_fixed() const {
     int fixed = 0;
     for (std::size_t v = 0; v < result_.lb.size(); ++v) {
-      if (result_.ub[v] - result_.lb[v] <= tol_) ++fixed;
+      if (result_.ub[v] - result_.lb[v] <= tol::kPresolveTol) ++fixed;
     }
     return fixed;
   }
 
   const PresolveResult& result_;
-  double tol_;
   bool active_ = false;
   int fixed_at_entry_ = 0;
 };
@@ -72,16 +75,14 @@ inline void term_range(double coef, double lb, double ub, double* lo,
 
 }  // namespace
 
-PresolveResult presolve(const Model& model, const PresolveOptions& options,
-                        const std::vector<double>* lb0,
+PresolveResult presolve(const Model& model, const std::vector<double>* lb0,
                         const std::vector<double>* ub0) {
   PresolveResult result;
-  presolve_into(model, options, lb0, ub0, result);
+  presolve_into(model, lb0, ub0, result);
   return result;
 }
 
-void presolve_into(const Model& model, const PresolveOptions& options,
-                   const std::vector<double>* lb0,
+void presolve_into(const Model& model, const std::vector<double>* lb0,
                    const std::vector<double>* ub0, PresolveResult& result) {
   const int n = model.num_vars();
   result.infeasible = false;
@@ -92,7 +93,7 @@ void presolve_into(const Model& model, const PresolveOptions& options,
   for (VarId v = 0; v < n; ++v) {
     result.lb[v] = lb0 ? (*lb0)[v] : model.var(v).lb;
     result.ub[v] = ub0 ? (*ub0)[v] : model.var(v).ub;
-    if (result.lb[v] > result.ub[v] + options.tol) {
+    if (result.lb[v] > result.ub[v] + tol::kPresolveTol) {
       result.infeasible = true;
       return;
     }
@@ -101,12 +102,12 @@ void presolve_into(const Model& model, const PresolveOptions& options,
 
   MO_SPAN("lp.presolve");
   // Counts rounds/tightenings/newly-fixed vars on every exit path below.
-  const PresolveMetrics metrics(result, options.tol);
+  const PresolveMetrics metrics(result);
 
   std::vector<double>& term_lo = result.scratch_term_lo;
   std::vector<double>& term_hi = result.scratch_term_hi;
   bool changed = true;
-  while (changed && result.rounds < options.max_rounds) {
+  while (changed && result.rounds < kMaxRounds) {
     changed = false;
     ++result.rounds;
     for (ConId ci = 0; ci < model.num_constraints(); ++ci) {
@@ -115,10 +116,10 @@ void presolve_into(const Model& model, const PresolveOptions& options,
       const auto& terms = con.lhs.terms();
       if (terms.empty()) {
         const bool ok = con.sense == Sense::LessEqual
-                            ? 0.0 <= con.rhs + options.tol
+                            ? 0.0 <= con.rhs + tol::kPresolveTol
                             : con.sense == Sense::GreaterEqual
-                                  ? 0.0 >= con.rhs - options.tol
-                                  : std::abs(con.rhs) <= options.tol;
+                                  ? 0.0 >= con.rhs - tol::kPresolveTol
+                                  : std::abs(con.rhs) <= tol::kPresolveTol;
         if (!ok) {
           result.infeasible = true;
           return;
@@ -143,21 +144,21 @@ void presolve_into(const Model& model, const PresolveOptions& options,
           con.sense == Sense::LessEqual || con.sense == Sense::Equal;
       const bool needs_ge =
           con.sense == Sense::GreaterEqual || con.sense == Sense::Equal;
-      if (needs_le && lo_inf == 0 && act_lo > con.rhs + options.tol) {
+      if (needs_le && lo_inf == 0 && act_lo > con.rhs + tol::kPresolveTol) {
         result.infeasible = true;
         return;
       }
-      if (needs_ge && hi_inf == 0 && act_hi < con.rhs - options.tol) {
+      if (needs_ge && hi_inf == 0 && act_hi < con.rhs - tol::kPresolveTol) {
         result.infeasible = true;
         return;
       }
       if (con.sense == Sense::LessEqual && hi_inf == 0 &&
-          act_hi <= con.rhs + options.tol) {
+          act_hi <= con.rhs + tol::kPresolveTol) {
         result.redundant_rows[ci] = true;
         continue;
       }
       if (con.sense == Sense::GreaterEqual && lo_inf == 0 &&
-          act_lo >= con.rhs - options.tol) {
+          act_lo >= con.rhs - tol::kPresolveTol) {
         result.redundant_rows[ci] = true;
         continue;
       }
@@ -214,28 +215,26 @@ void presolve_into(const Model& model, const PresolveOptions& options,
             }
           }
         }
-        if (result.lb[v] > result.ub[v] + options.tol) {
+        if (result.lb[v] > result.ub[v] + tol::kPresolveTol) {
           result.infeasible = true;
           return;
         }
       }
     }
 
-    if (options.round_binaries) {
-      for (VarId v = 0; v < n; ++v) {
-        if (model.var(v).kind != VarKind::Binary) continue;
-        if (result.lb[v] > options.tol && result.lb[v] < 1.0) {
-          result.lb[v] = 1.0;
-          changed = true;
-        }
-        if (result.ub[v] < 1.0 - options.tol && result.ub[v] > 0.0) {
-          result.ub[v] = 0.0;
-          changed = true;
-        }
-        if (result.lb[v] > result.ub[v] + options.tol) {
-          result.infeasible = true;
-          return;
-        }
+    for (VarId v = 0; v < n; ++v) {
+      if (model.var(v).kind != VarKind::Binary) continue;
+      if (result.lb[v] > tol::kPresolveTol && result.lb[v] < 1.0) {
+        result.lb[v] = 1.0;
+        changed = true;
+      }
+      if (result.ub[v] < 1.0 - tol::kPresolveTol && result.ub[v] > 0.0) {
+        result.ub[v] = 0.0;
+        changed = true;
+      }
+      if (result.lb[v] > result.ub[v] + tol::kPresolveTol) {
+        result.infeasible = true;
+        return;
       }
     }
   }

@@ -6,7 +6,9 @@
 //   * flags rows that can never be satisfied (node is infeasible),
 //   * flags rows that are always satisfied (redundant),
 //   * tightens variable bounds implied by each row,
-// until a fixpoint or the round cap. Big-M indicator rows — the bulk of
+// until a fixpoint or the round cap (kMaxRounds in presolve.cpp),
+// rounding tightened binary bounds to exact integers after each round.
+// Comparisons use tol::kPresolveTol. Big-M indicator rows — the bulk of
 // the DP/POP encodings — respond particularly well: fixing one binary
 // propagates into many flow-variable bounds, shrinking the node LPs.
 #pragma once
@@ -14,16 +16,8 @@
 #include <vector>
 
 #include "lp/model.h"
-#include "util/tolerances.h"
 
 namespace metaopt::lp {
-
-struct PresolveOptions {
-  int max_rounds = 10;
-  double tol = ::metaopt::tol::kPresolveTol;  // member name shadows the ns
-  /// Round tightened binary bounds to exact integers.
-  bool round_binaries = true;
-};
 
 struct PresolveResult {
   /// True when some row is provably unsatisfiable within the bounds.
@@ -44,15 +38,14 @@ struct PresolveResult {
 
 /// Runs presolve on `model` starting from its own bounds or the given
 /// overrides (both must have model.num_vars() entries when non-null).
-PresolveResult presolve(const Model& model, const PresolveOptions& options = {},
+PresolveResult presolve(const Model& model,
                         const std::vector<double>* lb0 = nullptr,
                         const std::vector<double>* ub0 = nullptr);
 
 /// Same, writing into a caller-owned result whose buffers (bounds,
 /// redundant-row flags, scratch) are reused across calls. All outputs
 /// are reset first; only capacity survives.
-void presolve_into(const Model& model, const PresolveOptions& options,
-                   const std::vector<double>* lb0,
+void presolve_into(const Model& model, const std::vector<double>* lb0,
                    const std::vector<double>* ub0, PresolveResult& result);
 
 }  // namespace metaopt::lp

@@ -80,9 +80,9 @@ void RevisedSimplex::rebuild_positions() {
   }
 }
 
-bool RevisedSimplex::refactorize(double pivot_tol) {
+bool RevisedSimplex::refactorize() {
   c_refactorizations.inc();
-  if (!factor_.factorize(form_, basic_, pivot_tol)) {
+  if (!factor_.factorize(form_, basic_)) {
     factored_basic_.clear();
     return false;
   }
@@ -140,17 +140,19 @@ void RevisedSimplex::compute_y(const std::vector<double>& cost,
   factor_.btran(y);
 }
 
-bool RevisedSimplex::accuracy_ok(double feas_tol) const {
+bool RevisedSimplex::accuracy_ok() const {
   // Terminal safety net against product-form drift: bounds and row
   // residuals must hold at a loose multiple of the feasibility
   // tolerance, else the result is discarded (Error).
-  const double tol = 10.0 * feas_tol;
+  const double slack = 10.0 * tol::kFeasTol;
   for (int j = 0; j < total_; ++j) {
     const double xj = x_[j];
-    if (std::isfinite(cl_[j]) && xj < cl_[j] - tol * (1.0 + std::abs(cl_[j]))) {
+    if (std::isfinite(cl_[j]) &&
+        xj < cl_[j] - slack * (1.0 + std::abs(cl_[j]))) {
       return false;
     }
-    if (std::isfinite(cu_[j]) && xj > cu_[j] + tol * (1.0 + std::abs(cu_[j]))) {
+    if (std::isfinite(cu_[j]) &&
+        xj > cu_[j] + slack * (1.0 + std::abs(cu_[j]))) {
       return false;
     }
   }
@@ -167,7 +169,7 @@ bool RevisedSimplex::accuracy_ok(double feas_tol) const {
     }
   }
   for (int i = 0; i < m_; ++i) {
-    if (std::abs(resid[i]) > tol * (1.0 + std::abs(form_.rhs[i]))) {
+    if (std::abs(resid[i]) > slack * (1.0 + std::abs(form_.rhs[i]))) {
       return false;
     }
   }
@@ -184,7 +186,7 @@ double RevisedSimplex::phase1_objective() const {
 }
 
 int RevisedSimplex::price_entering(const std::vector<double>& cost, bool bland,
-                                   const SimplexOptions& opt, int* dir) {
+                                   int* dir) {
   // Eligibility and raw score of one column; returns the moving
   // direction (0 = not eligible).
   const auto candidate = [&](int j, double* score) -> int {
@@ -193,19 +195,19 @@ int RevisedSimplex::price_entering(const std::vector<double>& cost, bool bland,
     const double d = cost[j] - col_dot(y_, j);
     switch (status_[j]) {
       case VarStatus::AtLower:
-        if (d < -opt.cost_tol) {
+        if (d < -tol::kCostTol) {
           *score = -d;
           return 1;
         }
         break;
       case VarStatus::AtUpper:
-        if (d > opt.cost_tol) {
+        if (d > tol::kCostTol) {
           *score = d;
           return -1;
         }
         break;
       case VarStatus::Free:
-        if (std::abs(d) > opt.cost_tol) {
+        if (std::abs(d) > tol::kCostTol) {
           *score = std::abs(d);
           return d < 0.0 ? 1 : -1;
         }
@@ -300,17 +302,16 @@ void RevisedSimplex::remove_perturbation() {
   perturbed_ = false;
 }
 
-bool RevisedSimplex::exchange(int r, int q, const std::vector<double>& w,
-                              double pivot_tol) {
+bool RevisedSimplex::exchange(int r, int q, const std::vector<double>& w) {
   const int leaving = basic_[r];
   basic_[r] = q;
   pos_[leaving] = -1;
   pos_[q] = r;
   status_[q] = VarStatus::Basic;
-  if (!factor_.update(r, w, pivot_tol)) {
+  if (!factor_.update(r, w)) {
     // The cheap update rejected the pivot element; a full
     // refactorization of the already-swapped basis usually survives.
-    return refactorize(pivot_tol);
+    return refactorize();
   }
   // Keep the cache key honest: factor_ now represents the post-exchange
   // basis, so the next solve's cache lookup must compare against it —
@@ -331,17 +332,17 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
     if ((*iters & 15) == 0 && watch_.seconds() > opt.time_limit_seconds) {
       return SolveStatus::TimeLimit;
     }
-    if (factor_.needs_refactor() && !refactorize(opt.pivot_tol)) {
+    if (factor_.needs_refactor() && !refactorize()) {
       return SolveStatus::Error;
     }
-    if (phase1 && phase1_objective() <= 0.25 * opt.feas_tol) {
+    if (phase1 && phase1_objective() <= 0.25 * tol::kFeasTol) {
       return SolveStatus::Optimal;
     }
 
     compute_y(cost, y_);
 
     int dir = 0;
-    const int q = price_entering(cost, bland, opt, &dir);
+    const int q = price_entering(cost, bland, &dir);
     if (q < 0) return SolveStatus::Optimal;
 
     ftran_column(q, w_);
@@ -357,11 +358,11 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
       const int b = basic_[i];
       double ratio;
       bool to_upper;
-      if (g > opt.pivot_tol) {
+      if (g > tol::kPivotTol) {
         if (!std::isfinite(cl_[b])) continue;
         ratio = (x_[b] - cl_[b]) / g;
         to_upper = false;
-      } else if (g < -opt.pivot_tol) {
+      } else if (g < -tol::kPivotTol) {
         if (!std::isfinite(cu_[b])) continue;
         ratio = (cu_[b] - x_[b]) / (-g);
         to_upper = true;
@@ -415,7 +416,7 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
     x_[lcol] = leave_up ? cu_[lcol] : cl_[lcol];
     x_[q] += dir * step;
     status_[lcol] = leave_up ? VarStatus::AtUpper : VarStatus::AtLower;
-    if (!exchange(leave, q, w_, opt.pivot_tol)) return SolveStatus::Error;
+    if (!exchange(leave, q, w_)) return SolveStatus::Error;
     ++*iters;
     c_revised_pivots.inc();
 
@@ -442,13 +443,13 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
     if ((*iters & 15) == 0 && watch_.seconds() > opt.time_limit_seconds) {
       return SolveStatus::TimeLimit;
     }
-    if (factor_.needs_refactor() && !refactorize(opt.pivot_tol)) {
+    if (factor_.needs_refactor() && !refactorize()) {
       return SolveStatus::Error;
     }
 
     // Leaving: worst (relatively scaled) bound violation among basics.
     int r = -1;
-    double worst = opt.feas_tol;
+    double worst = tol::kFeasTol;
     bool below = false;
     for (int i = 0; i < m_; ++i) {
       const int b = basic_[i];
@@ -489,7 +490,7 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
       if (status_[j] == VarStatus::Basic) continue;
       if (cu_[j] - cl_[j] <= 0.0) continue;
       const double alpha = col_dot(rho_, j);
-      if (std::abs(alpha) <= opt.pivot_tol) continue;
+      if (std::abs(alpha) <= tol::kPivotTol) continue;
       bool ok = false;
       switch (status_[j]) {
         case VarStatus::AtLower:
@@ -542,7 +543,7 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
     x_[brow] = target;
     status_[brow] = below ? VarStatus::AtLower : VarStatus::AtUpper;
     x_[q] += theta;
-    if (!exchange(r, q, w_, opt.pivot_tol)) return SolveStatus::Error;
+    if (!exchange(r, q, w_)) return SolveStatus::Error;
     ++*iters;
     c_dual_pivots.inc();
 
@@ -619,11 +620,11 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
         cu_[a] = 0.0;
         cost1_[a] = -1.0;
       }
-      if (std::abs(r) > 0.25 * opt.feas_tol) need_phase1 = true;
+      if (std::abs(r) > 0.25 * tol::kFeasTol) need_phase1 = true;
     }
   }
   rebuild_positions();
-  if (!refactorize(opt.pivot_tol)) return SolveStatus::Error;
+  if (!refactorize()) return SolveStatus::Error;
 
   if (need_phase1) {
     const SolveStatus st =
@@ -631,7 +632,7 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
     if (st != SolveStatus::Optimal) {
       return st == SolveStatus::Unbounded ? SolveStatus::Error : st;
     }
-    if (phase1_objective() > opt.feas_tol) return SolveStatus::Infeasible;
+    if (phase1_objective() > tol::kFeasTol) return SolveStatus::Infeasible;
   }
 
   // Close the artificials for phase 2: nonbasic ones pin to zero; basic
@@ -670,7 +671,7 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
       if (st == SolveStatus::Infeasible) st = SolveStatus::Error;
     }
   }
-  if (st == SolveStatus::Optimal && !accuracy_ok(opt.feas_tol)) {
+  if (st == SolveStatus::Optimal && !accuracy_ok()) {
     return SolveStatus::Error;
   }
   return st;
@@ -751,7 +752,7 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
       factor_.pivots_since_factor() == 0) {
     c_factor_cache_hits.inc();
     compute_basic_values();
-  } else if (!refactorize(opt.pivot_tol)) {
+  } else if (!refactorize()) {
     return SolveStatus::Error;
   }
 
@@ -761,8 +762,8 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
   // bound flip fixes those. Columns that cannot be repaired (no
   // opposite bound) void the warm start.
   compute_y(cost2_, y_);
-  const double flip_tol = opt.cost_tol;
-  const double bail_tol = 100.0 * opt.cost_tol;
+  const double flip_tol = tol::kCostTol;
+  const double bail_tol = 100.0 * tol::kCostTol;
   bool flipped = false;
   for (int j = 0; j < total_; ++j) {
     if (status_[j] == VarStatus::Basic) continue;
@@ -791,7 +792,7 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
   if (flipped) compute_basic_values();
 
   const SolveStatus st = dual_iterate(opt, iterations);
-  if (st == SolveStatus::Optimal && !accuracy_ok(opt.feas_tol)) {
+  if (st == SolveStatus::Optimal && !accuracy_ok()) {
     return SolveStatus::Error;
   }
   return st;

@@ -85,7 +85,7 @@ class RevisedSimplex {
   // ---- shared machinery ----
   void set_bounds(const std::vector<double>& lb, const std::vector<double>& ub);
   void rebuild_positions();
-  [[nodiscard]] bool refactorize(double pivot_tol);
+  [[nodiscard]] bool refactorize();
   void compute_basic_values();
   /// w := B^{-1} A_j (dense scatter + ftran).
   void ftran_column(int j, std::vector<double>& w) const;
@@ -93,17 +93,16 @@ class RevisedSimplex {
   [[nodiscard]] double col_dot(const std::vector<double>& v, int j) const;
   /// y := B^{-T} c_B for the given cost vector.
   void compute_y(const std::vector<double>& cost, std::vector<double>& y) const;
-  [[nodiscard]] bool accuracy_ok(double feas_tol) const;
+  [[nodiscard]] bool accuracy_ok() const;
   [[nodiscard]] double phase1_objective() const;
   /// Applies one basis exchange at position r (entering q along w).
-  [[nodiscard]] bool exchange(int r, int q, const std::vector<double>& w,
-                              double pivot_tol);
+  [[nodiscard]] bool exchange(int r, int q, const std::vector<double>& w);
   /// Entering-variable selection for primal_iterate: partial pricing
   /// over a cyclic column window (Bland's first-eligible rule when
   /// `bland`). Returns the column or -1 (optimal), with the moving
   /// direction in *dir.
   [[nodiscard]] int price_entering(const std::vector<double>& cost, bool bland,
-                                   const SimplexOptions& opt, int* dir);
+                                   int* dir);
   /// Relaxes the active bounds of degenerate basic variables by
   /// deterministic per-column epsilons (EXPAND-style anti-degeneracy).
   void apply_perturbation();

@@ -16,7 +16,6 @@
 
 #include "lp/model.h"
 #include "lp/solution.h"
-#include "util/tolerances.h"
 
 namespace metaopt::lp {
 
@@ -31,9 +30,6 @@ inline constexpr bool kCertifyByDefault = false;
 struct SimplexOptions {
   long max_iterations = 200000;
   double time_limit_seconds = 1e30;
-  double pivot_tol = tol::kPivotTol;  ///< min magnitude for a pivot element
-  double feas_tol = tol::kFeasTol;    ///< phase-1 residual treated as feasible
-  double cost_tol = tol::kCostTol;    ///< reduced-cost optimality tolerance
   long stall_limit = 2000;   ///< degenerate pivots before Bland's rule
   /// EXPAND-style anti-degeneracy: after `perturb_after` consecutive
   /// degenerate pivots, relax the active bounds of degenerate basic

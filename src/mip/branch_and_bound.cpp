@@ -165,7 +165,6 @@ class TreeSearch {
         root_score_(lp::kInf) {
     lp_opts_ = options.lp;
     lp_opts_.want_duals = false;
-    popts_.max_rounds = 3;
   }
 
   Solution run(int threads);
@@ -185,15 +184,12 @@ class TreeSearch {
   [[nodiscard]] double incumbent_score() const {
     return incumbent_score_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] bool have_incumbent() const {
-    return incumbent_score() > -lp::kInf;
-  }
   /// Pop-time and post-LP prune rule (score space: dir * bound).
   [[nodiscard]] bool prunable(double score) const {
     const double inc = incumbent_score();
     if (inc <= -lp::kInf) return false;
-    if (score <= inc + options_.abs_gap) return true;
-    return score - inc <= options_.rel_gap * std::max(1.0, std::abs(inc));
+    if (score <= inc + tol::kAbsGap) return true;
+    return score - inc <= tol::kRelGap * std::max(1.0, std::abs(inc));
   }
 
   // ---- immutable per-solve configuration ----
@@ -204,7 +200,6 @@ class TreeSearch {
   const double dir_;
   const double root_score_;
   lp::SimplexOptions lp_opts_;
-  lp::PresolveOptions popts_;
   util::Stopwatch watch_;
 
   // ---- node queue (guarded by queue_mutex_) ----
@@ -244,7 +239,6 @@ class TreeSearch {
   bool inc_have_ = false;
   double inc_obj_ = 0.0;
   std::vector<double> inc_values_;
-  std::atomic<double> last_progress_time_{0.0};
 
   // ---- aggregated worker stats (filled at worker exit, under lock) ----
   long total_lp_solves_ = 0;
@@ -271,7 +265,7 @@ void TreeSearch::accept_incumbent(double obj,
   const double score = dir_ * obj;
   double cur = incumbent_score_.load(std::memory_order_relaxed);
   do {
-    if (score <= cur + options_.abs_gap) return;
+    if (score <= cur + tol::kAbsGap) return;
   } while (!incumbent_score_.compare_exchange_weak(
       cur, score, std::memory_order_acq_rel, std::memory_order_relaxed));
 
@@ -279,18 +273,12 @@ void TreeSearch::accept_incumbent(double obj,
   // Two winners can arrive out of order (A claims 5, B claims 7, B
   // stores its payload first): only advance the payload, never regress.
   if (inc_have_ && dir_ * obj <= dir_ * inc_obj_) return;
-  const double improvement =
-      inc_have_ ? std::abs(obj - inc_obj_) / std::max(1.0, std::abs(inc_obj_))
-                : 1.0;
   inc_obj_ = obj;
   inc_values_ = values;
   inc_have_ = true;
   c_incumbents.inc();
   // Incumbent timeline: renders as the gap-vs-time curve in Perfetto.
   obs::record_counter("bnb.incumbent", obj);
-  if (improvement >= options_.progress_min_improvement) {
-    last_progress_time_.store(watch_.seconds(), std::memory_order_relaxed);
-  }
   if (callbacks_.on_incumbent) {
     // Still under the incumbent mutex: callbacks see monotonically
     // improving objectives and never run concurrently.
@@ -327,7 +315,7 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
   }
 
   if (options_.use_presolve) {
-    lp::presolve_into(model_, popts_, &ws.lbs, &ws.ubs, ws.pre);
+    lp::presolve_into(model_, &ws.lbs, &ws.ubs, ws.pre);
     if (ws.pre.infeasible) {
       c_pruned_infeas.inc();
       return;
@@ -342,11 +330,11 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
   // so the branching code below always has a side left to fix; letting
   // it fall through used to drop the node silently with no counter.
   for (const auto& pair : model_.complementarities()) {
-    if (ws.lbs[pair.a] > options_.compl_tol &&
-        ws.lbs[pair.b] > options_.compl_tol) {
+    if (ws.lbs[pair.a] > tol::kComplTol &&
+        ws.lbs[pair.b] > tol::kComplTol) {
       MO_LOG(Debug) << "B&B: complementarity pair (" << pair.a << ","
                     << pair.b << ") has both lower bounds above "
-                    << options_.compl_tol << "; pruning node as infeasible";
+                    << tol::kComplTol << "; pruning node as infeasible";
       c_pruned_infeas.inc();
       return;
     }
@@ -399,20 +387,20 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
     };
     for (VarId v = 0; v < model_.num_vars() && children.empty(); ++v) {
       if (model_.var(v).kind == lp::VarKind::Binary &&
-          ws.ubs[v] - ws.lbs[v] > options_.int_tol) {
+          ws.ubs[v] - ws.lbs[v] > tol::kIntTol) {
         push(v, 0.0, 0.0);
         push(v, 1.0, 1.0);
       }
     }
     if (children.empty()) {
       for (const auto& pair : model_.complementarities()) {
-        if (ws.ubs[pair.a] > options_.compl_tol &&
-            ws.ubs[pair.b] > options_.compl_tol) {
+        if (ws.ubs[pair.a] > tol::kComplTol &&
+            ws.ubs[pair.b] > tol::kComplTol) {
           // The up-front pair check guarantees at least one side is
           // still fixable to zero; a pair with neither side fixable
           // would have pruned the node as infeasible above.
           for (VarId side : {pair.a, pair.b}) {
-            if (ws.lbs[side] > options_.compl_tol) continue;
+            if (ws.lbs[side] > tol::kComplTol) continue;
             push(side, ws.lbs[side], 0.0);
           }
           if (!children.empty()) break;
@@ -452,7 +440,7 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
 
   // Find violated discrete structure.
   VarId frac_bin = lp::kInvalidVar;
-  double worst_frac = options_.int_tol;
+  double worst_frac = tol::kIntTol;
   for (VarId v = 0; v < model_.num_vars(); ++v) {
     if (model_.var(v).kind != lp::VarKind::Binary) continue;
     const double x = relax.values[v];
@@ -463,7 +451,7 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
     }
   }
   int worst_pair = -1;
-  double worst_product = options_.compl_tol;
+  double worst_product = tol::kComplTol;
   const auto& pairs = model_.complementarities();
   for (std::size_t p = 0; p < pairs.size(); ++p) {
     const double prod = std::min(std::abs(relax.values[pairs[p].a]),
@@ -511,10 +499,10 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
     push_child({BoundChange{frac_bin, 1.0, 1.0}});
   } else {
     const auto& pair = pairs[worst_pair];
-    if (ws.lbs[pair.a] <= options_.compl_tol) {
+    if (ws.lbs[pair.a] <= tol::kComplTol) {
       push_child({BoundChange{pair.a, ws.lbs[pair.a], 0.0}});
     }
-    if (ws.lbs[pair.b] <= options_.compl_tol) {
+    if (ws.lbs[pair.b] <= tol::kComplTol) {
       push_child({BoundChange{pair.b, ws.lbs[pair.b], 0.0}});
     }
   }
@@ -552,25 +540,6 @@ void TreeSearch::worker_loop() {
         }
         if (nodes_ >= options_.max_nodes) {
           stop_reason_ = SolveStatus::IterationLimit;
-          stopped_early_ = true;
-          stop_.store(true, std::memory_order_release);
-          work_cv_.notify_all();
-          break;
-        }
-        if (options_.target_objective && have_incumbent() &&
-            incumbent_score() >= dir_ * *options_.target_objective) {
-          stop_reason_ = SolveStatus::Feasible;
-          stopped_early_ = true;
-          stop_.store(true, std::memory_order_release);
-          work_cv_.notify_all();
-          break;
-        }
-        if (have_incumbent() &&
-            watch_.seconds() -
-                    last_progress_time_.load(std::memory_order_relaxed) >
-                options_.progress_window_seconds) {
-          MO_LOG(Info) << "B&B: progress-window stop";
-          stop_reason_ = SolveStatus::Feasible;
           stopped_early_ = true;
           stop_.store(true, std::memory_order_release);
           work_cv_.notify_all();
@@ -713,7 +682,7 @@ Solution TreeSearch::run(int threads) {
   // certify when an actual point was produced.
   if (options_.certify && best.has_solution() && !best.values.empty()) {
     const check::Certificate cert = check::certify_mip(
-        model_, best, check::CertifyOptions::for_mip(options_));
+        model_, best, check::CertifyOptions::for_mip());
     best.certified = cert.ok;
     if (!cert.ok) {
       MO_LOG(Error) << "MIP certification FAILED: " << cert.to_string();

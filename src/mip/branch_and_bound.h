@@ -19,15 +19,14 @@
 // ("Parallel tree search") for the full protocol and the determinism
 // contract.
 //
-// Two paper-specific facilities:
-//  * a primal-heuristic callback, used by the metaopt layer to turn every
-//    node relaxation into a *genuine* adversarial input by re-evaluating
-//    the true gap with direct solves — so every incumbent is valid even
-//    when the relaxation bound is loose;
-//  * the §3.3 stopping rules — stop when the incumbent has improved by
-//    less than `progress_min_improvement` within `progress_window_seconds`
-//    (Gurobi-style incremental-progress timeout), or as soon as a target
-//    objective is reached (Z3-style binary sweep).
+// A paper-specific facility: a primal-heuristic callback, used by the
+// metaopt layer to turn every node relaxation into a *genuine*
+// adversarial input by re-evaluating the true gap with direct solves — so
+// every incumbent is valid even when the relaxation bound is loose. The
+// search stops on its time or node budget (MipOptions), or when the
+// incumbent/bound gap closes to tol::kRelGap / tol::kAbsGap; binaries are
+// integral within tol::kIntTol and complementarity pairs hold within
+// tol::kComplTol.
 #pragma once
 
 #include <functional>
@@ -43,17 +42,6 @@ namespace metaopt::mip {
 struct MipOptions {
   double time_limit_seconds = 60.0;
   long max_nodes = 100000000;
-  double rel_gap = tol::kRelGap;     ///< relative incumbent/bound gap to stop
-  double abs_gap = tol::kAbsGap;     ///< absolute gap to stop
-  double int_tol = tol::kIntTol;     ///< integrality tolerance for binaries
-  double compl_tol = tol::kComplTol; ///< complementarity product tolerance
-  /// Stop if the incumbent improved by less than progress_min_improvement
-  /// (relative) during the last progress_window_seconds (§3.3).
-  double progress_window_seconds = 1e30;
-  double progress_min_improvement = 0.005;
-  /// Stop as soon as the incumbent is at least this good (binary-sweep
-  /// gap search, §3.3). "At least as good" honors the objective sense.
-  std::optional<double> target_objective;
   /// Run bound-propagation presolve at every node: prunes provably
   /// infeasible nodes without an LP solve and shrinks node LPs by fixing
   /// variables (big-M indicator rows propagate well).

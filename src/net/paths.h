@@ -21,7 +21,6 @@ struct Path {
   [[nodiscard]] int hops() const { return static_cast<int>(edges.size()); }
   [[nodiscard]] double weight(const Topology& topo) const;
   [[nodiscard]] std::vector<NodeId> nodes(const Topology& topo) const;
-  [[nodiscard]] bool uses_edge(EdgeId e) const;
 
   friend bool operator==(const Path& a, const Path& b) {
     return a.edges == b.edges;

@@ -9,6 +9,8 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "util/jsonl.h"
+
 namespace metaopt::obs {
 
 namespace detail {
@@ -319,13 +321,7 @@ const MetricValue* MetricsSnapshot::find(const std::string& name) const {
 
 namespace {
 
-/// Shortest-exact double formatting shared with the sweep JSONL writer's
-/// determinism contract.
-std::string json_number(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
+using util::json_number;
 
 std::string json_u64(std::uint64_t value) {
   char buf[32];

@@ -17,6 +17,20 @@ const obs::Counter c_improvements = obs::counter("search.improvements");
 const obs::Counter c_restarts = obs::counter("search.restarts");
 const obs::Histogram h_run_ns = obs::histogram("search.run_ns");
 
+// Hill climbing / annealing neighborhood (Algorithm 1, §3.4).
+/// Gaussian step stddev as a fraction of the leader box (paper: 10% of
+/// link capacity).
+constexpr double kSigmaFraction = 0.1;
+/// Patience K: failed neighbor draws before declaring a local maximum.
+constexpr int kPatience = 100;
+
+// Simulated annealing schedule (§3.4): t_{p+1} = kGamma * t_p every
+// kCoolingPeriod iterations, starting from kT0; a run ends once the
+// temperature falls below 1e-6 * kT0.
+constexpr double kT0 = 500.0;
+constexpr double kGamma = 0.1;
+constexpr int kCoolingPeriod = 100;
+
 /// Shared bookkeeping: budget checks and best-so-far tracking.
 class Tracker {
  public:
@@ -89,7 +103,7 @@ SearchResult hill_climb(const heur::GapOracle& oracle,
   MO_SPAN_HIST("search.hill_climb", h_run_ns);
   util::Rng rng(options.seed);
   Tracker tracker(oracle, options);
-  const double sigma = options.sigma_fraction * options.demand_ub;
+  const double sigma = kSigmaFraction * options.demand_ub;
 
   // A wrong-sized initial point is a caller bug (typically a mask/oracle
   // dimension mismatch); falling back to a random start silently would
@@ -113,7 +127,7 @@ SearchResult hill_climb(const heur::GapOracle& oracle,
     first_restart = false;
     double gap_d = tracker.evaluate(d);
     int failures = 0;
-    while (failures < options.patience && tracker.budget_left()) {
+    while (failures < kPatience && tracker.budget_left()) {
       std::vector<double> aux =
           gaussian_neighbor(d, sigma, options.demand_ub, rng);
       const double gap_aux = tracker.evaluate(aux);
@@ -134,17 +148,17 @@ SearchResult simulated_annealing(const heur::GapOracle& oracle,
   MO_SPAN_HIST("search.simulated_annealing", h_run_ns);
   util::Rng rng(options.seed);
   Tracker tracker(oracle, options);
-  const double sigma = options.sigma_fraction * options.demand_ub;
+  const double sigma = kSigmaFraction * options.demand_ub;
 
   while (tracker.budget_left()) {
     tracker.count_restart();
     std::vector<double> d =
         random_point(oracle.num_leader_vars(), options.demand_ub, rng);
     double gap_d = tracker.evaluate(d);
-    double temperature = options.t0;
+    double temperature = kT0;
     long iter = 0;
     // One annealing run: cool until the move probability is negligible.
-    while (temperature > 1e-6 * options.t0 && tracker.budget_left()) {
+    while (temperature > 1e-6 * kT0 && tracker.budget_left()) {
       std::vector<double> aux =
           gaussian_neighbor(d, sigma, options.demand_ub, rng);
       const double gap_aux = tracker.evaluate(aux);
@@ -155,7 +169,7 @@ SearchResult simulated_annealing(const heur::GapOracle& oracle,
         d = std::move(aux);
         gap_d = gap_aux;
       }
-      if (++iter % options.cooling_period == 0) temperature *= options.gamma;
+      if (++iter % kCoolingPeriod == 0) temperature *= kGamma;
     }
   }
   return tracker.finish();

@@ -7,7 +7,9 @@
 // They are the paper's baselines for Fig. 3 — and also handy incumbent
 // seeds for the white-box search. They are domain-neutral: any
 // heur::GapOracle (TE demand volumes, bin-packing item sizes, ...) works
-// unchanged.
+// unchanged. The neighborhood (step size, patience K) and the annealing
+// schedule are the paper's §3.4 values, fixed in search.cpp; callers set
+// only the budget, the leader box, the seed and the starting points.
 #pragma once
 
 #include <cstdint>
@@ -24,19 +26,6 @@ struct SearchOptions {
   /// the TE demand box; it is the generic leader-box upper bound.)
   double demand_ub = 1000.0;
   std::uint64_t seed = 1;
-
-  // Hill climbing / annealing neighborhood (Algorithm 1):
-  /// Gaussian step stddev as a fraction of demand_ub (paper: 10% of link
-  /// capacity).
-  double sigma_fraction = 0.1;
-  /// Patience K: failed neighbor draws before declaring a local maximum.
-  int patience = 100;
-
-  // Simulated annealing schedule (§3.4): t_{p+1} = gamma * t_p every
-  // cooling_period iterations, starting from t0.
-  double t0 = 500.0;
-  double gamma = 0.1;
-  int cooling_period = 100;
 
   // Quantized climbing levels (defaults to {0, demand_ub} plus the DP
   // threshold when the caller supplies one).

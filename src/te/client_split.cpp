@@ -139,10 +139,7 @@ PopCsEncoding build_pop_cs(lp::Model& model, const net::Topology& topo,
   }
 
   const int max_hops = paths.max_hops();
-  const double dual_scale = pop_config.dual_bound_scale;
-  const double row_dual = dual_scale > 0.0 ? dual_scale : lp::kInf;
-  const double bound_dual =
-      dual_scale > 0.0 ? dual_scale * (max_hops + 1.0) : lp::kInf;
+  const double bound_dual = kFlowDualBound * (max_hops + 1.0);
   for (auto& inner : enc.partitions) inner.set_bound_dual_bound(bound_dual);
 
   // Per-partition capacity loads accumulated while creating flow vars.
@@ -179,7 +176,7 @@ PopCsEncoding build_pop_cs(lp::Model& model, const net::Topology& topo,
       if (level < L) {
         const double hi = std::ldexp(T, level);
         model.add_constraint(
-            lp::LinExpr(d) <= lp::LinExpr(hi - cs_config.epsilon) +
+            lp::LinExpr(d) <= lp::LinExpr(hi - kIndicatorEpsilon) +
                                   big_m_d * (1.0 - lp::LinExpr(z)),
             prefix + "lvl_hi[" + kk + "," + std::to_string(level) + "]");
       }
@@ -217,13 +214,13 @@ PopCsEncoding build_pop_cs(lp::Model& model, const net::Topology& topo,
             flow_sum <= (1.0 / copies) * lp::LinExpr(d),
             prefix + "vvol[" + kk + "," + std::to_string(level) + "," +
                 std::to_string(i) + "]",
-            row_dual);
+            kFlowDualBound);
         // Activation: zero unless this level is active.
         inner.add_constraint(
             flow_sum <= act_m * lp::LinExpr(enc.level_ind[k][level]),
             prefix + "vact[" + kk + "," + std::to_string(level) + "," +
                 std::to_string(i) + "]",
-            row_dual);
+            kFlowDualBound);
       }
     }
   }
@@ -236,7 +233,7 @@ PopCsEncoding build_pop_cs(lp::Model& model, const net::Topology& topo,
               lp::LinExpr(topo.edge(e).capacity / pop_config.num_partitions),
           prefix + "cap[" + std::to_string(part) + "," + std::to_string(e) +
               "]",
-          row_dual);
+          kFlowDualBound);
     }
     enc.partitions[part].set_objective(partition_obj[part]);
   }

@@ -11,6 +11,10 @@
 //            = l in [1, L-1]     if 2^{l-1} T <= d < 2^l T
 //            = L                 if d >= 2^{L-1} T
 //
+// The encoding's level-indicator rows leave a dead band of width
+// kIndicatorEpsilon (te/demand.h; the appendix epsilon) below each level
+// boundary 2^l T.
+//
 // Two implementations with one semantics, as for DP:
 //  * client_split / solve_pop_cs — the procedural transform + POP run;
 //  * build_pop_cs — the appendix's convex encoding over outer demand
@@ -33,8 +37,6 @@ namespace metaopt::te {
 struct ClientSplitConfig {
   double split_threshold = 500.0;  ///< T (d_th in the appendix)
   int max_splits = 2;              ///< L: at most 2^L virtual clients
-  /// Boundary slack for the level-indicator rows (appendix epsilon).
-  double epsilon = 1e-3;
 };
 
 /// Split level for a concrete volume (see header comment).

@@ -9,6 +9,13 @@
 
 namespace metaopt::te {
 
+/// Strictness margin of the demand-volume indicator rows in the convex
+/// encodings: DP's pinning indicator reads d_k >= T_d + kIndicatorEpsilon
+/// as definitely unpinned, and client splitting's level indicators leave
+/// the band (2^l T - kIndicatorEpsilon, 2^l T) to no level. Volumes
+/// inside a band may take either side. Small relative to capacities.
+inline constexpr double kIndicatorEpsilon = 1e-3;
+
 /// One demand: (s_k, t_k, d_k) in the paper's notation.
 struct Demand {
   net::NodeId src = -1;
@@ -20,11 +27,6 @@ struct Demand {
 /// (src-major) order — the canonical demand-pair universe.
 std::vector<std::pair<net::NodeId, net::NodeId>> all_pairs(
     const net::Topology& topo);
-
-/// Builds demands from parallel pair/volume arrays.
-std::vector<Demand> make_demands(
-    const std::vector<std::pair<net::NodeId, net::NodeId>>& pairs,
-    const std::vector<double>& volumes);
 
 /// Extracts volumes in pair order.
 std::vector<double> volumes_of(const std::vector<Demand>& demands);

@@ -77,6 +77,11 @@ DpResult solve_demand_pinning(const MaxFlowLp& max_flow,
   return result;
 }
 
+/// Analytic dual-bound multiplier of the DP encoding over plain max-flow
+/// (kFlowDualBound): the pinning rows only admit a looser bound, so every
+/// row of the DP follower carries this extra margin.
+constexpr double kPinDualBoundScale = 2.0;
+
 DpEncoding build_demand_pinning(lp::Model& model, const net::Topology& topo,
                                 const PathSet& paths,
                                 const std::vector<lp::Var>& demand,
@@ -105,20 +110,16 @@ DpEncoding build_demand_pinning(lp::Model& model, const net::Topology& topo,
     }
   }
   MaxFlowOptions mf_options;
-  mf_options.dual_bound_scale = config.dual_bound_scale;
   mf_options.include = include;
   FlowEncoding flow =
       build_max_flow(model, topo, paths, demand_exprs, prefix, mf_options);
   enc.path_flow = std::move(flow.path_flow);
   enc.total_flow = std::move(flow.total_flow);
   enc.inner = std::move(flow.inner);
-  // Pinning rows have a looser analytic dual bound than plain max-flow;
-  // widen the bound-row budget accordingly.
-  const double pin_dual =
-      config.dual_bound_scale > 0.0
-          ? config.dual_bound_scale * (paths.max_hops() + 1.0)
-          : lp::kInf;
-  enc.inner.set_bound_dual_bound(pin_dual);
+  // Pinning rows admit only a looser analytic dual bound than plain
+  // max-flow: widen every dual budget, the flow rows' included.
+  enc.inner.scale_dual_bounds(kPinDualBoundScale);
+  const double pin_dual = enc.inner.bound_dual_bound();
 
   const double big_m_d = demand_ub + config.threshold + 1.0;
   for (int k = 0; k < paths.num_pairs(); ++k) {
@@ -135,7 +136,7 @@ DpEncoding build_demand_pinning(lp::Model& model, const net::Topology& topo,
             lp::LinExpr(config.threshold + big_m_d),
         prefix + "pin_on[" + std::to_string(k) + "]");
     model.add_constraint(
-        lp::LinExpr(config.threshold + config.epsilon) - lp::LinExpr(d) <=
+        lp::LinExpr(config.threshold + kIndicatorEpsilon) - lp::LinExpr(d) <=
             big_m_d * lp::LinExpr(b),
         prefix + "pin_off[" + std::to_string(k) + "]");
 

@@ -11,7 +11,9 @@
 //    white-box search: an outer indicator b_k ∈ {0,1} with big-M rows
 //    enforcing b_k = 1 ⇔ d_k <= T_d, plus inner big-M rows forcing
 //    non-shortest flows to zero and the shortest-path flow to d_k when
-//    pinned (the max(M(d_k - T_d), 0) trick in indicator form).
+//    pinned (the max(M(d_k - T_d), 0) trick in indicator form). Demands
+//    in (T_d, T_d + kIndicatorEpsilon) may take either side
+//    (te/demand.h).
 #pragma once
 
 #include <string>
@@ -19,6 +21,7 @@
 
 #include "kkt/inner_problem.h"
 #include "lp/model.h"
+#include "te/demand.h"
 #include "te/max_flow.h"
 #include "te/path_set.h"
 
@@ -29,18 +32,9 @@ struct DpConfig {
   /// ("at or below", matching Fig. 1 where the demand sits exactly at
   /// the threshold and is pinned).
   double threshold = 50.0;
-  /// Strictness margin: the indicator encoding treats d_k >= threshold +
-  /// epsilon as definitely unpinned; demands inside (threshold,
-  /// threshold + epsilon) may take either side. Keep small relative to
-  /// capacities.
-  double epsilon = 1e-3;
   /// Upper bound on any single demand volume (sizes the big-M constants
   /// of the indicator rows). Defaults to the max link capacity when 0.
   double demand_ub = 0.0;
-  /// Multiplier on the analytic KKT dual bounds (<= 0 disables them).
-  /// DP's pinning rows only admit a looser analytic bound than plain
-  /// max-flow, so the default carries extra margin.
-  double dual_bound_scale = 2.0;
   /// Certify the residual LP inside the procedural solver and record
   /// the verdict in DpResult::certified (the encoding builders ignore
   /// this). Defaults to the solver-wide policy; explain probes force it.

@@ -25,13 +25,7 @@ FlowEncoding build_max_flow(lp::Model& model, const net::Topology& topo,
   FlowEncoding enc;
   enc.path_flow.resize(paths.num_pairs());
 
-  const double bound_dual =
-      options.dual_bound_scale > 0.0
-          ? options.dual_bound_scale * (paths.max_hops() + 1.0)
-          : lp::kInf;
-  const double row_dual =
-      options.dual_bound_scale > 0.0 ? options.dual_bound_scale : lp::kInf;
-  enc.inner.set_bound_dual_bound(bound_dual);
+  enc.inner.set_bound_dual_bound(kFlowDualBound * (paths.max_hops() + 1.0));
 
   // Flow variables + volume rows.
   std::vector<lp::LinExpr> edge_load(topo.num_edges());
@@ -56,7 +50,7 @@ FlowEncoding build_max_flow(lp::Model& model, const net::Topology& topo,
     }
     enc.inner.add_constraint(flow_k <= demand[k],
                              prefix + "vol[" + std::to_string(k) + "]",
-                             row_dual);
+                             kFlowDualBound);
   }
 
   // Capacity rows (only for edges actually carrying a path).
@@ -67,7 +61,7 @@ FlowEncoding build_max_flow(lp::Model& model, const net::Topology& topo,
                            : topo.edge(e).capacity;
     enc.inner.add_constraint(
         edge_load[e] <= lp::LinExpr(cap * options.capacity_scale),
-        prefix + "cap[" + std::to_string(e) + "]", row_dual);
+        prefix + "cap[" + std::to_string(e) + "]", kFlowDualBound);
   }
 
   enc.inner.set_objective(enc.total_flow);

@@ -20,8 +20,8 @@
 // admits an optimal point with capacity/volume multipliers <= 1 (any
 // component > 1 can be clamped: it alone already covers every dual
 // constraint it appears in), and bound-row multipliers <= max path hops
-// + 1 by stationarity. These bounds keep the branch-and-bound relaxation
-// tight; they are configurable for paranoia sweeps.
+// + 1 by stationarity. These bounds (kFlowDualBound) keep the
+// branch-and-bound relaxation tight.
 #pragma once
 
 #include <memory>
@@ -37,6 +37,11 @@
 
 namespace metaopt::te {
 
+/// Analytic bound on the capacity/volume multipliers of the max-flow
+/// follower; bound-row multipliers get kFlowDualBound * (max hops + 1).
+/// Encodings only: direct solves carry no dual bounds.
+inline constexpr double kFlowDualBound = 1.0;
+
 struct MaxFlowOptions {
   /// Capacities are multiplied by this factor (POP gives each of c
   /// partitions a 1/c share, Eq. 6).
@@ -47,10 +52,6 @@ struct MaxFlowOptions {
   /// Optional per-edge capacity override (residual capacities in the
   /// procedural DP solver). Size must equal topo.num_edges().
   const std::vector<double>* capacity_override = nullptr;
-  /// Multiplier applied to the analytic dual bounds; <= 0 disables dual
-  /// bounds entirely (sound but slow). Encodings only: direct solves
-  /// carry no dual bounds.
-  double dual_bound_scale = 1.0;
   /// Certify the direct solve (check::certify_lp) and record the verdict
   /// in MaxFlowResult::certified. Defaults to the solver-wide policy
   /// (on in Debug, opt-in in Release); explain probes force it on.

@@ -78,7 +78,6 @@ PopEncoding build_pop(lp::Model& model, const net::Topology& topo,
     MaxFlowOptions options;
     options.include = &include;
     options.capacity_scale = 1.0 / config.num_partitions;
-    options.dual_bound_scale = config.dual_bound_scale;
     enc.partitions.push_back(
         build_max_flow(model, topo, paths, demand,
                        prefix + "p" + std::to_string(part) + ".", options));

@@ -27,8 +27,6 @@ struct PopConfig {
   int num_partitions = 2;
   /// Seed of the partition instantiation.
   std::uint64_t seed = 1;
-  /// Multiplier on the analytic KKT dual bounds (<= 0 disables).
-  double dual_bound_scale = 1.0;
   /// Certify every per-partition LP in the procedural solver and record
   /// the verdict in PopResult::certified (encoding builders ignore it).
   bool certify = lp::kCertifyByDefault;

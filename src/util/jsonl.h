@@ -1,8 +1,7 @@
-// Minimal JSON / JSONL reader.
+// Minimal JSON / JSONL reader, plus the two scalar writers every JSON
+// emitter in the repo shares (sweep JSONL, metrics dumps, bench reports).
 //
-// Sweep output (runner/sweep_runner) was write-only until the explain
-// subsystem needed to consume it back: this header adds the read side.
-// It parses the subset of JSON the repo actually emits — objects,
+// The reader parses the subset of JSON the repo actually emits — objects,
 // arrays, strings with the standard escapes, numbers, booleans, null —
 // into a small value tree, one self-contained recursive-descent parser
 // with no external dependencies. Records are tolerant of keys the
@@ -73,5 +72,13 @@ JsonValue parse_json(const std::string& text);
 /// std::runtime_error (with the line number) on an unreadable file or a
 /// malformed line.
 std::vector<JsonValue> read_jsonl(const std::string& path);
+
+/// Formats a double as "%.17g": shortest-exact, so identical doubles
+/// always serialize to identical bytes (the sweep JSONL determinism
+/// contract).
+std::string json_number(double value);
+
+/// Quotes and escapes `s` as a JSON string literal.
+std::string json_string(const std::string& s);
 
 }  // namespace metaopt::util

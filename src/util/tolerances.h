@@ -5,7 +5,9 @@
 // that the solution certifier (src/check) can derive its acceptance
 // thresholds from the *same* constants the solvers optimize against. A
 // certifier stricter than the solver would reject legitimate optima; one
-// unrelated to the solver would silently drift. Keep them coupled.
+// unrelated to the solver would silently drift. Keep them coupled. The
+// solvers read these constants directly: no option struct carries a
+// copy that a caller could set apart from them.
 //
 // Rationale for the magnitudes:
 //  * the simplex solves basis systems through an LU factor plus eta
@@ -20,7 +22,7 @@
 
 namespace metaopt::tol {
 
-// ---- simplex (lp/simplex.h defaults) ----
+// ---- simplex (lp/revised_simplex.cpp, lp/basis.cpp) ----
 
 /// Minimum magnitude for a pivot element; anything smaller is treated as
 /// zero to avoid dividing by numerical dust.
@@ -38,7 +40,7 @@ inline constexpr double kCostTol = 1e-9;
 /// (lb > ub + kFixTol).
 inline constexpr double kFixTol = 1e-12;
 
-// ---- branch-and-bound (mip/branch_and_bound.h defaults) ----
+// ---- branch-and-bound (mip/branch_and_bound.cpp) ----
 
 /// Integrality tolerance for binaries: a relaxation value within this
 /// of an integer counts as integral.
@@ -67,7 +69,7 @@ inline constexpr double kPerturbBase = 1e-8;
 /// counts as degenerate-active and gets that bound perturbed.
 inline constexpr double kPerturbActiveTol = 1e-7;
 
-// ---- presolve (lp/presolve.h default) ----
+// ---- presolve (lp/presolve.cpp) ----
 
 /// Activity-bound slack below which presolve rounds and comparisons are
 /// considered exact.
@@ -81,7 +83,7 @@ inline constexpr double kPresolveTol = 1e-9;
 /// simplex-tolerance noise through the stationarity sums.
 inline constexpr double kAssembledPointTol = 1e-4;
 
-// ---- model lint (check/lint.h default) ----
+// ---- model lint (check/lint.cpp) ----
 
 /// Coefficient / rhs magnitude above which the linter flags a suspicious
 /// big-M. Beyond ~1e8 a big-M row spans more than ~16 orders of

@@ -80,7 +80,7 @@ std::vector<int> pick_basis(const BoundedForm& form, util::Rng& rng) {
       basic.push_back(col >= 0 ? col : form.logical_col(i));
     }
     BasisFactor probe;
-    if (probe.factorize(form, basic, 1e-9)) return basic;
+    if (probe.factorize(form, basic)) return basic;
   }
   std::vector<int> logicals;
   for (int i = 0; i < m; ++i) logicals.push_back(form.logical_col(i));
@@ -308,7 +308,7 @@ void update_and_check(BasisFactor& factor, DenseBasis& basis, int count,
       v = rng.bernoulli(0.5) ? rng.uniform(-2.0, 2.0) : 0.0;
     }
     w[r] = rng.uniform(1.0, 3.0);  // safely away from the pivot tol
-    ASSERT_TRUE(factor.update(r, w, 1e-9));
+    ASSERT_TRUE(factor.update(r, w));
     basis.replace(r, w);
     expect_small_residuals(factor, basis, rng, tol,
                            " after update " + std::to_string(u + 1));
@@ -326,14 +326,14 @@ TEST(BasisFactor, FactorSolvesHaveSmallResiduals) {
     const std::vector<int> basic = pick_basis(form, rng);
 
     BasisFactor factor;
-    ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+    ASSERT_TRUE(factor.factorize(form, basic));
     expect_small_residuals(factor, DenseBasis(form, basic), rng, 1e-9, "");
   }
   for (const BasisCase& c : structured_cases()) {
     SCOPED_TRACE(c.name);
     ASSERT_EQ(static_cast<int>(c.basic.size()), c.form.num_rows);
     BasisFactor factor;
-    ASSERT_TRUE(factor.factorize(c.form, c.basic, 1e-9));
+    ASSERT_TRUE(factor.factorize(c.form, c.basic));
     expect_small_residuals(factor, DenseBasis(c.form, c.basic), rng, 1e-9,
                            "");
   }
@@ -350,7 +350,7 @@ TEST(BasisFactor, SingularBasesAreReported) {
     repeated[m - 1] = 0;
     for (const std::vector<int>& basic : {structural_basis(m), repeated}) {
       BasisFactor factor;
-      EXPECT_FALSE(factor.factorize(chain, basic, 1e-9));
+      EXPECT_FALSE(factor.factorize(chain, basic));
     }
   }
 }
@@ -366,7 +366,7 @@ TEST(BasisFactor, EtaUpdatesKeepResidualsSmall) {
     const std::vector<int> basic = pick_basis(form, rng);
 
     BasisFactor factor;
-    ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+    ASSERT_TRUE(factor.factorize(form, basic));
     DenseBasis basis(form, basic);
     expect_small_residuals(factor, basis, rng, 1e-9, "");
 
@@ -378,7 +378,7 @@ TEST(BasisFactor, EtaUpdatesKeepResidualsSmall) {
   for (const BasisCase& c : structured_cases()) {
     SCOPED_TRACE(c.name);
     BasisFactor factor;
-    ASSERT_TRUE(factor.factorize(c.form, c.basic, 1e-9));
+    ASSERT_TRUE(factor.factorize(c.form, c.basic));
     DenseBasis basis(c.form, c.basic);
     update_and_check(factor, basis, 3, rng, 1e-8);
   }
@@ -396,7 +396,7 @@ TEST(BasisFactor, ResidualAccuracyOnFactorizedBasis) {
   const int m = form.num_rows;
 
   BasisFactor factor;
-  ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+  ASSERT_TRUE(factor.factorize(form, basic));
 
   for (int i = 0; i < m; ++i) {
     std::vector<double> e(m, 0.0);
@@ -417,9 +417,9 @@ TEST(BasisFactor, FactorizeTimerObservesEachSuccessfulFactorization) {
   BasisFactor factor;
   const obs::MetricsSnapshot before = obs::snapshot();
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(factor.factorize(chain.form, chain.basic, 1e-9));
+    ASSERT_TRUE(factor.factorize(chain.form, chain.basic));
   }
-  EXPECT_FALSE(factor.factorize(singular, structural_basis(5), 1e-9));
+  EXPECT_FALSE(factor.factorize(singular, structural_basis(5)));
   const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
   obs::set_enabled(false);
   const obs::MetricValue* h = d.find("simplex.factorize_ns");
@@ -439,7 +439,7 @@ TEST(BasisFactor, FillInTriggersRefactorizeBeforePivotInterval) {
 
   BasisFactor factor;
   const obs::MetricsSnapshot before = obs::snapshot();
-  ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+  ASSERT_TRUE(factor.factorize(form, basic));
   EXPECT_FALSE(factor.fillin_triggered());
   EXPECT_FALSE(factor.needs_refactor());
 
@@ -451,7 +451,7 @@ TEST(BasisFactor, FillInTriggersRefactorizeBeforePivotInterval) {
         << "fill-in trigger never fired";
     std::vector<double> w(m);
     for (double& v : w) v = rng.uniform(0.5, 2.0);  // fully dense eta
-    ASSERT_TRUE(factor.update(applied % m, w, 1e-9));
+    ASSERT_TRUE(factor.update(applied % m, w));
     ++applied;
   }
   EXPECT_LT(factor.pivots_since_factor(), lp::kRefactorInterval);
@@ -459,7 +459,7 @@ TEST(BasisFactor, FillInTriggersRefactorizeBeforePivotInterval) {
   EXPECT_GT(factor.fillin_ratio(), lp::kEtaFillFactor);
 
   // Refactorizing clears the trigger and counts it in obs.
-  ASSERT_TRUE(factor.factorize(form, basic, 1e-9));
+  ASSERT_TRUE(factor.factorize(form, basic));
   EXPECT_FALSE(factor.fillin_triggered());
   EXPECT_FALSE(factor.needs_refactor());
   EXPECT_EQ(factor.pivots_since_factor(), 0);

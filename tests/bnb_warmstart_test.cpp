@@ -1,8 +1,8 @@
 // Warm-started branch-and-bound: optimal objectives checked against
 // exhaustive enumeration of the binaries (each fixed-binary LP solved by
 // the test-only dense tableau), thread-count bit-identity, solver-hoist
-// and warm-start observability counters, and target_objective early
-// stops reporting a bound that still covers the true optimum.
+// and warm-start observability counters, and node-limit early stops
+// reporting a bound that still covers the true optimum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -163,10 +163,10 @@ TEST(BnbWarmStart, WarmSolveMetricsAndSolverHoist) {
   EXPECT_LE(reuse->value, 1.0);
 }
 
-TEST(BnbWarmStart, TargetObjectiveMaximizeReportsValidBound) {
-  // Binary-sweep stop (§3.3): reaching the target must not corrupt the
-  // proven bound — it still has to cover the true optimum (3.5 here:
-  // five 0.7-profit binaries fit under the 5.2 cardinality cap).
+TEST(BnbWarmStart, NodeLimitMaximizeReportsValidBound) {
+  // Stopping on the node budget must not corrupt the proven bound: at
+  // every limit it still has to cover the true optimum (3.5 here: five
+  // 0.7-profit binaries fit under the 5.2 cardinality cap).
   Model m;
   std::vector<Var> xs;
   LinExpr obj;
@@ -179,21 +179,33 @@ TEST(BnbWarmStart, TargetObjectiveMaximizeReportsValidBound) {
   m.add_constraint(lhs <= LinExpr(5.2));
   m.set_objective(ObjSense::Maximize, obj);
 
-  MipOptions opt;
-  opt.target_objective = 0.5;
-  const auto sol = BranchAndBound(opt).solve(m);
-  ASSERT_TRUE(sol.has_solution());
-  EXPECT_GE(sol.objective, 0.5);
-  // The bound must stay on the correct side of both the incumbent and
-  // the true optimum, and below the root relaxation (0.7 * 5.2 = 3.64).
-  EXPECT_GE(sol.best_bound, sol.objective - 1e-9);
-  EXPECT_GE(sol.best_bound, 3.5 - 1e-6);
-  EXPECT_LE(sol.best_bound, 3.64 + 1e-6);
+  // A weak seed (one binary, 0.7) gives every stop an incumbent far
+  // below the optimum, so a bound that fell back to the incumbent would
+  // undercut the optimum.
+  MipCallbacks cb;
+  std::vector<double> seed(6, 0.0);
+  seed[0] = 1.0;
+  cb.initial_incumbents.emplace_back(0.7, seed);
+  int early = 0;
+  for (long limit = 1; limit <= 12; ++limit) {
+    MipOptions opt;
+    opt.max_nodes = limit;
+    const auto sol = BranchAndBound(opt).solve(m, cb);
+    ASSERT_FALSE(sol.values.empty()) << "limit " << limit;
+    // The bound must stay on the correct side of both the incumbent and
+    // the true optimum, and below the root relaxation (0.7 * 5.2 = 3.64).
+    EXPECT_GE(sol.best_bound, sol.objective - 1e-9) << "limit " << limit;
+    EXPECT_GE(sol.best_bound, 3.5 - 1e-6) << "limit " << limit;
+    EXPECT_LE(sol.best_bound, 3.64 + 1e-6) << "limit " << limit;
+    if (sol.status == SolveStatus::Feasible) ++early;
+  }
+  EXPECT_GT(early, 0);
 }
 
-TEST(BnbWarmStart, TargetObjectiveMinimizeReportsValidBound) {
-  // Minimize mirror: "at least as good" means <= target, and the bound
-  // must stay a valid *lower* bound on the true optimum (4: pick c).
+TEST(BnbWarmStart, NodeLimitMinimizeReportsValidBound) {
+  // Minimize mirror: the bound must stay a valid *lower* bound on the
+  // true optimum (4: pick c), also when the limit stops the search
+  // before the root relaxation is solved.
   Model m;
   const Var a = m.add_binary("a");
   const Var b = m.add_binary("b");
@@ -202,28 +214,38 @@ TEST(BnbWarmStart, TargetObjectiveMinimizeReportsValidBound) {
   m.add_constraint(b + c >= LinExpr(1.0));
   m.set_objective(ObjSense::Minimize, 3.0 * a + 3.0 * b + 4.0 * c);
 
-  MipOptions opt;
-  opt.target_objective = 6.5;  // both incumbents (6 and 4) qualify
-  const auto sol = BranchAndBound(opt).solve(m);
-  ASSERT_TRUE(sol.has_solution());
-  EXPECT_LE(sol.objective, 6.5);
-  EXPECT_LE(sol.best_bound, sol.objective + 1e-9);
-  EXPECT_LE(sol.best_bound, 4.0 + 1e-6);
+  MipCallbacks cb;
+  cb.initial_incumbents.emplace_back(6.0, std::vector<double>{1.0, 1.0, 0.0});
+  for (long limit = 0; limit <= 3; ++limit) {
+    MipOptions opt;
+    opt.max_nodes = limit;
+    const auto sol = BranchAndBound(opt).solve(m, cb);
+    ASSERT_TRUE(sol.has_solution()) << "limit " << limit;
+    EXPECT_LE(sol.objective, 6.0 + 1e-9) << "limit " << limit;
+    EXPECT_LE(sol.best_bound, sol.objective + 1e-9) << "limit " << limit;
+    EXPECT_LE(sol.best_bound, 4.0 + 1e-6) << "limit " << limit;
+    if (limit == 0) {
+      EXPECT_EQ(sol.status, SolveStatus::Feasible);
+      EXPECT_NEAR(sol.objective, 6.0, 1e-9);
+    }
+  }
 }
 
-TEST(BnbWarmStart, TargetObjectiveHitExactlyAtOptimumStaysOptimal) {
-  // A target no incumbent can beat must not demote a finished solve:
-  // the gap closes before the target trips, so the status is Optimal
-  // and the bound equals the objective.
+TEST(BnbWarmStart, NodeLimitAboveTreeSizeStaysOptimal) {
+  // A node budget the tree never reaches must not demote a finished
+  // solve: the status is Optimal and the bound equals the objective.
   Model m;
   const Var a = m.add_binary("a");
   const Var b = m.add_binary("b");
   m.add_constraint(a + b <= LinExpr(1.0));
   m.set_objective(ObjSense::Maximize, 2.0 * a + LinExpr(b));
+  const auto full = BranchAndBound().solve(m);
+  ASSERT_EQ(full.status, SolveStatus::Optimal);
   MipOptions opt;
-  opt.target_objective = 10.0;  // unreachable: never stops the search
+  opt.max_nodes = full.iterations + 1;
   const auto sol = BranchAndBound(opt).solve(m);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_EQ(sol.iterations, full.iterations);
   EXPECT_NEAR(sol.objective, 2.0, 1e-7);
   EXPECT_NEAR(sol.best_bound, 2.0, 1e-7);
 }

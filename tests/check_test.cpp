@@ -116,10 +116,6 @@ TEST(Lint, FlagsDuplicateRows) {
   m.set_objective(lp::ObjSense::Maximize, x + y);
   const LintReport report = lint_model(m);
   EXPECT_EQ(report.count(LintCode::DuplicateRow), 1);
-
-  LintOptions no_dup_check;
-  no_dup_check.check_duplicate_rows = false;
-  EXPECT_EQ(lint_model(m, no_dup_check).count(LintCode::DuplicateRow), 0);
 }
 
 TEST(Lint, FlagsFreeAndUnsatisfiableInfiniteRows) {
@@ -174,9 +170,13 @@ TEST(Lint, FlagsSuspiciousBigM) {
   EXPECT_TRUE(report.has(LintCode::SuspiciousBigM));
   EXPECT_FALSE(report.has_errors());  // warning, not error
 
-  LintOptions looser;
-  looser.big_m_threshold = 1e12;
-  EXPECT_FALSE(lint_model(m, looser).has(LintCode::SuspiciousBigM));
+  // Below tol::kBigMWarn the same row is an ordinary big-M.
+  lp::Model tame;
+  lp::Var tx = tame.add_var("x", 0.0, 1.0);
+  lp::Var tb = tame.add_binary("b");
+  tame.add_constraint(tx - 1e7 * tb <= lp::LinExpr(0.0), "indicator");
+  tame.set_objective(lp::ObjSense::Maximize, lp::LinExpr(tx));
+  EXPECT_FALSE(lint_model(tame).has(LintCode::SuspiciousBigM));
 }
 
 TEST(Lint, FlagsComplementaritySelfPair) {

@@ -166,7 +166,7 @@ TEST_P(PopCsEncodingPropertyTest, EncodingMatchesProceduralRandom) {
   // Avoid the epsilon band at level boundaries.
   for (double& v : volumes) {
     for (double boundary : {150.0, 300.0}) {
-      if (v >= boundary - 2 * config.epsilon && v < boundary) v = boundary;
+      if (v >= boundary - 2 * kIndicatorEpsilon && v < boundary) v = boundary;
     }
   }
   PopConfig pop;

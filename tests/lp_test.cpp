@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "lp/model.h"
-#include "lp/model_io.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "obs/metrics.h"
@@ -319,18 +318,6 @@ TEST(Simplex, DegenerateProblemTerminates) {
   const Solution sol = SimplexSolver().solve(m);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.objective, -0.05, 1e-7);
-}
-
-TEST(ModelIo, WritesReadableLp) {
-  Model m;
-  Var x = m.add_var("x", 0.0, 2.0);
-  Var b = m.add_binary("b");
-  m.add_constraint(x + 2.0 * b <= LinExpr(3.0), "cap");
-  m.set_objective(ObjSense::Maximize, x + b);
-  const std::string text = to_lp_string(m);
-  EXPECT_NE(text.find("Maximize"), std::string::npos);
-  EXPECT_NE(text.find("cap:"), std::string::npos);
-  EXPECT_NE(text.find("Binaries"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

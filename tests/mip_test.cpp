@@ -108,7 +108,7 @@ TEST(BranchAndBound, BigMIndicatorPattern) {
   EXPECT_NEAR(sol.objective, 3.0, 1e-7);
 }
 
-TEST(BranchAndBound, TargetObjectiveStopsEarly) {
+TEST(BranchAndBound, NodeLimitStopsEarly) {
   Model m;
   std::vector<Var> xs;
   for (int i = 0; i < 6; ++i) xs.push_back(m.add_binary("b" + std::to_string(i)));
@@ -118,11 +118,18 @@ TEST(BranchAndBound, TargetObjectiveStopsEarly) {
   for (int i = 0; i < 6; ++i) lhs += LinExpr(xs[i]);
   m.add_constraint(lhs <= LinExpr(5.2));
   m.set_objective(ObjSense::Maximize, obj);
+  // The root relaxation is fractional, so one node cannot finish the
+  // tree: the search stops on the node limit and keeps the seed.
   MipOptions opt;
-  opt.target_objective = 0.5;  // any incumbent >= 0.5 suffices
-  const auto sol = BranchAndBound(opt).solve(m);
-  ASSERT_TRUE(sol.has_solution());
-  EXPECT_GE(sol.objective, 0.5);
+  opt.max_nodes = 1;
+  MipCallbacks cb;
+  std::vector<double> seed(6, 0.0);
+  seed[0] = 1.0;
+  cb.initial_incumbents.emplace_back(0.7, seed);
+  const auto sol = BranchAndBound(opt).solve(m, cb);
+  EXPECT_EQ(sol.status, SolveStatus::Feasible);
+  EXPECT_EQ(sol.iterations, 1);
+  EXPECT_GE(sol.objective, 0.7 - 1e-9);
 }
 
 TEST(BranchAndBound, PrimalHeuristicSeedsIncumbent) {

@@ -44,7 +44,7 @@ TEST(Presolve, PropagatesThroughBigMIndicator) {
   m.add_constraint(LinExpr(x) + 50.0 * LinExpr(b) <= LinExpr(50.0));
   std::vector<double> lb{0.0, 1.0};  // node fixed b = 1
   std::vector<double> ub{50.0, 1.0};
-  const PresolveResult r = presolve(m, {}, &lb, &ub);
+  const PresolveResult r = presolve(m, &lb, &ub);
   EXPECT_FALSE(r.infeasible);
   EXPECT_NEAR(r.ub[x.id], 0.0, 1e-9);
 }

@@ -176,7 +176,7 @@ TEST(MaskedOracle, ProjectsAndExpands) {
   std::vector<bool> include(6, false);
   include[1] = true;  // only pair (0,2) adversarial
   heur::MaskedGapOracle masked(base, include);
-  EXPECT_EQ(masked.num_demands(), 1);
+  EXPECT_EQ(masked.num_leader_vars(), 1);
   const std::vector<double> full = masked.expand({50.0});
   ASSERT_EQ(full.size(), 6u);
   EXPECT_DOUBLE_EQ(full[1], 50.0);

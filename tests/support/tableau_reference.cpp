@@ -102,7 +102,7 @@ class Tableau {
         *iterations_out = iters;
         return st;
       }
-      if (phase1_objective() > opt_.feas_tol) {
+      if (phase1_objective() > tol::kFeasTol) {
         *iterations_out = iters;
         return SolveStatus::Infeasible;
       }
@@ -154,7 +154,7 @@ class Tableau {
       const double* row = row_ptr_const(i);
       int pivot_j = -1;
       for (int j = 0; j < first_art_; ++j) {
-        if (std::abs(row[j]) > opt_.pivot_tol) {
+        if (std::abs(row[j]) > tol::kPivotTol) {
           pivot_j = j;
           break;
         }
@@ -187,13 +187,13 @@ class Tableau {
       if (bland) {
         for (int j = 0; j < enter_limit; ++j) {
           if (j >= first_art_) continue;
-          if (costs[j] < -opt_.cost_tol) {
+          if (costs[j] < -tol::kCostTol) {
             enter = j;
             break;
           }
         }
       } else {
-        double best = -opt_.cost_tol;
+        double best = -tol::kCostTol;
         for (int j = 0; j < enter_limit; ++j) {
           if (j >= first_art_) continue;
           if (costs[j] < best) {
@@ -211,7 +211,7 @@ class Tableau {
         if (!row_active_[i]) continue;
         const double* row = row_ptr_const(i);
         const double a = row[enter];
-        if (a <= opt_.pivot_tol) continue;
+        if (a <= tol::kPivotTol) continue;
         const double ratio = row[n_total_] / a;
         const bool better =
             leave < 0 || ratio < best_ratio - 1e-12 ||

@@ -289,7 +289,7 @@ TEST_P(DpEncodingPropertyTest, EncodingMatchesProceduralRandom) {
   config.demand_ub = 150.0;
   // Keep volumes clear of the indicator epsilon band.
   for (double& v : volumes) {
-    if (v > config.threshold && v < config.threshold + 2 * config.epsilon) {
+    if (v > config.threshold && v < config.threshold + 2 * kIndicatorEpsilon) {
       v = config.threshold;
     }
   }
