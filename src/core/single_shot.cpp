@@ -1,7 +1,9 @@
 #include "core/single_shot.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -24,6 +26,13 @@ constexpr double kClimbShare = 0.6;
 void keep_best(std::optional<Candidate>& best,
                std::optional<Candidate> cand) {
   if (cand && (!best || cand->first > best->first)) best = std::move(cand);
+}
+
+/// True when `a` and `b` hold the same bit patterns.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::ranges::equal(a, b, [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
 }
 
 class Pipeline {
@@ -75,16 +84,24 @@ class Pipeline {
   }
 
   /// The node primal heuristic: the relaxation's leader values, then
-  /// each rounding of them.
+  /// each rounding of them that differs from every vector tried before
+  /// (a repeat would assemble the same candidate, and ties keep the
+  /// earlier one).
   [[nodiscard]] std::optional<Candidate> round(
       const std::vector<double>& relax) const {
     MO_SPAN("core.primal_heuristic");
-    const std::vector<double> raw = leader_values(relax);
-    std::optional<Candidate> best = assemble(raw);
+    std::vector<std::vector<double>> tried{leader_values(relax)};
+    std::optional<Candidate> best = assemble(tried.front());
     for (const auto& rounding : shot_.roundings) {
-      std::vector<double> rounded = raw;
+      std::vector<double> rounded = tried.front();
       for (double& v : rounded) v = rounding(v);
-      keep_best(best, assemble(std::move(rounded)));
+      if (std::ranges::any_of(tried, [&](const std::vector<double>& t) {
+            return same_bits(t, rounded);
+          })) {
+        continue;
+      }
+      keep_best(best, assemble(rounded));
+      tried.push_back(std::move(rounded));
     }
     return best;
   }

@@ -11,10 +11,13 @@
 //   1. assemble: a leader vector is snapped, written into an all-zero
 //      assignment, completed (auxiliary binaries that are a function of
 //      the leader), re-solved follower by follower on its kkt::InnerLp
-//      (built once per run with the run's LP options) and lifted to a
+//      (built once per run with the run's LP options; it answers values
+//      it solved recently from its cache) and lifted to a
 //      KKT point (kkt/parametric.h), then finished;
 //   2. primal heuristic, at every node: the relaxation's leader values
-//      and each rounding variant of them are assembled; the best wins;
+//      and each rounding variant of them are assembled, skipping a
+//      variant whose vector (bit for bit) was already assembled at this
+//      node; the best wins, ties going to the earlier vector;
 //   3. seeding: the deterministic trials, plus a quantized climb and a
 //      hill-climb polish on the family's direct oracle when seeding has
 //      a budget, are assembled; the best becomes the first incumbent;

@@ -1,6 +1,7 @@
 #include "kkt/parametric.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -9,6 +10,14 @@
 #include "obs/obs.h"
 
 namespace metaopt::kkt {
+
+namespace {
+
+const obs::Counter c_cache_hits = obs::counter("kkt.inner_cache_hits");
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+}  // namespace
 
 InnerLp::InnerLp(const InnerProblem& inner, const lp::Model& outer,
                  lp::SimplexOptions options)
@@ -81,20 +90,69 @@ void InnerLp::bounds_at(const std::vector<double>& outer_values,
 }
 
 ParametricSolve InnerLp::solve(const std::vector<double>& outer_values) const {
-  MO_SPAN("kkt.inner_solve");
   if (outer_values.size() != static_cast<std::size_t>(outer_.num_vars())) {
     throw std::invalid_argument("InnerLp::solve: outer value size mismatch");
   }
-  std::vector<double> lb;
-  std::vector<double> ub;
-  bounds_at(outer_values, lb, ub);
-  lp::WarmStartPool::Lease lease(pool_);
-  lp::WarmStartContext& context = lease.context();
-  context.hint = anchor_.get();
   ParametricSolve out;
-  out.solution =
-      lp::SimplexSolver(options_).solve_with_bounds(model_, lb, ub, context);
+  if (const std::shared_ptr<const lp::Solution> hit = cached(outer_values)) {
+    c_cache_hits.inc();
+    out.solution = *hit;
+    return out;
+  }
+  {
+    MO_SPAN("kkt.inner_solve");
+    std::vector<double> lb;
+    std::vector<double> ub;
+    bounds_at(outer_values, lb, ub);
+    lp::WarmStartPool::Lease lease(pool_);
+    lp::WarmStartContext& context = lease.context();
+    context.hint = anchor_.get();
+    out.solution =
+        lp::SimplexSolver(options_).solve_with_bounds(model_, lb, ub, context);
+  }
+  if (out.ok()) store(outer_values, out.solution);
   return out;
+}
+
+bool InnerLp::key_matches(const std::vector<std::uint64_t>& key,
+                          const std::vector<double>& outer_values) const {
+  for (std::size_t k = 0; k < outer_col_var_.size(); ++k) {
+    if (key[k] != bits(outer_values[outer_col_var_[k]])) return false;
+  }
+  return true;
+}
+
+std::shared_ptr<const lp::Solution> InnerLp::cached(
+    const std::vector<double>& outer_values) const {
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  for (auto it = cache_.begin(); it != cache_.end(); ++it) {
+    if (key_matches(it->key, outer_values)) {
+      std::rotate(cache_.begin(), it, it + 1);
+      return cache_.front().solution;
+    }
+  }
+  return nullptr;
+}
+
+void InnerLp::store(const std::vector<double>& outer_values,
+                    const lp::Solution& solution) const {
+  // Copied before the lock: the lock only guards list surgery.
+  auto entry = std::make_shared<const lp::Solution>(solution);
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  for (const CacheEntry& e : cache_) {
+    // Another worker missed on the same key and stored it first.
+    if (key_matches(e.key, outer_values)) return;
+  }
+  if (cache_.size() < kCacheEntries) cache_.emplace_back();
+  // The oldest entry (or the new empty one) moves to the front and is
+  // overwritten in place, reusing its key's storage.
+  std::rotate(cache_.begin(), cache_.end() - 1, cache_.end());
+  CacheEntry& front = cache_.front();
+  front.key.resize(outer_col_var_.size());
+  for (std::size_t k = 0; k < outer_col_var_.size(); ++k) {
+    front.key[k] = bits(outer_values[outer_col_var_[k]]);
+  }
+  front.solution = std::move(entry);
 }
 
 bool assemble_kkt_point(const InnerLp& lp, const KktArtifacts& art,

@@ -4,11 +4,14 @@
 // DP, B4 POP, 6-item FFD) and 16 seeded outer points each, an InnerLp
 // solve must agree with the reference it replaced: the inner problem
 // with the outer values substituted into a fresh model, solved by the
-// test-only dense tableau (tests/support). Its answers must be pure (bit-identical serially, in
-// reverse, from 4 threads sharing it, and on a fresh InnerLp), and
-// certified when asked. Through the single-shot driver, the run's LP
-// options must reach the inner solves, and a traced find must record
-// the primal-heuristic and inner-solve spans.
+// test-only dense tableau (tests/support). Its solves must be pure:
+// bit-identical serially, in reverse and from 4 threads, each arm on
+// InnerLps of its own, and against a fresh InnerLp's first answer. Its
+// answer cache must return exactly what a fresh InnerLp solves, keep
+// followers and outer values apart, and store Optimal answers only.
+// Solves must be certified when asked. Through the single-shot driver,
+// the run's LP options must reach the inner solves, and a traced find
+// must record the primal-heuristic and inner-solve spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,6 +265,59 @@ void expect_identical(const lp::Solution& a, const lp::Solution& b,
   EXPECT_EQ(a.reduced_costs, b.reduced_costs) << what;
 }
 
+bool identical(const lp::Solution& a, const lp::Solution& b) {
+  return a.status == b.status && a.objective == b.objective &&
+         a.values == b.values && a.duals == b.duals &&
+         a.reduced_costs == b.reduced_costs;
+}
+
+/// The answer of a brand-new InnerLp: a solve with no history at all.
+lp::Solution fresh_solve(const Case& c, std::size_t follower,
+                         const std::vector<double>& point) {
+  return kkt::InnerLp(*c.inner[follower], c.model).solve(point).solution;
+}
+
+/// The outer variable of each outer column of `lp`, in column order,
+/// read back through bounds_at.
+std::vector<lp::VarId> outer_columns(const kkt::InnerLp& lp) {
+  std::vector<double> ids(lp.outer().num_vars());
+  for (std::size_t v = 0; v < ids.size(); ++v) ids[v] = static_cast<double>(v);
+  std::vector<double> lb;
+  std::vector<double> ub;
+  lp.bounds_at(ids, lb, ub);
+  std::vector<lp::VarId> out;
+  for (std::size_t j = lp.inner().decision_vars().size(); j < lb.size(); ++j) {
+    out.push_back(static_cast<lp::VarId>(lb[j]));
+  }
+  return out;
+}
+
+/// Runs `fn` with recording on; returns the trace it left.
+std::vector<obs::TraceEvent> traced(const std::function<void()>& fn) {
+  obs::set_enabled(true);
+  obs::clear_trace();
+  fn();
+  std::vector<obs::TraceEvent> events = obs::trace_events();
+  obs::set_enabled(false);
+  obs::clear_trace();
+  return events;
+}
+
+std::vector<obs::TraceEvent> named(const std::vector<obs::TraceEvent>& events,
+                                   const std::string& name) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name != nullptr && name == e.name) out.push_back(e);
+  }
+  return out;
+}
+
+double counter_value(const obs::MetricsSnapshot& snap,
+                     const std::string& name) {
+  const obs::MetricValue* m = snap.find(name);
+  return m == nullptr ? 0.0 : m->value;
+}
+
 class InnerLpTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(InnerLpTest, MatchesSubstitutedReference) {
@@ -305,37 +361,161 @@ TEST_P(InnerLpTest, MatchesSubstitutedReference) {
 }
 
 TEST_P(InnerLpTest, SolvesArePureAcrossOrdersThreadsAndInstances) {
+  // Each arm solves on InnerLps of its own, so no arm is answered from
+  // cache entries another arm left behind: a solve that depended on the
+  // previous call would differ between the orders.
   const std::unique_ptr<Case> c = make_case(GetParam());
-  const auto lps = make_lps(*c);
-  const std::size_t n = c->points.size() * lps.size();
+  const std::size_t num_followers = c->inner.size();
+  const std::size_t n = c->points.size() * num_followers;
   const auto solve = [&](const auto& with, std::size_t task) {
-    return with[task % lps.size()]->solve(c->points[task / lps.size()])
+    return with[task % num_followers]
+        ->solve(c->points[task / num_followers])
         .solution;
   };
 
+  const auto serial_lps = make_lps(*c);
   std::vector<lp::Solution> serial(n);
-  for (std::size_t t = 0; t < n; ++t) serial[t] = solve(lps, t);
+  for (std::size_t t = 0; t < n; ++t) serial[t] = solve(serial_lps, t);
+  const auto reversed_lps = make_lps(*c);
   std::vector<lp::Solution> reversed(n);
-  for (std::size_t t = n; t-- > 0;) reversed[t] = solve(lps, t);
+  for (std::size_t t = n; t-- > 0;) reversed[t] = solve(reversed_lps, t);
+  const auto threaded_lps = make_lps(*c);
   std::vector<lp::Solution> threaded(n);
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&] {
       for (std::size_t t = next++; t < n; t = next++) {
-        threaded[t] = solve(lps, t);
+        threaded[t] = solve(threaded_lps, t);
       }
     });
   }
   for (std::thread& w : workers) w.join();
-  const auto fresh = make_lps(*c);
 
   for (std::size_t t = 0; t < n; ++t) {
-    const std::string what = "point " + std::to_string(t / lps.size()) +
-                              ", follower " + std::to_string(t % lps.size());
+    const std::size_t point = t / num_followers;
+    const std::size_t follower = t % num_followers;
+    const std::string what = "point " + std::to_string(point) +
+                             ", follower " + std::to_string(follower);
     expect_identical(serial[t], reversed[t], what + " (reverse order)");
     expect_identical(serial[t], threaded[t], what + " (4 threads)");
-    expect_identical(serial[t], solve(fresh, t), what + " (fresh InnerLp)");
+    expect_identical(serial[t], fresh_solve(*c, follower, c->points[point]),
+                     what + " (fresh InnerLp)");
+  }
+}
+
+TEST_P(InnerLpTest, CacheHitsMatchFreshSolves) {
+  const std::unique_ptr<Case> c = make_case(GetParam());
+  const std::size_t num_followers = c->inner.size();
+  std::vector<std::vector<double>> points = c->points;
+  // Every outer value equal, and above every link capacity: followers
+  // with as many outer columns have the same key here but different
+  // optima, so a cache shared between InnerLps would answer one follower
+  // with another's LP. The substituted reference, which no cache
+  // reaches, tells them apart.
+  points.emplace_back(c->model.num_vars(), 1e4);
+  ASSERT_GE(points.size(), 2 * kkt::InnerLp::kCacheEntries);
+  const auto lps = make_lps(*c);
+  std::vector<lp::Solution> fresh(points.size() * num_followers);
+  for (std::size_t t = 0; t < fresh.size(); ++t) {
+    const std::size_t follower = t % num_followers;
+    const std::vector<double>& point = points[t / num_followers];
+    fresh[t] = fresh_solve(*c, follower, point);
+    const lp::Solution ref =
+        reference_solve(*c->inner[follower], c->model, point);
+    const std::string what = "point " + std::to_string(t / num_followers) +
+                             ", follower " + std::to_string(follower);
+    ASSERT_EQ(fresh[t].status, ref.status) << what;
+    if (ref.status == lp::SolveStatus::Optimal) {
+      EXPECT_NEAR(inner_objective(*lps[follower], {fresh[t]}, point),
+                  ref.objective,
+                  tol::kFeasTol * std::max(1.0, std::abs(ref.objective)))
+          << what;
+    }
+  }
+
+  // Three passes over the points (forward, backward, stride 5), so
+  // entries are hit, evicted and solved again; 4 threads share one
+  // InnerLp per follower.
+  std::vector<std::size_t> order;
+  const std::size_t n = points.size();
+  for (std::size_t i = 0; i < n; ++i) order.push_back(i);
+  for (std::size_t i = n; i-- > 0;) order.push_back(i);
+  for (std::size_t i = 0; i < n; ++i) order.push_back(i * 5 % n);
+  const std::size_t calls = order.size() * num_followers;
+  std::vector<lp::Solution> answers(calls);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  const std::vector<obs::TraceEvent> events = traced([&] {
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 4; ++w) {
+      workers.emplace_back([&] {
+        for (std::size_t t = next++; t < calls; t = next++) {
+          answers[t] = lps[t % num_followers]
+                           ->solve(points[order[t / num_followers]])
+                           .solution;
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  });
+  const obs::MetricsSnapshot after = obs::snapshot();
+  for (std::size_t t = 0; t < calls; ++t) {
+    const std::size_t point = order[t / num_followers];
+    const std::size_t follower = t % num_followers;
+    expect_identical(answers[t], fresh[point * num_followers + follower],
+                     "call " + std::to_string(t) + ": point " +
+                         std::to_string(point) + ", follower " +
+                         std::to_string(follower));
+  }
+  if (obs::kCompiledIn) {
+    const double solves =
+        static_cast<double>(named(events, "kkt.inner_solve").size());
+    const double hits = counter_value(after, "kkt.inner_cache_hits") -
+                        counter_value(before, "kkt.inner_cache_hits");
+    EXPECT_EQ(hits, static_cast<double>(calls) - solves);
+    EXPECT_GT(hits, 0.0);
+    // More solves than one pass needs: evicted entries came back.
+    EXPECT_GT(solves, static_cast<double>(n * num_followers));
+  }
+
+  // Values that differ in a single outer column are different keys.
+  int changed = 0;  // perturbations that change the fresh answer
+  for (std::size_t f = 0; f < num_followers; ++f) {
+    const kkt::InnerLp lp(*c->inner[f], c->model);
+    const std::vector<lp::VarId> columns = outer_columns(lp);
+    for (std::size_t k = 0; k < columns.size(); ++k) {
+      const std::vector<double>& point = c->points[k % c->points.size()];
+      std::vector<double> moved = point;
+      moved[columns[k]] += 1.0;
+      const std::string what = "follower " + std::to_string(f) +
+                               ", outer column " + std::to_string(k);
+      const lp::Solution want = fresh_solve(*c, f, moved);
+      (void)lp.solve(point);
+      expect_identical(lp.solve(moved).solution, want, what);
+      changed += identical(want, fresh_solve(*c, f, point)) ? 0 : 1;
+    }
+  }
+  EXPECT_GT(changed, 0) << "no perturbation changed an answer: vacuous";
+
+  // Only Optimal answers are stored: anything else is solved again.
+  int non_optimal = 0;
+  for (std::size_t t = 0; t < fresh.size(); ++t) {
+    if (fresh[t].status == lp::SolveStatus::Optimal) continue;
+    ++non_optimal;
+    const kkt::InnerLp lp(*c->inner[t % num_followers], c->model);
+    const std::vector<double>& point = points[t / num_followers];
+    const std::vector<obs::TraceEvent> twice = traced([&] {
+      expect_identical(lp.solve(point).solution, fresh[t], "first");
+      expect_identical(lp.solve(point).solution, fresh[t], "second");
+    });
+    if (obs::kCompiledIn) {
+      EXPECT_EQ(named(twice, "kkt.inner_solve").size(), 2u)
+          << "a non-Optimal answer came from the cache";
+    }
+  }
+  if (GetParam().ends_with("Dp")) {
+    EXPECT_GT(non_optimal, 0) << "no Infeasible point: the check is vacuous";
   }
 }
 
@@ -370,26 +550,6 @@ class TracedFind : public ::testing::Test {
     if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   }
 
-  static std::vector<obs::TraceEvent> trace(
-      const std::function<void()>& find) {
-    obs::set_enabled(true);
-    obs::clear_trace();
-    find();
-    std::vector<obs::TraceEvent> events = obs::trace_events();
-    obs::set_enabled(false);
-    obs::clear_trace();
-    return events;
-  }
-
-  static std::vector<obs::TraceEvent> named(
-      const std::vector<obs::TraceEvent>& events, const std::string& name) {
-    std::vector<obs::TraceEvent> out;
-    for (const obs::TraceEvent& e : events) {
-      if (e.name != nullptr && name == e.name) out.push_back(e);
-    }
-    return out;
-  }
-
   static core::AdversarialOptions options(double demand_ub) {
     core::AdversarialOptions o;
     o.demand_ub = demand_ub;
@@ -405,7 +565,7 @@ class TracedFind : public ::testing::Test {
 };
 
 TEST_F(TracedFind, DpFindRecordsHeuristicSpans) {
-  const std::vector<obs::TraceEvent> events = trace([&] {
+  const std::vector<obs::TraceEvent> events = traced([&] {
     (void)finder.find_dp_gap(te::DpConfig{}, options(200.0));
   });
   EXPECT_FALSE(named(events, "core.primal_heuristic").empty());
@@ -421,7 +581,7 @@ TEST_F(TracedFind, RunLpOptionsReachTheInnerSolves) {
   for (const bool certify : {false, true}) {
     core::AdversarialOptions o = options(0.0);
     o.mip.lp.certify = certify;
-    const std::vector<obs::TraceEvent> events = trace([&] {
+    const std::vector<obs::TraceEvent> events = traced([&] {
       (void)finder.find_pop_gap(pop, {1, 2}, o);
     });
     const std::vector<obs::TraceEvent> solves =

@@ -98,8 +98,10 @@ TEST(Stopwatch, NowNsIsMonotonic) {
 }
 
 TEST(Stopwatch, ElapsedTracksNowNs) {
-  Stopwatch watch;
+  // t0 is read before the stopwatch starts and `outer` after its last
+  // read, so elapsed <= outer holds whatever the scheduler does.
   const std::uint64_t t0 = Stopwatch::now_ns();
+  Stopwatch watch;
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const std::uint64_t elapsed = watch.elapsed_ns();
   const std::uint64_t outer = Stopwatch::now_ns() - t0;
