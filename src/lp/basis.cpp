@@ -96,10 +96,14 @@ bool BasisFactor::factorize_lu(const BoundedForm& form,
       ++row_count_[row];
     }
   }
+  // Stable counting sort of the positions by column count: the same
+  // permutation a stable comparison sort gives, in O(m + max count).
+  const int max_nnz = *std::max_element(col_nnz_.begin(), col_nnz_.end());
+  nnz_bucket_.assign(max_nnz + 2, 0);
+  for (int p = 0; p < m; ++p) ++nnz_bucket_[col_nnz_[p] + 1];
+  for (int c = 1; c <= max_nnz; ++c) nnz_bucket_[c] += nnz_bucket_[c - 1];
   col_order_.resize(m);
-  for (int p = 0; p < m; ++p) col_order_[p] = p;
-  std::stable_sort(col_order_.begin(), col_order_.end(),
-                   [&](int a, int b) { return col_nnz_[a] < col_nnz_[b]; });
+  for (int p = 0; p < m; ++p) col_order_[nnz_bucket_[col_nnz_[p]]++] = p;
 
   pivrow_.assign(m, -1);
   col_of_step_.assign(m, -1);
@@ -255,10 +259,13 @@ void BasisFactor::ftran(std::vector<double>& x) const {
       x[lcol_[e].idx] -= lcol_[e].val * xk;
     }
   }
-  // Backward: U z = y, step space; y_t lives at x[pivrow_[t]].
+  // Backward: U z = y, step space; y_t lives at x[pivrow_[t]]. A zero
+  // y_t leaves z_t at +0.0 rather than the signed zero 0/diag would be.
   zwork_.assign(m_, 0.0);
   for (int k = m_ - 1; k >= 0; --k) {
-    const double zk = x[pivrow_[k]] / diag_[k];
+    const double yk = x[pivrow_[k]];
+    if (yk == 0.0) continue;
+    const double zk = yk / diag_[k];
     zwork_[k] = zk;
     if (zk == 0.0) continue;
     for (int e = ustart_[k]; e < ustart_[k + 1]; ++e) {
@@ -270,11 +277,120 @@ void BasisFactor::ftran(std::vector<double>& x) const {
 
   // Eta file, oldest first (B = B0 E1 ... Ek, so B^-1 applies Ek^-1 last).
   for (const Eta& eta : etas_) {
+    if (x[eta.r] == 0.0) continue;
     const double xr = x[eta.r] / eta.pivot;
     x[eta.r] = xr;
     if (xr == 0.0) continue;
     for (const SparseEntry& e : eta.terms) x[e.idx] -= e.val * xr;
   }
+}
+
+bool BasisFactor::ftran_reach(const std::vector<int>& nz, int limit) const {
+  hreach_.clear();
+  const auto visit = [&](int step) {
+    if (hmark_[step] == 0) {
+      hmark_[step] = 1;
+      hreach_.push_back(step);
+    }
+  };
+  for (const int row : nz) visit(rowpos_[row]);
+  // L reach: step t feeds the steps of the rows in L column t.
+  for (std::size_t i = 0;
+       i < hreach_.size() && static_cast<int>(hreach_.size()) <= limit; ++i) {
+    const int t = hreach_[i];
+    for (int e = lstart_[t]; e < lstart_[t + 1]; ++e) {
+      visit(rowpos_[lcol_[e].idx]);
+    }
+  }
+  // Its U closure: step k feeds the earlier steps of U column k.
+  for (std::size_t i = 0;
+       i < hreach_.size() && static_cast<int>(hreach_.size()) <= limit; ++i) {
+    const int k = hreach_[i];
+    for (int e = ustart_[k]; e < ustart_[k + 1]; ++e) visit(ucol_[e].idx);
+  }
+  if (static_cast<int>(hreach_.size()) > limit) {
+    for (const int t : hreach_) hmark_[t] = 0;
+    return false;
+  }
+  std::sort(hreach_.begin(), hreach_.end());
+  for (const int t : hreach_) hmark_[t] = 0;
+  return true;
+}
+
+bool BasisFactor::ftran(std::vector<double>& x, std::vector<int>& nz) const {
+  const int limit = static_cast<int>(kHyperMaxDensity * m_);
+  const auto observe = [&](int nnz) {
+    ftran_density_ += kHyperDensityWeight *
+                      (static_cast<double>(nnz) / m_ - ftran_density_);
+  };
+  if (m_ < kHyperMinRows) {
+    ftran(x);
+    return false;
+  }
+  if (hmark_.size() != static_cast<std::size_t>(m_)) hmark_.assign(m_, 0);
+  if (ftran_density_ > kHyperMaxDensity || !ftran_reach(nz, limit)) {
+    ftran(x);
+    observe(static_cast<int>(
+        std::count_if(x.begin(), x.begin() + m_,
+                      [](double v) { return v != 0.0; })));
+    return false;
+  }
+  zwork_.resize(m_);
+
+  // The dense loops restricted to the reach: every skipped step holds an
+  // exact zero there, so the dense loops would skip it too, and the
+  // reached ones run in the dense order (L ascending, U descending).
+  for (const int k : hreach_) {
+    const double xk = x[pivrow_[k]];
+    if (xk == 0.0) continue;
+    for (int e = lstart_[k]; e < lstart_[k + 1]; ++e) {
+      x[lcol_[e].idx] -= lcol_[e].val * xk;
+    }
+  }
+  for (auto it = hreach_.rbegin(); it != hreach_.rend(); ++it) {
+    const int k = *it;
+    const double yk = x[pivrow_[k]];
+    if (yk == 0.0) {
+      zwork_[k] = 0.0;
+      continue;
+    }
+    const double zk = yk / diag_[k];
+    zwork_[k] = zk;
+    if (zk == 0.0) continue;
+    for (int e = ustart_[k]; e < ustart_[k + 1]; ++e) {
+      x[pivrow_[ucol_[e].idx]] -= ucol_[e].val * zk;
+    }
+  }
+  // Every nonzero of x sits on a reached step's pivot row: clear those,
+  // then permute the steps back to basis positions.
+  for (const int k : hreach_) x[pivrow_[k]] = 0.0;
+  nz.clear();
+  for (const int k : hreach_) {
+    const int p = col_of_step_[k];
+    x[p] = zwork_[k];
+    hmark_[p] = 1;
+    nz.push_back(p);
+  }
+
+  // Eta file as in the dense ftran; its terms may add positions.
+  for (const Eta& eta : etas_) {
+    if (x[eta.r] == 0.0) continue;
+    const double xr = x[eta.r] / eta.pivot;
+    x[eta.r] = xr;
+    if (xr == 0.0) continue;
+    for (const SparseEntry& e : eta.terms) {
+      x[e.idx] -= e.val * xr;
+      if (hmark_[e.idx] == 0) {
+        hmark_[e.idx] = 1;
+        nz.push_back(e.idx);
+      }
+    }
+  }
+  for (const int p : nz) hmark_[p] = 0;
+  std::erase_if(nz, [&](int p) { return x[p] == 0.0; });
+  std::sort(nz.begin(), nz.end());
+  observe(static_cast<int>(nz.size()));
+  return true;
 }
 
 void BasisFactor::btran(std::vector<double>& x) const {
@@ -308,7 +424,8 @@ void BasisFactor::btran(std::vector<double>& x) const {
   }
 }
 
-bool BasisFactor::update(int r, const std::vector<double>& w) {
+bool BasisFactor::update(int r, const std::vector<double>& w,
+                         const std::vector<int>* nz) {
   if (m_ == 0) return false;
   const double piv = w[r];
   if (std::abs(piv) <= tol::kPivotTol) return false;
@@ -316,8 +433,14 @@ bool BasisFactor::update(int r, const std::vector<double>& w) {
   Eta eta;
   eta.r = r;
   eta.pivot = piv;
-  for (int i = 0; i < m_; ++i) {
-    if (i != r && w[i] != 0.0) eta.terms.push_back({i, w[i]});
+  if (nz != nullptr) {
+    for (const int i : *nz) {
+      if (i != r && w[i] != 0.0) eta.terms.push_back({i, w[i]});
+    }
+  } else {
+    for (int i = 0; i < m_; ++i) {
+      if (i != r && w[i] != 0.0) eta.terms.push_back({i, w[i]});
+    }
   }
   eta_nnz_ += static_cast<int>(eta.terms.size()) + 1;
   etas_.push_back(std::move(eta));

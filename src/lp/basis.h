@@ -36,6 +36,21 @@
 // kRefactorInterval pivots (or at the fill-in trigger) and runs a
 // residual accuracy check before trusting a terminal point (see
 // revised_simplex.cpp).
+//
+// Hypersparse ftran (Hall & McKinnon, Comput. Optim. Appl. 2005): the
+// simplex's entering column a_q has a handful of nonzeros and so, on
+// these network-structured bases, does w = B^{-1} a_q (about 3% of the
+// rows on the find_te B4 POP root). The sparse overload of ftran takes
+// the right-hand side's nonzero rows, walks only the symbolic reach of
+// those rows (the L reach in ascending step order, then its closure
+// through the U columns in descending step order; the eta file is
+// applied as in the dense solve) and returns the result's nonzero
+// positions in ascending order. Skipped steps are exactly the ones the
+// dense loops skip on an exact zero, and the reached ones run the same
+// operations in the same order, so both paths return the same bits;
+// both write +0.0 for every zero of the result. The dense loop runs
+// instead when m < kHyperMinRows, when recent results were dense, or
+// when the reach outgrows m * kHyperMaxDensity.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +92,19 @@ inline constexpr double kEtaFillFactor = 1.0;
 /// the textbook and HiGHS/SuiteSparse default neighborhood).
 inline constexpr double kMarkowitzThreshold = 0.1;
 
+/// Density above which a hypersparse kernel gives way to its dense
+/// loop: for ftran, a symbolic reach past this fraction of m or a
+/// running average of result densities above it; for the dual's pivot
+/// row (revised_simplex.cpp), a rho with more nonzeros than this
+/// fraction of m. Both paths return the same bits; the limit only picks
+/// the cheaper one. Measured on the find_te roots: the B4 POP root's w
+/// averages 3.3% nonzeros (sparse wins), the Abilene DP root's 9% (the
+/// reach mostly crosses the limit and the dense loop runs).
+inline constexpr double kHyperMaxDensity = 0.1;
+
+/// Weight of the newest result in the running density average.
+inline constexpr double kHyperDensityWeight = 0.1;
+
 /// Sparse LU factorization of the basis matrix of a BoundedForm (see
 /// file header).
 class BasisFactor {
@@ -88,17 +116,31 @@ class BasisFactor {
   bool factorize(const BoundedForm& form, const std::vector<int>& basic);
 
   /// x := B^{-1} x (forward transform: solve B y = x). Input is indexed
-  /// by row, output by basis position.
+  /// by row, output by basis position. Every zero of the result is
+  /// +0.0 (short of an underflow), never the -0.0 a zero divided by a
+  /// negative pivot would be.
   void ftran(std::vector<double>& x) const;
+
+  /// Hypersparse ftran. On entry x is +0.0 outside the rows listed in
+  /// `nz` (any order; duplicates allowed). Returns true when it took
+  /// the sparse path: x then holds the same bits as ftran(x) and `nz`
+  /// lists its nonzero positions in ascending order. Returns false when
+  /// the dense loop ran instead (see kHyperMaxDensity); x is still
+  /// ftran(x), and `nz` is unspecified.
+  bool ftran(std::vector<double>& x, std::vector<int>& nz) const;
 
   /// x := B^{-T} x (backward transform: solve B' y = x). Input is
   /// indexed by basis position, output by row.
   void btran(std::vector<double>& x) const;
 
   /// Replaces basis position `r` by a column whose ftran image is `w`
-  /// (w = B^{-1} a_q). Returns false when |w[r]| <= tol::kPivotTol (the
-  /// update would divide by numerical dust).
-  bool update(int r, const std::vector<double>& w);
+  /// (w = B^{-1} a_q). `nz`, when given, lists w's nonzero positions in
+  /// ascending order (the sparse ftran's list) and saves the O(m) scan;
+  /// the eta is the same either way. Returns false when
+  /// |w[r]| <= tol::kPivotTol (the update would divide by numerical
+  /// dust).
+  bool update(int r, const std::vector<double>& w,
+              const std::vector<int>* nz = nullptr);
 
   [[nodiscard]] bool valid() const { return m_ > 0 || factorized_empty_; }
   [[nodiscard]] int pivots_since_factor() const { return pivots_; }
@@ -120,6 +162,10 @@ class BasisFactor {
 
  private:
   bool factorize_lu(const BoundedForm& form, const std::vector<int>& basic);
+  /// Symbolic phase of the sparse ftran: fills hreach_ with the steps
+  /// the rows in `nz` reach through L and then U, ascending. Returns
+  /// false (marks cleared) once the reach passes `limit` steps.
+  bool ftran_reach(const std::vector<int>& nz, int limit) const;
 
   int m_ = 0;
   int pivots_ = 0;
@@ -154,12 +200,20 @@ class BasisFactor {
   int lu_nnz_ = 0;
 
   // factorization scratch; reached_ is reset through
-  // reach_ after each column, not by an O(m) clear
+  // reach_ after each column, not by an O(m) clear. rowpos_ (row ->
+  // step) outlives the factorization: the sparse ftran seeds from it.
   std::vector<double> fwork_;
   std::vector<int> ftouched_;
   std::vector<signed char> fmark_, reached_;
-  std::vector<int> row_count_, col_nnz_, col_order_, rowpos_, reach_;
+  std::vector<int> row_count_, col_nnz_, col_order_, rowpos_, reach_,
+      nnz_bucket_;
   mutable std::vector<double> zwork_;
+
+  // sparse-ftran scratch: step, then position, marks (all zero between
+  // calls), the reach, and the running result density
+  mutable std::vector<signed char> hmark_;
+  mutable std::vector<int> hreach_;
+  mutable double ftran_density_ = 0.0;
 };
 
 }  // namespace metaopt::lp

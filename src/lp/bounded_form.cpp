@@ -1,5 +1,6 @@
 #include "lp/bounded_form.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace metaopt::lp {
@@ -53,7 +54,45 @@ BoundedForm BoundedForm::build(const Model& model) {
       ++fill[v];
     }
   }
+
+  if (m >= kHyperMinRows) {
+    // Transpose the CSC block; walking columns in ascending order fills
+    // each row in ascending column order.
+    bf.row_start.assign(m + 1, 0);
+    for (const int row : bf.col_row) ++bf.row_start[row + 1];
+    for (int i = 0; i < m; ++i) bf.row_start[i + 1] += bf.row_start[i];
+    bf.row_col.resize(bf.col_row.size());
+    bf.row_val.resize(bf.col_row.size());
+    std::vector<int> next(bf.row_start.begin(), bf.row_start.end() - 1);
+    for (int j = 0; j < n; ++j) {
+      for (int t = bf.col_start[j]; t < bf.col_start[j + 1]; ++t) {
+        const int at = next[bf.col_row[t]]++;
+        bf.row_col[at] = j;
+        bf.row_val[at] = bf.col_val[t];
+      }
+    }
+  }
   return bf;
+}
+
+void BoundedForm::row_product(const std::vector<double>& v,
+                              const std::vector<int>& rows,
+                              std::vector<double>& out, std::vector<int>& cols,
+                              std::vector<signed char>& mark) const {
+  cols.clear();
+  for (const int i : rows) {
+    const double vi = v[i];
+    for (int t = row_start[i]; t < row_start[i + 1]; ++t) {
+      const int j = row_col[t];
+      if (mark[j] == 0) {
+        mark[j] = 1;
+        cols.push_back(j);
+      }
+      out[j] += vi * row_val[t];
+    }
+  }
+  std::sort(cols.begin(), cols.end());
+  for (const int j : cols) mark[j] = 0;
 }
 
 double BoundedForm::model_objective(const std::vector<double>& x) const {

@@ -18,6 +18,11 @@ const obs::Counter c_refactorizations =
 const obs::Counter c_factor_cache_hits =
     obs::counter("simplex.factor_cache_hits");
 const obs::Counter c_perturbations = obs::counter("simplex.perturbations");
+// Basis exchanges of phase 1, and exchanges (primal or dual) whose step
+// is at most kDegenerateStep.
+const obs::Counter c_phase1_pivots = obs::counter("simplex.phase1_pivots");
+const obs::Counter c_degenerate_pivots =
+    obs::counter("simplex.degenerate_pivots");
 
 /// Absolute window inside which two ratio-test values count as tied.
 constexpr double kRatioTieTol = 1e-12;
@@ -110,27 +115,24 @@ void RevisedSimplex::compute_basic_values() {
   for (int i = 0; i < m_; ++i) x_[basic_[i]] = resid_[i];
 }
 
-void RevisedSimplex::ftran_column(int j, std::vector<double>& w) const {
-  w.assign(m_, 0.0);
+void RevisedSimplex::ftran_column(int j) {
+  if (w_sparse_) {
+    for (const int i : w_nz_) w_[i] = 0.0;
+  } else {
+    w_.assign(m_, 0.0);
+  }
+  w_nz_.clear();
   if (j < n_) {
     for (int t = form_.col_start[j]; t < form_.col_start[j + 1]; ++t) {
-      w[form_.col_row[t]] = form_.col_val[t];
+      w_[form_.col_row[t]] = form_.col_val[t];
+      w_nz_.push_back(form_.col_row[t]);
     }
   } else {
-    w[j < n_ + m_ ? j - n_ : j - n_ - m_] = 1.0;
+    const int row = j < n_ + m_ ? j - n_ : j - n_ - m_;
+    w_[row] = 1.0;
+    w_nz_.push_back(row);
   }
-  factor_.ftran(w);
-}
-
-double RevisedSimplex::col_dot(const std::vector<double>& v, int j) const {
-  if (j < n_) {
-    double acc = 0.0;
-    for (int t = form_.col_start[j]; t < form_.col_start[j + 1]; ++t) {
-      acc += v[form_.col_row[t]] * form_.col_val[t];
-    }
-    return acc;
-  }
-  return v[j < n_ + m_ ? j - n_ : j - n_ - m_];
+  w_sparse_ = factor_.ftran(w_, w_nz_);
 }
 
 void RevisedSimplex::compute_y(const std::vector<double>& cost,
@@ -192,7 +194,7 @@ int RevisedSimplex::price_entering(const std::vector<double>& cost, bool bland,
   const auto candidate = [&](int j, double* score) -> int {
     if (status_[j] == VarStatus::Basic) return 0;
     if (cu_[j] - cl_[j] <= 0.0) return 0;  // fixed: can't move
-    const double d = cost[j] - col_dot(y_, j);
+    const double d = cost[j] - form_.col_dot(y_, j);
     switch (status_[j]) {
       case VarStatus::AtLower:
         if (d < -tol::kCostTol) {
@@ -302,13 +304,13 @@ void RevisedSimplex::remove_perturbation() {
   perturbed_ = false;
 }
 
-bool RevisedSimplex::exchange(int r, int q, const std::vector<double>& w) {
+bool RevisedSimplex::exchange(int r, int q) {
   const int leaving = basic_[r];
   basic_[r] = q;
   pos_[leaving] = -1;
   pos_[q] = r;
   status_[q] = VarStatus::Basic;
-  if (!factor_.update(r, w)) {
+  if (!factor_.update(r, w_, w_sparse_ ? &w_nz_ : nullptr)) {
     // The cheap update rejected the pivot element; a full
     // refactorization of the already-swapped basis usually survives.
     return refactorize();
@@ -318,6 +320,57 @@ bool RevisedSimplex::exchange(int r, int q, const std::vector<double>& w) {
   // matching the pre-update snapshot would reuse a wrong inverse.
   if (static_cast<int>(factored_basic_.size()) == m_) factored_basic_[r] = q;
   return true;
+}
+
+template <bool kSparse>
+int RevisedSimplex::ratio_test(int dir, bool bland, double* limit_out,
+                               bool* leave_up_out) const {
+  // Bounded ratio test. Entering moves by dir * step; basic i moves by
+  // -dir * step * w[i]. Steps clamp at >= 0 so tiny tolerance
+  // violations trigger a degenerate pivot instead of growing. The
+  // sparse instance walks w's ascending nonzero list: the zeros the
+  // dense walk skips are the only rows it misses, so ties break the
+  // same way.
+  double limit = kInf;
+  int leave = -1;
+  bool leave_up = false;
+  const int count = kSparse ? static_cast<int>(w_nz_.size()) : m_;
+  for (int k = 0; k < count; ++k) {
+    const int i = kSparse ? w_nz_[k] : k;
+    const double g = dir * w_[i];
+    const int b = basic_[i];
+    double ratio;
+    bool to_upper;
+    if (g > tol::kPivotTol) {
+      if (!std::isfinite(cl_[b])) continue;
+      ratio = (x_[b] - cl_[b]) / g;
+      to_upper = false;
+    } else if (g < -tol::kPivotTol) {
+      if (!std::isfinite(cu_[b])) continue;
+      ratio = (cu_[b] - x_[b]) / (-g);
+      to_upper = true;
+    } else {
+      continue;
+    }
+    if (ratio < 0.0) ratio = 0.0;
+    bool take;
+    if (leave < 0 || ratio < limit - kRatioTieTol) {
+      take = true;
+    } else if (ratio <= limit + kRatioTieTol) {
+      take = bland ? b < basic_[leave]
+                   : std::abs(w_[i]) > std::abs(w_[leave]);
+    } else {
+      take = false;
+    }
+    if (take) {
+      limit = std::min(limit, ratio);
+      leave = i;
+      leave_up = to_upper;
+    }
+  }
+  *limit_out = limit;
+  *leave_up_out = leave_up;
+  return leave;
 }
 
 SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
@@ -345,46 +398,13 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
     const int q = price_entering(cost, bland, &dir);
     if (q < 0) return SolveStatus::Optimal;
 
-    ftran_column(q, w_);
+    ftran_column(q);
 
-    // Bounded ratio test. Entering moves by dir * step; basic i moves by
-    // -dir * step * w[i]. Steps clamp at >= 0 so tiny tolerance
-    // violations trigger a degenerate pivot instead of growing.
     double limit = kInf;
-    int leave = -1;
     bool leave_up = false;
-    for (int i = 0; i < m_; ++i) {
-      const double g = dir * w_[i];
-      const int b = basic_[i];
-      double ratio;
-      bool to_upper;
-      if (g > tol::kPivotTol) {
-        if (!std::isfinite(cl_[b])) continue;
-        ratio = (x_[b] - cl_[b]) / g;
-        to_upper = false;
-      } else if (g < -tol::kPivotTol) {
-        if (!std::isfinite(cu_[b])) continue;
-        ratio = (cu_[b] - x_[b]) / (-g);
-        to_upper = true;
-      } else {
-        continue;
-      }
-      if (ratio < 0.0) ratio = 0.0;
-      bool take;
-      if (leave < 0 || ratio < limit - kRatioTieTol) {
-        take = true;
-      } else if (ratio <= limit + kRatioTieTol) {
-        take = bland ? b < basic_[leave]
-                     : std::abs(w_[i]) > std::abs(w_[leave]);
-      } else {
-        take = false;
-      }
-      if (take) {
-        limit = std::min(limit, ratio);
-        leave = i;
-        leave_up = to_upper;
-      }
-    }
+    const int leave =
+        w_sparse_ ? ratio_test<true>(dir, bland, &limit, &leave_up)
+                  : ratio_test<false>(dir, bland, &limit, &leave_up);
 
     // Bound flip: the entering column reaches its opposite bound before
     // any basic column blocks.
@@ -392,8 +412,12 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
                             ? cu_[q] - cl_[q]
                             : kInf;
     if (std::isfinite(flip) && flip <= limit + kRatioTieTol) {
-      for (int i = 0; i < m_; ++i) {
-        x_[basic_[i]] -= dir * flip * w_[i];
+      if (w_sparse_) {
+        for (const int i : w_nz_) x_[basic_[i]] -= dir * flip * w_[i];
+      } else {
+        for (int i = 0; i < m_; ++i) {
+          x_[basic_[i]] -= dir * flip * w_[i];
+        }
       }
       x_[q] = dir > 0 ? cu_[q] : cl_[q];
       status_[q] = dir > 0 ? VarStatus::AtUpper : VarStatus::AtLower;
@@ -409,18 +433,26 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
 
     const double step = limit;
     const int lcol = basic_[leave];
-    for (int i = 0; i < m_; ++i) {
-      if (i == leave) continue;
-      x_[basic_[i]] -= dir * step * w_[i];
+    if (w_sparse_) {
+      for (const int i : w_nz_) {
+        if (i != leave) x_[basic_[i]] -= dir * step * w_[i];
+      }
+    } else {
+      for (int i = 0; i < m_; ++i) {
+        if (i == leave) continue;
+        x_[basic_[i]] -= dir * step * w_[i];
+      }
     }
     x_[lcol] = leave_up ? cu_[lcol] : cl_[lcol];
     x_[q] += dir * step;
     status_[lcol] = leave_up ? VarStatus::AtUpper : VarStatus::AtLower;
-    if (!exchange(leave, q, w_)) return SolveStatus::Error;
+    if (!exchange(leave, q)) return SolveStatus::Error;
     ++*iters;
     c_revised_pivots.inc();
+    if (phase1) c_phase1_pivots.inc();
 
     if (step <= kDegenerateStep) {
+      c_degenerate_pivots.inc();
       ++degen_streak;
       if (!phase1 && opt.perturb && !perturbed_ &&
           degen_streak >= opt.perturb_after) {
@@ -432,6 +464,63 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
       degen_streak = 0;
     }
   }
+}
+
+template <bool kSparse>
+int RevisedSimplex::dual_entering(bool below, bool bland, double* ratio_out,
+                                  double* alpha_out) const {
+  // Dual ratio test. Eligibility keeps the step direction that repairs
+  // the leaving value; min |d|/|alpha| preserves dual feasibility. The
+  // sparse instance visits alpha_nz_ (every column with alpha != 0,
+  // ascending; structural alphas in alpha_, bit-identical to col_dot):
+  // the dense loop skips every other column, since |alpha| = 0 fails
+  // the pivot tolerance, so both pick the same column.
+  int q = -1;
+  double best_ratio = kInf;
+  double best_alpha = 0.0;
+  const int count = kSparse ? static_cast<int>(alpha_nz_.size()) : total_;
+  for (int k = 0; k < count; ++k) {
+    const int j = kSparse ? alpha_nz_[k] : k;
+    if (status_[j] == VarStatus::Basic) continue;
+    if (cu_[j] - cl_[j] <= 0.0) continue;
+    const double alpha =
+        kSparse && j < n_ ? alpha_[j] : form_.col_dot(rho_, j);
+    if (std::abs(alpha) <= tol::kPivotTol) continue;
+    bool ok = false;
+    switch (status_[j]) {
+      case VarStatus::AtLower:
+        ok = below ? alpha < 0.0 : alpha > 0.0;
+        break;
+      case VarStatus::AtUpper:
+        ok = below ? alpha > 0.0 : alpha < 0.0;
+        break;
+      case VarStatus::Free:
+        ok = true;
+        break;
+      case VarStatus::Basic:
+        break;
+    }
+    if (!ok) continue;
+    const double d = cost2_[j] - form_.col_dot(y_, j);
+    const double ratio = std::max(std::abs(d), 0.0) / std::abs(alpha);
+    bool take;
+    if (q < 0 || ratio < best_ratio - kRatioTieTol) {
+      take = true;
+    } else if (ratio <= best_ratio + kRatioTieTol) {
+      // Ascending j, so in Bland mode the first minimum sticks.
+      take = !bland && std::abs(alpha) > std::abs(best_alpha);
+    } else {
+      take = false;
+    }
+    if (take) {
+      best_ratio = std::min(best_ratio, ratio);
+      best_alpha = alpha;
+      q = j;
+    }
+  }
+  *ratio_out = best_ratio;
+  *alpha_out = best_alpha;
+  return q;
 }
 
 SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
@@ -451,9 +540,11 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
     int r = -1;
     double worst = tol::kFeasTol;
     bool below = false;
+    // worst starts above zero, so only an actual violation can win, and
+    // only a violation pays for the division.
     for (int i = 0; i < m_; ++i) {
       const int b = basic_[i];
-      if (std::isfinite(cl_[b])) {
+      if (std::isfinite(cl_[b]) && x_[b] < cl_[b]) {
         const double v = (cl_[b] - x_[b]) / (1.0 + std::abs(cl_[b]));
         if (v > worst) {
           worst = v;
@@ -461,7 +552,7 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
           below = true;
         }
       }
-      if (std::isfinite(cu_[b])) {
+      if (std::isfinite(cu_[b]) && x_[b] > cu_[b]) {
         const double v = (x_[b] - cu_[b]) / (1.0 + std::abs(cu_[b]));
         if (v > worst) {
           worst = v;
@@ -481,47 +572,32 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
     factor_.btran(rho_);
     compute_y(cost2_, y_);
 
-    // Entering: dual ratio test. Eligibility keeps the step direction
-    // that repairs x_r; min |d|/|alpha| preserves dual feasibility.
-    int q = -1;
+    // Entering: the dual ratio test over the pivot row. A sparse rho
+    // takes the row-wise product over supp(rho); the candidate list is
+    // then every column with alpha != 0, ascending.
+    rho_nz_.clear();
+    if (form_.has_rows()) {
+      for (int i = 0; i < m_; ++i) {
+        if (rho_[i] != 0.0) rho_nz_.push_back(i);
+      }
+    }
     double best_ratio = kInf;
     double best_alpha = 0.0;
-    for (int j = 0; j < total_; ++j) {
-      if (status_[j] == VarStatus::Basic) continue;
-      if (cu_[j] - cl_[j] <= 0.0) continue;
-      const double alpha = col_dot(rho_, j);
-      if (std::abs(alpha) <= tol::kPivotTol) continue;
-      bool ok = false;
-      switch (status_[j]) {
-        case VarStatus::AtLower:
-          ok = below ? alpha < 0.0 : alpha > 0.0;
-          break;
-        case VarStatus::AtUpper:
-          ok = below ? alpha > 0.0 : alpha < 0.0;
-          break;
-        case VarStatus::Free:
-          ok = true;
-          break;
-        case VarStatus::Basic:
-          break;
+    int q = -1;
+    if (form_.has_rows() &&
+        static_cast<double>(rho_nz_.size()) <= kHyperMaxDensity * m_) {
+      if (alpha_.empty()) {
+        alpha_.assign(n_, 0.0);
+        alpha_mark_.assign(n_, 0);
       }
-      if (!ok) continue;
-      const double d = cost2_[j] - col_dot(y_, j);
-      const double ratio = std::max(std::abs(d), 0.0) / std::abs(alpha);
-      bool take;
-      if (q < 0 || ratio < best_ratio - kRatioTieTol) {
-        take = true;
-      } else if (ratio <= best_ratio + kRatioTieTol) {
-        // Ascending j, so in Bland mode the first minimum sticks.
-        take = !bland && std::abs(alpha) > std::abs(best_alpha);
-      } else {
-        take = false;
-      }
-      if (take) {
-        best_ratio = std::min(best_ratio, ratio);
-        best_alpha = alpha;
-        q = j;
-      }
+      form_.row_product(rho_, rho_nz_, alpha_, alpha_nz_, alpha_mark_);
+      const std::size_t structs = alpha_nz_.size();
+      for (const int i : rho_nz_) alpha_nz_.push_back(n_ + i);
+      for (const int i : rho_nz_) alpha_nz_.push_back(n_ + m_ + i);
+      q = dual_entering<true>(below, bland, &best_ratio, &best_alpha);
+      for (std::size_t k = 0; k < structs; ++k) alpha_[alpha_nz_[k]] = 0.0;
+    } else {
+      q = dual_entering<false>(below, bland, &best_ratio, &best_alpha);
     }
     if (q < 0) {
       // Dual unbounded along the repairing direction: the primal child
@@ -535,19 +611,26 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
     // preserved because dual feasibility is, at the cost of an extra
     // pivot in rare cases.)
     const double theta = (x_[brow] - target) / best_alpha;
-    ftran_column(q, w_);
-    for (int i = 0; i < m_; ++i) {
-      if (i == r) continue;
-      x_[basic_[i]] -= theta * w_[i];
+    ftran_column(q);
+    if (w_sparse_) {
+      for (const int i : w_nz_) {
+        if (i != r) x_[basic_[i]] -= theta * w_[i];
+      }
+    } else {
+      for (int i = 0; i < m_; ++i) {
+        if (i == r) continue;
+        x_[basic_[i]] -= theta * w_[i];
+      }
     }
     x_[brow] = target;
     status_[brow] = below ? VarStatus::AtLower : VarStatus::AtUpper;
     x_[q] += theta;
-    if (!exchange(r, q, w_)) return SolveStatus::Error;
+    if (!exchange(r, q)) return SolveStatus::Error;
     ++*iters;
     c_dual_pivots.inc();
 
     if (best_ratio <= kDegenerateStep) {
+      c_degenerate_pivots.inc();
       if (++degen_streak >= opt.stall_limit && !bland) bland = true;
     } else {
       degen_streak = 0;
@@ -741,10 +824,10 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
   rebuild_positions();
 
   // Factorization cache: while branch-and-bound plunges, consecutive
-  // warm solves often share the exact basis — skip the O(m^3) rebuild.
-  // Only a *pristine* factor qualifies (zero product-form updates since
-  // the last full factorize): an updated inverse carries roundoff that a
-  // fresh Gauss-Jordan rebuild would not, so a hit would make the solve
+  // warm solves often share the exact basis — skip the sparse LU
+  // rebuild. Only a *pristine* factor qualifies (zero eta updates since
+  // the last full factorize): an eta file carries roundoff that a fresh
+  // LU of the same basis would not, so a hit would make the solve
   // depend on engine history. With the gate, every node solve is a pure
   // function of (bounds, hint basis) — the invariant the parallel B&B's
   // thread-count-independent tree relies on.
@@ -768,7 +851,7 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
   for (int j = 0; j < total_; ++j) {
     if (status_[j] == VarStatus::Basic) continue;
     if (cu_[j] - cl_[j] <= 0.0) continue;  // fixed: any sign is fine
-    const double d = cost2_[j] - col_dot(y_, j);
+    const double d = cost2_[j] - form_.col_dot(y_, j);
     if (status_[j] == VarStatus::AtLower && d < -flip_tol) {
       if (std::isfinite(cu_[j])) {
         status_[j] = VarStatus::AtUpper;
@@ -826,7 +909,7 @@ void RevisedSimplex::extract_duals(const Model& model,
   // coefficients, so reduced costs are direct.
   reduced_costs.assign(model.num_vars(), 0.0);
   for (int v = 0; v < n_; ++v) {
-    reduced_costs[v] = cost2_[v] - col_dot(y, v);
+    reduced_costs[v] = cost2_[v] - form_.col_dot(y, v);
   }
 }
 

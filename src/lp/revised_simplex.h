@@ -28,6 +28,17 @@
 // after publication, so concurrent warm solves from the same parent
 // basis are race-free by construction.
 //
+// Per-pivot cost follows the nonzeros on forms of at least
+// kHyperMinRows rows: w = B^{-1} a_q comes from the hypersparse ftran
+// (lp/basis.h) and the primal ratio test and every update of the point
+// walk its ascending nonzero list; the dual forms its pivot row
+// alpha = rho' A over supp(rho) from the form's row-wise copy and visits
+// only the columns with alpha != 0, ascending. Each sparse path adds the
+// same terms in the same order as its dense loop and skips only exact
+// zeros the dense loop skips too, so pivots and answers do not
+// depend on which path ran. Small forms and dense vectors keep the
+// dense loops.
+//
 // Numerical policy: product-form updates accrue roundoff, so the factor
 // is rebuilt every kRefactorInterval pivots, and every terminal point
 // must pass a row-residual accuracy check before it is reported —
@@ -87,22 +98,37 @@ class RevisedSimplex {
   void rebuild_positions();
   [[nodiscard]] bool refactorize();
   void compute_basic_values();
-  /// w := B^{-1} A_j (dense scatter + ftran).
-  void ftran_column(int j, std::vector<double>& w) const;
-  /// Dot product of an m-vector with column j.
-  [[nodiscard]] double col_dot(const std::vector<double>& v, int j) const;
+  /// w_ := B^{-1} A_j. Clears the previous w_ (only its nonzeros when
+  /// they are listed), scatters column j and runs the sparse-capable
+  /// ftran: w_sparse_ says whether w_nz_ lists w_'s nonzero positions
+  /// (ascending) or the consumers must walk all m entries.
+  void ftran_column(int j);
   /// y := B^{-T} c_B for the given cost vector.
   void compute_y(const std::vector<double>& cost, std::vector<double>& y) const;
   [[nodiscard]] bool accuracy_ok() const;
   [[nodiscard]] double phase1_objective() const;
-  /// Applies one basis exchange at position r (entering q along w).
-  [[nodiscard]] bool exchange(int r, int q, const std::vector<double>& w);
+  /// Applies one basis exchange at position r (entering q along w_).
+  [[nodiscard]] bool exchange(int r, int q);
   /// Entering-variable selection for primal_iterate: partial pricing
   /// over a cyclic column window (Bland's first-eligible rule when
   /// `bland`). Returns the column or -1 (optimal), with the moving
   /// direction in *dir.
   [[nodiscard]] int price_entering(const std::vector<double>& cost, bool bland,
                                    int* dir);
+  /// Bounded ratio test of primal_iterate along w_ (direction `dir` of
+  /// the entering column): the leaving position or -1, with its step in
+  /// *limit and its bound side in *leave_up. kSparse walks w_nz_
+  /// instead of all m rows.
+  template <bool kSparse>
+  [[nodiscard]] int ratio_test(int dir, bool bland, double* limit,
+                               bool* leave_up) const;
+  /// Entering column of dual_iterate's ratio test over the pivot row
+  /// rho_' A (the leaving value is `below` its bound), or -1, with its
+  /// ratio |d_q|/|alpha_q| and alpha_q. kSparse visits alpha_nz_ instead
+  /// of every column.
+  template <bool kSparse>
+  [[nodiscard]] int dual_entering(bool below, bool bland, double* ratio,
+                                  double* alpha) const;
   /// Relaxes the active bounds of degenerate basic variables by
   /// deterministic per-column epsilons (EXPAND-style anti-degeneracy).
   void apply_perturbation();
@@ -145,6 +171,16 @@ class RevisedSimplex {
 
   // scratch
   std::vector<double> w_, rho_, y_, resid_, cost1_;
+  std::vector<int> w_nz_;   ///< nonzero positions of w_ when w_sparse_
+  bool w_sparse_ = false;
+  // dual pivot row over supp(rho): rho_nz_ lists rho_'s nonzero rows,
+  // alpha_ (zero between iterations) the structural entries of the
+  // row, alpha_nz_ every column with a nonzero entry (ascending: the
+  // structurals the row touched, then the logicals and artificials of
+  // supp(rho)), alpha_mark_ the row product's scratch flags
+  std::vector<int> rho_nz_, alpha_nz_;
+  std::vector<double> alpha_;
+  std::vector<signed char> alpha_mark_;
 };
 
 /// Warm-start state threaded through SimplexSolver::solve_with_bounds:

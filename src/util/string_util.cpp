@@ -24,7 +24,7 @@ std::string format_double(double value, int max_decimals) {
     while (!s.empty() && s.back() == '0') s.pop_back();
     if (!s.empty() && s.back() == '.') s.pop_back();
   }
-  if (s.empty() || s == "-0") s = "0";
+  if (s.empty() || s == "-0") return "0";
   return s;
 }
 

@@ -4,8 +4,15 @@
 // sparse KKT node basis, after factorize and after every product-form
 // eta update; singular bases, the fill-in-triggered refactorize, the
 // factorization timer, and the factored-set cache key staying in sync
-// across warm solves (regression for the stale-key bug class).
+// across warm solves (regression for the stale-key bug class). The
+// hypersparse kernels are checked bit for bit against their dense
+// counterparts: the sparse ftran against the dense ftran (and its
+// nonzero list for exactness and order), etas built from that list
+// against etas built by a dense scan, and the row-wise pivot row
+// against BoundedForm::col_dot.
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -545,6 +552,231 @@ TEST(BasisFactor, WarmSolveFactorCacheKeyStaysInSync) {
     } else {
       EXPECT_GE(refactors[i], 1.0) << "round " << i;
     }
+  }
+}
+
+// ---- hypersparse kernels: bit identity with the dense loops ----
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A right-hand side with about `density` of its m rows nonzero (at
+/// least one), the rows listed in `nz` in random order.
+std::vector<double> sparse_rhs(util::Rng& rng, int m, double density,
+                               std::vector<int>& nz) {
+  std::vector<double> x(m, 0.0);
+  nz.clear();
+  const int count = std::max(1, static_cast<int>(density * m));
+  while (static_cast<int>(nz.size()) < count) {
+    const int row = rng.uniform_int(0, m - 1);
+    if (x[row] != 0.0) continue;
+    x[row] = rng.uniform(0.5, 4.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
+    nz.push_back(row);
+  }
+  return x;
+}
+
+/// Runs both ftrans of `factor` on `rhs` (rows `nz`) and expects the
+/// same bits in every entry. When the sparse path ran, its nonzero list
+/// must be strictly ascending and exact: every listed entry nonzero,
+/// every other entry +0.0. Returns whether the sparse path ran.
+bool expect_sparse_ftran_matches(const BasisFactor& factor,
+                                 const std::vector<double>& rhs,
+                                 std::vector<int> nz, const std::string& what) {
+  std::vector<double> dense = rhs;
+  factor.ftran(dense);
+  std::vector<double> sparse = rhs;
+  const bool took_sparse = factor.ftran(sparse, nz);
+  for (std::size_t p = 0; p < dense.size(); ++p) {
+    EXPECT_EQ(bits(sparse[p]), bits(dense[p]))
+        << what << " position " << p << ": " << sparse[p] << " vs "
+        << dense[p];
+  }
+  if (took_sparse) {
+    std::vector<bool> listed(dense.size(), false);
+    for (std::size_t k = 0; k < nz.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(nz[k - 1], nz[k]) << what << " list not ascending at " << k;
+      }
+      listed[nz[k]] = true;
+      EXPECT_NE(sparse[nz[k]], 0.0) << what << " lists zero position "
+                                    << nz[k];
+    }
+    for (std::size_t p = 0; p < dense.size(); ++p) {
+      if (!listed[p]) {
+        EXPECT_EQ(bits(sparse[p]), bits(0.0))
+            << what << " unlisted position " << p << " holds " << sparse[p];
+      }
+    }
+  }
+  return took_sparse;
+}
+
+/// The ftran right-hand side of form column j: a_j, rows listed in nz.
+std::vector<double> column_rhs(const BoundedForm& form, int j,
+                               std::vector<int>& nz) {
+  std::vector<double> x(form.num_rows, 0.0);
+  nz.clear();
+  for (int t = form.col_start[j]; t < form.col_start[j + 1]; ++t) {
+    x[form.col_row[t]] = form.col_val[t];
+    nz.push_back(form.col_row[t]);
+  }
+  return x;
+}
+
+TEST(BasisFactor, SparseFtranMatchesDenseBitForBit) {
+  // The KKT root basis (m >= kHyperMinRows, mostly singletons) on the
+  // fresh factor and after each of 63 simplex-style exchanges: random
+  // right-hand sides of 1-5% density and form columns a_q (the simplex's
+  // own right-hand sides), plus one dense right-hand side that crosses
+  // the switch. Random 1-5% right-hand sides give 2-20% dense results
+  // here, so both paths run.
+  const BasisCase& c = structured_cases().back();
+  ASSERT_GE(c.form.num_rows, lp::kHyperMinRows);
+  const int m = c.form.num_rows;
+  util::Rng rng(61);
+  BasisFactor factor;
+  ASSERT_TRUE(factor.factorize(c.form, c.basic));
+
+  int sparse_runs = 0;
+  int runs = 0;
+  std::vector<int> nz;
+  for (int u = 0; u <= 63; ++u) {
+    const std::string when = "after " + std::to_string(u) + " updates";
+    for (int trial = 0; trial < 3; ++trial) {
+      const double density = rng.uniform(0.01, 0.05);
+      const std::vector<double> rhs = sparse_rhs(rng, m, density, nz);
+      sparse_runs += expect_sparse_ftran_matches(factor, rhs, nz, when);
+      ++runs;
+    }
+    std::vector<double> w;
+    for (int trial = 0; trial < 3; ++trial) {
+      const int q = rng.uniform_int(0, c.form.num_structs - 1);
+      w = column_rhs(c.form, q, nz);
+      if (nz.empty()) continue;
+      sparse_runs +=
+          expect_sparse_ftran_matches(factor, w, nz, when + " (a_q)");
+      ++runs;
+    }
+    if (u == 63 || nz.empty()) continue;
+    // Exchange: the last column enters at its largest ftran entry.
+    factor.ftran(w);
+    int r = 0;
+    for (int p = 1; p < m; ++p) {
+      if (std::abs(w[p]) > std::abs(w[r])) r = p;
+    }
+    if (std::abs(w[r]) > 1e-3) {
+      ASSERT_TRUE(factor.update(r, w));
+    }
+  }
+  EXPECT_GT(factor.eta_count(), 31);
+  // The dense right-hand side's reach is all of m: the dense loop runs
+  // and the bits still match.
+  std::vector<double> dense_rhs(m);
+  nz.clear();
+  for (int i = 0; i < m; ++i) {
+    dense_rhs[i] = rng.uniform(-3.0, 3.0);
+    nz.push_back(i);
+  }
+  EXPECT_FALSE(expect_sparse_ftran_matches(factor, dense_rhs, nz,
+                                           "dense right-hand side"));
+  // Enough runs must take the sparse path for the comparisons to cover
+  // it.
+  EXPECT_GT(4 * sparse_runs, runs) << sparse_runs << " of " << runs;
+}
+
+TEST(BasisFactor, EtasFromTheSparseListMatchDenseScanEtas) {
+  // Two factors of the KKT root basis take the same 63 exchanges: one
+  // builds each eta from the sparse ftran's nonzero list, the other by
+  // scanning all m entries. btran sums the eta terms in list order, so
+  // any difference in the terms or their order shows in its bits.
+  const BasisCase& c = structured_cases().back();
+  const int m = c.form.num_rows;
+  util::Rng rng(67);
+  BasisFactor listed;
+  BasisFactor scanned;
+  ASSERT_TRUE(listed.factorize(c.form, c.basic));
+  ASSERT_TRUE(scanned.factorize(c.form, c.basic));
+  int from_list = 0;
+  std::vector<int> nz;
+  for (int u = 1; u <= 63; ++u) {
+    const std::string when = "after " + std::to_string(u) + " updates";
+    const int q = rng.uniform_int(0, c.form.num_structs - 1);
+    std::vector<double> w = column_rhs(c.form, q, nz);
+    if (nz.empty()) continue;
+    std::vector<double> w_scan = w;
+    const bool sparse = listed.ftran(w, nz);
+    scanned.ftran(w_scan);
+    int r = 0;
+    for (int p = 1; p < m; ++p) {
+      if (std::abs(w[p]) > std::abs(w[r])) r = p;
+    }
+    if (std::abs(w[r]) < 1e-3) continue;
+    ASSERT_TRUE(listed.update(r, w, sparse ? &nz : nullptr));
+    ASSERT_TRUE(scanned.update(r, w_scan));
+    from_list += sparse ? 1 : 0;
+
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> y(m);
+      for (double& v : y) v = rng.uniform(-2.0, 2.0);
+      std::vector<double> y_scan = y;
+      listed.btran(y);
+      scanned.btran(y_scan);
+      for (int i = 0; i < m; ++i) {
+        ASSERT_EQ(bits(y[i]), bits(y_scan[i])) << when << " btran row " << i;
+      }
+      std::vector<double> x = sparse_rhs(rng, m, 0.03, nz);
+      std::vector<double> x_scan = x;
+      listed.ftran(x);
+      scanned.ftran(x_scan);
+      for (int p = 0; p < m; ++p) {
+        ASSERT_EQ(bits(x[p]), bits(x_scan[p])) << when << " ftran position "
+                                               << p;
+      }
+    }
+  }
+  EXPECT_GT(from_list, 31) << "too few etas came from a sparse list";
+}
+
+TEST(BasisFactor, RowWisePivotRowMatchesColDotBitForBit) {
+  // Columns with hundreds of nonzeros and a rho of 1-10% density with
+  // magnitudes over many decades: a different summation order would
+  // round differently in many columns.
+  util::Rng rng(71);
+  const Model model = make_model(rng, 40, lp::kHyperMinRows + 24);
+  const BoundedForm form = BoundedForm::build(model);
+  ASSERT_TRUE(form.has_rows());
+  const int n = form.num_structs;
+  const int m = form.num_rows;
+  std::vector<double> out(n, 0.0);
+  std::vector<signed char> mark(n, 0);
+  std::vector<int> cols;
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<double> rho(m, 0.0);
+    std::vector<int> rows;
+    const double density = rng.uniform(0.01, 0.1);
+    for (int i = 0; i < m; ++i) {
+      if (!rng.bernoulli(density)) continue;
+      rho[i] = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-6.0, 6.0));
+      rows.push_back(i);
+    }
+    form.row_product(rho, rows, out, cols, mark);
+    std::vector<bool> touched(n, false);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(cols[k - 1], cols[k]);
+      }
+      touched[cols[k]] = true;
+    }
+    for (int j = 0; j < n; ++j) {
+      EXPECT_EQ(bits(out[j]), bits(form.col_dot(rho, j)))
+          << "column " << j << ": " << out[j] << " vs " << form.col_dot(rho, j);
+      EXPECT_EQ(mark[j], 0);
+      if (!touched[j]) {
+        EXPECT_EQ(bits(out[j]), bits(0.0)) << "column " << j;
+      }
+    }
+    for (const int j : cols) out[j] = 0.0;
   }
 }
 

@@ -1,13 +1,28 @@
-// Unit tests for the LP modeling layer and the simplex solver.
+// Unit tests for the LP modeling layer and the simplex solver, and a
+// pin of the cold root solves of the find_te benchmark's two model
+// shapes (pivot count and objective bits).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/adversarial.h"
+#include "domains/domains.h"
+#include "domains/te_instances.h"
+#include "heur/instance.h"
+#include "kkt/kkt_rewriter.h"
 #include "lp/model.h"
+#include "lp/presolve.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "obs/metrics.h"
+#include "te/demand_pinning.h"
+#include "te/max_flow.h"
+#include "te/pop.h"
 #include "util/rng.h"
 
 namespace metaopt::lp {
@@ -490,6 +505,117 @@ TEST_P(SimplexDualityTest, StrongDualityHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexDualityTest, ::testing::Range(1, 41));
+
+// ---- the find_te root relaxations, pinned bit for bit ----
+
+/// The metaopt model of a find_te operation, built the way
+/// core::AdversarialGapFinder builds it: the demand leader, OPT's KKT
+/// follower, then Demand Pinning's (threshold 50) or the KKT followers
+/// of POP's two partitions in each of its three instantiations, and the
+/// objective OPT minus the heuristic (POP: the mean over
+/// instantiations).
+Model find_te_model(const domains::TeInstanceBase& te) {
+  Model model;
+  core::AdversarialOptions options;
+  options.demand_ub = te.leader_ub();
+  options.pair_mask = te.pair_mask();
+  const core::DemandVars d =
+      core::make_demand_vars(model, te.topology(), te.paths(), options);
+  te::MaxFlowOptions opt_options;
+  opt_options.include = &d.include;
+  const te::FlowEncoding opt = te::build_max_flow(
+      model, te.topology(), te.paths(), d.exprs, "opt.", opt_options);
+  const kkt::KktArtifacts opt_kkt = kkt::emit_kkt(model, opt.inner, "opt.");
+  LinExpr heur;
+  if (const auto* pop = dynamic_cast<const domains::TePopInstance*>(&te)) {
+    std::vector<te::PopEncoding> encodings;
+    encodings.reserve(pop->seeds().size());
+    for (std::size_t r = 0; r < pop->seeds().size(); ++r) {
+      te::PopConfig config;
+      config.num_partitions = 2;
+      config.seed = pop->seeds()[r];
+      const std::string prefix = "pop" + std::to_string(r) + ".";
+      encodings.push_back(te::build_pop(model, te.topology(), te.paths(),
+                                        d.exprs, config, prefix));
+      const te::PopEncoding& enc = encodings.back();
+      for (std::size_t part = 0; part < enc.partitions.size(); ++part) {
+        (void)kkt::emit_kkt(model, enc.partitions[part].inner,
+                            prefix + std::to_string(part) + ".");
+      }
+      heur += (1.0 / static_cast<double>(pop->seeds().size())) *
+              enc.total_flow;
+    }
+  } else {
+    te::DpConfig config;
+    config.threshold = 50.0;
+    config.demand_ub = d.ub;
+    const te::DpEncoding dp = te::build_demand_pinning(
+        model, te.topology(), te.paths(), d.vars, config, "dp.", &d.include);
+    heur = kkt::emit_kkt(model, dp.inner, "dp.").objective_expr;
+  }
+  model.set_objective(ObjSense::Maximize, opt_kkt.objective_expr - heur);
+  return model;
+}
+
+/// Cold solve of the root node LP as branch-and-bound runs it: the
+/// model's bounds after presolve, no hint.
+Solution solve_root(const Model& model) {
+  const PresolveResult pre = presolve(model);
+  EXPECT_FALSE(pre.infeasible);
+  SimplexOptions options;
+  options.certify = true;
+  const SimplexSolver solver(options);
+  WarmStartContext warm(model);
+  return solver.solve_with_bounds(model, pre.lb, pre.ub, warm);
+}
+
+TEST(FindTeRoots, ColdSolvesArePinnedBitForBit) {
+  // The Abilene DP operation (all pairs) and the first B4 POP operation
+  // (12-pair support, seed 1) of perfbench's find_te. The pinned pivot
+  // counts and objective bits were recorded before the hypersparse
+  // kernels existed; a kernel change that is not bit-identical moves
+  // them here, at the LP layer, before any tree does.
+  domains::register_builtin();
+  heur::InstanceConfig dp;
+  dp.heuristic = "dp";
+  dp.topology = "abilene";
+  dp.threshold = 50.0;
+  heur::InstanceConfig pop;
+  pop.heuristic = "pop";
+  pop.topology = "b4";
+  pop.support = 12;
+  pop.partitions = 2;
+  for (int r = 0; r < 3; ++r) {
+    pop.pop_seeds.push_back(util::derive_seed(1, 100 + r));
+  }
+
+  struct Pin {
+    const heur::InstanceConfig* config;
+    int rows;
+    long iterations;
+    std::uint64_t objective_bits;
+  };
+  const Pin pins[] = {
+      {&dp, 1596, 3975, 0x40db580000000000},   // 28,000
+      {&pop, 2284, 2295, 0x40af400000000000},  // 4,000
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.config->heuristic + " on " + pin.config->topology);
+    const std::unique_ptr<heur::HeuristicInstance> inst =
+        heur::make_instance(*pin.config);
+    const Model model =
+        find_te_model(dynamic_cast<const domains::TeInstanceBase&>(*inst));
+    // Above the row limit, so the hypersparse kernels are in play.
+    ASSERT_EQ(model.num_constraints(), pin.rows);
+    ASSERT_GE(pin.rows, kHyperMinRows);
+    const Solution root = solve_root(model);
+    ASSERT_EQ(root.status, SolveStatus::Optimal);
+    EXPECT_TRUE(root.certified);
+    EXPECT_EQ(root.iterations, pin.iterations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(root.objective), pin.objective_bits)
+        << root.objective;
+  }
+}
 
 }  // namespace
 }  // namespace metaopt::lp

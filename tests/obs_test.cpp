@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "lp/model.h"
+#include "lp/revised_simplex.h"
+#include "lp/simplex.h"
+
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -272,6 +277,78 @@ TEST_F(ObsTest, BenchReportJsonHasAllSchemaKeys) {
         "\"summaries\": {", "\"samples\": {", "\"p99\":", "\"sum\":6"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+}
+
+// ---- the revised core's pivot counters ----
+
+/// Counter deltas over one solve.
+template <typename F>
+MetricsSnapshot counted(F solve) {
+  const MetricsSnapshot before = snapshot();
+  solve();
+  return diff(before, snapshot());
+}
+
+TEST_F(ObsTest, SimplexCountsPhase1AndDegeneratePivots) {
+  const lp::SimplexSolver solver;
+
+  // x + y == 1 from the crash point (0, 0): the artificial opens, so
+  // phase 1 makes at least one exchange, and every phase-1 exchange is
+  // a primal one.
+  lp::Model eq;
+  const lp::Var ex = eq.add_var("x", 0.0, 10.0);
+  const lp::Var ey = eq.add_var("y", 0.0, 10.0);
+  eq.add_constraint(ex + ey == lp::LinExpr(1.0));
+  eq.set_objective(lp::ObjSense::Minimize, ex + 2.0 * ey);
+  const MetricsSnapshot p1 = counted(
+      [&] { EXPECT_EQ(solver.solve(eq).status, lp::SolveStatus::Optimal); });
+  EXPECT_GE(counter_value(p1, "simplex.phase1_pivots"), 1.0);
+  EXPECT_LE(counter_value(p1, "simplex.phase1_pivots"),
+            counter_value(p1, "simplex.revised_pivots"));
+
+  // min -x s.t. x - y <= 0, y <= 0: no phase 1, and x enters at step 0
+  // (its row has no slack), a degenerate primal exchange.
+  lp::Model deg;
+  const lp::Var dx = deg.add_var("x", 0.0, lp::kInf);
+  const lp::Var dy = deg.add_var("y", 0.0, lp::kInf);
+  deg.add_constraint(dx - dy <= lp::LinExpr(0.0));
+  deg.add_constraint(lp::LinExpr(dy) <= lp::LinExpr(0.0));
+  deg.set_objective(lp::ObjSense::Minimize, -1.0 * dx);
+  const MetricsSnapshot primal = counted(
+      [&] { EXPECT_EQ(solver.solve(deg).status, lp::SolveStatus::Optimal); });
+  EXPECT_EQ(counter_value(primal, "simplex.phase1_pivots"), 0.0);
+  EXPECT_GE(counter_value(primal, "simplex.degenerate_pivots"), 1.0);
+  EXPECT_LE(counter_value(primal, "simplex.degenerate_pivots"),
+            counter_value(primal, "simplex.revised_pivots"));
+
+  // max x + y s.t. x + y <= 2: the nonbasic one of x and y has reduced
+  // cost 0. Capping the basic one at 0.5 makes the warm dual simplex
+  // bring the other in at dual step 0, a degenerate dual exchange.
+  lp::Model tie;
+  const lp::Var tx = tie.add_var("x", 0.0, 5.0);
+  const lp::Var ty = tie.add_var("y", 0.0, 5.0);
+  tie.add_constraint(tx + ty <= lp::LinExpr(2.0));
+  tie.set_objective(lp::ObjSense::Maximize, tx + ty);
+  std::vector<double> lb(2, 0.0);
+  std::vector<double> ub(2, 5.0);
+  lp::WarmStartContext warm(tie);
+  const lp::Solution root = solver.solve_with_bounds(tie, lb, ub, warm);
+  ASSERT_EQ(root.status, lp::SolveStatus::Optimal);
+  const std::shared_ptr<const lp::Basis> basis = warm.take_result();
+  ASSERT_NE(basis, nullptr);
+  ub[root.values[0] > 1.0 ? 0 : 1] = 0.5;
+  warm.hint = basis.get();
+  const MetricsSnapshot dual = counted([&] {
+    const lp::Solution child = solver.solve_with_bounds(tie, lb, ub, warm);
+    EXPECT_EQ(child.status, lp::SolveStatus::Optimal);
+    EXPECT_EQ(child.objective, 2.0);
+  });
+  EXPECT_EQ(warm.last_path, lp::WarmStartContext::Path::WarmDual);
+  EXPECT_GE(counter_value(dual, "simplex.dual_pivots"), 1.0);
+  EXPECT_GE(counter_value(dual, "simplex.degenerate_pivots"), 1.0);
+  EXPECT_LE(counter_value(dual, "simplex.degenerate_pivots"),
+            counter_value(dual, "simplex.dual_pivots") +
+                counter_value(dual, "simplex.revised_pivots"));
 }
 
 }  // namespace

@@ -17,6 +17,12 @@
 // the same differential: tableau vs cold revised at the root, and
 // tableau vs a warm child re-solve from the root basis.
 //
+// A third harness covers the hypersparse kernels, which only run on
+// forms of at least lp::kHyperMinRows rows: random two-commodity flow
+// LPs just above that limit, cold roots and warm children checked
+// against cold re-solves and the certifier (the tableau is too slow at
+// this size).
+//
 // The root seed comes from METAOPT_FUZZ_SEED when set (CI rotates it per
 // run and echoes it for replay); instances derive per-index streams with
 // util::derive_seed, so one failing index reproduces in isolation.
@@ -354,6 +360,71 @@ Model make_unimodular_flow_lp(util::Rng& rng) {
   return model;
 }
 
+/// Two-commodity min-cost flow on a ring of 300 nodes plus random
+/// chords, arcs shared through capacity rows: 600 balance equalities and
+/// one capacity row per arc, so the form has just over
+/// lp::kHyperMinRows rows and network sparsity (two nonzeros per flow
+/// column in the balance rows, one in its capacity row). Each commodity
+/// ships from 8 sources to 8 sinks; the ring carries every supply, so
+/// roots are feasible. Some costs are negative, so the optimum also
+/// saturates negative cycles (every flow is boxed, so it stays bounded)
+/// and the solves take hundreds of pivots.
+Model make_two_commodity_flow_lp(util::Rng& rng) {
+  Model model;
+  constexpr int kNodes = 300;
+  constexpr int kCommodities = 2;
+  struct Arc { int from, to; };
+  std::vector<Arc> arcs;
+  for (int v = 0; v < kNodes; ++v) arcs.push_back({v, (v + 1) % kNodes});
+  const int chords = rng.uniform_int(110, 200);
+  while (static_cast<int>(arcs.size()) < kNodes + chords) {
+    const int u = rng.uniform_int(0, kNodes - 1);
+    const int v = rng.uniform_int(0, kNodes - 1);
+    if (u != v) arcs.push_back({u, v});
+  }
+  const int num_arcs = static_cast<int>(arcs.size());
+  std::vector<double> cap(num_arcs);
+  for (double& c : cap) c = rng.uniform(10.0, 20.0);
+
+  // flow[k * num_arcs + a]
+  std::vector<lp::Var> flow;
+  lp::LinExpr obj;
+  for (int k = 0; k < kCommodities; ++k) {
+    for (int a = 0; a < num_arcs; ++a) {
+      flow.push_back(model.add_var(
+          "f" + std::to_string(k) + "_" + std::to_string(a), 0.0, cap[a]));
+      obj.add_term(flow.back(), rng.uniform(-2.0, 10.0));
+    }
+  }
+  for (int k = 0; k < kCommodities; ++k) {
+    // Net supply per node: 8 unit-ish sources and their sinks; the ring
+    // can carry the total (at most 8) under every capacity (at least 10).
+    std::vector<double> supply(kNodes, 0.0);
+    for (int s = 0; s < 8; ++s) {
+      const double amount = rng.uniform(0.1, 0.5);
+      supply[rng.uniform_int(0, kNodes - 1)] += amount;
+      supply[rng.uniform_int(0, kNodes - 1)] -= amount;
+    }
+    std::vector<lp::LinExpr> balance(kNodes);
+    for (int a = 0; a < num_arcs; ++a) {
+      balance[arcs[a].from].add_term(flow[k * num_arcs + a], 1.0);
+      balance[arcs[a].to].add_term(flow[k * num_arcs + a], -1.0);
+    }
+    for (int v = 0; v < kNodes; ++v) {
+      model.add_constraint(balance[v] == lp::LinExpr(supply[v]));
+    }
+  }
+  for (int a = 0; a < num_arcs; ++a) {
+    lp::LinExpr shared;
+    for (int k = 0; k < kCommodities; ++k) {
+      shared.add_term(flow[k * num_arcs + a], 1.0);
+    }
+    model.add_constraint(shared <= lp::LinExpr(cap[a]));
+  }
+  model.set_objective(ObjSense::Minimize, obj);
+  return model;
+}
+
 /// Statuses that must match across solver paths. IterationLimit /
 /// TimeLimit never trigger at these sizes; anything else is a bug.
 bool terminal(SolveStatus s) {
@@ -635,6 +706,66 @@ TEST(SimplexFuzz, HostileFamiliesRevisedVsTableauDifferential) {
       per_family * static_cast<int>(std::size(families));
   EXPECT_GT(optimal_roots, total / 3);
   EXPECT_GT(warm_children, total / 6);
+}
+
+TEST(SimplexFuzz, FlowLpsAboveTheHypersparseRowLimitWarmMatchesCold) {
+  // Forms of at least lp::kHyperMinRows rows run the sparse ftran and
+  // the row-wise dual pivot row. Each root is solved cold; each of two
+  // children per root is solved warm from the root basis and again
+  // cold from scratch, and the two must agree. Every optimum passes
+  // the certifier.
+  const std::uint64_t seed = root_seed();
+  lp::SimplexOptions opt;
+  opt.want_duals = true;
+  opt.certify = false;
+  const lp::SimplexSolver solver(opt);
+
+  constexpr int kInstances = 4;
+  int warm_dual_answers = 0;
+  int children = 0;
+  for (int i = 0; i < kInstances; ++i) {
+    SCOPED_TRACE("flow instance " + std::to_string(i) + " (root seed " +
+                 std::to_string(seed) + ")");
+    util::Rng rng(util::derive_seed(seed, 300000 + i));
+    const Model model = make_two_commodity_flow_lp(rng);
+    ASSERT_GE(model.num_constraints(), lp::kHyperMinRows);
+    std::vector<double> lb, ub;
+    collect_bounds(model, lb, ub);
+
+    lp::WarmStartContext warm(model);
+    ASSERT_TRUE(warm.form.has_rows());
+    const Solution root = solver.solve_with_bounds(model, lb, ub, warm);
+    ASSERT_EQ(root.status, SolveStatus::Optimal);
+    std::printf("[simplex_fuzz] flow instance %d: %d rows, root %ld pivots\n",
+                i, model.num_constraints(), root.iterations);
+    certify_optimal(model, root, lb, ub, "cold root");
+    const std::shared_ptr<const lp::Basis> basis = warm.take_result();
+    ASSERT_NE(basis, nullptr);
+
+    for (int c = 0; c < 2; ++c) {
+      std::vector<double> clb = lb, cub = ub;
+      tighten_child_bounds(rng, root, clb, cub);
+      bool empty_box = false;
+      for (std::size_t v = 0; v < clb.size(); ++v) {
+        if (clb[v] > cub[v]) empty_box = true;
+      }
+      if (empty_box) continue;
+      ++children;
+
+      warm.hint = basis.get();
+      const Solution child = solver.solve_with_bounds(model, clb, cub, warm);
+      if (warm.last_path == lp::WarmStartContext::Path::WarmDual) {
+        ++warm_dual_answers;
+      }
+      lp::WarmStartContext cold_ctx(model);
+      const Solution cold = solver.solve_with_bounds(model, clb, cub, cold_ctx);
+      expect_same_answer(child, cold, "warm child vs cold child");
+      certify_optimal(model, child, clb, cub, "warm child");
+      certify_optimal(model, cold, clb, cub, "cold child");
+    }
+  }
+  EXPECT_GE(children, kInstances);
+  EXPECT_GE(warm_dual_answers, (children * 3) / 4);
 }
 
 }  // namespace
