@@ -48,13 +48,16 @@ class Pipeline {
     }
   }
 
-  /// The leader values of a model point, clamped to the leader box.
+  /// The leader values of a model point, clamped to the leader box. The
+  /// `+ 0.0` turns a -0.0 (which std::clamp passes through) into +0.0:
+  /// same_bits and the inner solve cache compare bit patterns.
   [[nodiscard]] std::vector<double> leader_values(
       const std::vector<double>& values) const {
     std::vector<double> out(shot_.leader.size(), 0.0);
     for (std::size_t k = 0; k < out.size(); ++k) {
       if (shot_.leader[k].valid()) {
-        out[k] = std::clamp(values[shot_.leader[k].id], 0.0, shot_.leader_ub);
+        out[k] =
+            std::clamp(values[shot_.leader[k].id], 0.0, shot_.leader_ub) + 0.0;
       }
     }
     return out;

@@ -9,8 +9,8 @@
 //
 // search/ and runner/ depend only on this header, never on a domain, so
 // adding a heuristic family is: implement the interface, register a
-// factory (domains/domains.h), done — the CLI, the sweep runner, and the
-// benches pick it up by name.
+// factory (domains/domains.h), done — the CLI, the sweep runner and the
+// figure specs pick it up by name.
 #pragma once
 
 #include <cstdint>

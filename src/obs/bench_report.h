@@ -1,21 +1,21 @@
 // Machine-readable bench reports: BENCH_<name>.json.
 //
-// Every bench aggregates its wall time, a metrics-snapshot delta, and
-// named sample summaries (util::Summary) into one stable JSON document —
-// the perf trajectory the ROADMAP's "as fast as the hardware allows"
-// north-star is judged against. Schema (version 1, all keys required):
+// A report aggregates a run's wall time, a metrics-snapshot delta, and
+// named sample summaries (util::Summary) into one stable JSON document.
+// `metaopt explain --bench-out` writes one (the probe economy of a core
+// minimization). Schema (version 1, all keys required):
 //
 //   {
 //     "schema_version": 1,
-//     "bench": "fig4a",
+//     "bench": "explain",
 //     "git_sha": "<12-hex or 'unknown'>",
 //     "timestamp_unix": 1754550000,
-//     "config": {"scale": "1", "threads": "4", ...},   // string map
+//     "config": {"heuristic": "dp", "strategy": "greedy", ...},
 //     "wall_seconds": 12.34,
 //     "metrics": {"simplex.solves": 123, ...},          // snapshot JSON
 //     "summaries": {
-//       "job_wall_seconds": {"count":15,"mean":..,"stddev":..,"min":..,
-//                            "max":..,"sum":..,"p50":..,"p90":..,"p99":..}
+//       "probe_gap": {"count":15,"mean":..,"stddev":..,"min":..,
+//                     "max":..,"sum":..,"p50":..,"p90":..,"p99":..}
 //     }
 //   }
 //

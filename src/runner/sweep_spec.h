@@ -2,10 +2,10 @@
 // topology × heuristic × threshold/partitions × paths × seed, plus
 // per-job budgets and an optional job-count cap.
 //
-// Every figure in the paper (Figs 3-6) is such a sweep; SweepSpec is the
-// single source of truth that the CLI (`metaopt sweep`), the per-figure
-// benches, and the tests all expand the same way, so a campaign is
-// reproducible from its spec alone.
+// The CLI (`metaopt sweep`, including the figure specs in
+// bench/figures/), the figures program and the tests all expand a
+// SweepSpec the same way, so a campaign is reproducible from its spec
+// alone.
 //
 // Determinism: expand_spec() assigns job ids in a fixed nested order and
 // derives one decorrelated `stream_seed` per job with a splitmix-style
@@ -66,8 +66,7 @@ struct SweepSpec {
   int bins = 0;
   /// Fraction of the per-job budget spent on the black-box seeding pass
   /// when `deterministic` is false (seed_search_seconds = fraction *
-  /// budget). Figure benches tune this per figure; 0 disables seeding
-  /// even for non-deterministic jobs.
+  /// budget). 0 disables seeding even for non-deterministic jobs.
   double seed_search_fraction = 0.3;
   /// Root of the per-job splitmix seed streams.
   std::uint64_t base_seed = 1;
@@ -146,9 +145,11 @@ std::vector<JobSpec> expand_spec(const SweepSpec& spec);
 ///   certify=0             max-jobs=100          seed-fraction=0.3
 ///   mip-threads=1
 ///
-/// Integer axes accept `lo..hi` inclusive ranges; comma lists work for
-/// every axis. Integer keys (counts and seeds) take non-negative decimal
-/// integers only, so `dims=1.5` or `seed=-1` is an error, not a rounding.
+/// Later tokens win: `budget=20 budget=0.5` sets 0.5, so arguments after
+/// a spec file's tokens override them. Integer axes accept `lo..hi`
+/// inclusive ranges; comma lists work for every axis. Integer keys
+/// (counts and seeds) take non-negative decimal integers only, so
+/// `dims=1.5` or `seed=-1` is an error, not a rounding.
 /// Unknown keys and malformed values throw std::invalid_argument with
 /// the offending token in the message.
 SweepSpec parse_sweep_spec(const std::vector<std::string>& tokens);

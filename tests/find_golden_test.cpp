@@ -12,11 +12,12 @@
 // witness is re-scored by direct solves instead of compared. The DP
 // determinism gate adds certified fig1 proofs at thresholds 25 and 100
 // and six-pair B4 and ring proofs, each bit-identical at one, two and
-// four threads. Every case runs with metrics on and no node LP may fail
-// (bnb.nodes_failed = 0).
+// four threads. Every case runs with metrics on, no node LP may fail
+// (bnb.nodes_failed = 0) and no witness entry may be -0.0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -47,7 +48,17 @@ struct Golden {
   std::vector<double> volumes;
 };
 
+/// No witness entry is -0.0: leader values are canonical, so equal
+/// vectors have equal bits (the duplicate-rounding check and the inner
+/// solve cache compare bits).
+void expect_no_negative_zero(const std::vector<double>& volumes) {
+  for (std::size_t k = 0; k < volumes.size(); ++k) {
+    EXPECT_FALSE(std::signbit(volumes[k])) << "entry " << k;
+  }
+}
+
 void expect_golden(const heur::GapFindResult& r, const Golden& g) {
+  expect_no_negative_zero(r.volumes);
   EXPECT_EQ(r.status, g.status);
   EXPECT_EQ(r.nodes, g.nodes);
   EXPECT_EQ(r.gap, g.gap);
@@ -71,6 +82,7 @@ void expect_same_answer(
   EXPECT_EQ(r.gap, ref.gap);
   EXPECT_EQ(r.bound, ref.bound);
   ASSERT_TRUE(r.has_solution());
+  expect_no_negative_zero(r.volumes);
   EXPECT_NEAR(rescore(r.volumes), r.gap, 1e-6);
 }
 
@@ -160,6 +172,7 @@ void expect_dp_threads_bit_identical(const net::Topology& topo,
   };
   const heur::GapFindResult r = finder.find_dp_gap(dp, options(1));
   ASSERT_EQ(r.status, lp::SolveStatus::Optimal);
+  expect_no_negative_zero(r.volumes);
   EXPECT_TRUE(r.certified);
   EXPECT_EQ(r.nodes, nodes);
   EXPECT_EQ(r.gap, gap);

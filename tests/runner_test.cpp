@@ -140,6 +140,13 @@ TEST(SweepSpecTest, ParserHandlesListsRangesAndScalars) {
   EXPECT_FALSE(spec.deterministic);
   EXPECT_EQ(spec.max_jobs, 99);
   EXPECT_EQ(spec.base_seed, 17u);
+
+  // Later tokens win, so a budget after a spec file's tokens rescales
+  // a whole figure.
+  const SweepSpec later = parse_sweep_spec(
+      {"budget=20", "heuristic=dp", "budget=0.5", "heuristic=ffd"});
+  EXPECT_EQ(later.budget_seconds, 0.5);
+  EXPECT_EQ(later.heuristics, (std::vector<Heuristic>{Heuristic::Ffd}));
 }
 
 TEST(SweepSpecTest, ParserHandlesBinPackingKeys) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates BENCH_<name>.json files against the schema-v1 contract.
 
-Usage: check_bench_json.py BENCH_fig4a.json [more.json...]
+Usage: check_bench_json.py BENCH_explain.json [more.json...]
 
 The schema is documented in src/obs/bench_report.h. CI runs this against
 every bench report it produces; a missing key, wrong type, or *unknown

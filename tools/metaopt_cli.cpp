@@ -111,7 +111,8 @@ constexpr Flag kExplainFlags[] = {
 
 constexpr Flag kSweepFlags[] = {
     {"threads", Integer, "0", "jobs at once; 0 = all hardware"},
-    {"spec", String, "", "read key=value tokens from this file first"},
+    {"spec", String, "", "read key=value tokens from this file first; "
+                         "later tokens win"},
     {"jsonl", String, "", "write one JSON record per job"},
     {"csv", String, "", "write one CSV row per finished job"},
     {"quiet", Switch, "", "suppress per-job progress lines"},
