@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/adversarial.h"
+#include "domains/domains.h"
+#include "heur/instance.h"
+#include "lp/simplex.h"
 #include "net/topologies.h"
 #include "search/search.h"
 #include "te/demand.h"
@@ -34,11 +36,17 @@ int main(int argc, char** argv) {
   dp.threshold = threshold;
 
   // --- white box ------------------------------------------------------
-  core::AdversarialGapFinder finder(topo, paths);
-  core::AdversarialOptions options;
-  options.mip.time_limit_seconds = budget;
+  domains::register_builtin();
+  heur::InstanceConfig config;
+  config.heuristic = "dp";
+  config.topology = name == "b4" || name == "swan" ? name : "abilene";
+  config.threshold = threshold;
+  heur::FindOptions options;
+  options.budget_seconds = budget;
   options.seed_search_seconds = budget * 0.3;
-  const core::AdversarialResult white = finder.find_dp_gap(dp, options);
+  options.certify = lp::kCertifyByDefault;
+  const heur::GapFindResult white =
+      heur::make_instance(config)->find_gap(options);
   std::printf("\nwhite box (KKT single-shot): gap = %.1f (%.2f%% of total "
               "capacity), %ld nodes, %.1fs\n",
               white.gap, 100.0 * white.normalized_gap, white.nodes,

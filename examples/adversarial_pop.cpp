@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/adversarial.h"
+#include "domains/domains.h"
+#include "heur/instance.h"
+#include "lp/simplex.h"
 #include "net/topologies.h"
 #include "te/demand.h"
 #include "te/gap.h"
@@ -28,20 +30,25 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> train_seeds;
   for (int i = 1; i <= instances; ++i) train_seeds.push_back(i);
 
-  core::AdversarialGapFinder finder(topo, paths);
-  core::AdversarialOptions options;
-  options.mip.time_limit_seconds = budget;
-  options.seed_search_seconds = budget * 0.25;
+  domains::register_builtin();
+  heur::InstanceConfig config;
+  config.heuristic = "pop";
+  config.topology = "b4";
+  config.partitions = partitions;
+  config.pop_seeds = train_seeds;
   // Keep the single-shot model tractable (see DESIGN.md: scaling is the
-  // paper's stated open problem): restrict the adversarial support.
-  options.pair_mask.assign(paths.num_pairs(), false);
-  for (int k = 0; k < paths.num_pairs(); k += 3) options.pair_mask[k] = true;
+  // paper's stated open problem): restrict the adversarial support to
+  // every third of B4's 132 pairs.
+  config.support = 44;
+  heur::FindOptions options;
+  options.budget_seconds = budget;
+  options.seed_search_seconds = budget * 0.25;
+  options.certify = lp::kCertifyByDefault;
 
   std::printf("searching adversarial demands for POP (c=%d) against %d "
               "training partition instantiation(s)...\n",
               partitions, instances);
-  const core::AdversarialResult r =
-      finder.find_pop_gap(pop, train_seeds, options);
+  const heur::GapFindResult r = heur::make_instance(config)->find_gap(options);
   std::printf("training gap (mean over %d instances): %.1f (%.2f%% of "
               "capacity)\n",
               instances, r.gap, 100.0 * r.normalized_gap);

@@ -10,7 +10,9 @@
 // Run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/adversarial.h"
+#include "domains/domains.h"
+#include "heur/instance.h"
+#include "lp/simplex.h"
 #include "net/topologies.h"
 #include "te/demand.h"
 #include "te/gap.h"
@@ -40,11 +42,18 @@ int main() {
               gap.opt, gap.heur, gap.gap(), 100.0 * gap.gap() / gap.opt);
 
   // --- now let the framework find the worst case by itself -----------
-  core::AdversarialGapFinder finder(topo, paths);
-  core::AdversarialOptions options;
-  options.demand_ub = 200.0;
-  options.mip.time_limit_seconds = 30.0;
-  const core::AdversarialResult worst = finder.find_dp_gap(dp, options);
+  domains::register_builtin();
+  heur::InstanceConfig config;
+  config.heuristic = "dp";
+  config.topology = "fig1";
+  config.threshold = dp.threshold;
+  config.leader_ub = 200.0;
+  heur::FindOptions options;
+  options.budget_seconds = 30.0;
+  options.seed_search_seconds = 3.0;
+  options.certify = lp::kCertifyByDefault;
+  const heur::GapFindResult worst =
+      heur::make_instance(config)->find_gap(options);
 
   std::printf("\nAdversarial search: status=%s\n",
               lp::to_string(worst.status));

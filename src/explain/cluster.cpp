@@ -6,44 +6,44 @@
 
 namespace metaopt::explain {
 
-std::string region_axis(const runner::JobRecord& record) {
-  if (record.heuristic == "ffd" || record.heuristic == "ff") {
+std::string region_axis(const runner::JobResult& record) {
+  const runner::JobSpec& spec = record.spec;
+  if (runner::is_binpack(spec.heuristic)) {
     // Sweep grids tag bin-packing jobs with the first topology value of
     // the grid, which is meaningless for them — the shape is the axis.
-    return "items=" + std::to_string(record.items) +
-           ",dims=" + std::to_string(record.dims) +
-           ",bins=" + std::to_string(record.bins);
+    return "items=" + std::to_string(spec.items) +
+           ",dims=" + std::to_string(spec.dims) +
+           ",bins=" + std::to_string(spec.bins);
   }
-  return record.topology;
+  return spec.topology;
 }
 
 std::vector<Region> cluster_regions(
-    const std::vector<runner::JobRecord>& records, double min_norm_gap) {
+    const std::vector<runner::JobResult>& records, double min_norm_gap) {
   // std::map keys give the (heuristic, axis) ordering for free.
   std::map<std::pair<std::string, std::string>, Region> cells;
-  for (const runner::JobRecord& record : records) {
-    const std::pair<std::string, std::string> key{record.heuristic,
-                                                  region_axis(record)};
+  for (const runner::JobResult& record : records) {
+    const std::pair<std::string, std::string> key{
+        runner::to_string(record.spec.heuristic), region_axis(record)};
     Region& region = cells[key];
     if (region.total_jobs == 0) {
       region.heuristic = key.first;
       region.axis = key.second;
     }
     ++region.total_jobs;
-    if (!record.ok() || record.norm_gap < min_norm_gap ||
-        record.volumes.empty()) {
+    const double norm_gap = record.result.normalized_gap;
+    if (record.status != runner::JobStatus::Ok || norm_gap < min_norm_gap ||
+        record.result.volumes.empty()) {
       continue;
     }
     ++region.jobs;
-    region.mean_norm_gap += record.norm_gap;  // sum for now; divided below
-    region.max_norm_gap = std::max(region.max_norm_gap, record.norm_gap);
+    region.mean_norm_gap += norm_gap;  // sum for now; divided below
+    region.max_norm_gap = std::max(region.max_norm_gap, norm_gap);
+    const double rep_gap = region.rep.result.normalized_gap;
     const bool better =
-        region.rep_job < 0 || record.norm_gap > region.rep.norm_gap ||
-        (record.norm_gap == region.rep.norm_gap && record.job < region.rep_job);
-    if (better) {
-      region.rep_job = record.job;
-      region.rep = record;
-    }
+        region.jobs == 1 || norm_gap > rep_gap ||
+        (norm_gap == rep_gap && record.spec.id < region.rep.spec.id);
+    if (better) region.rep = record;
   }
 
   std::vector<Region> regions;
@@ -56,14 +56,14 @@ std::vector<Region> cluster_regions(
 }
 
 int best_region(const std::vector<Region>& regions) {
+  // Largest normalized gap first, ties to the lowest job id.
+  const auto rank = [&regions](int i) {
+    const runner::JobResult& rep = regions[static_cast<std::size_t>(i)].rep;
+    return std::pair(-rep.result.normalized_gap, rep.spec.id);
+  };
   int best = -1;
   for (int i = 0; i < static_cast<int>(regions.size()); ++i) {
-    if (best < 0 ||
-        regions[i].rep.norm_gap > regions[best].rep.norm_gap ||
-        (regions[i].rep.norm_gap == regions[best].rep.norm_gap &&
-         regions[i].rep_job < regions[best].rep_job)) {
-      best = i;
-    }
+    if (best < 0 || rank(i) < rank(best)) best = i;
   }
   return best;
 }

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "runner/jsonl_io.h"
+#include "runner/sweep_runner.h"
 
 namespace metaopt::explain {
 
@@ -28,19 +28,18 @@ struct Region {
   int total_jobs = 0;
   double max_norm_gap = 0.0;
   double mean_norm_gap = 0.0;  ///< over the gap-inducing jobs
-  /// Representative witness: job id + full record.
-  int rep_job = -1;
-  runner::JobRecord rep;
+  /// Representative witness: the full record (rep.spec.id is its job).
+  runner::JobResult rep;
 };
 
 /// The clustering axis of one record (see Region::axis).
-[[nodiscard]] std::string region_axis(const runner::JobRecord& record);
+[[nodiscard]] std::string region_axis(const runner::JobResult& record);
 
 /// Clusters `records` into regions, keeping cells with at least one ok
 /// job whose norm_gap >= `min_norm_gap` and a non-empty witness.
 /// Ordered by (heuristic, axis) ascending — byte-stable output.
 [[nodiscard]] std::vector<Region> cluster_regions(
-    const std::vector<runner::JobRecord>& records, double min_norm_gap);
+    const std::vector<runner::JobResult>& records, double min_norm_gap);
 
 /// The region whose representative has the globally largest normalized
 /// gap (ties to lowest rep job id); -1 when `regions` is empty.

@@ -77,7 +77,7 @@ std::string render_text(const ExplainReport& report) {
           << region.jobs << "/" << region.total_jobs
           << " jobs, max norm gap " << pct(region.max_norm_gap)
           << ", mean " << pct(region.mean_norm_gap) << ", rep job "
-          << region.rep_job << "\n";
+          << region.rep.spec.id << "\n";
     }
   }
   return out.str();

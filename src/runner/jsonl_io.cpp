@@ -10,51 +10,19 @@
 
 namespace metaopt::runner {
 
-namespace {
-
-JobRecord parse_record(const util::JsonValue& v) {
-  JobRecord r;
-  r.job = static_cast<int>(v.number_or("job", -1));
-  r.topology = v.string_or("topology", "");
-  r.heuristic = v.string_or("heuristic", "");
-  r.threshold = v.number_or("threshold", 0.0);
-  r.partitions = static_cast<int>(v.number_or("partitions", 0));
-  r.paths = static_cast<int>(v.number_or("paths", 2));
-  r.seed = static_cast<std::uint64_t>(v.number_or("seed", 1));
-  r.stream_seed = static_cast<std::uint64_t>(v.number_or("stream_seed", 0));
-  r.pop_instances = static_cast<int>(v.number_or("instances", 3));
-  r.pairs = static_cast<int>(v.number_or("pairs", 0));
-  r.items = static_cast<int>(v.number_or("items", 0));
-  r.dims = static_cast<int>(v.number_or("dims", 1));
-  r.bins = static_cast<int>(v.number_or("bins", 0));
-  r.budget_seconds = v.number_or("budget", 0.0);
-  r.status = v.string_or("status", "");
-  r.solve_status = v.string_or("solve_status", "");
-  r.error = v.string_or("error", "");
-  r.gap = v.number_or("gap", 0.0);
-  r.norm_gap = v.number_or("norm_gap", 0.0);
-  r.opt = v.number_or("opt", 0.0);
-  r.heur = v.number_or("heur", 0.0);
-  r.bound = v.number_or("bound", 0.0);
-  if (const util::JsonValue* c = v.find("certified"); c != nullptr) {
-    r.certified = c->kind() == util::JsonValue::Kind::Bool && c->as_bool();
-  }
-  if (const util::JsonValue* vols = v.find("volumes");
-      vols != nullptr && vols->is_array()) {
-    r.volumes.reserve(vols->as_array().size());
-    for (const util::JsonValue& x : vols->as_array()) {
-      r.volumes.push_back(x.as_number());
+std::vector<JobResult> read_sweep_jsonl(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::vector<JobResult> records;
+  std::string line;
+  for (long line_no = 1; std::getline(in, line); ++line_no) {
+    if (line.empty()) continue;
+    try {
+      records.push_back(from_json(line));
+    } catch (const std::exception& e) {
+      throw std::runtime_error(path + ":" + std::to_string(line_no) + ": " +
+                               e.what());
     }
-  }
-  return r;
-}
-
-}  // namespace
-
-std::vector<JobRecord> read_sweep_jsonl(const std::string& path) {
-  std::vector<JobRecord> records;
-  for (const util::JsonValue& v : util::read_jsonl(path)) {
-    records.push_back(parse_record(v));
   }
   return records;
 }
@@ -94,27 +62,6 @@ std::string merge_shard_jsonl(const std::vector<std::string>& paths) {
     out += '\n';
   }
   return out;
-}
-
-heur::InstanceConfig record_to_instance_config(const JobRecord& record) {
-  heur::InstanceConfig config;
-  config.heuristic = record.heuristic;
-  config.support = record.pairs;
-  config.seed = record.seed;
-  config.stream_seed = record.stream_seed;
-  config.topology = record.topology.empty() ? "b4" : record.topology;
-  config.paths_per_pair = record.paths;
-  config.threshold = record.threshold;
-  config.partitions = record.partitions > 0 ? record.partitions : 2;
-  config.pop_instances = record.pop_instances;
-  // pop_seeds stays empty: they derive from stream_seed, exactly as
-  // SweepRunner::execute_job built the instance. (demand_ub is not part
-  // of the record; probes evaluate fixed vectors, so the leader box
-  // never enters an oracle re-solve.)
-  config.items = record.items > 0 ? record.items : 6;
-  config.dims = record.dims > 0 ? record.dims : 1;
-  config.bins = record.bins;
-  return config;
 }
 
 }  // namespace metaopt::runner

@@ -1,58 +1,23 @@
 // Read-back of sweep JSONL campaigns.
 //
-// SweepReport::write_jsonl emits one JSON record per job; this module
-// parses those records back into typed JobRecord structs so downstream
-// consumers (the explain subsystem, ad-hoc analysis) can work from a
-// finished campaign file instead of re-running it. Reading is tolerant
-// by construction: unknown keys — the optional trailing "metrics"
-// object, future schema additions — are ignored, and records from
-// pre-witness campaigns simply come back with an empty `volumes`.
+// A sweep writes one runner::to_json record per job; this module reads
+// those files back into the JobResults that wrote them (runner::
+// from_json) so downstream consumers (the explain subsystem, ad-hoc
+// analysis) can work from a finished campaign file instead of re-running
+// it, and recombines the files of a sharded campaign.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "heur/instance.h"
+#include "runner/sweep_runner.h"
 
 namespace metaopt::runner {
 
-/// One sweep job, as serialized by runner::to_json(JobResult).
-struct JobRecord {
-  int job = -1;
-  std::string topology;
-  std::string heuristic;
-  double threshold = 0.0;
-  int partitions = 0;
-  int paths = 2;
-  std::uint64_t seed = 1;
-  std::uint64_t stream_seed = 0;
-  int pop_instances = 3;
-  int pairs = 0;
-  int items = 0;
-  int dims = 1;
-  int bins = 0;
-  double budget_seconds = 0.0;
-  std::string status;        ///< "ok" | "timeout" | "failed"
-  std::string solve_status;  ///< lp::to_string of the solver status
-  std::string error;
-  double gap = 0.0;
-  double norm_gap = 0.0;
-  double opt = 0.0;
-  double heur = 0.0;
-  double bound = 0.0;
-  bool certified = false;
-  /// The adversarial witness (empty for failed jobs or pre-witness
-  /// campaign files).
-  std::vector<double> volumes;
-
-  [[nodiscard]] bool ok() const { return status == "ok"; }
-};
-
-/// Parses every record of a sweep JSONL file. Throws std::runtime_error
-/// on an unreadable file or malformed JSON; individual records missing
-/// fields get that field's default rather than failing the file.
-std::vector<JobRecord> read_sweep_jsonl(const std::string& path);
+/// Reads every record of a sweep JSONL file through from_json. Throws
+/// std::runtime_error naming the file and line on an unreadable file or
+/// malformed record; records missing fields get that field's default.
+std::vector<JobResult> read_sweep_jsonl(const std::string& path);
 
 /// Recombines per-shard sweep JSONL files into one campaign document:
 /// raw record lines, stable-sorted by job id, newline-terminated —
@@ -63,12 +28,5 @@ std::vector<JobRecord> read_sweep_jsonl(const std::string& path);
 /// a job id appearing in more than one shard (overlapping shards would
 /// silently double-count).
 std::string merge_shard_jsonl(const std::vector<std::string>& paths);
-
-/// Rebuilds the heur:: registry config this record's job ran under —
-/// the same mapping SweepRunner::execute_job applies to a JobSpec — so
-/// an explain probe re-solves the exact sub-instances the campaign saw
-/// (POP instantiation seeds derive from the recorded stream_seed).
-[[nodiscard]] heur::InstanceConfig record_to_instance_config(
-    const JobRecord& record);
 
 }  // namespace metaopt::runner

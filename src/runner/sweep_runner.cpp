@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cinttypes>
-#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -33,43 +32,69 @@ const char* to_string(JobStatus status) {
   return "?";
 }
 
-std::string to_json(const JobResult& r) {
-  const JobSpec& s = r.spec;
-  const heur::GapFindResult& a = r.result;
+namespace {
+
+/// Appends `"key":value` to a JSON object under construction.
+void field(std::string& out, const char* key, const std::string& value) {
+  if (out.size() > 1) out += ",";
+  out += "\"";
+  out += key;
+  out += "\":" + value;
+}
+
+/// The record up to (not including) `,"status":` — every JobSpec field,
+/// so two records share it exactly when their jobs are equal field for
+/// field (doubles print with "%.17g", which is injective).
+std::string spec_prefix(const JobSpec& s) {
   std::string out = "{";
-  const auto field = [&out](const std::string& key, const std::string& value) {
-    if (out.size() > 1) out += ",";
-    out += "\"" + key + "\":" + value;
-  };
-  field("job", std::to_string(s.id));
-  field("topology", json_string(s.topology));
-  field("heuristic", json_string(to_string(s.heuristic)));
-  field("threshold", json_number(s.threshold));
-  field("partitions", std::to_string(s.num_partitions));
-  field("paths", std::to_string(s.paths_per_pair));
-  field("seed", std::to_string(s.seed));
-  field("stream_seed", std::to_string(s.stream_seed));
-  field("instances", std::to_string(s.pop_instances));
-  field("pairs", std::to_string(s.pairs));
-  field("items", std::to_string(s.items));
-  field("dims", std::to_string(s.dims));
-  field("bins", std::to_string(s.bins));
-  field("budget", json_number(s.budget_seconds));
-  field("status", json_string(to_string(r.status)));
-  field("solve_status", json_string(lp::to_string(a.status)));
-  field("error", json_string(r.error));
-  field("gap", json_number(a.gap));
-  field("norm_gap", json_number(a.normalized_gap));
-  field("opt", json_number(a.opt_value));
-  field("heur", json_number(a.heur_value));
-  field("bound", json_number(a.bound));
-  field("certified", a.certified ? "true" : "false");
-  field("nodes", std::to_string(a.nodes));
-  field("vars", std::to_string(a.stats.num_vars));
-  field("rows", std::to_string(a.stats.num_constraints));
-  field("sos", std::to_string(a.stats.num_complementarities));
-  field("binaries", std::to_string(a.stats.num_binaries));
-  field("nonzeros", std::to_string(a.stats.num_nonzeros));
+  field(out, "job", std::to_string(s.id));
+  field(out, "topology", json_string(s.topology));
+  field(out, "heuristic", json_string(to_string(s.heuristic)));
+  field(out, "threshold", json_number(s.threshold));
+  field(out, "partitions", std::to_string(s.num_partitions));
+  field(out, "paths", std::to_string(s.paths_per_pair));
+  field(out, "seed", std::to_string(s.seed));
+  field(out, "stream_seed", std::to_string(s.stream_seed));
+  field(out, "instances", std::to_string(s.pop_instances));
+  field(out, "pairs", std::to_string(s.pairs));
+  field(out, "items", std::to_string(s.items));
+  field(out, "dims", std::to_string(s.dims));
+  field(out, "bins", std::to_string(s.bins));
+  field(out, "budget", json_number(s.budget_seconds));
+  field(out, "demand_ub", json_number(s.demand_ub));
+  field(out, "seed_search_fraction", json_number(s.seed_search_fraction));
+  field(out, "deterministic", s.deterministic ? "true" : "false");
+  field(out, "certify", s.certify ? "true" : "false");
+  field(out, "mip_threads", std::to_string(s.mip_threads));
+  return out;
+}
+
+JobStatus status_from_string(const std::string& s) {
+  if (s == "ok") return JobStatus::Ok;
+  if (s == "timeout") return JobStatus::Timeout;
+  return JobStatus::Failed;
+}
+
+}  // namespace
+
+std::string to_json(const JobResult& r) {
+  const heur::GapFindResult& a = r.result;
+  std::string out = spec_prefix(r.spec);
+  field(out, "status", json_string(to_string(r.status)));
+  field(out, "solve_status", json_string(lp::to_string(a.status)));
+  field(out, "error", json_string(r.error));
+  field(out, "gap", json_number(a.gap));
+  field(out, "norm_gap", json_number(a.normalized_gap));
+  field(out, "opt", json_number(a.opt_value));
+  field(out, "heur", json_number(a.heur_value));
+  field(out, "bound", json_number(a.bound));
+  field(out, "certified", a.certified ? "true" : "false");
+  field(out, "nodes", std::to_string(a.nodes));
+  field(out, "vars", std::to_string(a.stats.num_vars));
+  field(out, "rows", std::to_string(a.stats.num_constraints));
+  field(out, "sos", std::to_string(a.stats.num_complementarities));
+  field(out, "binaries", std::to_string(a.stats.num_binaries));
+  field(out, "nonzeros", std::to_string(a.stats.num_nonzeros));
   // The adversarial witness itself, so campaigns are explainable after
   // the fact (`metaopt explain --jsonl ...`) without re-running the
   // finder. Deterministic content: part of the byte-stable prefix.
@@ -80,17 +105,94 @@ std::string to_json(const JobResult& r) {
       vols += json_number(a.volumes[k]);
     }
     vols += "]";
-    field("volumes", vols);
+    field(out, "volumes", vols);
   }
   // Wall-time fields stay last so campaign diffs can strip them by
   // truncating at "solve_seconds". The optional metrics object rides in
   // that same strip-suffix zone (and is omitted when recording is off),
   // so the deterministic prefix is byte-identical either way.
-  field("solve_seconds", json_number(a.seconds));
-  field("wall_seconds", json_number(r.wall_seconds));
-  if (!r.metrics.empty()) field("metrics", r.metrics.to_json());
+  field(out, "solve_seconds", json_number(a.seconds));
+  field(out, "wall_seconds", json_number(r.wall_seconds));
+  if (!r.metrics.empty()) field(out, "metrics", r.metrics.to_json());
   out += "}";
   return out;
+}
+
+JobResult from_json(const std::string& record) {
+  const util::JsonValue v = util::parse_json(record);
+  const auto count = [&v](const char* key, int def) {
+    return static_cast<int>(v.number_or(key, def));
+  };
+  const auto u64 = [&v](const char* key, std::uint64_t def) {
+    const util::JsonValue* x = v.find(key);
+    return x != nullptr ? x->as_uint64() : def;
+  };
+  const auto flag = [&v](const char* key, bool def) {
+    const util::JsonValue* x = v.find(key);
+    return x != nullptr ? x->as_bool() : def;
+  };
+  JobResult r;
+  JobSpec& s = r.spec;
+  s.id = count("job", s.id);
+  s.topology = v.string_or("topology", s.topology);
+  s.heuristic = heuristic_from_string(v.string_or("heuristic", "dp"));
+  s.threshold = v.number_or("threshold", s.threshold);
+  s.num_partitions = count("partitions", s.num_partitions);
+  s.paths_per_pair = count("paths", s.paths_per_pair);
+  s.seed = u64("seed", s.seed);
+  s.stream_seed = u64("stream_seed", s.stream_seed);
+  s.pop_instances = count("instances", s.pop_instances);
+  s.pairs = count("pairs", s.pairs);
+  s.items = count("items", s.items);
+  s.dims = count("dims", s.dims);
+  s.bins = count("bins", s.bins);
+  s.budget_seconds = v.number_or("budget", s.budget_seconds);
+  s.demand_ub = v.number_or("demand_ub", s.demand_ub);
+  s.seed_search_fraction =
+      v.number_or("seed_search_fraction", s.seed_search_fraction);
+  s.deterministic = flag("deterministic", s.deterministic);
+  s.certify = flag("certify", s.certify);
+  s.mip_threads = count("mip_threads", s.mip_threads);
+
+  r.status = status_from_string(v.string_or("status", "failed"));
+  r.error = v.string_or("error", "");
+  heur::GapFindResult& a = r.result;
+  a.gap = v.number_or("gap", 0.0);
+  a.normalized_gap = v.number_or("norm_gap", 0.0);
+  a.opt_value = v.number_or("opt", 0.0);
+  a.heur_value = v.number_or("heur", 0.0);
+  a.bound = v.number_or("bound", 0.0);
+  a.certified = flag("certified", false);
+  a.nodes = static_cast<long>(v.number_or("nodes", 0.0));
+  if (const util::JsonValue* vols = v.find("volumes"); vols != nullptr) {
+    for (const util::JsonValue& x : vols->as_array()) {
+      a.volumes.push_back(x.as_number());
+    }
+  }
+  r.wall_seconds = v.number_or("wall_seconds", 0.0);
+  r.serialized = record;
+  return r;
+}
+
+heur::InstanceConfig instance_config(const JobSpec& job) {
+  heur::InstanceConfig config;
+  config.heuristic = to_string(job.heuristic);
+  config.leader_ub = job.demand_ub;
+  config.support = job.pairs;
+  config.seed = job.seed;
+  // Everything random inside the job (POP instantiation seeds) comes
+  // off this spec-derived stream: identical for any rerun of the same
+  // spec, decorrelated across jobs.
+  config.stream_seed = job.stream_seed;
+  config.topology = job.topology;
+  config.paths_per_pair = job.paths_per_pair;
+  config.threshold = job.threshold;
+  config.partitions = job.num_partitions;
+  config.pop_instances = job.pop_instances;
+  config.items = job.items;
+  config.dims = job.dims;
+  config.bins = job.bins;
+  return config;
 }
 
 std::string SweepReport::jsonl() const {
@@ -102,14 +204,6 @@ std::string SweepReport::jsonl() const {
     out += "\n";
   }
   return out;
-}
-
-void SweepReport::write_jsonl(const std::string& path) const {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out << jsonl();
 }
 
 void SweepReport::write_csv(const std::string& path,
@@ -137,25 +231,8 @@ void SweepReport::write_csv(const std::string& path,
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}
 
 heur::GapFindResult SweepRunner::execute_job(const JobSpec& job) {
-  heur::InstanceConfig config;
-  config.heuristic = to_string(job.heuristic);
-  config.leader_ub = job.demand_ub;
-  config.support = job.pairs;
-  config.seed = job.seed;
-  // Everything random inside the job (POP instantiation seeds) comes
-  // off this spec-derived stream: identical for any rerun of the same
-  // spec, decorrelated across jobs.
-  config.stream_seed = job.stream_seed;
-  config.topology = job.topology;
-  config.paths_per_pair = job.paths_per_pair;
-  config.threshold = job.threshold;
-  config.partitions = job.num_partitions;
-  config.pop_instances = job.pop_instances;
-  config.items = job.items;
-  config.dims = job.dims;
-  config.bins = job.bins;
   const std::unique_ptr<heur::HeuristicInstance> instance =
-      heur::make_instance(config);
+      heur::make_instance(instance_config(job));
 
   heur::FindOptions options;
   options.budget_seconds = job.budget_seconds;
@@ -177,130 +254,73 @@ SweepReport SweepRunner::run(const SweepSpec& spec) const {
 
 namespace {
 
-std::string fingerprint_hex(std::uint64_t fp) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, fp);
-  return buf;
+/// Replaces `path` with `text` through `path.tmp` + rename, so a kill
+/// mid-write leaves the previous file intact, never a truncated one.
+void replace_file(const std::string& path, const std::string& text) {
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::trunc);
+  out << text;
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + tmp);
+  std::filesystem::rename(tmp, path);
 }
 
-JobStatus status_from_string(const std::string& s) {
-  if (s == "ok") return JobStatus::Ok;
-  if (s == "timeout") return JobStatus::Timeout;
-  return JobStatus::Failed;
+/// Appends one record line; the file is closed again before returning,
+/// so a killed campaign leaves every finished record on disk.
+void append_record(const std::string& path, const std::string& record) {
+  std::ofstream out(path, std::ios::app);
+  if (!out) throw std::runtime_error("cannot open " + path);
+  out << record << '\n';
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
-/// Checkpoint sink: append-ordered partial JSONL + atomically rewritten
-/// manifest. All mutation happens under the runner's progress mutex.
-struct Checkpoint {
-  bool enabled = false;
-  std::string manifest_path;
-  std::string partial_path;
-  std::ofstream partial;
-  std::vector<int> done_ids;
-  int since_write = 0;
-};
-
-void write_manifest(Checkpoint& ckpt, std::uint64_t fingerprint,
-                    int shard_index, int shard_count, int total_jobs) {
-  // Flush the partial stream first: the manifest must never list a job
-  // whose record is not durably in the partial file.
-  ckpt.partial.flush();
-  std::vector<int> done = ckpt.done_ids;
-  std::sort(done.begin(), done.end());
-  std::string doc = "{\"version\":1";
-  doc += ",\"fingerprint\":\"" + fingerprint_hex(fingerprint) + "\"";
-  doc += ",\"shard_index\":" + std::to_string(shard_index);
-  doc += ",\"shard_count\":" + std::to_string(shard_count);
-  doc += ",\"total_jobs\":" + std::to_string(total_jobs);
-  doc += ",\"partial_jsonl\":" + json_string(ckpt.partial_path);
-  doc += ",\"done\":[";
-  for (std::size_t k = 0; k < done.size(); ++k) {
-    if (k > 0) doc += ",";
-    doc += std::to_string(done[k]);
-  }
-  doc += "]}\n";
-  // Atomic replace: a kill mid-write leaves the previous manifest
-  // intact, never a truncated one.
-  const std::string tmp = ckpt.manifest_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("cannot open " + tmp);
-    out << doc;
-  }
-  std::filesystem::rename(tmp, ckpt.manifest_path);
-}
-
-/// What a resume manifest yields: the verbatim record line per done id.
-struct ResumeState {
-  std::map<int, std::string> lines;
-  std::string partial_path;
-};
-
-ResumeState load_resume(const std::string& manifest_path,
-                        std::uint64_t fingerprint, int shard_index,
-                        int shard_count) {
-  std::ifstream in(manifest_path);
-  if (!in) {
-    throw std::runtime_error("cannot open resume manifest " + manifest_path);
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const util::JsonValue doc = util::parse_json(text);
-  if (doc.number_or("version", 0) != 1) {
-    throw std::runtime_error("resume manifest " + manifest_path +
-                             ": unsupported version");
-  }
-  if (doc.string_or("fingerprint", "") != fingerprint_hex(fingerprint)) {
-    throw std::runtime_error(
-        "resume manifest " + manifest_path +
-        ": spec fingerprint mismatch — the campaign differs from the one "
-        "that wrote this checkpoint");
-  }
-  if (static_cast<int>(doc.number_or("shard_index", -1)) != shard_index ||
-      static_cast<int>(doc.number_or("shard_count", -1)) != shard_count) {
-    throw std::runtime_error("resume manifest " + manifest_path +
-                             ": shard coordinates mismatch");
-  }
-  ResumeState state;
-  state.partial_path = doc.string_or("partial_jsonl", "");
-  std::vector<int> done;
-  if (const util::JsonValue* arr = doc.find("done");
-      arr != nullptr && arr->is_array()) {
-    done.reserve(arr->as_array().size());
-    for (const util::JsonValue& v : arr->as_array()) {
-      done.push_back(static_cast<int>(v.as_number()));
-    }
-  }
-  if (done.empty()) return state;
-
-  // The partial file is read raw, line by line: resumed records are
-  // carried over verbatim, never re-serialized. A job can appear twice
-  // (completed + appended, killed before the manifest caught up, rerun
-  // after resume) — the last line wins. Only manifest-listed ids count:
-  // the manifest is the authority on what completed durably.
-  std::ifstream partial(state.partial_path);
-  if (!partial) {
-    throw std::runtime_error("resume manifest " + manifest_path +
-                             ": cannot open partial JSONL " +
-                             state.partial_path);
-  }
-  std::map<int, std::string> by_id;
-  std::string line;
-  while (std::getline(partial, line)) {
+/// Carries the records of `path` over into the slots of `mine` whose
+/// job they belong to; returns the number carried over.
+int load_resume(const std::string& path, const std::vector<JobSpec>& mine,
+                std::vector<JobResult>& slots) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot open resume JSONL " + path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::map<int, std::size_t> slot_of;
+  for (std::size_t i = 0; i < mine.size(); ++i) slot_of[mine[i].id] = i;
+  int carried = 0;
+  // Only newline-terminated lines count: a final line without its
+  // newline is a torn write, and its job simply runs again.
+  std::size_t begin = 0;
+  for (std::size_t end; (end = text.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    const std::string line = text.substr(begin, end - begin);
     if (line.empty()) continue;
-    const util::JsonValue rec = util::parse_json(line);
-    by_id[static_cast<int>(rec.number_or("job", -1))] = line;
-  }
-  for (const int id : done) {
-    const auto it = by_id.find(id);
-    if (it == by_id.end()) {
-      throw std::runtime_error(
-          "resume manifest " + manifest_path + ": job " + std::to_string(id) +
-          " is marked done but has no record in " + state.partial_path);
+    JobResult record;
+    try {
+      record = from_json(line);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("resume " + path + ": " + e.what());
     }
-    state.lines.emplace(id, it->second);
+    const int id = record.spec.id;
+    const std::string where = "resume " + path + ": job " + std::to_string(id);
+    const auto it = slot_of.find(id);
+    if (it == slot_of.end()) {
+      throw std::runtime_error(where + " is not one of this shard's jobs");
+    }
+    JobResult& slot = slots[it->second];
+    if (!slot.serialized.empty()) {
+      throw std::runtime_error(where + " appears twice");
+    }
+    const std::string prefix = spec_prefix(mine[it->second]) + ",\"status\":";
+    if (line.compare(0, prefix.size(), prefix) != 0) {
+      throw std::runtime_error(where +
+                               " was written for a different spec than "
+                               "this campaign's");
+    }
+    slot = std::move(record);
+    ++carried;
   }
-  return state;
+  return carried;
 }
 
 }  // namespace
@@ -315,10 +335,9 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
                                 " out of range for count " +
                                 std::to_string(options_.shard_count));
   }
-  // Fingerprint over the *full* expansion, then filter: ids and derived
-  // stream seeds are fixed before sharding, so every shard agrees on
-  // the fingerprint and merged output is byte-identical to unsharded.
-  const std::uint64_t fingerprint = jobs_fingerprint(jobs);
+  // Shard after expansion: ids and derived stream seeds are fixed
+  // before the filter, so merged shard output is byte-identical to an
+  // unsharded run.
   std::vector<JobSpec> mine;
   mine.reserve(jobs.size() / static_cast<std::size_t>(options_.shard_count) +
                1);
@@ -330,70 +349,28 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
 
   SweepReport report;
   report.jobs.resize(mine.size());
-
-  ResumeState resume;
-  if (!options_.resume_manifest.empty()) {
-    resume = load_resume(options_.resume_manifest, fingerprint,
-                         options_.shard_index, options_.shard_count);
+  if (!options_.resume_jsonl.empty()) {
+    report.num_resumed = load_resume(options_.resume_jsonl, mine, report.jobs);
   }
-
-  Checkpoint ckpt;
-  ckpt.manifest_path = options_.checkpoint_path.empty()
-                           ? options_.resume_manifest
-                           : options_.checkpoint_path;
-  ckpt.enabled = !ckpt.manifest_path.empty();
-  if (ckpt.enabled) {
-    ckpt.partial_path = ckpt.manifest_path + ".partial.jsonl";
-    const std::filesystem::path p(ckpt.manifest_path);
-    if (p.has_parent_path()) {
-      std::filesystem::create_directories(p.parent_path());
-    }
-    if (ckpt.partial_path == resume.partial_path) {
-      // Continuing the checkpoint we resumed from: keep its records.
-      ckpt.partial.open(ckpt.partial_path, std::ios::app);
-    } else {
-      // Fresh checkpoint (or a new path): start clean and seed it with
-      // whatever we resumed, so *this* manifest is self-contained.
-      ckpt.partial.open(ckpt.partial_path, std::ios::trunc);
-      for (const auto& [id, line] : resume.lines) {
-        ckpt.partial << line << '\n';
-      }
-    }
-    if (!ckpt.partial) {
-      throw std::runtime_error("cannot open " + ckpt.partial_path);
-    }
-  }
-
-  // Pre-fill resumed slots; only the rest are handed to the lanes.
+  // Carried-over slots are final; only the rest are handed to the lanes.
   std::vector<std::size_t> to_run;
   to_run.reserve(mine.size());
+  std::string carried;
   for (std::size_t i = 0; i < mine.size(); ++i) {
-    const auto it = resume.lines.find(mine[i].id);
-    if (it == resume.lines.end()) {
+    if (report.jobs[i].serialized.empty()) {
       to_run.push_back(i);
-      continue;
+    } else {
+      carried += report.jobs[i].serialized + "\n";
     }
-    JobResult& slot = report.jobs[i];
-    slot.spec = mine[i];
-    slot.serialized = it->second;
-    // Recover the aggregate-relevant fields from the record; the bytes
-    // themselves are already final.
-    const util::JsonValue rec = util::parse_json(it->second);
-    slot.status = status_from_string(rec.string_or("status", "failed"));
-    slot.error = rec.string_or("error", "");
-    slot.result.gap = rec.number_or("gap", 0.0);
-    slot.result.normalized_gap = rec.number_or("norm_gap", 0.0);
-    slot.wall_seconds = rec.number_or("wall_seconds", 0.0);
-    ckpt.done_ids.push_back(mine[i].id);
-    ++report.num_resumed;
   }
+  const std::string& jsonl_path = options_.jsonl_path;
+  if (!jsonl_path.empty()) replace_file(jsonl_path, carried);
 
   const int threads = options_.threads > 0 ? options_.threads
                                            : Scheduler::default_threads();
   report.threads = threads;
 
   std::mutex progress_mutex;
-  std::atomic<bool> stopped{false};
   int completed = 0;
   const int total = static_cast<int>(to_run.size());
 
@@ -403,13 +380,6 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
     // slot — it never takes down the campaign.
     JobResult& slot = report.jobs[i];
     slot.spec = mine[i];
-    if (stopped.load(std::memory_order_relaxed)) {
-      // Simulated kill (stop_after): record the skip, keep it out of
-      // the checkpoint so a resume re-executes it.
-      slot.status = JobStatus::Failed;
-      slot.error = "not executed: campaign stopped (stop_after)";
-      return;
-    }
     util::Stopwatch watch;
     // Per-job metric attribution: the job body starts on this lane's
     // thread, but may fan out onto scheduler workers (multi-threaded
@@ -418,8 +388,10 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
     // solver work done off this thread. The "metrics" field rides in
     // the JSONL strip-suffix zone, so the deterministic byte-prefix
     // is unchanged by this wider attribution.
+    const bool measured = obs::enabled();
     const obs::ScopedShardGroup shard_group;
-    const obs::MetricsSnapshot before = obs::snapshot_group();
+    const obs::MetricsSnapshot before =
+        measured ? obs::snapshot_group() : obs::MetricsSnapshot();
     try {
       MO_SPAN("sweep.job");
       slot.result = fn(mine[i]);
@@ -443,23 +415,12 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
       slot.error = "unknown exception";
     }
     slot.wall_seconds = watch.seconds();
-    slot.metrics = obs::diff(before, obs::snapshot_group());
+    if (measured) slot.metrics = obs::diff(before, obs::snapshot_group());
     slot.serialized = to_json(slot);
 
     std::lock_guard<std::mutex> lock(progress_mutex);
     ++completed;
-    if (ckpt.enabled) {
-      ckpt.partial << slot.serialized << '\n';
-      ckpt.done_ids.push_back(slot.spec.id);
-      if (++ckpt.since_write >= std::max(1, options_.checkpoint_every)) {
-        write_manifest(ckpt, fingerprint, options_.shard_index,
-                       options_.shard_count, static_cast<int>(mine.size()));
-        ckpt.since_write = 0;
-      }
-    }
-    if (options_.stop_after > 0 && completed >= options_.stop_after) {
-      stopped.store(true, std::memory_order_relaxed);
-    }
+    if (!jsonl_path.empty()) append_record(jsonl_path, slot.serialized);
     if (options_.log_progress) {
       MO_LOG(Info) << "[sweep] " << completed << "/" << total << " job "
                    << slot.spec.id << " (" << to_string(slot.spec.heuristic)
@@ -474,7 +435,7 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
   // `threads` lanes share one job counter, so at most `threads` jobs are
   // in flight (however wide mip-threads grew the shared pool) and jobs
   // start in submission order. A job's own throw is contained in its
-  // slot; a throw from the bookkeeping (a checkpoint write, the progress
+  // slot; a throw from the bookkeeping (a JSONL append, the progress
   // callback) stops every lane from taking more jobs and is rethrown
   // here once they have all returned.
   std::atomic<std::size_t> next_job{0};
@@ -494,10 +455,6 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
     }
   });
   if (abort_error) std::rethrow_exception(abort_error);
-  if (ckpt.enabled) {
-    write_manifest(ckpt, fingerprint, options_.shard_index,
-                   options_.shard_count, static_cast<int>(mine.size()));
-  }
 
   // Slots are already in expansion order (== sorted by job id); keep the
   // sort anyway so custom job lists with shuffled ids aggregate
@@ -506,6 +463,7 @@ SweepReport SweepRunner::run_jobs(const std::vector<JobSpec>& jobs,
             [](const JobResult& a, const JobResult& b) {
               return a.spec.id < b.spec.id;
             });
+  if (!jsonl_path.empty()) replace_file(jsonl_path, report.jsonl());
   for (const JobResult& job : report.jobs) {
     switch (job.status) {
       case JobStatus::Ok: ++report.num_ok; break;

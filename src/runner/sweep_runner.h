@@ -9,8 +9,8 @@
 // exception message), a job whose solver gave up without an incumbent
 // is `timeout`, and neither ever takes down the campaign or poisons a
 // sibling's slot. Only a failure of the campaign's own bookkeeping (a
-// checkpoint write, the progress callback) stops it: run_jobs()
-// rethrows it once the running jobs have finished.
+// JSONL append, the progress callback) stops it: run_jobs() rethrows it
+// once the running jobs have finished.
 //
 // Determinism: each job writes into its own pre-allocated result slot,
 // aggregation sorts by job id, every double is printed with a fixed
@@ -19,6 +19,12 @@
 // thread count or scheduling order, except for the wall-time fields
 // (`solve_seconds`, `wall_seconds`), which are placed last in each
 // record so they are trivial to strip when diffing campaigns.
+//
+// The JSONL record is the only serialized form of a job: its spec
+// prefix (everything before `,"status":`) is a pure function of the
+// JobSpec, from_json() reads a record back into the JobResult that
+// wrote it, and the campaign's JSONL file doubles as its checkpoint
+// (SweepOptions::jsonl_path / resume_jsonl).
 #pragma once
 
 #include <functional>
@@ -48,13 +54,13 @@ struct JobResult {
   /// Per-job obs metric deltas (shard-group diff around the job body:
   /// the group tag follows the job onto any scheduler workers it uses,
   /// e.g. a multi-threaded B&B, so the delta covers the whole job, not
-  /// just the lane thread it started on). Empty when recording is off —
-  /// and then omitted from the JSONL record, so the byte format is
-  /// unchanged for existing campaigns.
+  /// just the lane thread it started on). Taken only while recording is
+  /// on; empty otherwise, and then omitted from the JSONL record.
   obs::MetricsSnapshot metrics;
-  /// The job's JSONL record, exactly as written. Filled at completion;
-  /// a job skipped on --resume carries the *prior run's* line verbatim,
-  /// so resumed output is byte-identical without any float round-trip.
+  /// The job's JSONL record, exactly as written. Filled at completion
+  /// and by from_json(); a job carried over on resume keeps the *prior
+  /// run's* line verbatim, so resumed output is byte-identical without
+  /// any float round-trip.
   std::string serialized;
 };
 
@@ -63,8 +69,8 @@ struct SweepReport {
   int num_ok = 0;
   int num_timeout = 0;
   int num_failed = 0;
-  /// Jobs skipped because a resume manifest recorded them as done
-  /// (counted into the num_* buckets above by their recorded status).
+  /// Jobs carried over from SweepOptions::resume_jsonl (counted into
+  /// the num_* buckets above by their recorded status).
   int num_resumed = 0;
   int threads = 1;
   double wall_seconds = 0.0;  ///< whole-campaign wall time
@@ -72,9 +78,6 @@ struct SweepReport {
   /// One JSON record per job, newline-terminated, sorted by job id
   /// (resumed jobs contribute their prior run's bytes verbatim).
   [[nodiscard]] std::string jsonl() const;
-
-  /// Writes jsonl() to `path` (parent directories created).
-  void write_jsonl(const std::string& path) const;
 
   /// Appends `figure,series,x,y,extra` rows (the existing bench CSV
   /// shape): series = "<topology>/<heuristic>" for the TE families and
@@ -87,8 +90,23 @@ struct SweepReport {
 };
 
 /// Serializes one job result as a single-line JSON object (no trailing
-/// newline). Wall-time fields come last.
+/// newline): every JobSpec field first (the spec prefix), then
+/// `"status"` and the result. Wall-time fields come last.
 std::string to_json(const JobResult& result);
+
+/// Reads one to_json() record back: every JobSpec field exactly (64-bit
+/// seeds included), the result fields callers read (status, error, gap,
+/// norm_gap, opt, heur, bound, certified, nodes, volumes, wall_seconds),
+/// and `serialized` = `record`. Missing keys keep their defaults, unknown
+/// keys are ignored. Throws std::runtime_error on malformed JSON and
+/// std::invalid_argument on an unknown heuristic.
+JobResult from_json(const std::string& record);
+
+/// The heur:: registry config a job runs under. SweepRunner::execute_job
+/// and `metaopt explain --jsonl` both build their instance from it, so an
+/// explain probe re-solves the exact instance the campaign saw (POP
+/// instantiation seeds derive from the stream seed).
+[[nodiscard]] heur::InstanceConfig instance_config(const JobSpec& job);
 
 struct SweepOptions {
   /// Jobs in flight at once (lanes); <= 0 means hardware_concurrency().
@@ -108,27 +126,22 @@ struct SweepOptions {
   int shard_index = 0;
   int shard_count = 1;
 
-  // ---- checkpointing / resume (restartable campaigns) ----
-  /// Manifest path; empty disables checkpointing. Completed records are
-  /// appended to `<checkpoint_path>.partial.jsonl` (completion order),
-  /// and the manifest — spec fingerprint, shard coordinates, done job
-  /// ids, partial path — is atomically rewritten (tmp + rename) every
-  /// `checkpoint_every` completions and once at the end. The partial
-  /// stream is flushed *before* each manifest write, so a manifest
-  /// never lists a job whose bytes are not durably in the partial file.
-  std::string checkpoint_path;
-  int checkpoint_every = 1;
-  /// Manifest to resume from. Jobs it records as done are not
-  /// re-executed; their JSONL lines are carried over verbatim from the
-  /// partial file. Throws if the manifest's fingerprint or shard
-  /// coordinates do not match this campaign (resuming an edited spec
-  /// would silently mix results). Checkpointing continues into
-  /// `checkpoint_path` if set, else into the resumed manifest itself.
-  std::string resume_manifest;
-  /// Testing hook (simulated kill): stop launching jobs after this many
-  /// completions (0 = run everything). Unexecuted jobs are reported
-  /// Failed with a "stopped" error and never enter the checkpoint.
-  int stop_after = 0;
+  // ---- the JSONL file, which is also the checkpoint ----
+  /// Where the records go; empty writes no file. At the start the
+  /// carried-over records (possibly none) replace the file (tmp +
+  /// rename); each finished record is then appended under the progress
+  /// lock, before on_progress runs, and a failed append stops the
+  /// campaign. When the campaign ends the file is rewritten sorted by
+  /// job id (tmp + rename). A campaign stopped by an error leaves it in
+  /// completion order, which resume_jsonl accepts.
+  std::string jsonl_path;
+  /// A previous run's JSONL, finished or killed. A record is carried
+  /// over verbatim when its id is one of this shard's jobs and its spec
+  /// prefix is byte-equal to that job's; any other record, or a job id
+  /// seen twice, throws std::runtime_error naming the job. A final line
+  /// without its newline is a torn write: it is skipped and its job
+  /// re-runs.
+  std::string resume_jsonl;
 };
 
 class SweepRunner {
@@ -142,13 +155,13 @@ class SweepRunner {
 
   /// Executes pre-expanded jobs through a custom job body (tests inject
   /// throwing/fake jobs here; run() uses execute_job). The shard filter
-  /// and resume skipping apply to the given list; the fingerprint is
-  /// taken over the full list, pre-filter.
+  /// and resume skipping apply to the given list.
   [[nodiscard]] SweepReport run_jobs(const std::vector<JobSpec>& jobs,
                                      const JobFn& fn) const;
 
   /// The default job body: builds the job's HeuristicInstance through
-  /// the heur:: registry and runs its single-shot adversarial search.
+  /// the heur:: registry (instance_config) and runs its single-shot
+  /// adversarial search.
   /// Stateless and thread-safe; throws on an unregistered heuristic
   /// (call domains::register_builtin() in the binary first) or unknown
   /// topology.

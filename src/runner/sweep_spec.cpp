@@ -1,7 +1,6 @@
 #include "runner/sweep_spec.h"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <limits>
 #include <optional>
@@ -286,54 +285,6 @@ SweepSpec parse_sweep_spec(const std::vector<std::string>& tokens) {
     }
   }
   return spec;
-}
-
-namespace {
-
-/// Boost-style hash combine over 64-bit lanes; doubles go in by bit
-/// pattern so e.g. 50.0 and 50.0000000000001 fingerprint differently.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
-std::uint64_t mix(std::uint64_t h, double v) {
-  return mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t mix(std::uint64_t h, const std::string& s) {
-  h = mix(h, static_cast<std::uint64_t>(s.size()));
-  for (const char c : s) h = mix(h, static_cast<std::uint64_t>(
-                                        static_cast<unsigned char>(c)));
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t jobs_fingerprint(const std::vector<JobSpec>& jobs) {
-  std::uint64_t h = 0x6d657461'6f707431ULL;  // arbitrary non-zero seed
-  h = mix(h, static_cast<std::uint64_t>(jobs.size()));
-  for (const JobSpec& j : jobs) {
-    h = mix(h, static_cast<std::uint64_t>(j.id));
-    h = mix(h, j.topology);
-    h = mix(h, static_cast<std::uint64_t>(j.heuristic));
-    h = mix(h, j.threshold);
-    h = mix(h, static_cast<std::uint64_t>(j.num_partitions));
-    h = mix(h, static_cast<std::uint64_t>(j.items));
-    h = mix(h, static_cast<std::uint64_t>(j.dims));
-    h = mix(h, static_cast<std::uint64_t>(j.bins));
-    h = mix(h, static_cast<std::uint64_t>(j.paths_per_pair));
-    h = mix(h, j.seed);
-    h = mix(h, j.stream_seed);
-    h = mix(h, static_cast<std::uint64_t>(j.pop_instances));
-    h = mix(h, static_cast<std::uint64_t>(j.pairs));
-    h = mix(h, j.budget_seconds);
-    h = mix(h, j.demand_ub);
-    h = mix(h, j.seed_search_fraction);
-    h = mix(h, static_cast<std::uint64_t>(j.deterministic ? 1 : 0));
-    h = mix(h, static_cast<std::uint64_t>(j.certify ? 1 : 0));
-    h = mix(h, static_cast<std::uint64_t>(j.mip_threads));
-  }
-  return h;
 }
 
 }  // namespace metaopt::runner

@@ -154,13 +154,4 @@ std::vector<JobSpec> expand_spec(const SweepSpec& spec);
 /// the offending token in the message.
 SweepSpec parse_sweep_spec(const std::vector<std::string>& tokens);
 
-/// Order-sensitive fingerprint over every field of every expanded job
-/// (doubles hashed by bit pattern). Two campaigns share a fingerprint
-/// exactly when they would execute identical job lists, which is what a
-/// resume manifest must verify before skipping "already done" ids —
-/// resuming under an edited spec silently mixes results otherwise.
-/// Hash the *full* expansion, pre-shard-filter, so every shard of one
-/// campaign agrees on the fingerprint.
-std::uint64_t jobs_fingerprint(const std::vector<JobSpec>& jobs);
-
 }  // namespace metaopt::runner

@@ -1,9 +1,9 @@
 #include "util/jsonl.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -182,7 +182,7 @@ class Parser {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("bad number", start);
-    return JsonValue::make_number(value);
+    return JsonValue::make_number(value, token);
   }
 
   const std::string& text_;
@@ -203,6 +203,18 @@ bool JsonValue::as_bool() const {
 double JsonValue::as_number() const {
   if (kind_ != Kind::Number) kind_error("number");
   return number_;
+}
+
+std::uint64_t JsonValue::as_uint64() const {
+  if (kind_ != Kind::Number) kind_error("number");
+  std::uint64_t value = 0;
+  const char* end = string_.data() + string_.size();
+  const auto [ptr, ec] = std::from_chars(string_.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::runtime_error("json: " + string_ +
+                             " is not an unsigned 64-bit integer");
+  }
+  return value;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -241,10 +253,11 @@ JsonValue JsonValue::make_bool(bool b) {
   return v;
 }
 
-JsonValue JsonValue::make_number(double n) {
+JsonValue JsonValue::make_number(double n, std::string token) {
   JsonValue v;
   v.kind_ = Kind::Number;
   v.number_ = n;
+  v.string_ = std::move(token);
   return v;
 }
 
@@ -271,25 +284,6 @@ JsonValue JsonValue::make_object(std::map<std::string, JsonValue> members) {
 
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
-}
-
-std::vector<JsonValue> read_jsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::vector<JsonValue> records;
-  std::string line;
-  long line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    try {
-      records.push_back(parse_json(line));
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(line_no) + ": " +
-                               e.what());
-    }
-  }
-  return records;
 }
 
 std::string json_number(double value) {

@@ -1,4 +1,4 @@
-// Minimal JSON / JSONL reader, plus the two scalar writers every JSON
+// Minimal JSON reader, plus the two scalar writers every JSON
 // emitter in the repo shares (sweep JSONL, metrics dumps, bench reports).
 //
 // The reader parses the subset of JSON the repo actually emits — objects,
@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,8 +20,9 @@
 namespace metaopt::util {
 
 /// One parsed JSON value. Objects keep key order irrelevant (lookup by
-/// name); numbers are stored as double (exact for the counts the repo
-/// serializes, all well below 2^53).
+/// name). A number keeps its literal token next to its double, because
+/// the sweep records carry 64-bit seeds that a double would round:
+/// as_uint64() reads the token exactly.
 class JsonValue {
  public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
@@ -35,6 +37,10 @@ class JsonValue {
   /// Typed accessors; throw std::runtime_error on a kind mismatch.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
+  /// The number's literal token as an unsigned 64-bit integer, exact at
+  /// any size; throws unless the token is a plain decimal integer that
+  /// fits.
+  [[nodiscard]] std::uint64_t as_uint64() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const std::vector<JsonValue>& as_array() const;
 
@@ -50,7 +56,7 @@ class JsonValue {
   // ---- construction (parser + tests) ----
   static JsonValue make_null();
   static JsonValue make_bool(bool b);
-  static JsonValue make_number(double n);
+  static JsonValue make_number(double n, std::string token);
   static JsonValue make_string(std::string s);
   static JsonValue make_array(std::vector<JsonValue> items);
   static JsonValue make_object(std::map<std::string, JsonValue> members);
@@ -59,7 +65,7 @@ class JsonValue {
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  ///< a string's value, or a number's token
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };
@@ -67,11 +73,6 @@ class JsonValue {
 /// Parses one complete JSON document. Throws std::runtime_error with a
 /// byte offset on malformed input or trailing garbage.
 JsonValue parse_json(const std::string& text);
-
-/// Reads a JSONL file: one JSON value per non-empty line. Throws
-/// std::runtime_error (with the line number) on an unreadable file or a
-/// malformed line.
-std::vector<JsonValue> read_jsonl(const std::string& path);
 
 /// Formats a double as "%.17g": shortest-exact, so identical doubles
 /// always serialize to identical bytes (the sweep JSONL determinism

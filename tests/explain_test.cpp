@@ -270,24 +270,24 @@ TEST(ExplainWitness, BelowThresholdReportsNothingToExplain) {
   EXPECT_NE(outcome.error.find("nothing to explain"), std::string::npos);
 }
 
-runner::JobRecord make_record(int job, const std::string& heuristic,
+runner::JobResult make_record(int job, const std::string& heuristic,
                               const std::string& topology, double norm_gap) {
-  runner::JobRecord r;
-  r.job = job;
-  r.heuristic = heuristic;
-  r.topology = topology;
-  r.items = 6;
-  r.dims = 1;
-  r.bins = 4;
-  r.status = "ok";
-  r.norm_gap = norm_gap;
-  r.gap = norm_gap * 10.0;
-  r.volumes = {1.0};
+  runner::JobResult r;
+  r.spec.id = job;
+  r.spec.heuristic = runner::heuristic_from_string(heuristic);
+  r.spec.topology = topology;
+  r.spec.items = 6;
+  r.spec.dims = 1;
+  r.spec.bins = 4;
+  r.status = runner::JobStatus::Ok;
+  r.result.normalized_gap = norm_gap;
+  r.result.gap = norm_gap * 10.0;
+  r.result.volumes = {1.0};
   return r;
 }
 
 TEST(Cluster, GroupsByHeuristicAndAxis) {
-  std::vector<runner::JobRecord> records = {
+  std::vector<runner::JobResult> records = {
       make_record(0, "dp", "fig1", 0.10),
       make_record(1, "dp", "fig1", 0.30),
       make_record(2, "dp", "b4", 0.05),
@@ -295,7 +295,7 @@ TEST(Cluster, GroupsByHeuristicAndAxis) {
       make_record(4, "dp", "fig1", 0.30),   // ties rep with job 1
       make_record(5, "dp", "swan", 0.0),    // no gap: not a region
   };
-  records[5].gap = 0.0;
+  records[5].result.gap = 0.0;
 
   const std::vector<explain::Region> regions =
       explain::cluster_regions(records, 0.01);
@@ -312,13 +312,13 @@ TEST(Cluster, GroupsByHeuristicAndAxis) {
   EXPECT_EQ(fig1.total_jobs, 3);
   EXPECT_DOUBLE_EQ(fig1.max_norm_gap, 0.30);
   // Representative: max norm gap, tie broken to the lowest job id.
-  EXPECT_EQ(fig1.rep_job, 1);
+  EXPECT_EQ(fig1.rep.spec.id, 1);
 
   EXPECT_EQ(explain::best_region(regions), 1);
 }
 
 TEST(Cluster, DeterministicAcrossInputOrder) {
-  std::vector<runner::JobRecord> records = {
+  std::vector<runner::JobResult> records = {
       make_record(0, "dp", "fig1", 0.10),
       make_record(1, "pop", "b4", 0.20),
       make_record(2, "dp", "b4", 0.15),
@@ -332,7 +332,7 @@ TEST(Cluster, DeterministicAcrossInputOrder) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].heuristic, b[i].heuristic);
     EXPECT_EQ(a[i].axis, b[i].axis);
-    EXPECT_EQ(a[i].rep_job, b[i].rep_job);
+    EXPECT_EQ(a[i].rep.spec.id, b[i].rep.spec.id);
   }
 }
 

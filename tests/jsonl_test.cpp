@@ -1,16 +1,21 @@
-// util/jsonl + runner/jsonl_io: the read side of sweep campaigns.
+// util/jsonl + runner::from_json: the read side of sweep campaigns.
 //
 // The parser only has to handle the JSON the repo emits, but the
 // tolerance contract matters: unknown keys (the optional trailing
 // "metrics" object, future schema additions) and missing keys (records
-// from pre-witness campaign files) must read cleanly, not fail.
+// from pre-witness campaign files) must read cleanly, not fail. And a
+// record must read back into exactly the job that wrote it.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <bit>
+#include <cstdint>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "domains/domains.h"
+#include "domains/te_instances.h"
 #include "runner/jsonl_io.h"
 #include "util/jsonl.h"
 
@@ -54,6 +59,20 @@ TEST(JsonParse, NestedStructure) {
   EXPECT_TRUE(v.find("e")->is_null());
 }
 
+TEST(JsonParse, Uint64ReadsTheTokenExactly) {
+  // 2^63 + 1 and 2^64 - 1 are not doubles; the token still reads exactly.
+  EXPECT_EQ(util::parse_json("9223372036854775809").as_uint64(),
+            9223372036854775809u);
+  EXPECT_EQ(util::parse_json("18446744073709551615").as_uint64(),
+            18446744073709551615u);
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+    EXPECT_THROW((void)util::parse_json(bad).as_uint64(), std::runtime_error)
+        << bad;
+  }
+  EXPECT_THROW((void)util::parse_json("\"7\"").as_uint64(),
+               std::runtime_error);
+}
+
 TEST(JsonParse, ToleranceContract) {
   const util::JsonValue v = util::parse_json(R"({"known": 1})");
   EXPECT_EQ(v.find("unknown"), nullptr);
@@ -76,26 +95,6 @@ TEST(JsonParse, ErrorsCarryOffset) {
   }
 }
 
-TEST(JsonlFile, SkipsEmptyLinesAndReportsLineNumbers) {
-  const std::string path = temp_path("jsonl_basic.jsonl");
-  write_file(path, "{\"a\": 1}\n\n{\"a\": 2}\n");
-  const std::vector<util::JsonValue> values = util::read_jsonl(path);
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_DOUBLE_EQ(values[1].number_or("a", 0.0), 2.0);
-
-  const std::string bad = temp_path("jsonl_bad.jsonl");
-  write_file(bad, "{\"a\": 1}\nnot json\n");
-  try {
-    util::read_jsonl(bad);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    // The error names the file and the 1-based line.
-    EXPECT_NE(std::string(e.what()).find(":2"), std::string::npos);
-  }
-  EXPECT_THROW(util::read_jsonl(temp_path("does_not_exist.jsonl")),
-               std::runtime_error);
-}
-
 // A sweep record as runner::to_json emits it, including the trailing
 // "metrics" object readers must tolerate.
 constexpr const char* kSweepRecord =
@@ -110,22 +109,40 @@ constexpr const char* kSweepRecord =
 
 TEST(SweepJsonl, ParsesRecords) {
   const std::string path = temp_path("sweep_records.jsonl");
-  write_file(path, std::string(kSweepRecord) + "\n");
-  const std::vector<runner::JobRecord> records =
+  write_file(path, std::string(kSweepRecord) + "\n\n");
+  const std::vector<runner::JobResult> records =
       runner::read_sweep_jsonl(path);
   ASSERT_EQ(records.size(), 1u);
-  const runner::JobRecord& r = records[0];
-  EXPECT_EQ(r.job, 3);
-  EXPECT_EQ(r.topology, "fig1");
-  EXPECT_EQ(r.heuristic, "dp");
-  EXPECT_DOUBLE_EQ(r.threshold, 50.0);
-  EXPECT_EQ(r.seed, 7u);
-  EXPECT_EQ(r.stream_seed, 99u);
-  EXPECT_TRUE(r.ok());
-  EXPECT_TRUE(r.certified);
-  EXPECT_DOUBLE_EQ(r.gap, 100.0);
-  ASSERT_EQ(r.volumes.size(), 6u);
-  EXPECT_DOUBLE_EQ(r.volumes[3], 110.0);
+  const runner::JobResult& r = records[0];
+  EXPECT_EQ(r.spec.id, 3);
+  EXPECT_EQ(r.spec.topology, "fig1");
+  EXPECT_EQ(r.spec.heuristic, runner::Heuristic::Dp);
+  EXPECT_DOUBLE_EQ(r.spec.threshold, 50.0);
+  EXPECT_EQ(r.spec.seed, 7u);
+  EXPECT_EQ(r.spec.stream_seed, 99u);
+  EXPECT_EQ(r.status, runner::JobStatus::Ok);
+  EXPECT_TRUE(r.result.certified);
+  EXPECT_DOUBLE_EQ(r.result.gap, 100.0);
+  EXPECT_EQ(r.result.nodes, 12);
+  ASSERT_EQ(r.result.volumes.size(), 6u);
+  EXPECT_DOUBLE_EQ(r.result.volumes[3], 110.0);
+  EXPECT_DOUBLE_EQ(r.wall_seconds, 0.6);
+  EXPECT_EQ(r.serialized, kSweepRecord);
+}
+
+TEST(SweepJsonl, ErrorsNameFileAndLine) {
+  const std::string bad = temp_path("sweep_bad.jsonl");
+  write_file(bad, std::string(kSweepRecord) + "\nnot json\n");
+  try {
+    (void)runner::read_sweep_jsonl(bad);
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep_bad.jsonl:2:"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)runner::read_sweep_jsonl(temp_path("missing.jsonl")),
+               std::runtime_error);
 }
 
 TEST(SweepJsonl, PreWitnessRecordsGetDefaults) {
@@ -136,34 +153,135 @@ TEST(SweepJsonl, PreWitnessRecordsGetDefaults) {
              R"({"job":0,"heuristic":"ffd","items":6,"dims":2,"bins":3,)"
              R"("status":"ok","gap":1})"
              "\n");
-  const std::vector<runner::JobRecord> records =
+  const std::vector<runner::JobResult> records =
       runner::read_sweep_jsonl(path);
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_TRUE(records[0].volumes.empty());
-  EXPECT_EQ(records[0].items, 6);
-  EXPECT_EQ(records[0].dims, 2);
+  EXPECT_TRUE(records[0].result.volumes.empty());
+  EXPECT_EQ(records[0].spec.items, 6);
+  EXPECT_EQ(records[0].spec.dims, 2);
   // Missing keys take struct defaults, they are not errors.
-  EXPECT_EQ(records[0].topology, "");
-  EXPECT_DOUBLE_EQ(records[0].norm_gap, 0.0);
+  EXPECT_EQ(records[0].spec.topology, "");
+  EXPECT_EQ(records[0].spec.mip_threads, 1);
+  EXPECT_DOUBLE_EQ(records[0].result.normalized_gap, 0.0);
 }
 
-TEST(SweepJsonl, RecordToInstanceConfig) {
-  const std::string path = temp_path("sweep_config.jsonl");
-  write_file(path, std::string(kSweepRecord) + "\n");
-  const runner::JobRecord r = runner::read_sweep_jsonl(path)[0];
-  const heur::InstanceConfig config = runner::record_to_instance_config(r);
-  EXPECT_EQ(config.heuristic, "dp");
-  EXPECT_EQ(config.topology, "fig1");
-  EXPECT_DOUBLE_EQ(config.threshold, 50.0);
-  EXPECT_EQ(config.paths_per_pair, 2);
-  EXPECT_EQ(config.partitions, 2);
-  EXPECT_EQ(config.pop_instances, 3);
-  // POP instantiation seeds derive from the recorded stream seed — the
-  // sweep-runner convention, so probes re-solve what the campaign saw.
-  EXPECT_EQ(config.stream_seed, 99u);
-  EXPECT_TRUE(config.pop_seeds.empty());
-  EXPECT_EQ(config.items, 6);
-  EXPECT_EQ(config.bins, 0);
+// Doubles compare by bit pattern: a round trip must not move one ulp.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_same_spec(const runner::JobSpec& a, const runner::JobSpec& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.topology, b.topology);
+  EXPECT_EQ(a.heuristic, b.heuristic);
+  EXPECT_TRUE(same_bits(a.threshold, b.threshold));
+  EXPECT_EQ(a.num_partitions, b.num_partitions);
+  EXPECT_EQ(a.items, b.items);
+  EXPECT_EQ(a.dims, b.dims);
+  EXPECT_EQ(a.bins, b.bins);
+  EXPECT_EQ(a.paths_per_pair, b.paths_per_pair);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.stream_seed, b.stream_seed);
+  EXPECT_EQ(a.pop_instances, b.pop_instances);
+  EXPECT_EQ(a.pairs, b.pairs);
+  EXPECT_TRUE(same_bits(a.budget_seconds, b.budget_seconds));
+  EXPECT_TRUE(same_bits(a.demand_ub, b.demand_ub));
+  EXPECT_TRUE(same_bits(a.seed_search_fraction, b.seed_search_fraction));
+  EXPECT_EQ(a.deterministic, b.deterministic);
+  EXPECT_EQ(a.certify, b.certify);
+  EXPECT_EQ(a.mip_threads, b.mip_threads);
+}
+
+void expect_same_config(const heur::InstanceConfig& a,
+                        const heur::InstanceConfig& b) {
+  EXPECT_EQ(a.heuristic, b.heuristic);
+  EXPECT_TRUE(same_bits(a.leader_ub, b.leader_ub));
+  EXPECT_EQ(a.support, b.support);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.stream_seed, b.stream_seed);
+  EXPECT_EQ(a.topology, b.topology);
+  EXPECT_EQ(a.paths_per_pair, b.paths_per_pair);
+  EXPECT_TRUE(same_bits(a.threshold, b.threshold));
+  EXPECT_EQ(a.partitions, b.partitions);
+  EXPECT_EQ(a.pop_instances, b.pop_instances);
+  EXPECT_EQ(a.pop_seeds, b.pop_seeds);
+  EXPECT_EQ(a.items, b.items);
+  EXPECT_EQ(a.dims, b.dims);
+  EXPECT_EQ(a.bins, b.bins);
+}
+
+// A record reads back into the job that wrote it, field for field: above
+// 2^53 a seed parsed as a double comes back rounded, and a POP job then
+// re-solves different partitions than the campaign did.
+TEST(SweepJsonl, RecordRoundTripsTheJobExactly) {
+  domains::register_builtin();
+  for (const runner::Heuristic h :
+       {runner::Heuristic::Dp, runner::Heuristic::Pop, runner::Heuristic::Ffd,
+        runner::Heuristic::Ff}) {
+    runner::JobResult r;
+    runner::JobSpec& s = r.spec;
+    s.id = 41;
+    s.topology = "fig1";
+    s.heuristic = h;
+    s.threshold = 0.1 + 0.2;
+    s.num_partitions = 3;
+    s.items = 5;
+    s.dims = 2;
+    s.bins = 4;
+    s.paths_per_pair = 1;
+    s.seed = 9223372036854775809u;          // 2^63 + 1
+    s.stream_seed = 18446744073709551557u;  // 2^64 - 59
+    s.pop_instances = 4;
+    s.pairs = 2;
+    s.budget_seconds = 1.0 / 3.0;
+    s.demand_ub = 123.456;
+    s.seed_search_fraction = 0.7;
+    s.deterministic = false;
+    s.certify = true;
+    s.mip_threads = 3;
+    r.status = runner::JobStatus::Timeout;
+    r.error = "a \"quoted\" error";
+    r.result.gap = 2.0 / 3.0;
+    r.result.normalized_gap = 1e-17;
+    r.result.opt_value = 7.25;
+    r.result.heur_value = -0.0;
+    r.result.bound = 1e300;
+    r.result.certified = true;
+    r.result.nodes = 123456;
+    r.result.volumes = {0.1, 1e-9, 200.0};
+    r.wall_seconds = 0.125;
+
+    const std::string line = runner::to_json(r);
+    const runner::JobResult back = runner::from_json(line);
+    SCOPED_TRACE(line);
+    expect_same_spec(back.spec, r.spec);
+    EXPECT_EQ(back.status, r.status);
+    EXPECT_EQ(back.error, r.error);
+    EXPECT_TRUE(same_bits(back.result.gap, r.result.gap));
+    EXPECT_TRUE(same_bits(back.result.normalized_gap, r.result.normalized_gap));
+    EXPECT_TRUE(same_bits(back.result.opt_value, r.result.opt_value));
+    EXPECT_TRUE(same_bits(back.result.heur_value, r.result.heur_value));
+    EXPECT_TRUE(same_bits(back.result.bound, r.result.bound));
+    EXPECT_EQ(back.result.certified, r.result.certified);
+    EXPECT_EQ(back.result.nodes, r.result.nodes);
+    EXPECT_EQ(back.result.volumes, r.result.volumes);
+    EXPECT_TRUE(same_bits(back.wall_seconds, r.wall_seconds));
+    EXPECT_EQ(back.serialized, line);
+    EXPECT_EQ(runner::to_json(back), line);
+
+    expect_same_config(runner::instance_config(back.spec),
+                       runner::instance_config(r.spec));
+    if (h == runner::Heuristic::Pop) {
+      const auto original =
+          heur::make_instance(runner::instance_config(r.spec));
+      const auto rebuilt =
+          heur::make_instance(runner::instance_config(back.spec));
+      const auto& a = dynamic_cast<const domains::TePopInstance&>(*original);
+      const auto& b = dynamic_cast<const domains::TePopInstance&>(*rebuilt);
+      EXPECT_EQ(a.seeds().size(), 4u);
+      EXPECT_EQ(b.seeds(), a.seeds());
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <regex>
 #include <set>
 #include <stdexcept>
@@ -202,19 +204,6 @@ TEST(SweepSpecTest, ParserRejectsGarbage) {
                std::invalid_argument);
 }
 
-TEST(SweepSpecTest, ValidSpecFingerprintIsPinned) {
-  // Resume manifests store this fingerprint: a parser change that parsed
-  // a valid spec differently would orphan every existing checkpoint.
-  // Recorded before the integer keys moved to the strict parser.
-  const SweepSpec spec = parse_sweep_spec(
-      {"topology=b4,swan", "heuristic=dp,pop,ffd", "threshold=2.5,50",
-       "partitions=2..4", "items=4..6,12", "paths=1,2", "seed=1..3",
-       "instances=4", "pairs=12", "budget=7.5", "dims=2", "bins=5",
-       "mip-threads=3", "max-jobs=99", "base-seed=17", "deterministic=0",
-       "certify=1", "seed-fraction=0.5", "demand-ub=0"});
-  EXPECT_EQ(jobs_fingerprint(expand_spec(spec)), 0x33dd584243367854ULL);
-}
-
 TEST(SweepSpecTest, BaseSeedKeepsFull64BitPrecision) {
   // Above 2^53 a double round-trip would silently round; the parser must
   // take the integer path so reproducibility-from-spec holds.
@@ -269,6 +258,11 @@ heur::GapFindResult fake_solve(const JobSpec& job) {
 std::string strip_wall_times(const std::string& jsonl) {
   static const std::regex kWall(",\"solve_seconds\":[^,}]*,\"wall_seconds\":[^,}]*");
   return std::regex_replace(jsonl, kWall, "");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 SweepSpec small_spec() {
@@ -337,17 +331,16 @@ TEST(SweepRunnerTest, ThreadsBoundJobsInFlightOnAWiderPool) {
   EXPECT_LE(most.load(), 2);
 }
 
-// A checkpoint write that fails mid-campaign (here: its directory
-// vanished) stops the campaign with the write's error instead of
-// terminating the process from a scheduler worker.
+// A JSONL append that fails mid-campaign (here: its directory vanished)
+// stops the campaign with the write's error instead of terminating the
+// process from a scheduler worker.
 TEST(SweepRunnerTest, FailedCheckpointWriteIsRethrown) {
   const std::vector<JobSpec> jobs = expand_spec(small_spec());
   const std::string dir = ::testing::TempDir() + "metaopt_ckpt_vanishes";
   SweepOptions options;
   options.threads = 2;
   options.log_progress = false;
-  options.checkpoint_path = dir + "/ck.json";
-  options.checkpoint_every = 1;
+  options.jsonl_path = dir + "/sweep.jsonl";
   std::atomic<int> executed{0};
   EXPECT_THROW(
       (void)SweepRunner(options).run_jobs(
@@ -535,7 +528,9 @@ TEST(SweepRunnerTest, RealDpSweepIsDeterministicAcrossThreads) {
     EXPECT_EQ(real_sweep_payload(spec, 2, 1, max_gap), serial);
     Scheduler::global().ensure_threads(4);
     EXPECT_EQ(real_sweep_payload(spec, 4, 1, max_gap), serial);
-    static const std::regex kNodes("\"nodes\":[0-9]+");
+    // The records name the mip_threads they ran with, an input, so it
+    // is stripped along with the node counts.
+    static const std::regex kNodes("\"(nodes|mip_threads)\":[0-9]+");
     EXPECT_EQ(
         std::regex_replace(real_sweep_payload(spec, 4, 3, max_gap), kNodes, ""),
         std::regex_replace(serial, kNodes, ""));
@@ -632,19 +627,43 @@ TEST(SweepRunnerTest, JobMetricsAggregateSpawnedWorkerShards) {
                         metric("bnb.nodes_unbounded"));
 }
 
+// With recording off no job takes metric snapshots, so no record
+// carries a "metrics" object (the registered gauges used to ride along
+// as zeros).
+TEST(SweepRunnerTest, NoMetricsObjectWithRecordingOff) {
+  domains::register_builtin();
+  obs::set_enabled(false);
+  SweepSpec spec;
+  spec.topologies = {"fig1"};
+  spec.thresholds = {25.0, 50.0};
+  spec.demand_ub = 200.0;
+  spec.budget_seconds = 60.0;
+  SweepOptions options;
+  options.threads = 1;
+  options.log_progress = false;
+  const SweepReport report = SweepRunner(options).run(spec);
+  ASSERT_EQ(report.num_ok, 2);
+  for (const JobResult& job : report.jobs) {
+    EXPECT_TRUE(job.metrics.empty());
+    EXPECT_EQ(job.serialized.find("\"metrics\""), std::string::npos)
+        << job.serialized;
+  }
+}
+
 TEST(SweepRunnerTest, WritesJsonlAndCsvArtifacts) {
   SweepSpec spec = small_spec();
   spec.max_jobs = 2;
-  SweepOptions options;
-  options.threads = 2;
-  options.log_progress = false;
-  const SweepReport report =
-      SweepRunner(options).run_jobs(expand_spec(spec), fake_solve);
-
   const std::string dir = ::testing::TempDir() + "metaopt_runner_test";
   const std::string jsonl_path = dir + "/out/sweep.jsonl";
   const std::string csv_path = dir + "/out/sweep.csv";
-  report.write_jsonl(jsonl_path);
+  std::filesystem::remove_all(dir);
+  SweepOptions options;
+  options.threads = 2;
+  options.log_progress = false;
+  options.jsonl_path = jsonl_path;
+  const SweepReport report =
+      SweepRunner(options).run_jobs(expand_spec(spec), fake_solve);
+  EXPECT_EQ(read_file(jsonl_path), report.jsonl());
   report.write_csv(csv_path, "sweeptest");
 
   std::ifstream jsonl_in(jsonl_path);
@@ -753,11 +772,15 @@ TEST(SweepRunnerTest, ShardedRunsMergeByteIdentical) {
     for (const int threads : {1, 2, 4}) {
       std::vector<std::string> shard_paths;
       for (int shard = 0; shard < shard_count; ++shard) {
+        const std::string path = dir + "/s" + std::to_string(shard_count) +
+                                 "_t" + std::to_string(threads) + "_" +
+                                 std::to_string(shard) + ".jsonl";
         SweepOptions options;
         options.threads = threads;
         options.log_progress = false;
         options.shard_index = shard;
         options.shard_count = shard_count;
+        options.jsonl_path = path;
         const SweepReport report =
             SweepRunner(options).run_jobs(jobs, fake_solve);
         // Each shard ran its slice and nothing else.
@@ -766,10 +789,6 @@ TEST(SweepRunnerTest, ShardedRunsMergeByteIdentical) {
           if (job.id % shard_count == shard) ++expected;
         }
         EXPECT_EQ(static_cast<int>(report.jobs.size()), expected);
-        const std::string path = dir + "/s" + std::to_string(shard_count) +
-                                 "_t" + std::to_string(threads) + "_" +
-                                 std::to_string(shard) + ".jsonl";
-        report.write_jsonl(path);
         shard_paths.push_back(path);
       }
       const std::string merged =
@@ -781,14 +800,13 @@ TEST(SweepRunnerTest, ShardedRunsMergeByteIdentical) {
 }
 
 TEST(SweepRunnerTest, MergeRejectsOverlappingShards) {
-  const std::vector<JobSpec> jobs = expand_spec(small_spec());
+  const std::string path =
+      ::testing::TempDir() + "metaopt_shard_test_overlap.jsonl";
   SweepOptions options;
   options.threads = 1;
   options.log_progress = false;
-  const SweepReport report = SweepRunner(options).run_jobs(jobs, fake_solve);
-  const std::string path =
-      ::testing::TempDir() + "metaopt_shard_test_overlap.jsonl";
-  report.write_jsonl(path);
+  options.jsonl_path = path;
+  (void)SweepRunner(options).run_jobs(expand_spec(small_spec()), fake_solve);
   EXPECT_THROW(merge_shard_jsonl({path, path}), std::runtime_error);
 }
 
@@ -805,96 +823,164 @@ TEST(SweepRunnerTest, RunJobsRejectsBadShardOptions) {
                std::invalid_argument);
 }
 
+// A progress callback that throws once `n` jobs have completed: the
+// campaign stops as a kill would, after the running jobs finished and
+// appended their records.
+std::function<void(const JobResult&, int, int)> kill_after(int n) {
+  return [n](const JobResult&, int done, int) {
+    if (done >= n) throw std::runtime_error("killed");
+  };
+}
+
 TEST(SweepRunnerTest, KillAndResumeSkipsCompletedJobs) {
   const std::vector<JobSpec> jobs = expand_spec(shard_spec());
   const std::string dir = ::testing::TempDir() + "metaopt_resume_test";
-  const std::string manifest = dir + "/ck.json";
-
-  // Count executions per job id across both runs: the resume contract is
-  // that no checkpointed job ever runs twice.
-  std::vector<std::atomic<int>> executions(jobs.size());
-  const auto counting_solve = [&executions](const JobSpec& job) {
-    executions[static_cast<std::size_t>(job.id)].fetch_add(1);
-    return fake_solve(job);
-  };
-
-  // First run: killed (stop_after) once 5 jobs completed. Single thread
-  // so exactly 5 jobs finish before the stop flag is honored.
-  SweepOptions first;
-  first.threads = 1;
-  first.log_progress = false;
-  first.checkpoint_path = manifest;
-  first.checkpoint_every = 1;
-  first.stop_after = 5;
-  const SweepReport killed = SweepRunner(first).run_jobs(jobs, counting_solve);
-  EXPECT_EQ(killed.num_ok, 5);
-  EXPECT_EQ(killed.num_failed, static_cast<int>(jobs.size()) - 5);
-
-  // Second run resumes from the manifest and finishes the campaign.
-  SweepOptions second;
-  second.threads = 2;
-  second.log_progress = false;
-  second.resume_manifest = manifest;
-  const SweepReport resumed =
-      SweepRunner(second).run_jobs(jobs, counting_solve);
-  EXPECT_EQ(resumed.num_resumed, 5);
-  EXPECT_EQ(resumed.num_ok, static_cast<int>(jobs.size()));
-  EXPECT_EQ(resumed.num_failed, 0);
-
-  // No job executed more than once across kill + resume.
-  for (std::size_t i = 0; i < executions.size(); ++i) {
-    EXPECT_EQ(executions[i].load(), 1) << "job " << i << " re-executed";
-  }
-
-  // And the stitched-together campaign is byte-identical to a fresh
-  // unsharded run (resumed records carry the first run's bytes).
+  std::filesystem::remove_all(dir);
   SweepOptions ref_options;
   ref_options.threads = 1;
   ref_options.log_progress = false;
   const std::string reference = strip_wall_times(
       SweepRunner(ref_options).run_jobs(jobs, fake_solve).jsonl());
-  EXPECT_EQ(strip_wall_times(resumed.jsonl()), reference);
+
+  for (const int threads : {1, 2}) {
+    for (const int shard_count : {1, 3}) {
+      // Count executions per job id across kill + resume: the resume
+      // contract is that no job whose record was written runs twice.
+      std::vector<std::atomic<int>> executions(jobs.size());
+      const auto counting_solve = [&executions](const JobSpec& job) {
+        executions[static_cast<std::size_t>(job.id)].fetch_add(1);
+        return fake_solve(job);
+      };
+      std::vector<std::string> shard_paths;
+      for (int shard = 0; shard < shard_count; ++shard) {
+        const std::string path = dir + "/t" + std::to_string(threads) + "_s" +
+                                 std::to_string(shard_count) + "_" +
+                                 std::to_string(shard) + ".jsonl";
+        SweepOptions options;
+        options.threads = threads;
+        options.log_progress = false;
+        options.shard_index = shard;
+        options.shard_count = shard_count;
+        options.jsonl_path = path;
+        // First run: killed once 5 jobs completed.
+        options.on_progress = kill_after(5);
+        EXPECT_THROW((void)SweepRunner(options).run_jobs(jobs, counting_solve),
+                     std::runtime_error);
+        const std::string killed = read_file(path);
+        const int written = static_cast<int>(
+            std::count(killed.begin(), killed.end(), '\n'));
+        EXPECT_GE(written, 5);
+        // Second run resumes from the killed file into the same path.
+        options.on_progress = nullptr;
+        options.resume_jsonl = path;
+        const SweepReport resumed =
+            SweepRunner(options).run_jobs(jobs, counting_solve);
+        EXPECT_EQ(resumed.num_resumed, written);
+        EXPECT_EQ(resumed.num_ok, static_cast<int>(resumed.jobs.size()));
+        EXPECT_EQ(read_file(path), resumed.jsonl());
+        shard_paths.push_back(path);
+      }
+      for (std::size_t i = 0; i < executions.size(); ++i) {
+        EXPECT_EQ(executions[i].load(), 1)
+            << "job " << i << " threads=" << threads
+            << " shards=" << shard_count;
+      }
+      // The stitched campaign equals an uninterrupted unsharded run.
+      EXPECT_EQ(strip_wall_times(merge_shard_jsonl(shard_paths)), reference)
+          << "threads=" << threads << " shards=" << shard_count;
+    }
+  }
+}
+
+// Runs `jobs` resuming from `path`; returns the error message ("" when
+// the resume was accepted).
+std::string resume_error(const std::vector<JobSpec>& jobs,
+                         const std::string& path, int shard_index = 0,
+                         int shard_count = 1) {
+  SweepOptions options;
+  options.threads = 1;
+  options.log_progress = false;
+  options.shard_index = shard_index;
+  options.shard_count = shard_count;
+  options.resume_jsonl = path;
+  try {
+    (void)SweepRunner(options).run_jobs(jobs, fake_solve);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(SweepRunnerTest, ResumeRejectsMismatchedCampaign) {
   const std::vector<JobSpec> jobs = expand_spec(small_spec());
-  const std::string manifest =
-      ::testing::TempDir() + "metaopt_resume_mismatch/ck.json";
+  const std::string dir = ::testing::TempDir() + "metaopt_resume_mismatch";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/sweep.jsonl";
   SweepOptions first;
   first.threads = 1;
   first.log_progress = false;
-  first.checkpoint_path = manifest;
+  first.jsonl_path = path;
   (void)SweepRunner(first).run_jobs(jobs, fake_solve);
+  EXPECT_EQ(resume_error(jobs, path), "");
 
-  // Same job count, different content -> fingerprint differs -> throw.
-  SweepSpec edited = small_spec();
-  edited.thresholds = {26.0, 50.0, 100.0};
-  SweepOptions second;
-  second.threads = 1;
-  second.log_progress = false;
-  second.resume_manifest = manifest;
-  EXPECT_THROW(
-      (void)SweepRunner(second).run_jobs(expand_spec(edited), fake_solve),
-      std::runtime_error);
-  // Mismatched shard coordinates are rejected too.
-  second.shard_index = 0;
-  second.shard_count = 2;
-  EXPECT_THROW((void)SweepRunner(second).run_jobs(jobs, fake_solve),
-               std::runtime_error);
+  // One field of one job differs: that job's record is refused by name.
+  std::vector<JobSpec> edited = jobs;
+  edited[3].threshold += 1e-9;
+  EXPECT_NE(resume_error(edited, path).find("job 3 was written for a "
+                                            "different spec"),
+            std::string::npos);
+  edited = jobs;
+  edited[0].deterministic = !edited[0].deterministic;
+  EXPECT_NE(resume_error(edited, path).find("job 0 "), std::string::npos);
+  edited = jobs;
+  edited[5].demand_ub = 200.0;
+  EXPECT_NE(resume_error(edited, path).find("job 5 "), std::string::npos);
+
+  // Records of another shard are refused, and so is a repeated job.
+  const std::string shard1 = dir + "/shard1.jsonl";
+  SweepOptions sharded = first;
+  sharded.shard_index = 1;
+  sharded.shard_count = 3;
+  sharded.jsonl_path = shard1;
+  (void)SweepRunner(sharded).run_jobs(jobs, fake_solve);
+  EXPECT_EQ(resume_error(jobs, shard1, 1, 3), "");
+  EXPECT_NE(resume_error(jobs, shard1, 0, 3)
+                .find("job 1 is not one of this shard's jobs"),
+            std::string::npos);
+  const std::string doubled = dir + "/doubled.jsonl";
+  std::ofstream(doubled) << read_file(path) << read_file(path);
+  EXPECT_NE(resume_error(jobs, doubled).find("job 0 appears twice"),
+            std::string::npos);
 }
 
-TEST(SweepSpecTest, FingerprintSeesEveryFieldAndIgnoresNothing) {
-  const std::vector<JobSpec> a = expand_spec(small_spec());
-  EXPECT_EQ(jobs_fingerprint(a), jobs_fingerprint(expand_spec(small_spec())));
-  std::vector<JobSpec> b = a;
-  b[3].threshold += 1e-9;
-  EXPECT_NE(jobs_fingerprint(a), jobs_fingerprint(b));
-  b = a;
-  b[0].deterministic = !b[0].deterministic;
-  EXPECT_NE(jobs_fingerprint(a), jobs_fingerprint(b));
-  b = a;
-  b.pop_back();
-  EXPECT_NE(jobs_fingerprint(a), jobs_fingerprint(b));
+TEST(SweepRunnerTest, ResumeSkipsATornFinalLine) {
+  const std::vector<JobSpec> jobs = expand_spec(shard_spec());
+  const std::string dir = ::testing::TempDir() + "metaopt_resume_torn";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/sweep.jsonl";
+  SweepOptions options;
+  options.threads = 2;
+  options.log_progress = false;
+  options.jsonl_path = path;
+  const std::string reference =
+      strip_wall_times(SweepRunner(options).run_jobs(jobs, fake_solve).jsonl());
+
+  // A kill mid-append leaves the last record without its newline.
+  const std::string full = read_file(path);
+  std::ofstream(path, std::ios::trunc) << full.substr(0, full.size() - 20);
+  std::vector<std::atomic<int>> executions(jobs.size());
+  options.resume_jsonl = path;
+  const SweepReport resumed =
+      SweepRunner(options).run_jobs(jobs, [&executions](const JobSpec& job) {
+        executions[static_cast<std::size_t>(job.id)].fetch_add(1);
+        return fake_solve(job);
+      });
+  EXPECT_EQ(resumed.num_resumed, static_cast<int>(jobs.size()) - 1);
+  for (std::size_t i = 0; i < executions.size(); ++i) {
+    EXPECT_EQ(executions[i].load(), i + 1 == jobs.size() ? 1 : 0)
+        << "job " << i;
+  }
+  EXPECT_EQ(strip_wall_times(read_file(path)), reference);
 }
 
 }  // namespace

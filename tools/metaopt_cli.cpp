@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -113,13 +114,11 @@ constexpr Flag kSweepFlags[] = {
     {"threads", Integer, "0", "jobs at once; 0 = all hardware"},
     {"spec", String, "", "read key=value tokens from this file first; "
                          "later tokens win"},
-    {"jsonl", String, "", "write one JSON record per job"},
+    {"jsonl", String, "", "write one JSON record per job as it finishes"},
     {"csv", String, "", "write one CSV row per finished job"},
     {"quiet", Switch, "", "suppress per-job progress lines"},
     {"shard", String, "", "i/N: run only jobs with id % N == i"},
-    {"checkpoint", String, "", "write a resume manifest to this file"},
-    {"checkpoint-every", Integer, "1", "manifest cadence, completed jobs"},
-    {"resume", String, "", "skip the jobs this manifest records done"},
+    {"resume", String, "", "carry over the jobs this sweep JSONL holds"},
 };
 
 constexpr Flag kMergeFlags[] = {
@@ -370,9 +369,8 @@ int cmd_sweep(const Cli& cli) {
     options.shard_index = static_cast<int>(*index);
     options.shard_count = static_cast<int>(*count);
   }
-  options.checkpoint_path = cli.str("checkpoint");
-  options.checkpoint_every = cli.integer("checkpoint-every");
-  options.resume_manifest = cli.str("resume");
+  options.jsonl_path = cli.str("jsonl");
+  options.resume_jsonl = cli.str("resume");
   if (!cli.on("quiet")) {
     options.on_progress = [](const runner::JobResult& job, int done,
                              int total) {
@@ -429,11 +427,15 @@ int cmd_sweep(const Cli& cli) {
   }
 
   if (cli.on("jsonl")) {
-    report.write_jsonl(cli.str("jsonl"));
     std::printf("jsonl:     %s\n", cli.str("jsonl").c_str());
   }
   if (cli.on("csv")) {
-    report.write_csv(cli.str("csv"), "sweep");
+    // The figure column names the spec file (fig4a.spec -> "fig4a").
+    const std::string figure =
+        cli.on("spec")
+            ? std::filesystem::path(cli.str("spec")).stem().string()
+            : "sweep";
+    report.write_csv(cli.str("csv"), figure);
     std::printf("csv:       %s\n", cli.str("csv").c_str());
   }
   // 0 = at least one job produced a gap and none threw; 1 = some job
@@ -478,28 +480,29 @@ int cmd_explain(const Cli& cli) {
   if (!jsonl.empty()) {
     // Witness from a finished campaign: cluster it into adversarial
     // regions, then explain --job N or the worst region's representative.
-    std::vector<runner::JobRecord> records = runner::read_sweep_jsonl(jsonl);
+    std::vector<runner::JobResult> records = runner::read_sweep_jsonl(jsonl);
     if (!heuristic.empty()) {
-      std::erase_if(records, [&](const runner::JobRecord& r) {
-        return r.heuristic != heuristic;
+      std::erase_if(records, [&](const runner::JobResult& r) {
+        return runner::to_string(r.spec.heuristic) != heuristic;
       });
     }
     regions = explain::cluster_regions(records, /*min_norm_gap=*/1e-9);
-    const runner::JobRecord* record = nullptr;
+    const runner::JobResult* record = nullptr;
     if (cli.on("job")) {
       const int want = cli.integer("job");
-      for (const runner::JobRecord& r : records) {
-        if (r.job == want) record = &r;
+      for (const runner::JobResult& r : records) {
+        if (r.spec.id == want) record = &r;
       }
       if (record == nullptr) {
         throw std::invalid_argument("no job " + cli.str("job") + " in " +
                                     jsonl);
       }
-      if (!record->ok() || record->volumes.empty()) {
+      if (record->status != runner::JobStatus::Ok ||
+          record->result.volumes.empty()) {
         std::fprintf(stderr,
                      "job %d has no witness (status %s; pre-witness "
                      "campaign files record none)\n",
-                     want, record->status.c_str());
+                     want, runner::to_string(record->status));
         return 3;
       }
     } else {
@@ -511,9 +514,9 @@ int cmd_explain(const Cli& cli) {
       }
       record = &regions[static_cast<std::size_t>(best)].rep;
     }
-    instance = heur::make_instance(runner::record_to_instance_config(*record));
-    witness = record->volumes;
-    options.source = jsonl + ":job=" + std::to_string(record->job);
+    instance = heur::make_instance(runner::instance_config(record->spec));
+    witness = record->result.volumes;
+    options.source = jsonl + ":job=" + std::to_string(record->spec.id);
   } else {
     instance = heur::make_instance(instance_config(cli, 0));
     heur::FindOptions find;
