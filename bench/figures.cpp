@@ -9,11 +9,10 @@
 // pass). Fig. 4a and the bin-packing figure are spec files next to this
 // program (figures/*.spec), run by `metaopt sweep --spec`.
 //
-// Runs go through the heuristic registry wherever an InstanceConfig can
-// express them. core::AdversarialGapFinder and GapBounder are called
-// directly only for what the registry cannot build: circulant
-// topologies, model sizes, the no-primal-heuristic row and the
-// primal-dual bounds.
+// Finds and bounds go through the heuristic registry.
+// core::AdversarialGapFinder is called directly only for Fig. 6's model
+// sizes (*_problem_sizes) and for the ablation's dp.kkt_bare row, a find
+// without the primal heuristic, which no instance switches off.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "core/adversarial.h"
-#include "core/gap_bound.h"
 #include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "net/paths.h"
@@ -155,18 +153,15 @@ void fig3() {
 void fig4b() {
   Figure fig("fig4b");
   for (int neighbors = 1; neighbors <= 4; ++neighbors) {
-    const net::Topology topo = net::topologies::circulant(10, neighbors);
-    const te::PathSet paths(topo, te::all_pairs(topo), 2);
-    te::DpConfig dp;
-    dp.threshold = 50.0;
-    core::AdversarialOptions options;
-    options.mip.time_limit_seconds = scaled(20.0);
-    options.seed_search_seconds = scaled(20.0) * 0.5;
-    const double gap = core::AdversarialGapFinder(topo, paths)
-                           .find_dp_gap(dp, options)
+    heur::InstanceConfig config = b4("dp");
+    config.topology = "circulant:10:" + std::to_string(neighbors);
+    const double gap = heur::make_instance(config)
+                           ->find_gap(budget(20.0, 0.5))
                            .normalized_gap;
-    fig.row("circle10", net::average_shortest_path_length(topo), gap,
-            neighbors);
+    fig.row("circle10",
+            net::average_shortest_path_length(
+                domains::load_topology(config.topology)),
+            gap, neighbors);
   }
 }
 
@@ -232,9 +227,11 @@ void fig6() {
   const std::vector<std::uint64_t> seeds{1, 2, 3};
   const auto dp_sizes = finder.dp_problem_sizes(dp, {});
   const auto pop_sizes = finder.pop_problem_sizes(pop, seeds, {});
-  core::AdversarialOptions find;
-  find.mip.time_limit_seconds = scaled(30.0);
-  find.seed_search_seconds = scaled(5.0);
+  const auto find = [&](const std::string& heuristic) {
+    heur::InstanceConfig config = b4(heuristic);
+    config.pop_seeds = seeds;
+    return heur::make_instance(config)->find_gap(budget(30.0, 5.0 / 30.0));
+  };
 
   const auto emit = [&](const std::string& series, const lp::ModelStats& s,
                         double latency_seconds) {
@@ -265,12 +262,12 @@ void fig6() {
          te::solve_demand_pinning(topo, paths, v, dp);
        }));
   emit("dp+opt(metaopt)", dp_sizes.metaopt,
-       last_incumbent(finder.find_dp_gap(dp, find)));
+       last_incumbent(find("dp")));
   emit("pop", pop_sizes.heuristic, direct([&](const std::vector<double>& v) {
          te::solve_pop(topo, paths, v, pop);
        }));
   emit("pop+opt(metaopt)", pop_sizes.metaopt,
-       last_incumbent(finder.find_pop_gap(pop, seeds, find)));
+       last_incumbent(find("pop")));
 }
 
 // Ablation (§5): the KKT search's found gap (a lower bound) against the
@@ -279,36 +276,38 @@ void fig6() {
 // primal heuristic.
 void ablation() {
   Figure fig("ablation");
-  const auto kkt = [](const std::string& heuristic, double seed_share) {
+  const auto instance = [](const std::string& heuristic) {
     heur::InstanceConfig config = b4(heuristic);
     config.support = 30;
     config.pop_seeds = {1, 2};
-    return heur::make_instance(config)
+    return heur::make_instance(config);
+  };
+  const auto kkt = [&](const std::string& heuristic, double seed_share) {
+    return instance(heuristic)
         ->find_gap(budget(30.0, seed_share))
         .normalized_gap;
   };
-  const net::Topology topo = net::topologies::b4();
-  const te::PathSet paths(topo, te::all_pairs(topo), 2);
-  const core::GapBounder bounder(topo, paths);
-  te::DpConfig dp;
-  dp.threshold = 50.0;
-  te::PopConfig pop;
-  pop.num_partitions = 2;
-  core::AdversarialOptions options;
-  options.pair_mask = domains::make_support_mask(paths.num_pairs(), 30);
+  const auto primal_dual = [&](const std::string& heuristic,
+                               double seconds) {
+    const heur::GapBoundResult bound =
+        instance(heuristic)->bound_gap(budget(seconds, 0.0));
+    fig.row(heuristic + ".primal_dual", "upper",
+            bound.normalized_upper_bound, bound.seconds);
+  };
 
   fig.row("dp.kkt", "lower", kkt("dp", 0.3));
-  options.mip.time_limit_seconds = scaled(30.0);
-  const core::GapBoundResult dp_bound = bounder.bound_dp_gap(dp, options);
-  fig.row("dp.primal_dual", "upper", dp_bound.normalized_upper_bound,
-          dp_bound.seconds);
+  primal_dual("dp", 30.0);
   fig.row("pop.kkt", "lower", kkt("pop", 0.4));
-  options.mip.time_limit_seconds = scaled(30.0) * 2;
-  const core::GapBoundResult pop_bound =
-      bounder.bound_pop_gap(pop, {1, 2}, options);
-  fig.row("pop.primal_dual", "upper", pop_bound.normalized_upper_bound,
-          pop_bound.seconds);
+  primal_dual("pop", 60.0);
   fig.row("dp.kkt_noseed", "lower", kkt("dp", 0.0));
+
+  // No instance switches the primal heuristic off: the finder directly.
+  const net::Topology topo = net::topologies::b4();
+  const te::PathSet paths(topo, te::all_pairs(topo), 2);
+  te::DpConfig dp;
+  dp.threshold = 50.0;
+  core::AdversarialOptions options;
+  options.pair_mask = domains::make_support_mask(paths.num_pairs(), 30);
   options.mip.time_limit_seconds = scaled(30.0);
   options.seed_search_seconds = 0.0;
   options.use_primal_heuristic = false;

@@ -1,37 +1,45 @@
 // The paper's contribution: provable adversarial-input search (Eq. 1)
-// for the traffic-engineering heuristics.
+// for the traffic-engineering heuristics, and its §5 upper bound.
 //
 //   argmax_{d in ConstrainedSet}  OPT(d) - Heuristic(d)
 //
-// Each find builds one TE family for the shared single-shot driver
-// (core/single_shot.h): the demand leader, OPT as the first KKT follower
-// (§3.1), the heuristic's inner problems as the next, the realistic input
-// constraints (§3.3), and the family's hooks — Demand Pinning's pin
-// completion and epsilon-band snap, POP's partition followers, client
-// splitting's level indicators and dead-band snap, and the direct oracle
-// that seeds the first incumbent. The driver re-solves every candidate
-// with the small direct LPs and lifts it to a full feasible assignment
-// (kkt/parametric.h), so each incumbent is a *genuine* adversarial input
-// with an exactly known gap, and the branch-and-bound bound certifies how
-// far it can be from the worst case.
+// Each model holds the demand leader, OPT as the first follower (§3.1),
+// the heuristic's inner problems as the next, and the realistic input
+// constraints (§3.3). A find writes each follower's KKT system
+// (kkt::emit_kkt) and hands the model to the shared single-shot driver
+// (core/single_shot.h) with the family's hooks: Demand Pinning's pin
+// completion and epsilon-band snap, POP's rounding cutoffs, and the
+// direct oracle that seeds the first incumbent. The driver re-solves
+// every candidate with the small direct LPs and lifts it to a full
+// feasible assignment (kkt/parametric.h), so each incumbent is a
+// *genuine* adversarial input with an exactly known gap, and the
+// branch-and-bound bound certifies how far it can be from the worst case.
+//
+// A bound builds the same model with each follower's primal-dual
+// relaxation instead (kkt::emit_primal_dual). It contains every optimal
+// follower response, so its optimum bounds the worst case from above
+// with no complementarity pairs: an LP for POP, a MILP over the pinning
+// indicators for DP. Together with a find this brackets the worst case:
+//
+//     best found gap  <=  true worst case  <=  primal-dual bound.
+//
+// Validity rests on the declared dual bounds containing an optimal dual
+// solution (see te/max_flow.h).
 //
 // POP support follows §3.2: the heuristic objective is the empirical
-// mean of several partition instantiations (or, via
-// core/sorting_network.h, a sorting-network tail percentile).
+// mean of several partition instantiations.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/input_constraints.h"
-#include "core/sorting_network.h"
 #include "heur/instance.h"
 #include "lp/model.h"
 #include "mip/branch_and_bound.h"
 #include "net/topology.h"
 #include "te/demand_pinning.h"
 #include "te/path_set.h"
-#include "te/client_split.h"
 #include "te/pop.h"
 
 namespace metaopt::core {
@@ -80,17 +88,6 @@ DemandVars make_demand_vars(lp::Model& model, const net::Topology& topo,
                             const te::PathSet& paths,
                             const AdversarialOptions& options);
 
-/// Deterministic descriptor of the random POP(I) targeted by the search
-/// (§3.2): the empirical mean over the instantiation seeds, or an order
-/// statistic extracted with a sorting network.
-struct PopObjective {
-  enum class Kind { Mean, Percentile };
-  Kind kind = Kind::Mean;
-  /// Order statistic as a fraction from the *worst* (lowest-value)
-  /// instantiation: 0 = worst outcome, 1 = best. Only for Percentile.
-  double percentile = 0.0;
-};
-
 class AdversarialGapFinder {
  public:
   AdversarialGapFinder(const net::Topology& topo, const te::PathSet& paths)
@@ -101,19 +98,21 @@ class AdversarialGapFinder {
       const te::DpConfig& config, const AdversarialOptions& options) const;
 
   /// Worst-case gap of POP vs OPT over the given partition
-  /// instantiation seeds (§3.2; one seed reproduces the single-instance
-  /// column of Fig. 5a). By default targets the expected gap; pass a
-  /// Percentile objective to target a tail instantiation instead.
+  /// instantiation seeds (§3.2): the expected gap over them. One seed
+  /// reproduces the single-instance column of Fig. 5a.
   [[nodiscard]] AdversarialResult find_pop_gap(
       const te::PopConfig& config, const std::vector<std::uint64_t>& seeds,
-      const AdversarialOptions& options,
-      const PopObjective& objective = PopObjective()) const;
+      const AdversarialOptions& options) const;
 
-  /// Worst-case expected gap of the full POP heuristic *with client
-  /// splitting* (Appendix A) vs OPT, over the instantiation seeds.
-  [[nodiscard]] AdversarialResult find_pop_cs_gap(
-      const te::PopConfig& config, const te::ClientSplitConfig& cs_config,
-      const std::vector<std::uint64_t>& seeds,
+  /// Primal-dual upper bound on find_dp_gap's objective: a MILP over the
+  /// pinning indicators only. Uses options.demand_ub, pair_mask, mip and
+  /// constraints.
+  [[nodiscard]] heur::GapBoundResult bound_dp_gap(
+      const te::DpConfig& config, const AdversarialOptions& options) const;
+
+  /// Primal-dual upper bound on find_pop_gap's objective: a single LP.
+  [[nodiscard]] heur::GapBoundResult bound_pop_gap(
+      const te::PopConfig& config, const std::vector<std::uint64_t>& seeds,
       const AdversarialOptions& options) const;
 
   /// Model-size accounting for Fig. 6: the metaopt model vs the plain

@@ -82,7 +82,6 @@ class Pipeline {
         return std::nullopt;
       }
     }
-    if (shot_.finish) shot_.finish(assign);
     return Candidate(model_.objective_value(assign), std::move(assign));
   }
 

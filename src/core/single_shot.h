@@ -13,7 +13,7 @@
 //      the leader), re-solved follower by follower on its kkt::InnerLp
 //      (built once per run with the run's LP options; it answers values
 //      it solved recently from its cache) and lifted to a
-//      KKT point (kkt/parametric.h), then finished;
+//      KKT point (kkt/parametric.h);
 //   2. primal heuristic, at every node: the relaxation's leader values
 //      and each rounding variant of them are assembled, skipping a
 //      variant whose vector (bit for bit) was already assembled at this
@@ -25,8 +25,8 @@
 //   5. finalize from the B&B incumbent, then the optional exact
 //      re-scorer, which may replace the answer.
 //
-// Families: Demand Pinning, POP and POP with client splitting in
-// core/adversarial.cpp; first-fit(-decreasing) in binpack/adversarial.cpp.
+// Families: Demand Pinning and POP in core/adversarial.cpp;
+// first-fit(-decreasing) in binpack/adversarial.cpp.
 // This layer knows neither: it links only heur, kkt, lp, mip and search.
 //
 // The hooks run on B&B worker threads when MipOptions::threads > 1, so
@@ -82,8 +82,6 @@ struct SingleShot {
   std::function<bool(const std::vector<double>& leader,
                      std::vector<double>& assign)>
       complete;
-  /// Runs after every follower is assembled. Optional.
-  std::function<void(std::vector<double>& assign)> finish;
   /// Elementwise roundings of the relaxation's leader values that the
   /// primal heuristic tries after the raw values, in order.
   std::vector<std::function<double(double)>> roundings;

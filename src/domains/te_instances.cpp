@@ -1,7 +1,11 @@
 #include "domains/te_instances.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 
 #include "net/topologies.h"
 #include "net/topology_io.h"
@@ -9,6 +13,7 @@
 #include "te/gap.h"
 #include "te/max_flow.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace metaopt::domains {
 
@@ -17,6 +22,20 @@ net::Topology load_topology(const std::string& spec) {
   if (spec == "abilene") return net::topologies::abilene();
   if (spec == "swan") return net::topologies::swan();
   if (spec == "fig1") return net::topologies::fig1();
+  if (util::starts_with(spec, "circulant:")) {
+    const std::vector<std::string> fields = util::split(spec, ':');
+    const auto field = [&](std::size_t i) {
+      const std::optional<std::uint64_t> v =
+          fields.size() == 3 ? util::parse_uint(fields[i]) : std::nullopt;
+      if (!v || *v > static_cast<std::uint64_t>(
+                         std::numeric_limits<int>::max())) {
+        throw std::invalid_argument("topology '" + spec +
+                                    "': want circulant:<n>:<k>");
+      }
+      return static_cast<int>(*v);
+    };
+    return net::topologies::circulant(field(1), field(2));
+  }
   return net::read_topology_file(spec);
 }
 
@@ -80,6 +99,14 @@ heur::GapFindResult TeDpInstance::find_gap(
   te::DpConfig dp;
   dp.threshold = threshold_;
   return finder.find_dp_gap(dp, adversarial_options(options));
+}
+
+heur::GapBoundResult TeDpInstance::bound_gap(
+    const heur::FindOptions& options) const {
+  te::DpConfig dp;
+  dp.threshold = threshold_;
+  return core::AdversarialGapFinder(topo_, paths_)
+      .bound_dp_gap(dp, adversarial_options(options));
 }
 
 namespace {
@@ -197,6 +224,14 @@ heur::GapFindResult TePopInstance::find_gap(
   te::PopConfig pop;
   pop.num_partitions = partitions_;
   return finder.find_pop_gap(pop, seeds_, adversarial_options(options));
+}
+
+heur::GapBoundResult TePopInstance::bound_gap(
+    const heur::FindOptions& options) const {
+  te::PopConfig pop;
+  pop.num_partitions = partitions_;
+  return core::AdversarialGapFinder(topo_, paths_)
+      .bound_pop_gap(pop, seeds_, adversarial_options(options));
 }
 
 }  // namespace metaopt::domains

@@ -56,6 +56,8 @@ class TeDpInstance final : public TeInstanceBase {
   [[nodiscard]] std::unique_ptr<heur::GapOracle> make_oracle() const override;
   [[nodiscard]] heur::GapFindResult find_gap(
       const heur::FindOptions& options) const override;
+  [[nodiscard]] heur::GapBoundResult bound_gap(
+      const heur::FindOptions& options) const override;
   [[nodiscard]] std::unique_ptr<heur::GapOracle> make_probe_oracle(
       const heur::ProbeOptions& options) const override;
   /// Link-utilization rows (heuristic allocation vs OPT) plus a note per
@@ -79,6 +81,8 @@ class TePopInstance final : public TeInstanceBase {
   [[nodiscard]] std::unique_ptr<heur::GapOracle> make_oracle() const override;
   [[nodiscard]] heur::GapFindResult find_gap(
       const heur::FindOptions& options) const override;
+  [[nodiscard]] heur::GapBoundResult bound_gap(
+      const heur::FindOptions& options) const override;
   [[nodiscard]] std::unique_ptr<heur::GapOracle> make_probe_oracle(
       const heur::ProbeOptions& options) const override;
 
@@ -91,7 +95,9 @@ class TePopInstance final : public TeInstanceBase {
   std::vector<std::uint64_t> seeds_;
 };
 
-/// Loads a named builtin topology (b4/abilene/swan/fig1) or a file path.
+/// Loads a named builtin topology (b4/abilene/swan/fig1), a ring
+/// circulant:<n>:<k> (net::topologies::circulant(n, k)) or a file path.
+/// Throws std::invalid_argument naming a malformed circulant spec.
 net::Topology load_topology(const std::string& spec);
 
 /// Spreads ~`target` enabled pairs evenly over `num_pairs` by striding

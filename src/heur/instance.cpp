@@ -21,6 +21,13 @@ Registry& registry() {
 
 }  // namespace
 
+GapBoundResult HeuristicInstance::bound_gap(const FindOptions& options) const {
+  (void)options;
+  throw std::invalid_argument("'" + name() +
+                              "' has no primal-dual gap bound; bound "
+                              "supports the TE heuristics dp and pop");
+}
+
 void register_heuristic(const std::string& name, InstanceFactory factory) {
   if (name.empty() || !factory) {
     throw std::invalid_argument("register_heuristic: empty name or factory");

@@ -2,10 +2,11 @@
 //
 // An instance binds a concrete problem setting (a TE topology with a DP
 // threshold; a bin-packing shape with so-many items and dimensions) and
-// exposes the two operations every layer above needs:
+// exposes the operations every layer above needs:
 //
 //   * make_oracle()  — direct gap evaluation for the black-box searchers,
-//   * find_gap()     — the single-shot white-box adversarial search.
+//   * find_gap()     — the single-shot white-box adversarial search,
+//   * bound_gap()    — the §5 primal-dual upper bound (TE only).
 //
 // search/ and runner/ depend only on this header, never on a domain, so
 // adding a heuristic family is: implement the interface, register a
@@ -73,6 +74,23 @@ struct GapFindResult {
 
   /// True when a (possibly non-optimal) adversarial input was found.
   [[nodiscard]] bool has_solution() const { return !volumes.empty(); }
+};
+
+/// Result of a primal-dual bound (§5): the McCormick-relaxed
+/// strong-duality system contains every optimal follower response, so
+/// maximizing the gap over it bounds the worst case from above, with no
+/// complementarity pairs.
+struct GapBoundResult {
+  lp::SolveStatus status = lp::SolveStatus::Error;
+  /// Upper bound on the achievable gap over the leader box.
+  double upper_bound = 0.0;
+  /// upper_bound / HeuristicInstance::gap_normalizer().
+  double normalized_upper_bound = 0.0;
+  double seconds = 0.0;
+  lp::ModelStats stats;
+  /// True when the solve ran with certification enabled and passed
+  /// check::certify_mip (see Solution::certified).
+  bool certified = false;
 };
 
 /// Everything a factory may need to build an instance. One flat struct
@@ -174,6 +192,12 @@ class HeuristicInstance {
   /// The single-shot white-box adversarial search (Eq. 1).
   [[nodiscard]] virtual GapFindResult find_gap(
       const FindOptions& options) const = 0;
+  /// The primal-dual upper bound on the gap (§5), solved within
+  /// options.budget_seconds; seeding does not apply. Default: throws
+  /// std::invalid_argument naming the heuristic, for domains without
+  /// one (bin packing).
+  [[nodiscard]] virtual GapBoundResult bound_gap(
+      const FindOptions& options) const;
 
   // ---- explain hooks (sub-instance masking + probes) ----
   //

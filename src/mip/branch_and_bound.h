@@ -1,6 +1,6 @@
 // Branch-and-bound over the discrete structure the paper's single-shot
-// rewrite produces: binary variables (big-M conditionals of DP / POP
-// client splitting) and complementarity pairs (the KKT multiplicative
+// rewrite produces: binary variables (DP's big-M pinning conditionals,
+// bin packing's assignments) and complementarity pairs (the KKT multiplicative
 // constraints that Gurobi models as SOS1 — §3.1).
 //
 // The search is best-bound first. Each node relaxation is a bound change

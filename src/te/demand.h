@@ -11,9 +11,8 @@ namespace metaopt::te {
 
 /// Strictness margin of the demand-volume indicator rows in the convex
 /// encodings: DP's pinning indicator reads d_k >= T_d + kIndicatorEpsilon
-/// as definitely unpinned, and client splitting's level indicators leave
-/// the band (2^l T - kIndicatorEpsilon, 2^l T) to no level. Volumes
-/// inside a band may take either side. Small relative to capacities.
+/// as definitely unpinned. Volumes inside the band (T_d, T_d +
+/// kIndicatorEpsilon) may take either side. Small relative to capacities.
 inline constexpr double kIndicatorEpsilon = 1e-3;
 
 /// One demand: (s_k, t_k, d_k) in the paper's notation.

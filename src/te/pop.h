@@ -7,9 +7,8 @@
 // The heuristic value is the sum of the per-partition optima.
 //
 // Because partitioning is random, POP(I) is a random variable (§3.2):
-// the adversarial search targets either the empirical mean over several
-// instantiations or a tail order statistic (see core/pop_objective and
-// core/sorting_network).
+// the adversarial search targets the empirical mean over several
+// instantiations (core/adversarial.h).
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/adversarial.h"
-#include "core/gap_bound.h"
 #include "core/input_constraints.h"
 #include "search/search.h"
 #include "lp/simplex.h"
@@ -111,8 +110,9 @@ TEST(AdversarialDp, ShortPairMaskRejected) {
   EXPECT_THROW(
       (void)AdversarialGapFinder(topo, paths).find_dp_gap(dp, options),
       std::invalid_argument);
-  EXPECT_THROW((void)GapBounder(topo, paths).bound_dp_gap(dp, options),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)AdversarialGapFinder(topo, paths).bound_dp_gap(dp, options),
+      std::invalid_argument);
 }
 
 TEST(AdversarialDp, HigherThresholdFindsLargerGap) {

@@ -16,7 +16,6 @@
 // (bnb.nodes_failed = 0) and no witness entry may be -0.0.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -29,7 +28,6 @@
 #include "core/adversarial.h"
 #include "net/topologies.h"
 #include "obs/metrics.h"
-#include "te/client_split.h"
 #include "te/demand.h"
 #include "te/gap.h"
 #include "te/max_flow.h"
@@ -254,64 +252,6 @@ TEST_F(FindGolden, PopMeanProvesOnFig1) {
     expect_same_answer(
         f.finder.find_pop_gap(pop, seeds, fixed_work(0.0, kProve, threads)), r,
         [&](const std::vector<double>& v) { return oracle.evaluate(v).gap(); });
-  }
-}
-
-TEST_F(FindGolden, PopPercentileProvesOnFig1) {
-  const Fig1 f;
-  te::PopConfig pop;
-  pop.num_partitions = 2;
-  const std::vector<std::uint64_t> seeds{1, 2, 3};
-  core::PopObjective worst;
-  worst.kind = core::PopObjective::Kind::Percentile;
-  worst.percentile = 0.0;
-  const heur::GapFindResult r =
-      f.finder.find_pop_gap(pop, seeds, fixed_work(0.0, kProve), worst);
-  expect_golden(r, {lp::SolveStatus::Optimal, 2963, 130.0, 130.0, 260.0,
-                    130.0, {116, 3, 75, 44, 229},
-                    {100.0, 50.0, 0.0, 110.0, 0.0, 0.0}});
-  const te::PopGapOracle oracle(f.topo, f.paths, pop, seeds);
-  for (const int threads : kRerunThreads) {
-    expect_same_answer(
-        f.finder.find_pop_gap(pop, seeds, fixed_work(0.0, kProve, threads),
-                              worst),
-        r, [&](const std::vector<double>& v) {
-          const std::vector<double> per = oracle.per_instance_heur(v);
-          return oracle.evaluate(v).opt -
-                 *std::min_element(per.begin(), per.end());
-        });
-  }
-}
-
-TEST_F(FindGolden, PopClientSplitProvesOnFig1) {
-  const Fig1 f;
-  te::PopConfig pop;
-  pop.num_partitions = 2;
-  te::ClientSplitConfig cs;
-  cs.split_threshold = 100.0;
-  cs.max_splits = 1;
-  const std::vector<std::uint64_t> seeds{3, 4};
-  const heur::GapFindResult r =
-      f.finder.find_pop_cs_gap(pop, cs, seeds, fixed_work(0.0, kProve));
-  expect_golden(r, {lp::SolveStatus::Optimal, 2838, 119.99900000000002,
-                    119.99900000000002, 249.99900000000002, 130.0,
-                    {205, 12, 127, 81, 386},
-                    {99.999000000000024, 60.000999999999976, 0.0,
-                     99.999000000000024, 0.0, 0.0}});
-  for (const int threads : kRerunThreads) {
-    expect_same_answer(
-        f.finder.find_pop_cs_gap(pop, cs, seeds,
-                                 fixed_work(0.0, kProve, threads)),
-        r, [&](const std::vector<double>& v) {
-          double mean = 0.0;
-          for (const std::uint64_t seed : seeds) {
-            te::PopConfig c = pop;
-            c.seed = seed;
-            mean += te::solve_pop_cs(f.topo, f.paths, v, c, cs).total_flow /
-                    static_cast<double>(seeds.size());
-          }
-          return te::solve_max_flow(f.topo, f.paths, v).total_flow - mean;
-        });
   }
 }
 

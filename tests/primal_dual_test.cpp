@@ -1,7 +1,7 @@
 // Tests for the §5 primal-dual rewrite and the gap-bounding API.
 #include <gtest/gtest.h>
 
-#include "core/gap_bound.h"
+#include "core/adversarial.h"
 #include "kkt/primal_dual.h"
 #include "lp/simplex.h"
 #include "mip/branch_and_bound.h"
@@ -144,9 +144,8 @@ TEST(GapBound, PopBoundDominatesFoundGap) {
   AdversarialOptions bound_options;
   bound_options.mip.time_limit_seconds = 60.0;
   bound_options.pair_mask = mask;
-  const GapBounder bounder(topo, paths);
-  const GapBoundResult bound = bounder.bound_pop_gap(pop, seeds,
-                                                     bound_options);
+  const heur::GapBoundResult bound =
+      finder.bound_pop_gap(pop, seeds, bound_options);
   // Sanitizer builds run the solver an order of magnitude slower, so the
   // time-limited bounding solve may stop before finding an incumbent.
   // best_bound (and hence upper_bound) is proven regardless — it starts
@@ -174,8 +173,8 @@ TEST(GapBound, DpBoundDominatesFig1WorstCase) {
   AdversarialOptions options;
   options.demand_ub = 200.0;
   options.mip.time_limit_seconds = 30.0;
-  const GapBounder bounder(topo, paths);
-  const GapBoundResult bound = bounder.bound_dp_gap(dp, options);
+  const heur::GapBoundResult bound =
+      AdversarialGapFinder(topo, paths).bound_dp_gap(dp, options);
   ASSERT_TRUE(bound.status == lp::SolveStatus::Optimal ||
               bound.status == lp::SolveStatus::Feasible ||
               bound.status == lp::SolveStatus::TimeLimit);

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "core/gap_bound.h"
 #include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "explain/cluster.h"
@@ -77,7 +76,8 @@ constexpr Flag kGlobalFlags[] = {
 
 constexpr Flag kInstanceFlags[] = {
     {"heuristic", String, "", "registry name (or positional)"},
-    {"topology", String, "b4", "b4|abilene|swan|fig1|file.topo"},
+    {"topology", String, "b4",
+     "b4|abilene|swan|fig1|circulant:n:k|file.topo"},
     {"paths", Integer, "2", "paths per pair"},
     {"threshold", Number, "50", "DP pinning threshold"},
     {"partitions", Integer, "2", "POP partitions"},
@@ -126,7 +126,8 @@ constexpr Flag kMergeFlags[] = {
 };
 
 constexpr Flag kTopoFlags[] = {
-    {"topology", String, "b4", "b4|abilene|swan|fig1|file.topo"},
+    {"topology", String, "b4",
+     "b4|abilene|swan|fig1|circulant:n:k|file.topo"},
 };
 
 struct Command;
@@ -270,30 +271,11 @@ int cmd_find(const Cli& cli) {
 int cmd_bound(const Cli& cli) {
   const std::unique_ptr<heur::HeuristicInstance> instance =
       heur::make_instance(instance_config(cli, 0));
-  const auto* te = dynamic_cast<const domains::TeInstanceBase*>(instance.get());
-  if (te == nullptr) {
-    throw std::invalid_argument("bound supports the TE heuristics dp and pop, "
-                                "not '" + instance->name() + "'");
-  }
-  core::GapBounder bounder(te->topology(), te->paths());
-  core::AdversarialOptions options;
-  options.mip.time_limit_seconds = cli.number("budget");
-  options.mip.threads = cli.integer("mip-threads");
-  options.mip.certify = cli.on("certify") || lp::kCertifyByDefault;
-  options.mip.lp.certify = options.mip.certify;
-  options.demand_ub = te->leader_ub();
-  options.pair_mask = te->pair_mask();
-
-  core::GapBoundResult result;
-  if (const auto* pop = dynamic_cast<const domains::TePopInstance*>(te)) {
-    te::PopConfig config;
-    config.num_partitions = cli.integer("partitions");
-    result = bounder.bound_pop_gap(config, pop->seeds(), options);
-  } else {
-    te::DpConfig config;
-    config.threshold = cli.number("threshold");
-    result = bounder.bound_dp_gap(config, options);
-  }
+  heur::FindOptions options;
+  options.budget_seconds = cli.number("budget");
+  options.mip_threads = cli.integer("mip-threads");
+  options.certify = cli.on("certify") || lp::kCertifyByDefault;
+  const heur::GapBoundResult result = instance->bound_gap(options);
   std::printf("status:       %s\n", lp::to_string(result.status));
   std::printf("upper bound:  %.3f (%.2f%% of total capacity)\n",
               result.upper_bound, 100.0 * result.normalized_upper_bound);
