@@ -150,15 +150,16 @@ heur::GapFindResult find_ffd_gap(const BinPackConfig& config,
   // So the reported answer is the argmax of the exact gap (simulated
   // first-fit + assignment-MIP OPT) over the B&B incumbent AND the seed
   // trials; the surrogate decides nothing beyond the B&B's own pruning.
-  shot.rescore = [config, certify = options.certify](
+  core::SingleShotBudget budget;
+  budget.mip = core::find_mip_options(options);
+  budget.seed_search_seconds = options.seed_search_seconds;
+  shot.rescore = [config, certify = budget.mip.certify](
                      const std::vector<std::vector<double>>& candidates,
                      heur::GapFindResult& result) {
     result.certified = false;
     mip::MipOptions opt_mip = default_opt_mip();
-    if (certify) {
-      opt_mip.certify = true;
-      opt_mip.lp.certify = true;
-    }
+    opt_mip.certify = certify;
+    opt_mip.lp.certify = certify;
     bool have_exact = false;
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       if (std::find(candidates.begin(), candidates.begin() + c,
@@ -187,14 +188,6 @@ heur::GapFindResult find_ffd_gap(const BinPackConfig& config,
     }
   };
 
-  core::SingleShotBudget budget;
-  budget.mip.threads = options.mip_threads;
-  if (options.certify) {
-    budget.mip.certify = true;
-    budget.mip.lp.certify = true;
-  }
-  budget.mip.time_limit_seconds = options.budget_seconds;
-  budget.seed_search_seconds = options.seed_search_seconds;
   return core::solve_single_shot(model, shot, budget, watch);
 }
 

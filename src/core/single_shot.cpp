@@ -147,6 +147,15 @@ class Pipeline {
 
 }  // namespace
 
+mip::MipOptions find_mip_options(const heur::FindOptions& options) {
+  mip::MipOptions mip;
+  mip.time_limit_seconds = options.budget_seconds;
+  mip.threads = options.mip_threads;
+  mip.certify = options.certify || lp::kCertifyByDefault;
+  mip.lp.certify = mip.certify;
+  return mip;
+}
+
 double nearest_level(double v, const std::vector<double>& levels) {
   double pick = levels.front();
   for (const double l : levels) {

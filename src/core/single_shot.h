@@ -112,6 +112,11 @@ struct SingleShotBudget {
   bool use_primal_heuristic = true;
 };
 
+/// The B&B options of a find: its budget and threads, and certification
+/// when asked for or when the build certifies by default (Debug and the
+/// sanitizer presets), so those builds check every solve.
+mip::MipOptions find_mip_options(const heur::FindOptions& options);
+
 /// The level nearest to `v`; ties go to the earlier level.
 double nearest_level(double v, const std::vector<double>& levels);
 

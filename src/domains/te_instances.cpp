@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "core/single_shot.h"
 #include "net/topologies.h"
 #include "net/topology_io.h"
 #include "te/demand_pinning.h"
@@ -71,10 +72,7 @@ core::AdversarialOptions TeInstanceBase::adversarial_options(
   core::AdversarialOptions adv;
   adv.demand_ub = demand_ub_;
   adv.pair_mask = mask_;
-  adv.mip.time_limit_seconds = options.budget_seconds;
-  adv.mip.certify = options.certify;
-  adv.mip.lp.certify = options.certify;
-  adv.mip.threads = options.mip_threads;
+  adv.mip = core::find_mip_options(options);
   adv.seed_search_seconds = options.seed_search_seconds;
   return adv;
 }

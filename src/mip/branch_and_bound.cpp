@@ -252,7 +252,7 @@ void TreeSearch::request_stop(SolveStatus reason) {
     stopped_early_ = true;
     // Under the mutex before notifying: a worker that just evaluated the
     // wait predicate cannot miss this (same lost-wakeup discipline as
-    // runner::Scheduler::submit).
+    // runner::Scheduler::fork_join).
     stop_.store(true, std::memory_order_release);
   }
   work_cv_.notify_all();

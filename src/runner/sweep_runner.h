@@ -3,7 +3,7 @@
 // Jobs are independent single-shot MetaOpt solves — embarrassingly
 // parallel (the POP insight of Narayanan et al., SOSP '21, applied to
 // our own harness) — so SweepRunner runs them on `threads` lanes of the
-// shared work-stealing scheduler (Scheduler::fork_join), each lane
+// shared process-wide pool (one Scheduler::fork_join), each lane
 // taking the next job in submission order, with per-job fault
 // isolation: a job that throws is recorded as `failed` (with the
 // exception message), a job whose solver gave up without an incumbent

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -53,7 +54,8 @@ std::optional<double> parse_double(const std::string& s) {
   }
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (*end != '\0') return std::nullopt;
+  // strtod takes "nan" and "inf", and overflows to inf.
+  if (*end != '\0' || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

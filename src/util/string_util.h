@@ -25,8 +25,9 @@ std::vector<std::string> split(const std::string& s, char delim);
 /// Strict whole-token parses, shared by the sweep grammar and the CLI
 /// flag tables: the entire string must be the number, so "", "2abc" and
 /// " 5" fail instead of yielding a prefix or a silent 0.
-/// parse_double takes strtod syntax; parse_uint takes decimal digits
-/// only (no sign) over the full 64-bit range.
+/// parse_double takes strtod syntax for a finite value (no nan, no
+/// inf, no overflow); parse_uint takes decimal digits only (no sign)
+/// over the full 64-bit range.
 std::optional<double> parse_double(const std::string& s);
 std::optional<std::uint64_t> parse_uint(const std::string& s);
 

@@ -5,6 +5,7 @@
 
 #include "core/adversarial.h"
 #include "core/input_constraints.h"
+#include "core/single_shot.h"
 #include "search/search.h"
 #include "lp/simplex.h"
 #include "net/topologies.h"
@@ -18,11 +19,31 @@ namespace {
 using net::Topology;
 namespace topologies = net::topologies;
 
-AdversarialOptions quick_options(double seconds, double seed_seconds = 0.5) {
+// A work budget: the B&B stops after `nodes` nodes and the wall-clock
+// seeding pass is off, so the answer does not depend on machine speed.
+// The seconds are only a safety cap.
+AdversarialOptions work_options(long nodes) {
   AdversarialOptions o;
-  o.mip.time_limit_seconds = seconds;
-  o.seed_search_seconds = seed_seconds;
+  o.mip.max_nodes = nodes;
+  o.mip.time_limit_seconds = 120.0;
+  o.seed_search_seconds = 0.0;
   return o;
+}
+
+TEST(FindMipOptions, CarryBudgetThreadsAndCertification) {
+  heur::FindOptions find;
+  find.budget_seconds = 7.5;
+  find.mip_threads = 3;
+  mip::MipOptions mip = find_mip_options(find);
+  EXPECT_EQ(mip.time_limit_seconds, 7.5);
+  EXPECT_EQ(mip.threads, 3);
+  // Not asked for: the build's default, on in Debug and off in Release.
+  EXPECT_EQ(mip.certify, lp::kCertifyByDefault);
+  EXPECT_EQ(mip.lp.certify, lp::kCertifyByDefault);
+  find.certify = true;
+  mip = find_mip_options(find);
+  EXPECT_TRUE(mip.certify);
+  EXPECT_TRUE(mip.lp.certify);
 }
 
 TEST(AdversarialDp, ProvablyOptimalOnFig1) {
@@ -33,7 +54,7 @@ TEST(AdversarialDp, ProvablyOptimalOnFig1) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  AdversarialOptions options = quick_options(30.0);
+  AdversarialOptions options = work_options(20000);
   options.demand_ub = 200.0;
   const AdversarialResult r = finder.find_dp_gap(dp, options);
   ASSERT_EQ(r.status, lp::SolveStatus::Optimal);
@@ -53,7 +74,7 @@ TEST(AdversarialDp, GapMatchesDirectOracleOnRing) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  const AdversarialResult r = finder.find_dp_gap(dp, quick_options(10.0));
+  const AdversarialResult r = finder.find_dp_gap(dp, work_options(200));
   ASSERT_TRUE(r.status == lp::SolveStatus::Optimal ||
               r.status == lp::SolveStatus::Feasible ||
               r.status == lp::SolveStatus::TimeLimit);
@@ -68,12 +89,20 @@ TEST(AdversarialDp, WhiteBoxBeatsShortRandomSearch) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  AdversarialOptions options = quick_options(8.0, 2.0);
+  // The white box keeps its wall-clock seeding pass: B&B alone stays at
+  // a gap of 100 here for thousands of nodes, and the seeded climb is
+  // what finds the large gap.
+  AdversarialOptions options;
+  options.mip.time_limit_seconds = 8.0;
+  options.seed_search_seconds = 2.0;
   const AdversarialResult white = finder.find_dp_gap(dp, options);
 
+  // The black box gets at least the evaluations random search made in
+  // 8 s on a 4-vCPU Release build (9,020); the seconds are a safety cap.
   te::DpGapOracle oracle(topo, paths, dp);
   search::SearchOptions so;
-  so.time_limit_seconds = 8.0;
+  so.max_evaluations = 10000;
+  so.time_limit_seconds = 30.0;
   so.demand_ub = 1000.0;
   const search::SearchResult black = search::random_search(oracle, so);
   EXPECT_GT(white.gap, black.best.gap());
@@ -85,7 +114,7 @@ TEST(AdversarialDp, PairMaskRestrictsSupport) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  AdversarialOptions options = quick_options(5.0, 1.0);
+  AdversarialOptions options = work_options(200);
   options.pair_mask.assign(paths.num_pairs(), false);
   for (int k = 0; k < 10; ++k) options.pair_mask[k * 11] = true;
   const AdversarialResult r = finder.find_dp_gap(dp, options);
@@ -105,7 +134,7 @@ TEST(AdversarialDp, ShortPairMaskRejected) {
   const Topology topo = topologies::abilene();
   const te::PathSet paths(topo, te::all_pairs(topo), 2);
   te::DpConfig dp;
-  AdversarialOptions options = quick_options(1.0, 0.0);
+  AdversarialOptions options = work_options(1);
   options.pair_mask.assign(paths.num_pairs() / 2, true);
   EXPECT_THROW(
       (void)AdversarialGapFinder(topo, paths).find_dp_gap(dp, options),
@@ -116,8 +145,8 @@ TEST(AdversarialDp, ShortPairMaskRejected) {
 }
 
 TEST(AdversarialDp, HigherThresholdFindsLargerGap) {
-  // Fig. 4a's qualitative claim on a small ring (kept provable so the
-  // trend is about thresholds, not solver budgets).
+  // Fig. 4a's qualitative claim on a small ring, at one node budget for
+  // every threshold, so the trend is about thresholds, not solver time.
   const Topology topo = topologies::circulant(6, 1);
   const te::PathSet paths(topo, te::all_pairs(topo), 2);
   AdversarialGapFinder finder(topo, paths);
@@ -125,7 +154,7 @@ TEST(AdversarialDp, HigherThresholdFindsLargerGap) {
   for (double threshold : {25.0, 50.0, 100.0}) {
     te::DpConfig dp;
     dp.threshold = threshold;
-    const AdversarialResult r = finder.find_dp_gap(dp, quick_options(6.0));
+    const AdversarialResult r = finder.find_dp_gap(dp, work_options(4000));
     EXPECT_GE(r.gap, prev - 1e-6) << "threshold " << threshold;
     prev = r.gap;
   }
@@ -137,7 +166,7 @@ TEST(AdversarialPop, FindsPositiveExpectedGap) {
   AdversarialGapFinder finder(topo, paths);
   te::PopConfig pop;
   pop.num_partitions = 2;
-  AdversarialOptions options = quick_options(10.0, 2.0);
+  AdversarialOptions options = work_options(50);
   const AdversarialResult r = finder.find_pop_gap(pop, {1, 2, 3}, options);
   ASSERT_TRUE(r.status == lp::SolveStatus::Optimal ||
               r.status == lp::SolveStatus::Feasible ||
@@ -156,7 +185,7 @@ TEST(AdversarialPop, KktEncodingMatchesDirectAtScale) {
   AdversarialGapFinder finder(topo, paths);
   te::PopConfig pop;
   pop.num_partitions = 2;
-  AdversarialOptions options = quick_options(8.0, 1.0);
+  AdversarialOptions options = work_options(50);
   const AdversarialResult r = finder.find_pop_gap(pop, {5}, options);
   te::PopGapOracle oracle(topo, paths, pop, {5});
   const heur::GapResult check = oracle.evaluate(r.volumes);
@@ -222,7 +251,7 @@ TEST(InputConstraintsTest, GoalpostRestrictsSolution) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  AdversarialOptions options = quick_options(20.0);
+  AdversarialOptions options = work_options(20000);
   options.demand_ub = 200.0;
   // Goalpost: all demands within 10 units of 20 -- the Fig. 1 worst case
   // (100, 50, 110) is excluded, so the best gap shrinks drastically.
@@ -247,7 +276,7 @@ TEST(InputConstraintsTest, PartialGoalpostLeavesOthersFree) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  AdversarialOptions options = quick_options(20.0);
+  AdversarialOptions options = work_options(20000);
   options.demand_ub = 200.0;
   // Pin only the (0,2) demand near the threshold; other pairs free.
   Goalpost gp;
@@ -272,7 +301,7 @@ TEST(InputConstraintsTest, MeanBandHolds) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  AdversarialOptions options = quick_options(6.0, 1.0);
+  AdversarialOptions options = work_options(200);
   options.constraints.mean_band = 25.0;
   const AdversarialResult r = finder.find_dp_gap(dp, options);
   if (!r.volumes.empty()) {
@@ -299,7 +328,7 @@ TEST(InputConstraintsTest, ExclusionForcesDifferentInput) {
   AdversarialGapFinder finder(topo, paths);
   te::DpConfig dp;
   dp.threshold = 50.0;
-  AdversarialOptions options = quick_options(20.0);
+  AdversarialOptions options = work_options(20000);
   options.demand_ub = 200.0;
   const AdversarialResult first = finder.find_dp_gap(dp, options);
   ASSERT_EQ(first.status, lp::SolveStatus::Optimal);

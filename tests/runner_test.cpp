@@ -204,6 +204,29 @@ TEST(SweepSpecTest, ParserRejectsGarbage) {
                std::invalid_argument);
 }
 
+TEST(SweepSpecTest, ParserRejectsNonFiniteNumbersNamingTheKey) {
+  // strtod takes nan, inf and overflows to inf; the spec grammar must
+  // refuse all three, and say which key was bad.
+  for (const char* token :
+       {"budget=nan", "budget=inf", "budget=-inf", "budget=1e999",
+        "seed-fraction=nan", "threshold=inf", "threshold=25,nan",
+        "demand-ub=NAN", "certify=nan", "deterministic=inf"}) {
+    const std::string key = std::string(token).substr(
+        0, std::string(token).find('='));
+    try {
+      parse_sweep_spec({token});
+      ADD_FAILURE() << "expected std::invalid_argument for " << token;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A finite negative budget parses, and expansion refuses it.
+  EXPECT_THROW(expand_spec(parse_sweep_spec({"budget=-1"})),
+               std::invalid_argument);
+}
+
 TEST(SweepSpecTest, BaseSeedKeepsFull64BitPrecision) {
   // Above 2^53 a double round-trip would silently round; the parser must
   // take the integer path so reproducibility-from-spec holds.
@@ -337,6 +360,8 @@ TEST(SweepRunnerTest, ThreadsBoundJobsInFlightOnAWiderPool) {
 TEST(SweepRunnerTest, FailedCheckpointWriteIsRethrown) {
   const std::vector<JobSpec> jobs = expand_spec(small_spec());
   const std::string dir = ::testing::TempDir() + "metaopt_ckpt_vanishes";
+  const std::string gone = dir + ".gone";
+  std::filesystem::remove_all(gone);
   SweepOptions options;
   options.threads = 2;
   options.log_progress = false;
@@ -347,13 +372,16 @@ TEST(SweepRunnerTest, FailedCheckpointWriteIsRethrown) {
           jobs,
           [&](const JobSpec& job) {
             executed.fetch_add(1);
-            if (job.id == 0) std::filesystem::remove_all(dir);
+            // One atomic rename: remove_all could race the other lane's
+            // append, which recreates the file and makes the rmdir fail.
+            if (job.id == 0) std::filesystem::rename(dir, gone);
             return fake_solve(job);
           }),
       std::runtime_error);
   // The lanes stop taking jobs once the write failed.
   EXPECT_LT(executed.load(), static_cast<int>(jobs.size()));
   std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(gone);
 }
 
 // A throwing progress callback stops the campaign the same way.

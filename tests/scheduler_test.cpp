@@ -1,6 +1,7 @@
-// The process-wide work-stealing scheduler: the lost-wakeup regression,
-// submit/join basics, the inline-join deadlock-freedom rule, fork_join
-// (every index once at any width, repeatable, nestable), monotone pool
+// The process-wide thread pool, through its one primitive fork_join:
+// the lost-wakeup regression, the inline-run deadlock-freedom rule,
+// every index once at any width (body(0) on the caller), repeatable,
+// nestable and shared by concurrent callers, monotone clamped pool
 // growth bounded by the max component request, and the end-to-end
 // oversubscription contract — a nested multi-threaded B&B inside a
 // sweep job, even one moved onto a raw helper thread, never multiplies
@@ -10,11 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
+#include <climits>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "mip/branch_and_bound.h"
@@ -25,85 +25,72 @@
 #include "util/rng.h"
 
 namespace metaopt::runner {
-
-// The scheduler keeps submit()/join() private so that product code has
-// one entry point, fork_join(); these tests pin the primitives under it.
-class SchedulerTestPeer {
- public:
-  static TaskHandle submit(std::function<void()> fn) {
-    return Scheduler::global().submit(std::move(fn));
-  }
-  static void join(const TaskHandle& task) { Scheduler::global().join(task); }
-};
-
 namespace {
 
-using Peer = SchedulerTestPeer;
-
-TEST(SchedulerTest, SingleSubmitNeverLosesTheWakeup) {
-  // Regression: submit() must publish queued_ under wake_mutex_ before
-  // notifying. Without that, the increment+notify can land in the window
-  // between a sleeping worker's predicate check and its block, the
-  // notification is lost, and the task is stranded. The caller waits on
-  // a flag, never join() (which would run the task inline and hide the
-  // bug), so a lost wakeup hangs the test. First in the file, so a lone
-  // run has a one-worker pool: one task at a time on it maximizes the
-  // chance of hitting that window.
+TEST(SchedulerTest, ForkJoinNeverLosesTheWakeup) {
+  // Regression: a group must be queued under the mutex the workers'
+  // wait predicate reads before they are notified. Otherwise the
+  // notify can land between a sleeping worker's predicate check and its
+  // block, and the index is stranded. body(0) waits on a flag only
+  // body(1) sets, so the caller cannot run index 1 itself (which would
+  // hide the bug) and a lost wakeup hangs the test. First in the file,
+  // so a lone run has a one-worker pool: one index at a time on it
+  // maximizes the chance of hitting that window.
   Scheduler& sched = Scheduler::global();
   sched.ensure_threads(1);
-  for (int i = 0; i < 2000; ++i) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 2000; ++round) {
     std::atomic<bool> done{false};
-    const TaskHandle task = Peer::submit([&done] {
+    std::thread::id ran_on;
+    sched.fork_join(2, [&](int i) {
+      if (i == 0) {
+        done.wait(false);
+        return;
+      }
+      ran_on = std::this_thread::get_id();
       done.store(true);
       done.notify_one();
     });
-    done.wait(false);
-    Peer::join(task);  // already done: returns without running it
+    ASSERT_NE(ran_on, caller) << "round " << round;
   }
 }
 
-TEST(SchedulerTest, SubmitAndJoinRunsEveryTask) {
+TEST(SchedulerTest, UnclaimedIndexRunsInlineOnTheCaller) {
+  // The deadlock-freedom rule: an index no worker has claimed runs on
+  // the fork_join caller. Block every worker inside an outer fork_join,
+  // then fork from the outer caller: the inner index 1 must run here.
   Scheduler& sched = Scheduler::global();
   sched.ensure_threads(2);
-  std::atomic<int> count{0};
-  std::vector<TaskHandle> handles;
-  for (int i = 0; i < 500; ++i) {
-    handles.push_back(Peer::submit([&count] { count.fetch_add(1); }));
-  }
-  for (const TaskHandle& h : handles) Peer::join(h);
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(SchedulerTest, JoinRunsUnclaimedTaskInline) {
-  // The deadlock-freedom rule: joining a task no worker has claimed yet
-  // runs it on the joining thread. Saturate the pool with slow tasks so
-  // the joined task is still pending, then verify it ran on this thread.
-  Scheduler& sched = Scheduler::global();
-  sched.ensure_threads(2);
+  const int workers = sched.num_threads();
+  std::atomic<int> blocked{0};
   std::atomic<bool> release{false};
-  std::vector<TaskHandle> blockers;
-  for (int i = 0; i < sched.num_threads(); ++i) {
-    blockers.push_back(Peer::submit([&release] {
-      while (!release.load()) std::this_thread::yield();
-    }));
-  }
   std::thread::id ran_on;
-  const TaskHandle task =
-      Peer::submit([&ran_on] { ran_on = std::this_thread::get_id(); });
-  Peer::join(task);  // must not block behind the saturated pool
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-  release.store(true);
-  for (const TaskHandle& h : blockers) Peer::join(h);
+  sched.fork_join(workers + 1, [&](int i) {
+    if (i > 0) {
+      blocked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      return;
+    }
+    while (blocked.load() < workers) std::this_thread::yield();
+    sched.fork_join(2, [&ran_on](int j) {
+      if (j == 1) ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    release.store(true);
+  });
 }
 
 TEST(SchedulerTest, ForkJoinRunsEveryIndexOnce) {
   for (const int width : {1, 2, 8}) {
     SCOPED_TRACE("width " + std::to_string(width));
     std::vector<std::atomic<int>> runs(static_cast<std::size_t>(width));
-    Scheduler::global().fork_join(width, [&runs](int i) {
+    std::thread::id first;
+    Scheduler::global().fork_join(width, [&runs, &first](int i) {
+      if (i == 0) first = std::this_thread::get_id();
       runs[static_cast<std::size_t>(i)].fetch_add(1);
     });
     for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1);
+    EXPECT_EQ(first, std::this_thread::get_id());
     // The caller is one runner; the pool supplies the other width - 1.
     EXPECT_GE(Scheduler::global().num_threads(), std::max(1, width - 1));
   }
@@ -119,14 +106,30 @@ TEST(SchedulerTest, ForkJoinIsRepeatable) {
 
 TEST(SchedulerTest, NestedForkJoinCompletes) {
   // Each outer body forks its own inner group and joins it from inside
-  // a scheduler task (or the caller): inner tasks land on the running
-  // worker's own deque and are claimed inline if nobody steals them.
+  // a pool worker (or the caller): inner indices no idle worker takes
+  // run inline on the inner group's caller.
   std::atomic<int> count{0};
   Scheduler::global().fork_join(3, [&count](int) {
     Scheduler::global().fork_join(5, [&count](int) { count.fetch_add(1); });
     count.fetch_add(1);
   });
   EXPECT_EQ(count.load(), 3 * 6);
+}
+
+TEST(SchedulerTest, ConcurrentCallersShareTheQueue) {
+  // Several raw threads fork at once, so several groups are open in the
+  // queue together; every index of every group still runs exactly once.
+  std::atomic<int> count{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&count] {
+      for (int round = 0; round < 50; ++round) {
+        Scheduler::global().fork_join(3, [&count](int) { count.fetch_add(1); });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(count.load(), 4 * 50 * 3);
 }
 
 TEST(SchedulerTest, ForkJoinJoinsTheForksBeforeRethrowing) {
@@ -150,7 +153,16 @@ TEST(SchedulerTest, EnsureThreadsOnlyGrows) {
   sched.ensure_threads(1);  // a smaller request never shrinks the pool
   EXPECT_EQ(sched.num_threads(), width);
   sched.ensure_threads(0);  // nonsense requests are clamped, not fatal
+  sched.ensure_threads(INT_MIN);
   EXPECT_EQ(sched.num_threads(), width);
+  // A width of at most 1 runs body(0) on the caller and grows nothing.
+  for (const int w : {1, 0, INT_MIN}) {
+    int runs = 0;
+    sched.fork_join(w, [&runs](int i) { runs += i == 0 ? 1 : 100; });
+    EXPECT_EQ(runs, 1) << "width " << w;
+  }
+  EXPECT_EQ(sched.num_threads(), width);
+  EXPECT_LE(width, Scheduler::kMaxWorkers);
 }
 
 // A sweep job that moves its solver call onto a raw helper thread must

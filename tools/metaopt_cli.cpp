@@ -53,8 +53,9 @@ namespace {
 
 // ---- flag tables ----
 
-/// Integer takes a count >= 0; Positive a count >= 1 (thread counts).
-enum class Kind { Switch, Number, Integer, Positive, String };
+/// Number takes a finite real; Seconds a finite real > 0 (budgets);
+/// Integer a count >= 0; Positive a count >= 1 (thread counts).
+enum class Kind { Switch, Number, Seconds, Integer, Positive, String };
 using enum Kind;
 
 struct Flag {
@@ -91,7 +92,7 @@ constexpr Flag kInstanceFlags[] = {
 };
 
 constexpr Flag kRunFlags[] = {
-    {"budget", Number, "30", "wall budget, seconds"},
+    {"budget", Seconds, "30", "wall budget, seconds"},
     {"csv", String, "", "append a result row to this file"},
 };
 
@@ -106,7 +107,7 @@ constexpr Flag kExplainFlags[] = {
     {"job", Integer, "", "campaign job (default: worst region's)"},
     {"strategy", String, "greedy", "core minimizer: greedy|ddmin"},
     {"min-gap", Number, "-1", "core keeps >= P% gap; -1 = 95% of own"},
-    {"probe-budget", Number, "10", "seconds per embedded OPT solve"},
+    {"probe-budget", Seconds, "10", "seconds per embedded OPT solve"},
     {"bench-out", String, "", "also write a BENCH json report"},
 };
 
@@ -274,7 +275,7 @@ int cmd_bound(const Cli& cli) {
   heur::FindOptions options;
   options.budget_seconds = cli.number("budget");
   options.mip_threads = cli.integer("mip-threads");
-  options.certify = cli.on("certify") || lp::kCertifyByDefault;
+  options.certify = cli.on("certify");
   const heur::GapBoundResult result = instance->bound_gap(options);
   std::printf("status:       %s\n", lp::to_string(result.status));
   std::printf("upper bound:  %.3f (%.2f%% of total capacity)\n",
@@ -570,6 +571,9 @@ const std::vector<Command> kCommands = {
 const char* value_problem(Kind kind, const std::string& value) {
   switch (kind) {
     case Number: return util::parse_double(value) ? nullptr : "a number";
+    case Seconds:
+      return util::parse_double(value).value_or(0.0) > 0.0 ? nullptr
+                                                            : "seconds > 0";
     case Integer: return util::parse_uint(value) ? nullptr : "a count >= 0";
     case Positive:
       return util::parse_uint(value).value_or(0) > 0 ? nullptr
@@ -632,8 +636,8 @@ Cli parse_cli(int argc, char** argv) {
 }
 
 void print_flags(FlagTable table) {
-  static const char* const kValue[] = {"", " <number>", " <int>", " <int>",
-                                       " <text>"};
+  static const char* const kValue[] = {"",       " <number>", " <seconds>",
+                                       " <int>", " <int>",    " <text>"};
   for (const Flag& flag : table) {
     const std::string left =
         std::string("--") + flag.name + kValue[static_cast<int>(flag.kind)];
