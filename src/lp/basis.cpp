@@ -53,6 +53,7 @@ bool BasisFactor::factorize(const BoundedForm& form,
 
   if (!factorize_lu(form, basic)) return false;
   m_ = m;
+  if (m >= kHyperMinRows) build_transposed();
   h_fillin_ratio.observe(
       static_cast<std::uint64_t>(std::llround(fillin_ratio() * 100.0)));
   h_factorize_ns.observe(watch.elapsed_ns());
@@ -249,6 +250,34 @@ bool BasisFactor::factorize_lu(const BoundedForm& form,
   return true;
 }
 
+void BasisFactor::build_transposed() {
+  step_of_pos_.resize(m_);
+  for (int k = 0; k < m_; ++k) step_of_pos_[col_of_step_[k]] = k;
+  // Counting transposes; walking the steps in ascending order lists each
+  // step's referrers in ascending order. reach_ is free scratch here.
+  const auto transpose = [&](const std::vector<int>& col_start,
+                             const std::vector<SparseEntry>& entries,
+                             const auto& target, std::vector<int>& start,
+                             std::vector<int>& step) {
+    start.assign(m_ + 1, 0);
+    for (const SparseEntry& e : entries) ++start[target(e) + 1];
+    for (int t = 0; t < m_; ++t) start[t + 1] += start[t];
+    step.resize(entries.size());
+    reach_.assign(start.begin(), start.end() - 1);
+    for (int k = 0; k < m_; ++k) {
+      for (int e = col_start[k]; e < col_start[k + 1]; ++e) {
+        step[reach_[target(entries[e])]++] = k;
+      }
+    }
+  };
+  transpose(ustart_, ucol_, [](const SparseEntry& e) { return e.idx; },
+            ut_start_, ut_step_);
+  transpose(lstart_, lcol_,
+            [this](const SparseEntry& e) { return rowpos_[e.idx]; }, lt_start_,
+            lt_step_);
+  reach_.clear();
+}
+
 void BasisFactor::ftran(std::vector<double>& x) const {
   if (m_ == 0) return;
   // Forward: L y = P x, in original row space.
@@ -422,6 +451,109 @@ void BasisFactor::btran(std::vector<double>& x) const {
     }
     x[pivrow_[k]] = acc;
   }
+}
+
+bool BasisFactor::btran_reach(const std::vector<int>& start,
+                              const std::vector<int>& step, int limit) const {
+  for (const int t : hreach_) hmark_[t] = 1;
+  for (std::size_t i = 0;
+       i < hreach_.size() && static_cast<int>(hreach_.size()) <= limit; ++i) {
+    const int t = hreach_[i];
+    for (int e = start[t]; e < start[t + 1]; ++e) {
+      const int k = step[e];
+      if (hmark_[k] == 0) {
+        hmark_[k] = 1;
+        hreach_.push_back(k);
+      }
+    }
+  }
+  for (const int t : hreach_) hmark_[t] = 0;
+  if (static_cast<int>(hreach_.size()) > limit) return false;
+  std::sort(hreach_.begin(), hreach_.end());
+  return true;
+}
+
+bool BasisFactor::btran_unit(int r, std::vector<double>& x,
+                             std::vector<int>& nz) const {
+  const auto observe = [&](int nnz) {
+    btran_density_ += kHyperDensityWeight *
+                      (static_cast<double>(nnz) / m_ - btran_density_);
+  };
+  const auto dense = [&] {
+    x[r] = 1.0;
+    btran(x);
+    observe(static_cast<int>(
+        std::count_if(x.begin(), x.begin() + m_,
+                      [](double v) { return v != 0.0; })));
+    return false;
+  };
+  if (m_ < kHyperMinRows || btran_density_ > kHyperMaxDensity) return dense();
+  const int limit = static_cast<int>(kHyperMaxDensity * m_);
+  if (hmark_.size() != static_cast<std::size_t>(m_)) hmark_.assign(m_, 0);
+  if (bwork_.size() != static_cast<std::size_t>(m_)) bwork_.assign(m_, 0.0);
+
+  // The eta pass exactly as in btran; it writes only r and the replaced
+  // positions, which bpos_ lists.
+  x[r] = 1.0;
+  bpos_.assign(1, r);
+  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+    double acc = x[it->r];
+    for (const SparseEntry& e : it->terms) acc -= e.val * x[e.idx];
+    x[it->r] = acc / it->pivot;
+    bpos_.push_back(it->r);
+  }
+  // Position space -> step space; x is +0.0 everywhere afterwards.
+  hreach_.clear();
+  for (const int p : bpos_) {
+    if (x[p] != 0.0) {
+      const int k = step_of_pos_[p];
+      if (bwork_[k] == 0.0) hreach_.push_back(k);
+      bwork_[k] = x[p];
+    }
+    x[p] = 0.0;
+  }
+  const auto fall_back = [&](const std::vector<int>& written) {
+    for (const int k : written) bwork_[k] = 0.0;
+    return dense();
+  };
+
+  // U' w = c' over the reach (ascending: U' is lower triangular).
+  if (!btran_reach(ut_start_, ut_step_, limit)) return fall_back(hreach_);
+  for (const int k : hreach_) {
+    double acc = bwork_[k];
+    for (int e = ustart_[k]; e < ustart_[k + 1]; ++e) {
+      acc -= ucol_[e].val * bwork_[ucol_[e].idx];
+    }
+    bwork_[k] = acc / diag_[k];
+  }
+  // L' v = w over the reach of w's nonzero steps (descending).
+  bpos_.swap(hreach_);  // bpos_ now lists the steps bwork_ holds
+  hreach_.clear();
+  for (const int k : bpos_) {
+    if (bwork_[k] != 0.0) hreach_.push_back(k);
+  }
+  if (!btran_reach(lt_start_, lt_step_, limit)) return fall_back(bpos_);
+  for (auto it = hreach_.rbegin(); it != hreach_.rend(); ++it) {
+    const int k = *it;
+    double acc = bwork_[k];
+    for (int e = lstart_[k]; e < lstart_[k + 1]; ++e) {
+      acc -= lcol_[e].val * x[lcol_[e].idx];
+    }
+    x[pivrow_[k]] = acc;
+  }
+  for (const int k : bpos_) bwork_[k] = 0.0;
+  nz.clear();
+  for (const int k : hreach_) {
+    double& v = x[pivrow_[k]];
+    if (v != 0.0) {
+      nz.push_back(pivrow_[k]);
+    } else {
+      v = 0.0;  // +0.0 off the list, so the caller's clear-through-nz holds
+    }
+  }
+  std::sort(nz.begin(), nz.end());
+  observe(static_cast<int>(nz.size()));
+  return true;
 }
 
 bool BasisFactor::update(int r, const std::vector<double>& w,

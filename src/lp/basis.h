@@ -51,6 +51,22 @@
 // both write +0.0 for every zero of the result. The dense loop runs
 // instead when m < kHyperMinRows, when recent results were dense, or
 // when the reach outgrows m * kHyperMaxDensity.
+//
+// Hypersparse btran of a unit vector: the simplex's pivot row needs
+// rho_r = B^{-T} e_r, which on these bases is about as sparse (the dual
+// pivots of the find_te node LPs average 49 nonzero rows).
+// Each factorization of a form of at least kHyperMinRows rows also
+// builds the transposed nonzero pattern of L and U (for each step, the
+// later steps whose U column, and the earlier steps whose L column,
+// reference it). btran_unit applies the eta file as the dense btran
+// does, then walks the reach of the nonzero steps through U' (ascending)
+// and L' (descending) and evaluates only the reached steps, each with
+// the dense loop's column sum in the same entry order. An unreached step
+// holds an exact zero that the dense loop would compute as a sum of
+// zero terms, so both paths return the same values (they may differ
+// only in the sign of a zero), and the result's nonzero rows come back
+// in ascending order. The same density limits as the sparse ftran pick
+// the dense loop instead.
 #pragma once
 
 #include <cstdint>
@@ -133,6 +149,14 @@ class BasisFactor {
   /// indexed by basis position, output by row.
   void btran(std::vector<double>& x) const;
 
+  /// Hypersparse btran of the unit vector e_r (basis position r): on
+  /// entry x (size m) is +0.0 everywhere. Returns true when it took the
+  /// sparse path: x then holds btran(e_r)'s values and `nz` lists its
+  /// nonzero rows in ascending order. Returns false when the dense loop
+  /// ran instead (see kHyperMaxDensity); x is btran(e_r) and `nz` is
+  /// unspecified.
+  bool btran_unit(int r, std::vector<double>& x, std::vector<int>& nz) const;
+
   /// Replaces basis position `r` by a column whose ftran image is `w`
   /// (w = B^{-1} a_q). `nz`, when given, lists w's nonzero positions in
   /// ascending order (the sparse ftran's list) and saves the O(m) scan;
@@ -166,6 +190,13 @@ class BasisFactor {
   /// the rows in `nz` reach through L and then U, ascending. Returns
   /// false (marks cleared) once the reach passes `limit` steps.
   bool ftran_reach(const std::vector<int>& nz, int limit) const;
+  /// Closure of the steps in hreach_ through a transposed pattern
+  /// (start/step arrays), sorted ascending. Returns false (marks
+  /// cleared) once it passes `limit` steps.
+  bool btran_reach(const std::vector<int>& start, const std::vector<int>& step,
+                   int limit) const;
+  /// The transposed patterns and step_of_pos_ for btran_unit.
+  void build_transposed();
 
   int m_ = 0;
   int pivots_ = 0;
@@ -214,6 +245,16 @@ class BasisFactor {
   mutable std::vector<signed char> hmark_;
   mutable std::vector<int> hreach_;
   mutable double ftran_density_ = 0.0;
+
+  // btran_unit: the basis position of each step's column, and for each
+  // step t the later steps whose U column holds t (ut_step_ from
+  // ut_start_[t]) and the earlier steps whose L column holds t's pivot
+  // row (lt_step_ from lt_start_[t]). Built at factorize() when m >=
+  // kHyperMinRows. bwork_ (step space) is zero between calls.
+  std::vector<int> step_of_pos_, ut_start_, ut_step_, lt_start_, lt_step_;
+  mutable std::vector<double> bwork_;
+  mutable std::vector<int> bpos_;  ///< positions the eta pass wrote
+  mutable double btran_density_ = 0.0;
 };
 
 }  // namespace metaopt::lp

@@ -23,12 +23,24 @@ const obs::Counter c_perturbations = obs::counter("simplex.perturbations");
 const obs::Counter c_phase1_pivots = obs::counter("simplex.phase1_pivots");
 const obs::Counter c_degenerate_pivots =
     obs::counter("simplex.degenerate_pivots");
+// Recomputations of the maintained reduced costs from y = B^{-T} c_B,
+// and those at which some maintained d_j of a nonbasic, non-fixed
+// column had strayed more than tol::kCostTol * (1 + |d_j|) from the
+// fresh value (checked while metrics are recorded).
+const obs::Counter c_cost_refreshes =
+    obs::counter("simplex.reduced_cost_refreshes");
+const obs::Counter c_cost_drift = obs::counter("simplex.reduced_cost_drift");
 
 /// Absolute window inside which two ratio-test values count as tied.
 constexpr double kRatioTieTol = 1e-12;
 
 /// Step below which a pivot counts as degenerate (stall bookkeeping).
 constexpr double kDegenerateStep = 1e-12;
+
+/// Wrong-signed reduced cost a warm start tolerates on a column it
+/// cannot flip, and that an Optimal verdict of the dual tolerates on
+/// fresh reduced costs.
+constexpr double kDualBailTol = 100.0 * tol::kCostTol;
 
 /// Columns per partial-pricing window (at least this many; larger
 /// problems scan total/8 so a window is never a vanishing fraction).
@@ -57,6 +69,7 @@ RevisedSimplex::RevisedSimplex(const BoundedForm& form)
   cl_.assign(total_, 0.0);
   cu_.assign(total_, 0.0);
   x_.assign(total_, 0.0);
+  d_.assign(total_, 0.0);
   status_.assign(total_, VarStatus::AtLower);
   pos_.assign(total_, -1);
   basic_.reserve(m_);
@@ -93,6 +106,7 @@ bool RevisedSimplex::refactorize() {
   }
   factored_basic_ = basic_;
   compute_basic_values();
+  if (dual_costs_) refresh_reduced_costs();
   return true;
 }
 
@@ -140,6 +154,105 @@ void RevisedSimplex::compute_y(const std::vector<double>& cost,
   y.resize(m_);
   for (int i = 0; i < m_; ++i) y[i] = cost[basic_[i]];
   factor_.btran(y);
+}
+
+void RevisedSimplex::refresh_reduced_costs() {
+  compute_y(cost2_, y_);
+  const bool check = d_age_ > 0 && obs::enabled();
+  bool drifted = false;
+  for (int j = 0; j < total_; ++j) {
+    if (status_[j] == VarStatus::Basic) {
+      d_[j] = 0.0;
+      continue;
+    }
+    const double d = cost2_[j] - form_.col_dot(y_, j);
+    if (check && cu_[j] - cl_[j] > 0.0 &&
+        std::abs(d_[j] - d) > tol::kCostTol * (1.0 + std::abs(d))) {
+      drifted = true;
+    }
+    d_[j] = d;
+  }
+  d_age_ = 0;
+  c_cost_refreshes.inc();
+  if (drifted) c_cost_drift.inc();
+}
+
+bool RevisedSimplex::dual_feasible() const {
+  for (int j = 0; j < total_; ++j) {
+    if (status_[j] == VarStatus::Basic || cu_[j] - cl_[j] <= 0.0) continue;
+    const double d = d_[j];
+    switch (status_[j]) {
+      case VarStatus::AtLower:
+        if (d < -kDualBailTol) return false;
+        break;
+      case VarStatus::AtUpper:
+        if (d > kDualBailTol) return false;
+        break;
+      case VarStatus::Free:
+        if (std::abs(d) > kDualBailTol) return false;
+        break;
+      case VarStatus::Basic:
+        break;
+    }
+  }
+  return true;
+}
+
+void RevisedSimplex::pivot_row(int r) {
+  if (rho_sparse_) {
+    for (const int i : rho_nz_) rho_[i] = 0.0;
+  } else {
+    rho_.assign(m_, 0.0);
+  }
+  rho_sparse_ = factor_.btran_unit(r, rho_, rho_nz_);
+  if (!rho_sparse_) {
+    rho_nz_.clear();
+    for (int i = 0; i < m_; ++i) {
+      if (rho_[i] != 0.0) rho_nz_.push_back(i);
+    }
+  }
+  if (alpha_.empty()) {
+    alpha_.assign(n_, 0.0);
+    alpha_mark_.assign(n_, 0);
+  }
+  if (form_.has_rows() &&
+      static_cast<double>(rho_nz_.size()) <= kHyperMaxDensity * m_) {
+    form_.row_product(rho_, rho_nz_, alpha_, alpha_nz_, alpha_mark_);
+  } else {
+    alpha_nz_.clear();
+    for (int j = 0; j < n_; ++j) {
+      if (status_[j] == VarStatus::Basic || cu_[j] - cl_[j] <= 0.0) continue;
+      const double a = form_.col_dot(rho_, j);
+      if (a != 0.0) {
+        alpha_[j] = a;
+        alpha_nz_.push_back(j);
+      }
+    }
+  }
+  for (const int i : rho_nz_) alpha_nz_.push_back(n_ + i);
+  for (const int i : rho_nz_) alpha_nz_.push_back(n_ + m_ + i);
+}
+
+double RevisedSimplex::row_alpha(int j) const {
+  if (j < n_) return alpha_[j];
+  return rho_[j < n_ + m_ ? j - n_ : j - n_ - m_];
+}
+
+void RevisedSimplex::update_reduced_costs(int q, int leaving, double theta) {
+  for (const int j : alpha_nz_) {
+    if (status_[j] == VarStatus::Basic || cu_[j] - cl_[j] <= 0.0) continue;
+    d_[j] -= theta * row_alpha(j);
+  }
+  d_[q] = 0.0;
+  d_[leaving] = -theta;
+  ++d_age_;
+}
+
+void RevisedSimplex::clear_pivot_row() {
+  for (const int j : alpha_nz_) {
+    if (j >= n_) break;  // structurals come first
+    alpha_[j] = 0.0;
+  }
 }
 
 bool RevisedSimplex::accuracy_ok() const {
@@ -466,25 +579,20 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
   }
 }
 
-template <bool kSparse>
 int RevisedSimplex::dual_entering(bool below, bool bland, double* ratio_out,
                                   double* alpha_out) const {
   // Dual ratio test. Eligibility keeps the step direction that repairs
-  // the leaving value; min |d|/|alpha| preserves dual feasibility. The
-  // sparse instance visits alpha_nz_ (every column with alpha != 0,
-  // ascending; structural alphas in alpha_, bit-identical to col_dot):
-  // the dense loop skips every other column, since |alpha| = 0 fails
-  // the pivot tolerance, so both pick the same column.
+  // the leaving value; min |d|/|alpha| preserves dual feasibility. It
+  // visits alpha_nz_ (every column with alpha != 0, ascending): a scan of
+  // every column would skip the others, since |alpha| = 0 fails the
+  // pivot tolerance, so both pick the same column.
   int q = -1;
   double best_ratio = kInf;
   double best_alpha = 0.0;
-  const int count = kSparse ? static_cast<int>(alpha_nz_.size()) : total_;
-  for (int k = 0; k < count; ++k) {
-    const int j = kSparse ? alpha_nz_[k] : k;
+  for (const int j : alpha_nz_) {
     if (status_[j] == VarStatus::Basic) continue;
     if (cu_[j] - cl_[j] <= 0.0) continue;
-    const double alpha =
-        kSparse && j < n_ ? alpha_[j] : form_.col_dot(rho_, j);
+    const double alpha = row_alpha(j);
     if (std::abs(alpha) <= tol::kPivotTol) continue;
     bool ok = false;
     switch (status_[j]) {
@@ -501,8 +609,7 @@ int RevisedSimplex::dual_entering(bool below, bool bland, double* ratio_out,
         break;
     }
     if (!ok) continue;
-    const double d = cost2_[j] - form_.col_dot(y_, j);
-    const double ratio = std::max(std::abs(d), 0.0) / std::abs(alpha);
+    const double ratio = std::max(std::abs(d_[j]), 0.0) / std::abs(alpha);
     bool take;
     if (q < 0 || ratio < best_ratio - kRatioTieTol) {
       take = true;
@@ -524,9 +631,11 @@ int RevisedSimplex::dual_entering(bool below, bool bland, double* ratio_out,
 }
 
 SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
-                                         long* iters) {
+                                         long* iters, bool costs_fresh) {
   long degen_streak = 0;
   bool bland = false;
+  dual_costs_ = true;
+  if (!costs_fresh) refresh_reduced_costs();
   for (;;) {
     if (*iters >= opt.max_iterations) return SolveStatus::IterationLimit;
     if ((*iters & 15) == 0 && watch_.seconds() > opt.time_limit_seconds) {
@@ -561,49 +670,31 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
         }
       }
     }
-    if (r < 0) return SolveStatus::Optimal;  // primal feasible
+    if (r < 0) {
+      // Primal feasible: Optimal only if the fresh reduced costs agree.
+      // Drift that left one of the wrong sign voids the answer, like a
+      // failed accuracy check (a warm solve then falls back to cold).
+      if (d_age_ > 0) refresh_reduced_costs();
+      return dual_feasible() ? SolveStatus::Optimal : SolveStatus::Error;
+    }
 
     const int brow = basic_[r];
     const double target = below ? cl_[brow] : cu_[brow];
 
-    // rho = row r of B^{-1}; alpha_j = rho' A_j.
-    rho_.assign(m_, 0.0);
-    rho_[r] = 1.0;
-    factor_.btran(rho_);
-    compute_y(cost2_, y_);
-
-    // Entering: the dual ratio test over the pivot row. A sparse rho
-    // takes the row-wise product over supp(rho); the candidate list is
-    // then every column with alpha != 0, ascending.
-    rho_nz_.clear();
-    if (form_.has_rows()) {
-      for (int i = 0; i < m_; ++i) {
-        if (rho_[i] != 0.0) rho_nz_.push_back(i);
-      }
-    }
+    // Entering: the dual ratio test over the pivot row alpha = rho' A,
+    // rho = row r of B^{-1}.
+    pivot_row(r);
     double best_ratio = kInf;
     double best_alpha = 0.0;
-    int q = -1;
-    if (form_.has_rows() &&
-        static_cast<double>(rho_nz_.size()) <= kHyperMaxDensity * m_) {
-      if (alpha_.empty()) {
-        alpha_.assign(n_, 0.0);
-        alpha_mark_.assign(n_, 0);
-      }
-      form_.row_product(rho_, rho_nz_, alpha_, alpha_nz_, alpha_mark_);
-      const std::size_t structs = alpha_nz_.size();
-      for (const int i : rho_nz_) alpha_nz_.push_back(n_ + i);
-      for (const int i : rho_nz_) alpha_nz_.push_back(n_ + m_ + i);
-      q = dual_entering<true>(below, bland, &best_ratio, &best_alpha);
-      for (std::size_t k = 0; k < structs; ++k) alpha_[alpha_nz_[k]] = 0.0;
-    } else {
-      q = dual_entering<false>(below, bland, &best_ratio, &best_alpha);
-    }
+    const int q = dual_entering(below, bland, &best_ratio, &best_alpha);
     if (q < 0) {
       // Dual unbounded along the repairing direction: the primal child
       // is infeasible (rho is the Farkas row certificate).
+      clear_pivot_row();
       return SolveStatus::Infeasible;
     }
+    update_reduced_costs(q, brow, d_[q] / best_alpha);
+    clear_pivot_row();
 
     // x_r moves to its violated bound; the entering column absorbs the
     // step. (No dual bound-flip ratio test: if x_q overshoots its own
@@ -646,6 +737,7 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
   *iterations = 0;
   perturb_undo_.clear();
   perturbed_ = false;
+  dual_costs_ = false;
   set_bounds(lb, ub);
 
   // Crash point: structurals at their nearest finite bound (free at 0).
@@ -750,7 +842,7 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
         }
       }
       compute_basic_values();
-      st = dual_iterate(opt, iterations);
+      st = dual_iterate(opt, iterations, /*costs_fresh=*/false);
       if (st == SolveStatus::Infeasible) st = SolveStatus::Error;
     }
   }
@@ -768,6 +860,7 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
   *iterations = 0;
   perturb_undo_.clear();
   perturbed_ = false;
+  dual_costs_ = false;
   if (static_cast<int>(hint.status.size()) != total_) {
     return SolveStatus::Error;
   }
@@ -843,21 +936,25 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
   // by construction (costs and matrix unchanged), but re-pinned columns
   // may sit at the wrong bound for their reduced-cost sign — a free
   // bound flip fixes those. Columns that cannot be repaired (no
-  // opposite bound) void the warm start.
+  // opposite bound) void the warm start. The scan's reduced costs seed
+  // the dual's maintained ones (fixed columns are never priced).
   compute_y(cost2_, y_);
   const double flip_tol = tol::kCostTol;
-  const double bail_tol = 100.0 * tol::kCostTol;
   bool flipped = false;
   for (int j = 0; j < total_; ++j) {
-    if (status_[j] == VarStatus::Basic) continue;
+    if (status_[j] == VarStatus::Basic) {
+      d_[j] = 0.0;
+      continue;
+    }
     if (cu_[j] - cl_[j] <= 0.0) continue;  // fixed: any sign is fine
     const double d = cost2_[j] - form_.col_dot(y_, j);
+    d_[j] = d;
     if (status_[j] == VarStatus::AtLower && d < -flip_tol) {
       if (std::isfinite(cu_[j])) {
         status_[j] = VarStatus::AtUpper;
         x_[j] = cu_[j];
         flipped = true;
-      } else if (d < -bail_tol) {
+      } else if (d < -kDualBailTol) {
         return SolveStatus::Error;
       }
     } else if (status_[j] == VarStatus::AtUpper && d > flip_tol) {
@@ -865,16 +962,17 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
         status_[j] = VarStatus::AtLower;
         x_[j] = cl_[j];
         flipped = true;
-      } else if (d > bail_tol) {
+      } else if (d > kDualBailTol) {
         return SolveStatus::Error;
       }
-    } else if (status_[j] == VarStatus::Free && std::abs(d) > bail_tol) {
+    } else if (status_[j] == VarStatus::Free && std::abs(d) > kDualBailTol) {
       return SolveStatus::Error;
     }
   }
   if (flipped) compute_basic_values();
+  d_age_ = 0;
 
-  const SolveStatus st = dual_iterate(opt, iterations);
+  const SolveStatus st = dual_iterate(opt, iterations, /*costs_fresh=*/true);
   if (st == SolveStatus::Optimal && !accuracy_ok()) {
     return SolveStatus::Error;
   }

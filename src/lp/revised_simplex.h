@@ -31,13 +31,22 @@
 // Per-pivot cost follows the nonzeros on forms of at least
 // kHyperMinRows rows: w = B^{-1} a_q comes from the hypersparse ftran
 // (lp/basis.h) and the primal ratio test and every update of the point
-// walk its ascending nonzero list; the dual forms its pivot row
-// alpha = rho' A over supp(rho) from the form's row-wise copy and visits
-// only the columns with alpha != 0, ascending. Each sparse path adds the
-// same terms in the same order as its dense loop and skips only exact
-// zeros the dense loop skips too, so pivots and answers do not
-// depend on which path ran. Small forms and dense vectors keep the
-// dense loops.
+// walk its ascending nonzero list; the dual takes rho = B^{-T} e_r from
+// the hypersparse unit btran, forms its pivot row alpha = rho' A over
+// supp(rho) from the form's row-wise copy and visits only the columns
+// with alpha != 0, ascending. Each sparse path adds the same terms in
+// the same order as its dense loop and skips only exact zeros the dense
+// loop skips too, so pivots and answers do not depend on which path
+// ran. Small forms and dense vectors keep the dense loops.
+//
+// The dual prices from maintained reduced costs: d_j -= (d_q/alpha_q) *
+// alpha_j over the pivot row at each exchange, instead of a fresh
+// y = B^{-T} c_B (a second dense btran) per pivot. d is computed from
+// scratch at loop entry (solve_warm seeds it from its dual-feasibility
+// scan), after every refactorization and before any Optimal verdict,
+// which must hold on the fresh d. The primal keeps recomputing y every
+// pivot: maintained d changes its pivot choices, and so the trees (see
+// DESIGN.md, "Solver: paying per change").
 //
 // Numerical policy: product-form updates accrue roundoff, so the factor
 // is rebuilt every kRefactorInterval pivots, and every terminal point
@@ -105,6 +114,26 @@ class RevisedSimplex {
   void ftran_column(int j);
   /// y := B^{-T} c_B for the given cost vector.
   void compute_y(const std::vector<double>& cost, std::vector<double>& y) const;
+  /// d_ := cost2_ - A' B^{-T} c_B from scratch (basic columns 0).
+  void refresh_reduced_costs();
+  /// No nonbasic, non-fixed d_j has the wrong sign for its status
+  /// beyond the warm start's bail tolerance.
+  [[nodiscard]] bool dual_feasible() const;
+  /// The pivot row of basis position r: rho_ = B^{-T} e_r (rho_nz_ its
+  /// ascending nonzero rows) and alpha_j = rho_' A_j, listed in
+  /// alpha_nz_ ascending: the structurals with alpha != 0 (in alpha_;
+  /// through the row-wise copy when rho_ is sparse, else every
+  /// nonbasic, non-fixed structural by col_dot), then the logicals and
+  /// artificials of supp(rho).
+  void pivot_row(int r);
+  /// alpha_j of the current pivot row, for j in alpha_nz_.
+  [[nodiscard]] double row_alpha(int j) const;
+  /// d_j -= theta * alpha_j over the pivot row's nonbasic, non-fixed
+  /// columns; the entering column q's d becomes 0 and the leaving
+  /// column's -theta. Call before the statuses change.
+  void update_reduced_costs(int q, int leaving, double theta);
+  /// Restores alpha_ to +0.0 after a pivot row.
+  void clear_pivot_row();
   [[nodiscard]] bool accuracy_ok() const;
   [[nodiscard]] double phase1_objective() const;
   /// Applies one basis exchange at position r (entering q along w_).
@@ -123,10 +152,8 @@ class RevisedSimplex {
   [[nodiscard]] int ratio_test(int dir, bool bland, double* limit,
                                bool* leave_up) const;
   /// Entering column of dual_iterate's ratio test over the pivot row
-  /// rho_' A (the leaving value is `below` its bound), or -1, with its
-  /// ratio |d_q|/|alpha_q| and alpha_q. kSparse visits alpha_nz_ instead
-  /// of every column.
-  template <bool kSparse>
+  /// (the leaving value is `below` its bound), or -1, with its ratio
+  /// |d_q|/|alpha_q| and alpha_q.
   [[nodiscard]] int dual_entering(bool below, bool bland, double* ratio,
                                   double* alpha) const;
   /// Relaxes the active bounds of degenerate basic variables by
@@ -139,7 +166,10 @@ class RevisedSimplex {
   SolveStatus primal_iterate(const std::vector<double>& cost, bool phase1,
                              const SimplexOptions& opt, long* iters);
   /// Bounded dual simplex loop (requires a dual-feasible basis).
-  SolveStatus dual_iterate(const SimplexOptions& opt, long* iters);
+  /// `costs_fresh`: d_ already holds the basis's reduced costs for
+  /// cost2_ (solve_warm's dual-feasibility scan); else it refreshes.
+  SolveStatus dual_iterate(const SimplexOptions& opt, long* iters,
+                           bool costs_fresh);
 
   const BoundedForm& form_;
   int n_;  ///< structural columns
@@ -161,6 +191,13 @@ class RevisedSimplex {
   // pricing state (reset at each primal iterate entry)
   int price_cursor_ = 0;  ///< partial pricing resume point
 
+  // The dual's maintained reduced costs: d_ for cost2_ (valid while
+  // dual_costs_), and the exchanges applied since d_ was last computed
+  // from scratch.
+  std::vector<double> d_;
+  bool dual_costs_ = false;
+  int d_age_ = 0;
+
   // anti-degeneracy perturbation (solve_cold only; see simplex.h)
   struct BoundPerturbation {
     int col;
@@ -173,12 +210,14 @@ class RevisedSimplex {
   std::vector<double> w_, rho_, y_, resid_, cost1_;
   std::vector<int> w_nz_;   ///< nonzero positions of w_ when w_sparse_
   bool w_sparse_ = false;
-  // dual pivot row over supp(rho): rho_nz_ lists rho_'s nonzero rows,
-  // alpha_ (zero between iterations) the structural entries of the
-  // row, alpha_nz_ every column with a nonzero entry (ascending: the
-  // structurals the row touched, then the logicals and artificials of
-  // supp(rho)), alpha_mark_ the row product's scratch flags
+  // pivot row (pivot_row): rho_nz_ lists rho_'s nonzero rows (rho_ is
+  // +0.0 elsewhere when rho_sparse_), alpha_ (zero between pivots) the
+  // structural entries of the row, alpha_nz_ every column with a
+  // nonzero entry (ascending: the structurals, then the logicals and
+  // artificials of supp(rho)), alpha_mark_ the row product's scratch
+  // flags
   std::vector<int> rho_nz_, alpha_nz_;
+  bool rho_sparse_ = false;
   std::vector<double> alpha_;
   std::vector<signed char> alpha_mark_;
 };

@@ -240,6 +240,9 @@ class TreeSearch {
   double inc_obj_ = 0.0;
   std::vector<double> inc_values_;
 
+  // ---- the root node's presolve, replayed at every other node ----
+  lp::PresolveTrace root_presolve_;
+
   // ---- aggregated worker stats (filled at worker exit, under lock) ----
   long total_lp_solves_ = 0;
   long total_warm_reuse_ = 0;
@@ -315,7 +318,18 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
   }
 
   if (options_.use_presolve) {
-    lp::presolve_into(model_, &ws.lbs, &ws.ubs, ws.pre);
+    // Node presolve pays per change: the root records its run, and every
+    // other node replays each step whose row still sees the root's
+    // bounds bit for bit, recomputing only the rows its branching
+    // changes reach. The box is bit-identical to a full presolve_into.
+    // The root's worker writes the trace before it pushes any child,
+    // and the queue mutex orders that write before every reader.
+    if (entry.node == nullptr) {
+      // The root box is the model's own (no bound changes yet).
+      lp::presolve_record(model_, ws.pre, root_presolve_);
+    } else {
+      lp::presolve_replay(model_, root_presolve_, ws.lbs, ws.ubs, ws.pre);
+    }
     if (ws.pre.infeasible) {
       c_pruned_infeas.inc();
       return;

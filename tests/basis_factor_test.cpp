@@ -684,6 +684,79 @@ TEST(BasisFactor, SparseFtranMatchesDenseBitForBit) {
   EXPECT_GT(4 * sparse_runs, runs) << sparse_runs << " of " << runs;
 }
 
+TEST(BasisFactor, UnitBtranMatchesDense) {
+  // The KKT root basis on the fresh factor and after each of 63
+  // simplex-style exchanges: btran_unit(e_r) for random positions r
+  // against the dense btran of e_r. The values must be equal (the
+  // sparse path evaluates the same column sums in the same order and
+  // skips only exact zeros, so the dual's pivot row does not depend on
+  // which path ran); a sparse result's nonzero list must be strictly
+  // ascending and exact. One result vector is reused through the list,
+  // as the simplex reuses it.
+  const BasisCase& c = structured_cases().back();
+  ASSERT_GE(c.form.num_rows, lp::kHyperMinRows);
+  const int m = c.form.num_rows;
+  util::Rng rng(71);
+  BasisFactor factor;
+  ASSERT_TRUE(factor.factorize(c.form, c.basic));
+
+  std::vector<double> x(m, 0.0);
+  std::vector<int> nz;
+  bool last_sparse = false;
+  int sparse_runs = 0;
+  int runs = 0;
+  for (int u = 0; u <= 63; ++u) {
+    const std::string when = "after " + std::to_string(u) + " updates";
+    for (int trial = 0; trial < 4; ++trial) {
+      const int r = rng.uniform_int(0, m - 1);
+      std::vector<double> dense(m, 0.0);
+      dense[r] = 1.0;
+      factor.btran(dense);
+      if (last_sparse) {
+        for (const int i : nz) x[i] = 0.0;
+      } else {
+        x.assign(m, 0.0);
+      }
+      last_sparse = factor.btran_unit(r, x, nz);
+      ++runs;
+      for (int i = 0; i < m; ++i) {
+        ASSERT_EQ(x[i], dense[i]) << when << " e_" << r << " row " << i;
+      }
+      if (!last_sparse) continue;
+      ++sparse_runs;
+      std::vector<bool> listed(m, false);
+      for (std::size_t k = 0; k < nz.size(); ++k) {
+        if (k > 0) {
+          ASSERT_LT(nz[k - 1], nz[k]) << when << " list not ascending";
+        }
+        listed[nz[k]] = true;
+        ASSERT_NE(x[nz[k]], 0.0) << when << " lists zero row " << nz[k];
+      }
+      for (int i = 0; i < m; ++i) {
+        if (!listed[i]) {
+          ASSERT_EQ(bits(x[i]), bits(0.0)) << when << " unlisted row " << i;
+        }
+      }
+    }
+    if (u == 63) continue;
+    // Exchange: a random column enters at its largest ftran entry.
+    std::vector<int> col_nz;
+    std::vector<double> w =
+        column_rhs(c.form, rng.uniform_int(0, c.form.num_structs - 1), col_nz);
+    if (col_nz.empty()) continue;
+    factor.ftran(w);
+    int r = 0;
+    for (int p = 1; p < m; ++p) {
+      if (std::abs(w[p]) > std::abs(w[r])) r = p;
+    }
+    if (std::abs(w[r]) > 1e-3) {
+      ASSERT_TRUE(factor.update(r, w));
+    }
+  }
+  EXPECT_GT(factor.eta_count(), 31);
+  EXPECT_GT(4 * sparse_runs, runs) << sparse_runs << " of " << runs;
+}
+
 TEST(BasisFactor, EtasFromTheSparseListMatchDenseScanEtas) {
   // Two factors of the KKT root basis take the same 63 exchanges: one
   // builds each eta from the sparse ftran's nonzero list, the other by

@@ -145,16 +145,23 @@ TEST(AdversarialDp, ShortPairMaskRejected) {
 }
 
 TEST(AdversarialDp, HigherThresholdFindsLargerGap) {
-  // Fig. 4a's qualitative claim on a small ring, at one node budget for
-  // every threshold, so the trend is about thresholds, not solver time.
-  const Topology topo = topologies::circulant(6, 1);
+  // Fig. 4a's qualitative claim at one node budget for every threshold,
+  // so the trend is about thresholds, not solver time. On the paper's
+  // Figure-1 triangle (demands up to 200) every threshold's search
+  // proves its worst-case gap well inside the budget (73 to 501 nodes),
+  // so the trend holds for the optima themselves, whatever tree the
+  // solver explores.
+  const Topology topo = topologies::fig1();
   const te::PathSet paths(topo, te::all_pairs(topo), 2);
   AdversarialGapFinder finder(topo, paths);
+  AdversarialOptions options = work_options(2000);
+  options.demand_ub = 200.0;
   double prev = -1.0;
   for (double threshold : {25.0, 50.0, 100.0}) {
     te::DpConfig dp;
     dp.threshold = threshold;
-    const AdversarialResult r = finder.find_dp_gap(dp, work_options(4000));
+    const AdversarialResult r = finder.find_dp_gap(dp, options);
+    ASSERT_EQ(r.status, lp::SolveStatus::Optimal) << "threshold " << threshold;
     EXPECT_GE(r.gap, prev - 1e-6) << "threshold " << threshold;
     prev = r.gap;
   }

@@ -13,16 +13,13 @@
 #include "core/adversarial.h"
 #include "domains/domains.h"
 #include "domains/te_instances.h"
+#include "find_te_model.h"
 #include "heur/instance.h"
-#include "kkt/kkt_rewriter.h"
 #include "lp/model.h"
 #include "lp/presolve.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "obs/metrics.h"
-#include "te/demand_pinning.h"
-#include "te/max_flow.h"
-#include "te/pop.h"
 #include "util/rng.h"
 
 namespace metaopt::lp {
@@ -508,55 +505,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexDualityTest, ::testing::Range(1, 41));
 
 // ---- the find_te root relaxations, pinned bit for bit ----
 
-/// The metaopt model of a find_te operation, built the way
-/// core::AdversarialGapFinder builds it: the demand leader, OPT's KKT
-/// follower, then Demand Pinning's (threshold 50) or the KKT followers
-/// of POP's two partitions in each of its three instantiations, and the
-/// objective OPT minus the heuristic (POP: the mean over
-/// instantiations).
-Model find_te_model(const domains::TeInstanceBase& te) {
-  Model model;
-  core::AdversarialOptions options;
-  options.demand_ub = te.leader_ub();
-  options.pair_mask = te.pair_mask();
-  const core::DemandVars d =
-      core::make_demand_vars(model, te.topology(), te.paths(), options);
-  te::MaxFlowOptions opt_options;
-  opt_options.include = &d.include;
-  const te::FlowEncoding opt = te::build_max_flow(
-      model, te.topology(), te.paths(), d.exprs, "opt.", opt_options);
-  const kkt::KktArtifacts opt_kkt = kkt::emit_kkt(model, opt.inner, "opt.");
-  LinExpr heur;
-  if (const auto* pop = dynamic_cast<const domains::TePopInstance*>(&te)) {
-    std::vector<te::PopEncoding> encodings;
-    encodings.reserve(pop->seeds().size());
-    for (std::size_t r = 0; r < pop->seeds().size(); ++r) {
-      te::PopConfig config;
-      config.num_partitions = 2;
-      config.seed = pop->seeds()[r];
-      const std::string prefix = "pop" + std::to_string(r) + ".";
-      encodings.push_back(te::build_pop(model, te.topology(), te.paths(),
-                                        d.exprs, config, prefix));
-      const te::PopEncoding& enc = encodings.back();
-      for (std::size_t part = 0; part < enc.partitions.size(); ++part) {
-        (void)kkt::emit_kkt(model, enc.partitions[part].inner,
-                            prefix + std::to_string(part) + ".");
-      }
-      heur += (1.0 / static_cast<double>(pop->seeds().size())) *
-              enc.total_flow;
-    }
-  } else {
-    te::DpConfig config;
-    config.threshold = 50.0;
-    config.demand_ub = d.ub;
-    const te::DpEncoding dp = te::build_demand_pinning(
-        model, te.topology(), te.paths(), d.vars, config, "dp.", &d.include);
-    heur = kkt::emit_kkt(model, dp.inner, "dp.").objective_expr;
-  }
-  model.set_objective(ObjSense::Maximize, opt_kkt.objective_expr - heur);
-  return model;
-}
-
 /// Cold solve of the root node LP as branch-and-bound runs it: the
 /// model's bounds after presolve, no hint.
 Solution solve_root(const Model& model) {
@@ -604,7 +552,7 @@ TEST(FindTeRoots, ColdSolvesArePinnedBitForBit) {
     const std::unique_ptr<heur::HeuristicInstance> inst =
         heur::make_instance(*pin.config);
     const Model model =
-        find_te_model(dynamic_cast<const domains::TeInstanceBase&>(*inst));
+        testmodels::find_te_model(dynamic_cast<const domains::TeInstanceBase&>(*inst));
     // Above the row limit, so the hypersparse kernels are in play.
     ASSERT_EQ(model.num_constraints(), pin.rows);
     ASSERT_GE(pin.rows, kHyperMinRows);
@@ -615,6 +563,82 @@ TEST(FindTeRoots, ColdSolvesArePinnedBitForBit) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(root.objective), pin.objective_bits)
         << root.objective;
   }
+}
+
+// ---- the dual's maintained reduced costs ----
+
+TEST(MaintainedReducedCosts, MatchFreshOnesOnFindTeNodes) {
+  // Warm dual solves of branch-and-bound children of the find_te roots:
+  // a random binary fixed or one side of a random complementarity pair
+  // zeroed, warm from the root's optimal basis. At every refresh the
+  // engine compares its maintained reduced costs with fresh ones
+  // (simplex.reduced_cost_drift counts a miss by more than
+  // tol::kCostTol * (1 + |d|)), and every Optimal answer, certified with
+  // its duals and reduced costs, holds on fresh reduced costs.
+  domains::register_builtin();
+  heur::InstanceConfig dp;
+  dp.heuristic = "dp";
+  dp.topology = "abilene";
+  dp.threshold = 50.0;
+  heur::InstanceConfig pop;
+  pop.heuristic = "pop";
+  pop.topology = "b4";
+  pop.support = 12;
+  pop.partitions = 2;
+  pop.pop_seeds = {101, 102, 103};
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  long warm_optimal = 0;
+  for (const heur::InstanceConfig* config : {&dp, &pop}) {
+    SCOPED_TRACE(config->heuristic);
+    const std::unique_ptr<heur::HeuristicInstance> inst =
+        heur::make_instance(*config);
+    const Model model = testmodels::find_te_model(
+        dynamic_cast<const domains::TeInstanceBase&>(*inst));
+    const PresolveResult pre = presolve(model);
+    ASSERT_FALSE(pre.infeasible);
+    SimplexOptions options;
+    options.certify = true;
+    options.want_duals = true;
+    const SimplexSolver solver(options);
+    WarmStartContext warm(model);
+    const Solution root = solver.solve_with_bounds(model, pre.lb, pre.ub, warm);
+    ASSERT_EQ(root.status, SolveStatus::Optimal);
+    const std::shared_ptr<const Basis> basis = warm.take_result();
+    ASSERT_NE(basis, nullptr);
+
+    std::vector<VarId> binaries;
+    for (VarId v = 0; v < model.num_vars(); ++v) {
+      if (model.var(v).kind == VarKind::Binary) binaries.push_back(v);
+    }
+    const auto& pairs = model.complementarities();
+    util::Rng rng(config == &dp ? 21 : 22);
+    for (int child = 0; child < 24; ++child) {
+      std::vector<double> lb = pre.lb, ub = pre.ub;
+      if (!binaries.empty() && child % 2 == 0) {
+        const VarId v = binaries[rng.uniform_int(
+            0, static_cast<int>(binaries.size()) - 1)];
+        lb[v] = ub[v] = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : 1.0;
+      } else {
+        const auto& pair =
+            pairs[rng.uniform_int(0, static_cast<int>(pairs.size()) - 1)];
+        ub[rng.uniform(0.0, 1.0) < 0.5 ? pair.a : pair.b] = 0.0;
+      }
+      warm.hint = basis.get();
+      const Solution s = solver.solve_with_bounds(model, lb, ub, warm);
+      (void)warm.take_result();
+      if (s.status != SolveStatus::Optimal) continue;
+      EXPECT_TRUE(s.certified) << "child " << child;
+      if (warm.last_path == WarmStartContext::Path::WarmDual) ++warm_optimal;
+    }
+  }
+  const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());
+  obs::set_enabled(false);
+  EXPECT_GT(warm_optimal, 0);
+  if (!obs::kCompiledIn) return;
+  EXPECT_GT(metric(d, "simplex.dual_pivots"), 0.0);
+  EXPECT_GT(metric(d, "simplex.reduced_cost_refreshes"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.reduced_cost_drift"), 0.0);
 }
 
 }  // namespace

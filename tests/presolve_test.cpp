@@ -1,6 +1,19 @@
-// Tests for the bound-propagation presolve.
+// Tests for the bound-propagation presolve, and for its node replay:
+// on random node boxes of the real single-shot models, presolve_replay
+// must return the same bits as presolve_into.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "binpack/encoding.h"
+#include "domains/domains.h"
+#include "find_te_model.h"
+#include "heur/instance.h"
+#include "kkt/kkt_rewriter.h"
 #include "lp/presolve.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
@@ -132,6 +145,141 @@ TEST(Presolve, BnbWithAndWithoutPresolveAgree) {
   ASSERT_EQ(s1.status, SolveStatus::Optimal);
   ASSERT_EQ(s2.status, SolveStatus::Optimal);
   EXPECT_NEAR(s1.objective, s2.objective, 1e-7);
+}
+
+// ---- the node replay ----
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// presolve_replay's result against presolve_into's, bit for bit.
+void expect_same_result(const PresolveResult& want, const PresolveResult& got,
+                        const std::string& what) {
+  ASSERT_EQ(got.infeasible, want.infeasible) << what;
+  ASSERT_EQ(got.rounds, want.rounds) << what;
+  ASSERT_EQ(got.tightenings, want.tightenings) << what;
+  ASSERT_EQ(got.redundant_rows, want.redundant_rows) << what;
+  ASSERT_EQ(got.lb.size(), want.lb.size()) << what;
+  for (std::size_t v = 0; v < want.lb.size(); ++v) {
+    ASSERT_EQ(bits(got.lb[v]), bits(want.lb[v])) << what << " lb of " << v;
+    ASSERT_EQ(bits(got.ub[v]), bits(want.ub[v])) << what << " ub of " << v;
+  }
+}
+
+/// Records the root's presolve from the model's bounds, then replays
+/// `boxes` random node boxes against it. A box fixes a few random
+/// binaries to 0 or 1 and zeroes one side of a few random
+/// complementarity pairs, the bound changes branching makes. One result
+/// is reused across boxes, as a branch-and-bound worker reuses it.
+/// Returns how many boxes presolve found infeasible.
+int expect_replay_matches(const Model& model, int boxes, std::uint64_t seed) {
+  const int n = model.num_vars();
+  std::vector<double> lb0(n), ub0(n);
+  std::vector<VarId> binaries;
+  for (VarId v = 0; v < n; ++v) {
+    lb0[v] = model.var(v).lb;
+    ub0[v] = model.var(v).ub;
+    if (model.var(v).kind == VarKind::Binary) binaries.push_back(v);
+  }
+  const auto& pairs = model.complementarities();
+  PresolveResult root;
+  PresolveTrace trace;
+  presolve_record(model, root, trace);
+  EXPECT_TRUE(trace.valid);
+  PresolveResult fresh;
+  presolve_into(model, &lb0, &ub0, fresh);
+  expect_same_result(fresh, root, "root");
+
+  util::Rng rng(seed);
+  PresolveResult replayed;
+  int infeasible = 0;
+  for (int box = 0; box < boxes; ++box) {
+    std::vector<double> lb = lb0, ub = ub0;
+    const int fixes = rng.uniform_int(1, 12);
+    for (int f = 0; f < fixes; ++f) {
+      if (!binaries.empty() && (pairs.empty() || rng.uniform(0.0, 1.0) < 0.5)) {
+        const VarId v = binaries[rng.uniform_int(
+            0, static_cast<int>(binaries.size()) - 1)];
+        lb[v] = ub[v] = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : 1.0;
+      } else if (!pairs.empty()) {
+        const auto& pair =
+            pairs[rng.uniform_int(0, static_cast<int>(pairs.size()) - 1)];
+        ub[rng.uniform(0.0, 1.0) < 0.5 ? pair.a : pair.b] = 0.0;
+      }
+    }
+    presolve_into(model, &lb, &ub, fresh);
+    presolve_replay(model, trace, lb, ub, replayed);
+    expect_same_result(fresh, replayed, "box " + std::to_string(box));
+    if (fresh.infeasible) ++infeasible;
+  }
+  return infeasible;
+}
+
+Model find_te_model(const heur::InstanceConfig& config) {
+  domains::register_builtin();
+  const std::unique_ptr<heur::HeuristicInstance> inst =
+      heur::make_instance(config);
+  return testmodels::find_te_model(
+      dynamic_cast<const domains::TeInstanceBase&>(*inst));
+}
+
+TEST(PresolveReplay, MatchesFullPresolveOnFindTeDp) {
+  heur::InstanceConfig dp;
+  dp.heuristic = "dp";
+  dp.topology = "abilene";
+  dp.threshold = 50.0;
+  const Model model = find_te_model(dp);
+  ASSERT_GT(model.complementarities().size(), 0u);
+  expect_replay_matches(model, 40, 11);
+}
+
+TEST(PresolveReplay, MatchesFullPresolveOnFindTePop) {
+  heur::InstanceConfig pop;
+  pop.heuristic = "pop";
+  pop.topology = "b4";
+  pop.support = 12;
+  pop.partitions = 2;
+  pop.pop_seeds = {101, 102, 103};
+  expect_replay_matches(find_te_model(pop), 40, 12);
+}
+
+TEST(PresolveReplay, MatchesFullPresolveOnFig1Dp) {
+  heur::InstanceConfig dp;
+  dp.heuristic = "dp";
+  dp.topology = "fig1";
+  dp.threshold = 50.0;
+  dp.leader_ub = 200.0;
+  // fig1 is small enough that random fixings often contradict: both
+  // outcomes must match.
+  const int infeasible = expect_replay_matches(find_te_model(dp), 200, 13);
+  EXPECT_GT(infeasible, 0);
+  EXPECT_LT(infeasible, 200);
+}
+
+TEST(PresolveReplay, MatchesFullPresolveOnFfd) {
+  binpack::BinPackConfig config;
+  config.items = 6;
+  Model model;
+  std::vector<Var> sizes;
+  for (int i = 0; i < config.items; ++i) {
+    sizes.push_back(model.add_var("s" + std::to_string(i), 0.0, 1.0));
+  }
+  const binpack::FfdEncoding enc = binpack::build_ffd(model, sizes, config);
+  const kkt::KktArtifacts opt = kkt::emit_kkt(model, enc.inner, "opt.");
+  model.set_objective(ObjSense::Maximize, enc.bins_used - opt.objective_expr);
+  expect_replay_matches(model, 200, 14);
+}
+
+TEST(PresolveReplay, InvalidTraceRunsFullPresolve) {
+  Model m;
+  Var x = m.add_var("x", 0.0, 100.0);
+  Var b = m.add_binary("b");
+  m.add_constraint(LinExpr(x) + 100.0 * LinExpr(b) <= LinExpr(100.0));
+  const std::vector<double> lb{0.0, 1.0}, ub{100.0, 1.0};
+  PresolveResult want, got;
+  presolve_into(m, &lb, &ub, want);
+  presolve_replay(m, PresolveTrace{}, lb, ub, got);
+  expect_same_result(want, got, "no trace");
+  EXPECT_EQ(got.ub[x.id], 0.0);
 }
 
 }  // namespace
