@@ -131,7 +131,8 @@ heur::SolutionBreakdown TeDpInstance::explain_solution(
     const heur::ProbeOptions& options) const {
   heur::SolutionBreakdown out;
 
-  // Solved as DpGapOracle solves it: OPT cold, DP warm from OPT's basis.
+  // Solved as DpGapOracle solves it: OPT cold from its greedy start, DP
+  // warm from OPT's basis.
   const te::MaxFlowLp max_flow(topo_, paths_);
   te::MaxFlowOptions mf;
   mf.certify = options.certify;

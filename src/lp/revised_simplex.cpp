@@ -30,6 +30,11 @@ const obs::Counter c_degenerate_pivots =
 const obs::Counter c_cost_refreshes =
     obs::counter("simplex.reduced_cost_refreshes");
 const obs::Counter c_cost_drift = obs::counter("simplex.reduced_cost_drift");
+// Cold solves whose phase 2 ran from the caller's primal start basis,
+// and starts the engine rejected (wrong size, singular, or a basic out
+// of bounds) before crashing from the slack/artificial basis instead.
+const obs::Counter c_start_solves = obs::counter("simplex.start_solves");
+const obs::Counter c_start_rejects = obs::counter("simplex.start_rejects");
 
 /// Absolute window inside which two ratio-test values count as tied.
 constexpr double kRatioTieTol = 1e-12;
@@ -732,13 +737,24 @@ SolveStatus RevisedSimplex::dual_iterate(const SimplexOptions& opt,
 SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
                                        const std::vector<double>& lb,
                                        const std::vector<double>& ub,
-                                       long* iterations) {
+                                       long* iterations, const Basis* start) {
   watch_.reset();
   *iterations = 0;
   perturb_undo_.clear();
   perturbed_ = false;
   dual_costs_ = false;
   set_bounds(lb, ub);
+
+  if (start != nullptr) {
+    // The bounds keep every artificial closed, so an accepted start is a
+    // phase-2 basis as it stands. A rejected one leaves nothing behind
+    // that the crash below does not overwrite.
+    if (load_start(*start)) {
+      c_start_solves.inc();
+      return phase2(opt, iterations);
+    }
+    c_start_rejects.inc();
+  }
 
   // Crash point: structurals at their nearest finite bound (free at 0).
   for (int j = 0; j < n_; ++j) {
@@ -823,52 +839,12 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
     }
   }
 
-  SolveStatus st = primal_iterate(cost2_, /*phase1=*/false, opt, iterations);
-  if (perturbed_) {
-    // The point optimized the relaxed box. Restore the true bounds,
-    // re-pin the nonbasics, and let the dual simplex repair the (at most
-    // epsilon-sized) primal violations — costs never changed, so the
-    // basis is still dual feasible. Unboundedness survives restoration
-    // (the recession cone ignores bound offsets); a cleanup that ends
-    // Infeasible contradicts phase 1 and is reported as Error rather
-    // than trusted.
-    remove_perturbation();
-    if (st == SolveStatus::Optimal) {
-      for (int j = 0; j < total_; ++j) {
-        if (status_[j] == VarStatus::AtLower && std::isfinite(cl_[j])) {
-          x_[j] = cl_[j];
-        } else if (status_[j] == VarStatus::AtUpper && std::isfinite(cu_[j])) {
-          x_[j] = cu_[j];
-        }
-      }
-      compute_basic_values();
-      st = dual_iterate(opt, iterations, /*costs_fresh=*/false);
-      if (st == SolveStatus::Infeasible) st = SolveStatus::Error;
-    }
-  }
-  if (st == SolveStatus::Optimal && !accuracy_ok()) {
-    return SolveStatus::Error;
-  }
-  return st;
+  return phase2(opt, iterations);
 }
 
-SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
-                                       const std::vector<double>& lb,
-                                       const std::vector<double>& ub,
-                                       const Basis& hint, long* iterations) {
-  watch_.reset();
-  *iterations = 0;
-  perturb_undo_.clear();
-  perturbed_ = false;
-  dual_costs_ = false;
-  if (static_cast<int>(hint.status.size()) != total_) {
-    return SolveStatus::Error;
-  }
-  set_bounds(lb, ub);
-  status_ = hint.status;
-  cost1_.assign(total_, 0.0);  // artificials closed: no phase-1 costs
-
-  // Re-pin nonbasic columns to the (possibly tightened) child bounds.
+bool RevisedSimplex::load_statuses(const Basis& basis) {
+  if (static_cast<int>(basis.status.size()) != total_) return false;
+  status_ = basis.status;
   for (int j = 0; j < total_; ++j) {
     switch (status_[j]) {
       case VarStatus::Basic:
@@ -908,13 +884,71 @@ SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
         break;
     }
   }
-
   basic_.clear();
   for (int j = 0; j < total_; ++j) {
     if (status_[j] == VarStatus::Basic) basic_.push_back(j);
   }
-  if (static_cast<int>(basic_.size()) != m_) return SolveStatus::Error;
+  if (static_cast<int>(basic_.size()) != m_) return false;
   rebuild_positions();
+  return true;
+}
+
+bool RevisedSimplex::load_start(const Basis& start) {
+  if (!load_statuses(start) || !refactorize()) return false;
+  // Written so that a NaN basic value fails too.
+  for (const int b : basic_) {
+    if (!(x_[b] >= cl_[b] - tol::kFeasTol && x_[b] <= cu_[b] + tol::kFeasTol)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+SolveStatus RevisedSimplex::phase2(const SimplexOptions& opt,
+                                   long* iterations) {
+  SolveStatus st = primal_iterate(cost2_, /*phase1=*/false, opt, iterations);
+  if (perturbed_) {
+    // The point optimized the relaxed box. Restore the true bounds,
+    // re-pin the nonbasics, and let the dual simplex repair the (at most
+    // epsilon-sized) primal violations — costs never changed, so the
+    // basis is still dual feasible. Unboundedness survives restoration
+    // (the recession cone ignores bound offsets); a cleanup that ends
+    // Infeasible contradicts phase 1 (or the feasible start) and is
+    // reported as Error rather than trusted.
+    remove_perturbation();
+    if (st == SolveStatus::Optimal) {
+      for (int j = 0; j < total_; ++j) {
+        if (status_[j] == VarStatus::AtLower && std::isfinite(cl_[j])) {
+          x_[j] = cl_[j];
+        } else if (status_[j] == VarStatus::AtUpper && std::isfinite(cu_[j])) {
+          x_[j] = cu_[j];
+        }
+      }
+      compute_basic_values();
+      st = dual_iterate(opt, iterations, /*costs_fresh=*/false);
+      if (st == SolveStatus::Infeasible) st = SolveStatus::Error;
+    }
+  }
+  if (st == SolveStatus::Optimal && !accuracy_ok()) {
+    return SolveStatus::Error;
+  }
+  return st;
+}
+
+SolveStatus RevisedSimplex::solve_warm(const SimplexOptions& opt,
+                                       const std::vector<double>& lb,
+                                       const std::vector<double>& ub,
+                                       const Basis& hint, long* iterations) {
+  watch_.reset();
+  *iterations = 0;
+  perturb_undo_.clear();
+  perturbed_ = false;
+  dual_costs_ = false;
+  set_bounds(lb, ub);
+  cost1_.assign(total_, 0.0);  // artificials closed: no phase-1 costs
+
+  // Re-pin nonbasic columns to the (possibly tightened) child bounds.
+  if (!load_statuses(hint)) return SolveStatus::Error;
 
   // Factorization cache: while branch-and-bound plunges, consecutive
   // warm solves often share the exact basis — skip the sparse LU

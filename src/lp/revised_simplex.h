@@ -2,9 +2,13 @@
 // basis and a warm-start API.
 //
 // Two entry points:
-//   * solve_cold — crash basis (logicals + signed artificials), bounded
-//     phase-1 (minimize artificial infeasibility), bounded primal
-//     phase-2. Produces an optimal Basis for reuse.
+//   * solve_cold — bounded primal phase 2 from a caller's primal start
+//     basis when one is given and usable (m basic columns, factorizes,
+//     every basic within its bounds +- tol::kFeasTol); otherwise a crash
+//     basis (logicals + signed artificials), bounded phase 1 (minimize
+//     artificial infeasibility), then phase 2. An unusable start falls
+//     back to the crash inside the same call, so it cannot change a
+//     verdict. Produces an optimal Basis for reuse.
 //   * solve_warm — bounded-variable DUAL simplex from a hint basis.
 //     A parent-optimal basis stays dual feasible after any bound
 //     tightening (costs and matrix are untouched), so a branch-and-bound
@@ -75,9 +79,13 @@ class RevisedSimplex {
   /// num_structs). Optimal/Infeasible/Unbounded are trustworthy;
   /// Error means the engine could not reach a trustworthy terminal point
   /// (singular basis, failed accuracy check) and has no answer.
+  /// `start`, when non-null, is a primal feasible basis to run phase 2
+  /// from (nonbasics re-pinned to these bounds); an unusable one falls
+  /// back to the crash basis.
   SolveStatus solve_cold(const SimplexOptions& opt,
                          const std::vector<double>& lb,
-                         const std::vector<double>& ub, long* iterations);
+                         const std::vector<double>& ub, long* iterations,
+                         const Basis* start = nullptr);
 
   /// Warm re-solve from `hint` (typically the parent node's optimal
   /// basis) after a bound change. Returns Error when the hint is
@@ -104,6 +112,18 @@ class RevisedSimplex {
  private:
   // ---- shared machinery ----
   void set_bounds(const std::vector<double>& lb, const std::vector<double>& ub);
+  /// Loads `basis`'s statuses and pins every nonbasic column to its
+  /// current bound (a bound it lost moves it to the other side, or Free
+  /// at 0), then lists the basic columns. False when the status vector
+  /// has the wrong size or the basis does not have m basic columns.
+  [[nodiscard]] bool load_statuses(const Basis& basis);
+  /// Loads a primal start basis (see solve_cold): true when it has m
+  /// basic columns, factorizes and puts every basic within its bounds
+  /// +- tol::kFeasTol.
+  [[nodiscard]] bool load_start(const Basis& start);
+  /// Bounded primal phase 2 over the current primal feasible basis,
+  /// then the perturbation cleanup and the terminal accuracy check.
+  SolveStatus phase2(const SimplexOptions& opt, long* iterations);
   void rebuild_positions();
   [[nodiscard]] bool refactorize();
   void compute_basic_values();
@@ -246,6 +266,11 @@ class WarmStartContext {
   /// Parent-optimal basis to warm the next solve from (set per node;
   /// null solves cold through the revised core).
   const Basis* hint = nullptr;
+
+  /// Primal feasible basis for the cold rung to start phase 2 from
+  /// (te::MaxFlowLp's greedy routing); null, or unusable, crashes from
+  /// the slack/artificial basis.
+  const Basis* start = nullptr;
 
   enum class Path { WarmDual, ColdRevised };
   /// Which ladder rung produced the last solve's answer.

@@ -73,7 +73,7 @@ Solution SimplexSolver::solve_revised(const Model& model,
   long iters = 0;
   sol.status = use_hint
                    ? engine.solve_warm(options_, lb, ub, *warm.hint, &iters)
-                   : engine.solve_cold(options_, lb, ub, &iters);
+                   : engine.solve_cold(options_, lb, ub, &iters, warm.start);
   sol.iterations = iters;
   sol.solve_seconds = watch.seconds();
   switch (sol.status) {

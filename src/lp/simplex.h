@@ -4,13 +4,16 @@
 //
 // Every product solve goes through the warm-start overload of
 // solve_with_bounds: branch-and-bound node LPs, the TE direct solves
-// (te::MaxFlowLp) and the KKT primal heuristic's inner solves
-// (kkt::InnerLp). solve() is the one-shot entry point, a cold revised
-// solve through a local WarmStartContext.
+// (te::MaxFlowLp, whose cold solves bring a greedy-routing primal start
+// basis) and the KKT primal heuristic's inner solves (kkt::InnerLp).
+// solve() is the one-shot entry point, a cold revised solve from the
+// slack crash through a local WarmStartContext.
 //
 // Metrics: every public solve counts once in simplex.solves and the
 // simplex.solve span; simplex.warm_solves, simplex.warm_fallbacks and
-// simplex.cold_revised_solves say which rung answered it.
+// simplex.cold_revised_solves say which rung answered it, and
+// simplex.start_solves / simplex.start_rejects whether a cold rung's
+// primal start was used or fell back to the crash.
 // Certification runs inside the simplex.certify span.
 #pragma once
 
@@ -63,7 +66,8 @@ class SimplexSolver {
   ///   1. bounded dual simplex from `warm.hint` (when non-null); an
   ///      unusable hint (Error, IterationLimit) or an optimum the
   ///      certifier rejects drops to rung 2,
-  ///   2. cold revised simplex, whose answer is final: Error and
+  ///   2. cold revised simplex (from `warm.start` when non-null and
+  ///      usable, else the slack crash), whose answer is final: Error and
   ///      IterationLimit come back as-is (no values), and a rejected
   ///      optimum comes back with certified == false (already logged).
   /// Records the answering rung in warm.last_path and, when it proved

@@ -6,9 +6,11 @@
 // an LP built once and shared across B&B workers or search threads needs
 // one per concurrent solve. Each solve takes a Lease: it pops a context
 // from the mutex-guarded free list, or builds one when the list is empty,
-// and hands it back when the lease ends. A cold solve, and a warm solve
-// from a given hint, are pure functions of (bounds, hint), so which
-// context serves a solve never changes its answer.
+// and hands it back when the lease ends. A cold solve from a given
+// start basis (or none), and a warm solve from a given hint, are pure
+// functions of (bounds, start, hint), so which context serves a solve
+// never changes its answer. A returned context keeps the last hint and
+// start it was given, so a lessee that uses either sets it every solve.
 #pragma once
 
 #include <memory>

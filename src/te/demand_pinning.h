@@ -62,7 +62,7 @@ struct DpResult {
 };
 
 /// Runs Demand Pinning procedurally on concrete volumes (one-shot
-/// MaxFlowLp, residual LP solved cold).
+/// MaxFlowLp, residual LP solved cold from its greedy start).
 DpResult solve_demand_pinning(const net::Topology& topo, const PathSet& paths,
                               const std::vector<double>& volumes,
                               const DpConfig& config);

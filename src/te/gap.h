@@ -5,7 +5,8 @@
 // its incumbent with them, explain probes re-solve through them, and the
 // tests compare the convex encodings against them.
 //
-// Each oracle owns one MaxFlowLp. An evaluate() solves OPT cold, then
+// Each oracle owns one MaxFlowLp. An evaluate() solves OPT cold from
+// the greedy-routing start basis MaxFlowLp builds from the input, then
 // warm-starts every heuristic LP (DP's residual LP; each POP partition
 // of each instantiation) from that OPT basis. The answer is therefore a
 // pure function of the input vector, never of earlier evaluations, and
@@ -62,7 +63,7 @@ class PopGapOracle final : public heur::GapOracle {
       const std::vector<double>& volumes) const override;
 
   /// Per-instantiation heuristic values (Fig. 5a generalization test),
-  /// solved exactly as evaluate() solves them (warm from a cold OPT
+  /// solved exactly as evaluate() solves them (warm from the OPT
   /// solve). When `certified` is given it is ANDed with every
   /// instantiation's certification verdict.
   [[nodiscard]] std::vector<double> per_instance_heur(

@@ -73,6 +73,8 @@ struct MaxFlowLp::Structure {
   std::vector<std::vector<lp::VarId>> flow_col;  ///< [k][p]; empty: no paths
   std::vector<lp::VarId> demand_col;  ///< per pair; kInvalidVar: no paths
   std::vector<lp::VarId> cap_col;     ///< per edge; kInvalidVar: unused
+  std::vector<lp::ConId> vol_row;     ///< per pair; -1: no paths
+  std::vector<lp::ConId> cap_row;     ///< per edge; -1: unused
   lp::WarmStartPool pool{model};
 
   Structure(const net::Topology& topo, const PathSet& paths) {
@@ -80,6 +82,8 @@ struct MaxFlowLp::Structure {
     flow_col.resize(num_pairs);
     demand_col.assign(num_pairs, lp::kInvalidVar);
     cap_col.assign(topo.num_edges(), lp::kInvalidVar);
+    vol_row.assign(num_pairs, -1);
+    cap_row.assign(topo.num_edges(), -1);
 
     // Columns: every path flow, then one demand column per pair with
     // paths, then one capacity column per used edge. Bounds are set per
@@ -111,15 +115,69 @@ struct MaxFlowLp::Structure {
       if (flow_col[k].empty()) continue;
       lp::LinExpr flow_k;
       for (const lp::VarId f : flow_col[k]) flow_k += lp::Var{f};
-      model.add_constraint(flow_k - lp::Var{demand_col[k]} <= 0.0,
-                           "vol[" + std::to_string(k) + "]");
+      vol_row[k] = model.add_constraint(flow_k - lp::Var{demand_col[k]} <= 0.0,
+                                        "vol[" + std::to_string(k) + "]");
     }
     for (net::EdgeId e = 0; e < topo.num_edges(); ++e) {
       if (cap_col[e] == lp::kInvalidVar) continue;
-      model.add_constraint(edge_load[e] - lp::Var{cap_col[e]} <= 0.0,
-                           "cap[" + std::to_string(e) + "]");
+      cap_row[e] =
+          model.add_constraint(edge_load[e] - lp::Var{cap_col[e]} <= 0.0,
+                               "cap[" + std::to_string(e) + "]");
     }
     model.set_objective(lp::ObjSense::Maximize, total_flow);
+  }
+
+  /// The primal start basis of a cold solve at lower bounds `lb` (the
+  /// demand and capacity columns are fixed, so lb holds the instance): a
+  /// greedy routing, path-major. For p = 0, 1, ... every pair with
+  /// demand left pushes min(left, bottleneck residual) onto its p-th
+  /// path. A path that carries flow makes its column basic in place of
+  /// one slack: the pair's volume-row slack when the demand is used up,
+  /// else the capacity-row slack of the first edge the push saturated
+  /// (push is then exactly that edge's residual, so the residual drops
+  /// to exactly 0). Either row is never touched with positive flow
+  /// again, so the basis is triangular, hence nonsingular, and every
+  /// slack stays >= 0, so it is primal feasible. A pure function of lb.
+  [[nodiscard]] lp::Basis greedy_start(const PathSet& paths,
+                                       const lp::BoundedForm& form,
+                                       const std::vector<double>& lb) const {
+    lp::Basis start;
+    start.status.assign(form.num_cols(), lp::VarStatus::AtLower);
+    for (int row = 0; row < form.num_rows; ++row) {
+      start.status[form.logical_col(row)] = lp::VarStatus::Basic;
+    }
+    std::vector<double> left(flow_col.size(), 0.0);
+    std::size_t max_paths = 0;
+    for (std::size_t k = 0; k < flow_col.size(); ++k) {
+      if (flow_col[k].empty()) continue;
+      left[k] = lb[demand_col[k]];
+      max_paths = std::max(max_paths, flow_col[k].size());
+    }
+    std::vector<double> residual(cap_col.size(), 0.0);
+    for (std::size_t e = 0; e < cap_col.size(); ++e) {
+      if (cap_col[e] != lp::kInvalidVar) residual[e] = lb[cap_col[e]];
+    }
+    for (std::size_t p = 0; p < max_paths; ++p) {
+      for (std::size_t k = 0; k < flow_col.size(); ++k) {
+        // Masked pairs have lb[d_k] = 0, so no demand left.
+        if (p >= flow_col[k].size() || !(left[k] > 0.0)) continue;
+        const std::vector<net::EdgeId>& edges =
+            paths.paths(static_cast<int>(k))[p].edges;
+        double push = left[k];
+        for (const net::EdgeId e : edges) push = std::min(push, residual[e]);
+        if (!(push > 0.0)) continue;
+        left[k] -= push;
+        for (const net::EdgeId e : edges) residual[e] -= push;
+        lp::ConId row = vol_row[k];
+        if (left[k] > 0.0) {
+          row = cap_row[*std::ranges::find_if(
+              edges, [&](net::EdgeId e) { return residual[e] == 0.0; })];
+        }
+        start.status[flow_col[k][p]] = lp::VarStatus::Basic;
+        start.status[form.logical_col(row)] = lp::VarStatus::AtLower;
+      }
+    }
+    return start;
   }
 };
 
@@ -177,6 +235,9 @@ MaxFlowResult MaxFlowLp::solve(const std::vector<double>& volumes,
   lp::WarmStartPool::Lease lease(st.pool);
   lp::WarmStartContext& context = lease.context();
   context.hint = hint;
+  lp::Basis start;
+  if (hint == nullptr) start = st.greedy_start(paths_, context.form, lb);
+  context.start = hint == nullptr ? &start : nullptr;
   const lp::Solution sol =
       lp::SimplexSolver(simplex).solve_with_bounds(st.model, lb, ub, context);
   MaxFlowResult result;

@@ -9,8 +9,9 @@
 //    set) whose demands, pair masks and capacities are all column
 //    bounds. Every direct solve (the gap oracles, solve_max_flow and the
 //    DP / POP procedural solvers built on it) is a bound change on it,
-//    answered by the revised simplex core and optionally warm-started
-//    from another solve's optimal basis.
+//    answered by the revised simplex core: warm-started from another
+//    solve's optimal basis when given one, else cold from a greedy
+//    routing of the input (a primal feasible, triangular start basis).
 //
 // We eliminate the aggregate f_k variables by substitution
 // (f_k = sum_p f_k^p), so the volume row reads sum_p f_k^p <= d_k. This
@@ -112,11 +113,20 @@ std::vector<double> edge_loads(const net::Topology& topo, const PathSet& paths,
 /// any solve's optimal basis is a valid, dual-feasible warm start for
 /// any other solve on the same object.
 ///
+/// A cold solve starts primal phase 2 from a greedy routing of the
+/// input (see Structure::greedy_start in max_flow.cpp): path-major,
+/// each pair pushes what its p-th path still admits, and each path that
+/// carries flow swaps its column into the basis for the slack of the row
+/// it used up (the pair's volume row, else its first saturated link).
+/// That basis is triangular and primal feasible, so the engine skips
+/// phase 1; on B4 it cuts the cold solve from about 129 pivots to about
+/// 21 (DESIGN.md, "The cold solve's start basis").
+///
 /// Thread-safety: solve() is const and may run concurrently. Each call
 /// borrows a revised-simplex context from an lp::WarmStartPool; a cold
-/// solve, and a warm solve from a given hint, are pure functions of
-/// (bounds, hint), so which context serves a call never changes its
-/// answer.
+/// solve (whose start is a function of the bounds alone), and a warm
+/// solve from a given hint, are pure functions of (bounds, hint), so
+/// which context serves a call never changes its answer.
 class MaxFlowLp {
  public:
   MaxFlowLp(const net::Topology& topo, const PathSet& paths);
@@ -125,7 +135,7 @@ class MaxFlowLp {
   MaxFlowLp& operator=(const MaxFlowLp&) = delete;
 
   /// Solves for concrete `volumes` (size paths().num_pairs()) under
-  /// `options` (dual_bound_scale is ignored). A null `hint` solves cold;
+  /// `options`. A null `hint` solves cold from the greedy start basis;
   /// otherwise the dual simplex starts from `hint`, normally the basis
   /// of an earlier solve on this LP.
   [[nodiscard]] MaxFlowResult solve(const std::vector<double>& volumes,
@@ -149,7 +159,7 @@ class MaxFlowLp {
 };
 
 /// Solves OptMaxFlow directly for concrete demand volumes (one cold
-/// solve on a one-shot MaxFlowLp).
+/// solve, from the greedy start, on a one-shot MaxFlowLp).
 MaxFlowResult solve_max_flow(const net::Topology& topo, const PathSet& paths,
                              const std::vector<double>& volumes,
                              const MaxFlowOptions& options = {});

@@ -46,7 +46,7 @@ struct PopResult {
 };
 
 /// Runs POP procedurally: solves one LP per partition and sums (one-shot
-/// MaxFlowLp, partitions solved cold).
+/// MaxFlowLp, partitions solved cold from their greedy starts).
 PopResult solve_pop(const net::Topology& topo, const PathSet& paths,
                     const std::vector<double>& volumes,
                     const PopConfig& config);

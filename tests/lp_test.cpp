@@ -6,8 +6,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adversarial.h"
@@ -311,6 +313,69 @@ TEST(SimplexMetrics, ZeroIterationBudgetReturnsIterationLimit) {
   EXPECT_EQ(metric(d, "simplex.solves"), 1.0);
   EXPECT_EQ(metric(d, "simplex.solve_ns"), 1.0);
   EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), 1.0);
+}
+
+// ---- primal start basis: used when usable, else the slack crash ----
+
+Basis start_basis(std::initializer_list<int> basic) {
+  // two_var_max's columns: x, y, two logicals, two artificials.
+  Basis b;
+  b.status.assign(6, VarStatus::AtLower);
+  for (const int j : basic) b.status[j] = VarStatus::Basic;
+  return b;
+}
+
+TEST(PrimalStart, UnusableStartsFallBackToTheCrash) {
+  const Model m = two_var_max();
+  const std::vector<double> lb(2, 0.0);
+  const std::vector<double> ub(2, kInf);
+  const SimplexSolver solver;
+  WarmStartContext plain(m);
+  const Solution crash = solver.solve_with_bounds(m, lb, ub, plain);
+  ASSERT_EQ(crash.status, SolveStatus::Optimal);
+  ASSERT_GT(crash.iterations, 0);
+
+  const std::vector<std::pair<std::string, Basis>> starts = {
+      // Row 0's logical and artificial are both e_0.
+      {"singular", start_basis({2, 4})},
+      {"one basic column", start_basis({0})},
+      // x basic on row 1 puts x = 6 and row 0's slack at 4 - 6 < 0.
+      {"primal infeasible", start_basis({0, 2})},
+  };
+  const obs::MetricsSnapshot d = recorded([&] {
+    for (const auto& [what, start] : starts) {
+      WarmStartContext warm(m);
+      warm.start = &start;
+      const Solution sol = solver.solve_with_bounds(m, lb, ub, warm);
+      EXPECT_EQ(sol.status, crash.status) << what;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sol.objective),
+                std::bit_cast<std::uint64_t>(crash.objective))
+          << what;
+      EXPECT_EQ(sol.iterations, crash.iterations) << what;
+    }
+  });
+  EXPECT_EQ(metric(d, "simplex.start_rejects"), 3.0);
+  EXPECT_EQ(metric(d, "simplex.start_solves"), 0.0);
+}
+
+TEST(PrimalStart, OptimalStartNeedsNoPivot) {
+  // max 3x + 2y over x + y <= 4, x + 3y <= 6: x = 4 with row 1's slack
+  // basic (at 2) is the optimum.
+  const Model m = two_var_max();
+  const std::vector<double> lb(2, 0.0);
+  const std::vector<double> ub(2, kInf);
+  const Basis start = start_basis({0, 3});
+  WarmStartContext warm(m);
+  warm.start = &start;
+  Solution sol;
+  const obs::MetricsSnapshot d = recorded(
+      [&] { sol = SimplexSolver().solve_with_bounds(m, lb, ub, warm); });
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_EQ(sol.iterations, 0);
+  EXPECT_NEAR(sol.objective, 12.0, 1e-9);
+  EXPECT_EQ(metric(d, "simplex.start_solves"), 1.0);
+  EXPECT_EQ(metric(d, "simplex.start_rejects"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.revised_pivots"), 0.0);
 }
 
 TEST(Simplex, DegenerateProblemTerminates) {

@@ -1,7 +1,8 @@
 // Tests for the TE formulations: OptMaxFlow, Demand Pinning, POP —
 // procedural solvers, convex encodings, and their equivalence — plus the
-// direct-solve LP (MaxFlowLp) against a tableau reference and the gap
-// oracles' purity and thread-safety contract.
+// direct-solve LP (MaxFlowLp) against a tableau reference and, from its
+// greedy start basis, against the slack crash, and the gap oracles'
+// purity and thread-safety contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -674,9 +675,10 @@ double metric(const obs::MetricsSnapshot& snap, const std::string& name) {
 }
 
 TEST(GapOracles, DpCorpusStaysOnTheRevisedCore) {
-  // Every DP evaluation is one cold OPT solve plus, when pinning leaves
-  // a feasible residual, one warm residual solve from the OPT basis —
-  // every solve is answered by one of those two rungs.
+  // Every DP evaluation is one cold OPT solve (from the greedy start)
+  // plus, when pinning leaves a feasible residual, one warm residual
+  // solve from the OPT basis — every solve is answered by one of those
+  // two rungs.
   const Topology topo = topologies::b4();
   const PathSet paths = make_paths(topo, 2);
   const DpConfig config;
@@ -696,9 +698,139 @@ TEST(GapOracles, DpCorpusStaysOnTheRevisedCore) {
   const double n = static_cast<double>(corpus.size());
   EXPECT_EQ(metric(d, "simplex.warm_fallbacks"), 0.0);
   EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), n);
+  EXPECT_EQ(metric(d, "simplex.start_solves"), n);
+  EXPECT_EQ(metric(d, "simplex.start_rejects"), 0.0);
   EXPECT_EQ(metric(d, "simplex.warm_solves"), feasible);
   EXPECT_EQ(metric(d, "simplex.solves"), n + feasible);
 }
+
+// ---------------------------------------------------------------------
+// MaxFlowLp's greedy start basis: same optimum as the slack crash
+// ---------------------------------------------------------------------
+
+Topology named_topology(const std::string& name) {
+  if (name == "b4") return topologies::b4();
+  if (name == "abilene") return topologies::abilene();
+  return topologies::circulant(5, 1);
+}
+
+/// build_max_flow's encoding in a plain model, solved by
+/// SimplexSolver::solve: a cold solve from the slack crash.
+lp::Solution crash_solve(const Topology& topo, const PathSet& paths,
+                         const std::vector<double>& volumes,
+                         const MaxFlowOptions& options) {
+  lp::Model model;
+  std::vector<lp::LinExpr> demand(volumes.begin(), volumes.end());
+  const FlowEncoding enc =
+      build_max_flow(model, topo, paths, demand, "crash.", options);
+  kkt::materialize_constraints(model, enc.inner);
+  model.set_objective(lp::ObjSense::Maximize, enc.total_flow);
+  lp::SimplexOptions simplex;
+  simplex.certify = true;
+  return lp::SimplexSolver(simplex).solve(model);
+}
+
+class MaxFlowLpStart : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MaxFlowLpStart, MatchesSlackCrashSolve) {
+  // Every hint-less MaxFlowLp::solve starts phase 2 from its greedy
+  // routing; the optimum must be the slack crash's, certified, and the
+  // engine must accept every start (a rejected start would fall back to
+  // the crash and hide a broken producer).
+  const Topology topo = named_topology(GetParam());
+  const PathSet paths = make_paths(topo, 3);
+  const MaxFlowLp lp(topo, paths);
+  const double cap = topo.max_capacity();
+  const DpConfig dp;
+  int solves = 0;
+  const auto check = [&](const std::vector<double>& volumes,
+                         const MaxFlowOptions& options,
+                         const std::string& what) {
+    const lp::Solution ref = crash_solve(topo, paths, volumes, options);
+    ASSERT_EQ(ref.status, lp::SolveStatus::Optimal) << what;
+    const MaxFlowResult got = lp.solve(volumes, options);
+    ++solves;
+    ASSERT_EQ(got.status, lp::SolveStatus::Optimal) << what;
+    EXPECT_NEAR(got.total_flow, ref.objective,
+                tol::kFeasTol * (1.0 + std::abs(ref.objective)))
+        << what;
+    EXPECT_TRUE(got.certified) << what;
+  };
+
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    // A quarter zeros, the rest up to 1.5x the largest link capacity.
+    util::Rng rng(util::derive_seed(30, seed));
+    std::vector<double> volumes(paths.num_pairs(), 0.0);
+    for (double& v : volumes) {
+      if (rng.uniform(0.0, 1.0) >= 0.25) v = rng.uniform(0.0, 1.5 * cap);
+    }
+    const std::string tag = GetParam() + " seed " + std::to_string(seed);
+    MaxFlowOptions mf;
+    mf.certify = true;
+    check(volumes, mf, tag + " OPT");
+
+    // DP: pairs above the threshold on what pinning leaves.
+    std::vector<double> residual(topo.num_edges());
+    for (net::EdgeId e = 0; e < topo.num_edges(); ++e) {
+      residual[e] = topo.edge(e).capacity;
+    }
+    std::vector<bool> include(paths.num_pairs(), false);
+    for (int k = 0; k < paths.num_pairs(); ++k) {
+      if (volumes[k] > dp.threshold) {
+        include[k] = true;
+        continue;
+      }
+      for (net::EdgeId e : paths.shortest(k).edges) residual[e] -= volumes[k];
+    }
+    for (double& r : residual) r = std::max(r, 0.0);
+    MaxFlowOptions res = mf;
+    res.include = &include;
+    res.capacity_override = &residual;
+    check(volumes, res, tag + " DP residual");
+
+    // POP: each of 2 partitions on half of every link.
+    util::Rng part_rng(seed);
+    const std::vector<int> assignment =
+        random_partition(paths.num_pairs(), 2, part_rng);
+    for (int part = 0; part < 2; ++part) {
+      std::vector<bool> in_part(paths.num_pairs(), false);
+      for (int k = 0; k < paths.num_pairs(); ++k) {
+        in_part[k] = assignment[k] == part;
+      }
+      MaxFlowOptions po = mf;
+      po.include = &in_part;
+      po.capacity_scale = 0.5;
+      check(volumes, po, tag + " POP part " + std::to_string(part));
+    }
+
+    // Zero-capacity overrides: every third link, then every link.
+    std::vector<double> some_zero(topo.num_edges());
+    for (net::EdgeId e = 0; e < topo.num_edges(); ++e) {
+      some_zero[e] = e % 3 == 0 ? 0.0 : topo.edge(e).capacity;
+    }
+    const std::vector<double> all_zero(topo.num_edges(), 0.0);
+    MaxFlowOptions zero = mf;
+    zero.capacity_override = &some_zero;
+    check(volumes, zero, tag + " some links at 0");
+    zero.capacity_override = &all_zero;
+    check(volumes, zero, tag + " every link at 0");
+  }
+  const obs::MetricsSnapshot after = obs::snapshot();
+  obs::set_enabled(false);
+  const obs::MetricsSnapshot d = obs::diff(before, after);
+  EXPECT_EQ(metric(d, "simplex.start_rejects"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.start_solves"), solves);
+}
+
+INSTANTIATE_TEST_SUITE_P(Topologies, MaxFlowLpStart,
+                         ::testing::Values("b4", "abilene", "circulant:5:1"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), ':', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace metaopt::te
