@@ -130,21 +130,12 @@ heur::SolutionBreakdown TeDpInstance::explain_solution(
     const std::vector<double>& leader,
     const heur::ProbeOptions& options) const {
   heur::SolutionBreakdown out;
-
-  // Solved as DpGapOracle solves it: OPT cold from its greedy start, DP
-  // warm from OPT's basis.
-  const te::MaxFlowLp max_flow(topo_, paths_);
-  te::MaxFlowOptions mf;
-  mf.certify = options.certify;
-  const te::MaxFlowResult opt = max_flow.solve(leader, mf);
-  if (opt.status != lp::SolveStatus::Optimal) return out;
-
   te::DpConfig dp;
   dp.threshold = threshold_;
   dp.demand_ub = demand_ub_;
   dp.certify = options.certify;
-  const te::DpResult heur =
-      te::solve_demand_pinning(max_flow, leader, dp, opt.basis.get());
+  const auto [opt, heur] = te::DpGapOracle(topo_, paths_, dp).solve(leader);
+  if (opt.status != lp::SolveStatus::Optimal) return out;
 
   out.available = true;
   out.certified = opt.certified && (!heur.feasible || heur.certified);

@@ -95,7 +95,6 @@ std::atomic<double>& gauge_cell(int id) { return registry().gauges[id]; }
 }  // namespace detail
 
 void set_enabled(bool on) {
-  if constexpr (!kCompiledIn) return;
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 
@@ -112,21 +111,18 @@ void Histogram::observe(std::uint64_t value) const noexcept {
 }
 
 Counter counter(const std::string& name) {
-  if constexpr (!kCompiledIn) return Counter();
   return Counter(detail::register_metric(name, MetricKind::Counter,
                                          &detail::registry().num_counters,
                                          kMaxCounters));
 }
 
 Gauge gauge(const std::string& name) {
-  if constexpr (!kCompiledIn) return Gauge();
   return Gauge(detail::register_metric(name, MetricKind::Gauge,
                                        &detail::registry().num_gauges,
                                        kMaxGauges));
 }
 
 Histogram histogram(const std::string& name) {
-  if constexpr (!kCompiledIn) return Histogram();
   return Histogram(detail::register_metric(name, MetricKind::Histogram,
                                            &detail::registry().num_histograms,
                                            kMaxHistograms));
@@ -246,7 +242,6 @@ ScopedShardGroup::~ScopedShardGroup() {
 
 ScopedWorkerShard::ScopedWorkerShard(std::uint64_t id)
     : prev_(detail::t_block_override) {
-  if constexpr (!kCompiledIn) return;
   if (id == 0 ||
       detail::tls_block().group.load(std::memory_order_relaxed) == id) {
     // Already attributed correctly; no fresh block needed.

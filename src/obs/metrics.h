@@ -11,8 +11,7 @@
 // namespace scope) and are then trivially copyable ids. Hot-path updates
 // touch only the calling thread's shard — a relaxed load/store pair on a
 // cache line no other thread writes — behind a single relaxed-atomic
-// `enabled()` branch. With METAOPT_OBS_DISABLED defined the whole
-// subsystem compiles down to no-ops (`obs::kCompiledIn == false`).
+// `enabled()` branch.
 //
 // Snapshots:
 //   snapshot()        — sums all shards (all threads, living or retired)
@@ -41,12 +40,6 @@
 #include <vector>
 
 namespace metaopt::obs {
-
-#ifdef METAOPT_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// Shard capacities (compile-time; registration past them throws).
 inline constexpr int kMaxCounters = 256;
@@ -90,10 +83,8 @@ std::atomic<double>& gauge_cell(int id);
 
 }  // namespace detail
 
-/// True when metric/trace recording is on: one relaxed atomic load
-/// (constant false when compiled out with METAOPT_OBS_DISABLED).
+/// True when metric/trace recording is on: one relaxed atomic load.
 inline bool enabled() {
-  if constexpr (!kCompiledIn) return false;
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 

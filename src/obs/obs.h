@@ -8,8 +8,7 @@
 //   obs::write_chrome_trace("trace.json");       // open in Perfetto
 //
 // See metrics.h (registry), trace.h (spans/export), bench_report.h
-// (BENCH_<name>.json). Define METAOPT_OBS_DISABLED to compile the whole
-// subsystem out (obs::kCompiledIn == false, every call a no-op).
+// (BENCH_<name>.json).
 #pragma once
 
 #include "obs/bench_report.h"  // IWYU pragma: export

@@ -43,6 +43,11 @@ std::vector<JobSpec> expand_spec(const SweepSpec& spec) {
   if (spec.budget_seconds <= 0.0) {
     throw std::invalid_argument("sweep spec: budget must be positive");
   }
+  for (int paths : spec.paths_per_pair) {
+    if (paths <= 0) {
+      throw std::invalid_argument("sweep spec: paths must be > 0");
+    }
+  }
   if (spec.pop_instances <= 0) {
     throw std::invalid_argument("sweep spec: instances must be positive");
   }

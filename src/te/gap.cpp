@@ -4,20 +4,28 @@
 
 namespace metaopt::te {
 
+DpGapOracle::Solves DpGapOracle::solve(
+    const std::vector<double>& volumes) const {
+  Solves solves;
+  MaxFlowOptions mf;
+  mf.certify = config_.certify;
+  solves.opt = lp_.solve(volumes, mf);
+  if (solves.opt.status != lp::SolveStatus::Optimal) return solves;
+  solves.dp =
+      solve_demand_pinning(lp_, volumes, config_, solves.opt.basis.get());
+  return solves;
+}
+
 heur::GapResult DpGapOracle::evaluate(
     const std::vector<double>& volumes) const {
   count_evaluation();
   heur::GapResult result;
-  MaxFlowOptions mf;
-  mf.certify = config_.certify;
-  const MaxFlowResult opt = lp_.solve(volumes, mf);
+  const auto [opt, dp] = solve(volumes);
   if (opt.status != lp::SolveStatus::Optimal) {
     result.status = opt.status;
     return result;
   }
   result.opt = opt.total_flow;
-  const DpResult dp =
-      solve_demand_pinning(lp_, volumes, config_, opt.basis.get());
   result.status = dp.status;
   result.heuristic_feasible = dp.feasible;
   result.heur = dp.total_flow;
@@ -41,7 +49,7 @@ heur::GapResult PopGapOracle::evaluate(
   result.opt = opt.total_flow;
   bool heur_certified = true;
   const std::vector<double> values =
-      heur_values(volumes, opt.basis.get(), &heur_certified);
+      per_instance_heur(volumes, &heur_certified);
   if (values.size() != seeds_.size()) {
     result.status = lp::SolveStatus::Error;
     return result;
@@ -55,22 +63,12 @@ heur::GapResult PopGapOracle::evaluate(
 
 std::vector<double> PopGapOracle::per_instance_heur(
     const std::vector<double>& volumes, bool* certified) const {
-  MaxFlowOptions mf;
-  mf.certify = config_.certify;
-  const MaxFlowResult opt = lp_.solve(volumes, mf);
-  if (opt.status != lp::SolveStatus::Optimal) return {};
-  return heur_values(volumes, opt.basis.get(), certified);
-}
-
-std::vector<double> PopGapOracle::heur_values(
-    const std::vector<double>& volumes, const lp::Basis* hint,
-    bool* certified) const {
   std::vector<double> values;
   values.reserve(seeds_.size());
   for (const std::uint64_t seed : seeds_) {
     PopConfig config = config_;
     config.seed = seed;
-    const PopResult pop = solve_pop(lp_, volumes, config, hint);
+    const PopResult pop = solve_pop(lp_, volumes, config);
     if (pop.status != lp::SolveStatus::Optimal) return {};
     if (certified != nullptr) *certified = *certified && pop.certified;
     values.push_back(pop.total_flow);

@@ -5,12 +5,14 @@
 // its incumbent with them, explain probes re-solve through them, and the
 // tests compare the convex encodings against them.
 //
-// Each oracle owns one MaxFlowLp. An evaluate() solves OPT cold from
-// the greedy-routing start basis MaxFlowLp builds from the input, then
-// warm-starts every heuristic LP (DP's residual LP; each POP partition
-// of each instantiation) from that OPT basis. The answer is therefore a
-// pure function of the input vector, never of earlier evaluations, and
-// a const oracle may be shared across threads.
+// Each oracle owns one MaxFlowLp, and an evaluate() solves OPT cold from
+// the greedy-routing start basis MaxFlowLp builds from the input. DP's
+// residual LP then warm-starts from that OPT basis; every POP partition
+// of every instantiation is a small LP of its own and solves cold from
+// its own greedy start, which costs fewer pivots than a dual simplex
+// from OPT's basis (DESIGN.md, "Direct solves"). The answer is
+// therefore a pure function of the input vector, never of earlier
+// evaluations, and a const oracle may be shared across threads.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,17 @@ class DpGapOracle final : public heur::GapOracle {
   [[nodiscard]] heur::GapResult evaluate(
       const std::vector<double>& volumes) const override;
 
+  /// The two solves behind one evaluation: OPT cold from its greedy
+  /// start, then DP's residual LP warm from OPT's basis. `dp` keeps its
+  /// default (status Error) when OPT is not Optimal.
+  struct Solves {
+    MaxFlowResult opt;
+    DpResult dp;
+  };
+  /// Solves `volumes` exactly as evaluate() does, with the flows and
+  /// loads an explanation needs (not counted as an evaluation).
+  [[nodiscard]] Solves solve(const std::vector<double>& volumes) const;
+
   [[nodiscard]] const DpConfig& config() const { return config_; }
 
  private:
@@ -63,8 +76,8 @@ class PopGapOracle final : public heur::GapOracle {
       const std::vector<double>& volumes) const override;
 
   /// Per-instantiation heuristic values (Fig. 5a generalization test),
-  /// solved exactly as evaluate() solves them (warm from the OPT
-  /// solve). When `certified` is given it is ANDed with every
+  /// solved exactly as evaluate() solves them; empty when some partition
+  /// LP is not Optimal. When `certified` is given it is ANDed with every
   /// instantiation's certification verdict.
   [[nodiscard]] std::vector<double> per_instance_heur(
       const std::vector<double>& volumes, bool* certified = nullptr) const;
@@ -75,11 +88,6 @@ class PopGapOracle final : public heur::GapOracle {
   }
 
  private:
-  /// per_instance_heur with the partitions warm-started from `hint`.
-  [[nodiscard]] std::vector<double> heur_values(
-      const std::vector<double>& volumes, const lp::Basis* hint,
-      bool* certified) const;
-
   MaxFlowLp lp_;
   PopConfig config_;
   std::vector<std::uint64_t> seeds_;

@@ -23,7 +23,7 @@ PopResult solve_pop(const net::Topology& topo, const PathSet& paths,
 
 PopResult solve_pop(const MaxFlowLp& max_flow,
                     const std::vector<double>& volumes,
-                    const PopConfig& config, const lp::Basis* hint) {
+                    const PopConfig& config) {
   const PathSet& paths = max_flow.paths();
   if (volumes.size() != static_cast<std::size_t>(paths.num_pairs())) {
     throw std::invalid_argument("solve_pop: volume size mismatch");
@@ -44,8 +44,7 @@ PopResult solve_pop(const MaxFlowLp& max_flow,
     options.include = &include;
     options.capacity_scale = 1.0 / config.num_partitions;
     options.certify = config.certify;
-    const MaxFlowResult part_result =
-        max_flow.solve(volumes, options, hint);
+    const MaxFlowResult part_result = max_flow.solve(volumes, options);
     if (part_result.status != lp::SolveStatus::Optimal) {
       result.status = part_result.status;
       result.certified = false;

@@ -3,8 +3,9 @@
 // POP divides the demand pairs uniformly at random into `num_partitions`
 // disjoint subsets, gives every partition a 1/num_partitions share of
 // each edge capacity, and solves OptMaxFlow independently per partition
-// (each partition is a bound change on one MaxFlowLp).
-// The heuristic value is the sum of the per-partition optima.
+// (each partition is a bound change on one MaxFlowLp, solved cold from
+// its own greedy start). The heuristic value is the sum of the
+// per-partition optima.
 //
 // Because partitioning is random, POP(I) is a random variable (§3.2):
 // the adversarial search targets the empirical mean over several
@@ -46,17 +47,16 @@ struct PopResult {
 };
 
 /// Runs POP procedurally: solves one LP per partition and sums (one-shot
-/// MaxFlowLp, partitions solved cold from their greedy starts).
+/// MaxFlowLp).
 PopResult solve_pop(const net::Topology& topo, const PathSet& paths,
                     const std::vector<double>& volumes,
                     const PopConfig& config);
 
 /// Same, with every partition solved on `max_flow` (include mask + 1/c
-/// capacity scale as bounds), warm-started from `hint` when non-null
-/// (PopGapOracle passes the OPT basis of the same input).
+/// capacity scale as bounds), each cold from its own greedy start.
 PopResult solve_pop(const MaxFlowLp& max_flow,
                     const std::vector<double>& volumes,
-                    const PopConfig& config, const lp::Basis* hint = nullptr);
+                    const PopConfig& config);
 
 /// The convex encoding of one POP instantiation: an independent
 /// OptMaxFlow inner problem per partition (each later KKT-rewritten on

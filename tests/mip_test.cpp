@@ -232,9 +232,7 @@ TEST(BranchAndBound, FailedNodeLpNeverClaimsAProof) {
   EXPECT_NE(sol.status, SolveStatus::Optimal);
   EXPECT_NE(sol.status, SolveStatus::Infeasible);
   EXPECT_EQ(sol.status, SolveStatus::Error);
-  if (obs::kCompiledIn) {
-    EXPECT_GE(metric(d, "bnb.nodes_failed"), 1.0);
-  }
+  EXPECT_GE(metric(d, "bnb.nodes_failed"), 1.0);
 
   // With an incumbent the answer is Feasible, and the failed root's
   // bound stays open instead of collapsing onto the incumbent.

@@ -23,9 +23,6 @@ namespace {
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kCompiledIn) {
-      GTEST_SKIP() << "obs compiled out (METAOPT_OBS_DISABLED)";
-    }
     set_enabled(true);
     reset();
     clear_trace();

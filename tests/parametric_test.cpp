@@ -468,16 +468,14 @@ TEST_P(InnerLpTest, CacheHitsMatchFreshSolves) {
                          std::to_string(point) + ", follower " +
                          std::to_string(follower));
   }
-  if (obs::kCompiledIn) {
-    const double solves =
-        static_cast<double>(named(events, "kkt.inner_solve").size());
-    const double hits = counter_value(after, "kkt.inner_cache_hits") -
-                        counter_value(before, "kkt.inner_cache_hits");
-    EXPECT_EQ(hits, static_cast<double>(calls) - solves);
-    EXPECT_GT(hits, 0.0);
-    // More solves than one pass needs: evicted entries came back.
-    EXPECT_GT(solves, static_cast<double>(n * num_followers));
-  }
+  const double solves =
+      static_cast<double>(named(events, "kkt.inner_solve").size());
+  const double hits = counter_value(after, "kkt.inner_cache_hits") -
+                      counter_value(before, "kkt.inner_cache_hits");
+  EXPECT_EQ(hits, static_cast<double>(calls) - solves);
+  EXPECT_GT(hits, 0.0);
+  // More solves than one pass needs: evicted entries came back.
+  EXPECT_GT(solves, static_cast<double>(n * num_followers));
 
   // Values that differ in a single outer column are different keys.
   int changed = 0;  // perturbations that change the fresh answer
@@ -509,10 +507,8 @@ TEST_P(InnerLpTest, CacheHitsMatchFreshSolves) {
       expect_identical(lp.solve(point).solution, fresh[t], "first");
       expect_identical(lp.solve(point).solution, fresh[t], "second");
     });
-    if (obs::kCompiledIn) {
-      EXPECT_EQ(named(twice, "kkt.inner_solve").size(), 2u)
-          << "a non-Optimal answer came from the cache";
-    }
+    EXPECT_EQ(named(twice, "kkt.inner_solve").size(), 2u)
+        << "a non-Optimal answer came from the cache";
   }
   if (GetParam().ends_with("Dp")) {
     EXPECT_GT(non_optimal, 0) << "no Infeasible point: the check is vacuous";
@@ -546,10 +542,6 @@ INSTANTIATE_TEST_SUITE_P(Followers, InnerLpTest,
 /// Spans of a traced fig1 find run at a small node budget.
 class TracedFind : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
-  }
-
   static core::AdversarialOptions options(double demand_ub) {
     core::AdversarialOptions o;
     o.demand_ub = demand_ub;

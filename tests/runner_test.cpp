@@ -191,12 +191,16 @@ TEST(SweepSpecTest, ParserRejectsGarbage) {
         "mip-threads=99999999999"}) {
     EXPECT_THROW(parse_sweep_spec({token}), std::invalid_argument) << token;
   }
-  // dims/bins/items validation happens at expansion time.
+  // dims/bins/items/paths validation happens at expansion time.
   EXPECT_THROW(expand_spec(parse_sweep_spec({"heuristic=ffd", "dims=0"})),
                std::invalid_argument);
   EXPECT_THROW(expand_spec(parse_sweep_spec({"heuristic=ffd", "bins=-1"})),
                std::invalid_argument);
   EXPECT_THROW(expand_spec(parse_sweep_spec({"heuristic=ffd", "items=0"})),
+               std::invalid_argument);
+  EXPECT_THROW(expand_spec(parse_sweep_spec({"heuristic=pop", "paths=0"})),
+               std::invalid_argument);
+  EXPECT_THROW(expand_spec(parse_sweep_spec({"heuristic=dp", "paths=2,0"})),
                std::invalid_argument);
   EXPECT_THROW(parse_sweep_spec({"base-seed=-1"}), std::invalid_argument);
   EXPECT_THROW(parse_sweep_spec({"base-seed=1.5"}), std::invalid_argument);

@@ -543,7 +543,8 @@ TEST_P(MaxFlowLpDiff, MatchesTableauReference) {
       EXPECT_TRUE(dp_result.certified) << tag;
     }
 
-    // POP partitions, warm from the OPT basis.
+    // POP partitions, warm from the OPT basis: any basis of this LP is a
+    // valid hint (PopGapOracle solves them cold; see MaxFlowLpStart).
     for (const int c : {2, 3}) {
       util::Rng rng(seed);
       const std::vector<int> assignment =
@@ -702,6 +703,37 @@ TEST(GapOracles, DpCorpusStaysOnTheRevisedCore) {
   EXPECT_EQ(metric(d, "simplex.start_rejects"), 0.0);
   EXPECT_EQ(metric(d, "simplex.warm_solves"), feasible);
   EXPECT_EQ(metric(d, "simplex.solves"), n + feasible);
+}
+
+TEST(GapOracles, PopCorpusStartsEveryPartitionFromItsGreedyRouting) {
+  // Every POP evaluation is one cold OPT solve plus, per instantiation,
+  // one cold solve per partition, each from its own greedy start: no
+  // solve is warm, and the engine accepts every start.
+  const Topology topo = topologies::b4();
+  const PathSet paths = make_paths(topo, 2);
+  PopConfig config;
+  config.num_partitions = 2;
+  const std::vector<std::uint64_t> seeds = {1, 2, 3};
+  const auto corpus = b4_corpus(topo, paths, DpConfig{}.threshold);
+  const PopGapOracle oracle(topo, paths, config, seeds);
+
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
+  for (const auto& v : corpus) {
+    ASSERT_EQ(oracle.evaluate(v).status, lp::SolveStatus::Optimal);
+  }
+  const obs::MetricsSnapshot after = obs::snapshot();
+  obs::set_enabled(false);
+
+  const obs::MetricsSnapshot d = obs::diff(before, after);
+  const double solves =
+      static_cast<double>(corpus.size()) *
+      (1.0 + static_cast<double>(seeds.size() * config.num_partitions));
+  EXPECT_EQ(metric(d, "simplex.warm_solves"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.start_rejects"), 0.0);
+  EXPECT_EQ(metric(d, "simplex.start_solves"), solves);
+  EXPECT_EQ(metric(d, "simplex.cold_revised_solves"), solves);
+  EXPECT_EQ(metric(d, "simplex.solves"), solves);
 }
 
 // ---------------------------------------------------------------------

@@ -54,7 +54,7 @@ namespace {
 // ---- flag tables ----
 
 /// Number takes a finite real; Seconds a finite real > 0 (budgets);
-/// Integer a count >= 0; Positive a count >= 1 (thread counts).
+/// Integer a count >= 0; Positive a count >= 1 (thread counts, sizes).
 enum class Kind { Switch, Number, Seconds, Integer, Positive, String };
 using enum Kind;
 
@@ -79,14 +79,14 @@ constexpr Flag kInstanceFlags[] = {
     {"heuristic", String, "", "registry name (or positional)"},
     {"topology", String, "b4",
      "b4|abilene|swan|fig1|circulant:n:k|file.topo"},
-    {"paths", Integer, "2", "paths per pair"},
+    {"paths", Positive, "2", "paths per pair"},
     {"threshold", Number, "50", "DP pinning threshold"},
-    {"partitions", Integer, "2", "POP partitions"},
-    {"instances", Integer, "3", "POP instantiations, seeds seed.."},
+    {"partitions", Positive, "2", "POP partitions"},
+    {"instances", Positive, "3", "POP instantiations, seeds seed.."},
     {"pairs", Integer, "0", "adversarial support ~N pairs; 0 = all"},
     {"demand-ub", Number, "0", "leader box bound; 0 = domain max"},
-    {"items", Integer, "6", "bin packing: items"},
-    {"dims", Integer, "1", "bin packing: dimensions"},
+    {"items", Positive, "6", "bin packing: items"},
+    {"dims", Positive, "1", "bin packing: dimensions"},
     {"bins", Integer, "0", "bin packing: bin budget; 0 = one per item"},
     {"seed", Integer, "1", "RNG seed"},
 };
