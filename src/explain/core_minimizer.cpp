@@ -1,7 +1,6 @@
 #include "explain/core_minimizer.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/obs.h"
 #include "util/rng.h"
@@ -24,142 +23,46 @@ std::vector<int> without(const std::vector<int>& keep, int element) {
 
 }  // namespace
 
-CoreResult CoreMinimizer::minimize(ProbeContext& ctx,
-                                   const MinimizeOptions& options) const {
+CoreResult minimize_core(ProbeContext& ctx, const MinimizeOptions& options) {
   MO_SPAN_HIST("explain.minimize", h_minimize_ns);
   const long probes_before = ctx.probes();
 
   CoreResult result;
-  std::vector<int> keep = ctx.support();
-  const ProbeOutcome start = ctx.probe(keep);
-  if (start.gap < options.min_gap) {
-    // The witness itself misses the threshold: nothing to minimize.
-    // Echo the support so callers can report what was asked of it.
-    result.core = keep;
-    result.gap = start.gap;
-    result.certified = ctx.all_certified();
-    result.probes = ctx.probes() - probes_before;
-    return result;
-  }
-
-  keep = shrink(ctx, std::move(keep), options);
-
-  // Shared 1-minimality fixpoint: keep deleting single elements while
-  // any deletion retains the threshold; when a full scan removes
-  // nothing, the core is 1-minimal by construction. A correct strategy
-  // reaches here already minimal and pays only memo lookups.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const int e : keep) {
-      const std::vector<int> trial = without(keep, e);
-      if (ctx.probe(trial).gap >= options.min_gap) {
-        keep = trial;
-        changed = true;
-        break;  // rescan from the start of the shrunk core
-      }
-    }
-  }
-
-  result.core = keep;
+  std::vector<int>& keep = result.core;
+  keep = ctx.support();
   result.gap = ctx.probe(keep).gap;
-  result.certified = ctx.all_certified();
-  result.probes = ctx.probes() - probes_before;
-  result.minimal = true;
-  g_core_size.set(static_cast<double>(keep.size()));
-  return result;
-}
+  // A witness that misses the threshold is not minimized: the support
+  // is echoed so callers can report what was asked of it.
+  result.minimal = result.gap >= options.min_gap;
 
-std::vector<int> GreedyDeletionMinimizer::shrink(
-    ProbeContext& ctx, std::vector<int> keep,
-    const MinimizeOptions& options) const {
   // Deletion passes in a per-pass shuffled order: the order decides
   // which of several equally valid minimal cores we land on, so it is
   // drawn from a derive_seed stream — same seed, same core, bytewise.
-  std::uint64_t pass = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  // A one-element core still gets its empty-set probe, so the last pass
+  // always covers every single deletion.
+  bool deleted = result.minimal;
+  for (std::uint64_t pass = 0; deleted; ++pass) {
+    deleted = false;
     std::vector<int> order = keep;
-    util::Rng rng(util::derive_seed(options.seed, pass++));
+    util::Rng rng(util::derive_seed(options.seed, pass));
     rng.shuffle(order);
     for (const int e : order) {
-      if (keep.size() <= 1) break;
       // `order` is a snapshot; skip elements a prior deletion removed.
       if (!std::binary_search(keep.begin(), keep.end(), e)) continue;
-      const std::vector<int> trial = without(keep, e);
-      if (ctx.probe(trial).gap >= options.min_gap) {
-        keep = trial;
-        changed = true;
+      std::vector<int> trial = without(keep, e);
+      const double gap = ctx.probe(trial).gap;
+      if (gap >= options.min_gap) {
+        keep = std::move(trial);
+        result.gap = gap;
+        deleted = true;
       }
     }
   }
-  return keep;
+
+  result.certified = ctx.all_certified();
+  result.probes = ctx.probes() - probes_before;
+  if (result.minimal) g_core_size.set(static_cast<double>(keep.size()));
+  return result;
 }
-
-std::vector<int> DdminMinimizer::shrink(ProbeContext& ctx,
-                                        std::vector<int> keep,
-                                        const MinimizeOptions& options) const {
-  std::size_t granularity = 2;
-  while (keep.size() >= 2) {
-    // Split keep into `granularity` contiguous chunks (sizes differ by
-    // at most one). Contiguity over the sorted element ids keeps the
-    // chunking deterministic with no tie-break randomness needed.
-    std::vector<std::vector<int>> chunks(granularity);
-    for (std::size_t i = 0; i < keep.size(); ++i) {
-      chunks[i * granularity / keep.size()].push_back(keep[i]);
-    }
-
-    bool reduced = false;
-    // Reduce to a single chunk.
-    for (const std::vector<int>& chunk : chunks) {
-      if (chunk.size() == keep.size()) continue;
-      if (ctx.probe(chunk).gap >= options.min_gap) {
-        keep = chunk;
-        granularity = 2;
-        reduced = true;
-        break;
-      }
-    }
-    if (reduced) continue;
-
-    // Reduce to a complement of one chunk.
-    if (granularity > 2) {
-      for (const std::vector<int>& chunk : chunks) {
-        std::vector<int> complement;
-        complement.reserve(keep.size() - chunk.size());
-        std::set_difference(keep.begin(), keep.end(), chunk.begin(),
-                            chunk.end(), std::back_inserter(complement));
-        if (complement.empty() || complement.size() == keep.size()) continue;
-        if (ctx.probe(complement).gap >= options.min_gap) {
-          keep = std::move(complement);
-          granularity = std::max<std::size_t>(granularity - 1, 2);
-          reduced = true;
-          break;
-        }
-      }
-      if (reduced) continue;
-    }
-
-    // Refine granularity or stop.
-    if (granularity >= keep.size()) break;
-    granularity = std::min(granularity * 2, keep.size());
-  }
-  return keep;
-}
-
-std::unique_ptr<CoreMinimizer> make_minimizer(const std::string& strategy) {
-  if (strategy == "greedy") return std::make_unique<GreedyDeletionMinimizer>();
-  if (strategy == "ddmin") return std::make_unique<DdminMinimizer>();
-  std::string known;
-  for (const std::string& name : minimizer_names()) {
-    if (!known.empty()) known += ", ";
-    known += name;
-  }
-  throw std::invalid_argument("unknown core-minimizer strategy '" + strategy +
-                              "' (known: " + known + ")");
-}
-
-std::vector<std::string> minimizer_names() { return {"ddmin", "greedy"}; }
 
 }  // namespace metaopt::explain

@@ -1,28 +1,19 @@
 // Minimal adversarial cores: shrink a gap witness to the smallest
 // element subset whose sub-instance still exhibits the gap.
 //
-// The interface mirrors z3's spacer unsat_core_plugin: one abstract
-// minimizer, pluggable strategies behind it, all sharing the probe
-// machinery and a final verification pass. A strategy's shrink() only
-// has to make progress; minimize() then runs a single-deletion fixpoint
-// that *guarantees* the returned core is 1-minimal — removing any one
-// element drops the sub-instance gap below the threshold — regardless
-// of what the strategy did. (For greedy the fixpoint re-asks exactly
-// the probes of its last pass, so the memo answers them for free.)
+// One algorithm, greedy single deletion: passes over the current core
+// in a shuffled order, each element dropped when the sub-instance
+// without it still retains the threshold. The shuffle order comes off
+// a derive_seed stream, so runs are byte-reproducible per seed. The
+// loop stops at the first full pass that deletes nothing, and that pass
+// is the 1-minimality proof: it probed every single-element deletion of
+// the final core and each one dropped the gap below the threshold.
 //
-// Strategies:
-//   * greedy — shuffled single-deletion passes to a fixpoint. Probe
-//     count O(passes * n); the shuffle order comes off a derive_seed
-//     stream so runs are byte-reproducible per seed.
-//   * ddmin — Zeller & Hildebrandt delta debugging: try chunks, then
-//     chunk complements, doubling granularity when stuck. Often far
-//     fewer probes than greedy when the core is a small fraction of the
-//     witness support.
+// Delta debugging (ddmin) was measured against it and never needed
+// fewer probes (DESIGN.md, "Gap explanation").
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "explain/probe.h"
@@ -52,54 +43,8 @@ struct CoreResult {
   bool minimal = false;
 };
 
-class CoreMinimizer {
- public:
-  virtual ~CoreMinimizer() = default;
-
-  /// Strategy key ("greedy", "ddmin") — CLI --strategy and reports.
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Shrinks ctx.support() to a verified 1-minimal core. Template
-  /// method: strategy shrink(), then the shared verification fixpoint.
-  [[nodiscard]] CoreResult minimize(ProbeContext& ctx,
-                                    const MinimizeOptions& options) const;
-
- protected:
-  /// Strategy hook: returns a subset of `keep` whose sub-instance gap
-  /// is still >= options.min_gap. Need not be minimal.
-  [[nodiscard]] virtual std::vector<int> shrink(
-      ProbeContext& ctx, std::vector<int> keep,
-      const MinimizeOptions& options) const = 0;
-};
-
-/// Shuffled single-deletion passes to a fixpoint.
-class GreedyDeletionMinimizer final : public CoreMinimizer {
- public:
-  [[nodiscard]] std::string name() const override { return "greedy"; }
-
- protected:
-  [[nodiscard]] std::vector<int> shrink(
-      ProbeContext& ctx, std::vector<int> keep,
-      const MinimizeOptions& options) const override;
-};
-
-/// Classic ddmin over element chunks.
-class DdminMinimizer final : public CoreMinimizer {
- public:
-  [[nodiscard]] std::string name() const override { return "ddmin"; }
-
- protected:
-  [[nodiscard]] std::vector<int> shrink(
-      ProbeContext& ctx, std::vector<int> keep,
-      const MinimizeOptions& options) const override;
-};
-
-/// Builds a minimizer by strategy key. Throws std::invalid_argument on
-/// an unknown key, naming the registered ones.
-[[nodiscard]] std::unique_ptr<CoreMinimizer> make_minimizer(
-    const std::string& strategy);
-
-/// Registered strategy keys, sorted (--help listings, error messages).
-[[nodiscard]] std::vector<std::string> minimizer_names();
+/// Shrinks ctx.support() to a verified 1-minimal core.
+[[nodiscard]] CoreResult minimize_core(ProbeContext& ctx,
+                                       const MinimizeOptions& options);
 
 }  // namespace metaopt::explain

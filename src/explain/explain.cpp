@@ -1,6 +1,5 @@
 #include "explain/explain.h"
 
-#include <memory>
 #include <utility>
 
 #include "explain/core_minimizer.h"
@@ -26,14 +25,11 @@ ExplainOutcome explain_witness(const heur::HeuristicInstance& instance,
   ExplainReport& report = outcome.report;
   report.heuristic = instance.name();
   report.source = options.source;
-  report.strategy = options.strategy;
   report.num_elements = instance.num_core_elements();
 
-  std::unique_ptr<CoreMinimizer> minimizer;
-  try {
-    minimizer = make_minimizer(options.strategy);
-  } catch (const std::exception& e) {
-    outcome.error = e.what();
+  if (options.strategy != "greedy") {
+    outcome.error = "unknown core-minimizer strategy '" + options.strategy +
+                    "' (the only one is greedy)";
     return outcome;
   }
 
@@ -65,7 +61,7 @@ ExplainOutcome explain_witness(const heur::HeuristicInstance& instance,
     return outcome;
   }
 
-  report.core = minimizer->minimize(ctx, minimize);
+  report.core = minimize_core(ctx, minimize);
   for (const int e : report.core.core) {
     report.core_names.push_back(instance.core_element_name(e));
     std::vector<double> values;

@@ -18,7 +18,9 @@
 namespace metaopt::explain {
 
 struct ExplainOptions {
-  /// Core-minimization strategy key (make_minimizer).
+  /// Must be "greedy", the one core minimizer (minimize_core); any other
+  /// value is reported through ExplainOutcome::error. Kept only until the
+  /// benchmark driver stops assigning it.
   std::string strategy = "greedy";
   /// Retention threshold as a percentage of the instance's gap
   /// normalizer (the Fig. 3 metric: --min-gap 2 keeps cores with a
@@ -34,7 +36,7 @@ struct ExplainOptions {
 
 struct ExplainOutcome {
   bool ok = false;
-  /// Set when !ok ("witness gap below threshold", strategy errors).
+  /// Set when !ok ("witness gap below threshold", an unknown strategy).
   std::string error;
   ExplainReport report;
 };

@@ -3,11 +3,11 @@
 // A probe answers one question: "does the sub-instance that keeps only
 // these core elements (every other element zeroed) still exhibit the
 // gap?" — by an exact heuristic-vs-OPT re-solve through the instance's
-// probe oracle, certification on. Minimizers fire many probes over
-// overlapping keep-sets (greedy passes and the shared 1-minimality
-// verification revisit the same deletions), so outcomes are memoized by
-// keep-set; the cache also makes repeated runs byte-for-byte free of
-// solver nondeterminism concerns — each distinct sub-instance is solved
+// probe oracle, certification on. The minimizer fires many probes over
+// overlapping keep-sets (a deletion pass can re-ask a keep-set an
+// earlier pass already answered), so outcomes are memoized by keep-set;
+// the cache also makes repeated runs byte-for-byte free of solver
+// nondeterminism concerns — each distinct sub-instance is solved
 // exactly once.
 #pragma once
 

@@ -24,8 +24,7 @@ std::string pct(double v) {
 std::string render_text(const ExplainReport& report) {
   std::ostringstream out;
   out << "gap explanation: heuristic=" << report.heuristic
-      << " source=" << report.source << " strategy=" << report.strategy
-      << "\n";
+      << " source=" << report.source << "\n";
   out << "  witness: gap=" << fmt(report.witness_gap)
       << " (normalized " << pct(report.witness_norm_gap) << "), support "
       << report.support_size << " of " << report.num_elements
@@ -88,7 +87,6 @@ std::vector<std::pair<std::string, std::string>> bench_config(
   return {
       {"heuristic", report.heuristic},
       {"source", report.source},
-      {"strategy", report.strategy},
       {"elements", std::to_string(report.num_elements)},
       {"support", std::to_string(report.support_size)},
       {"core_size", std::to_string(report.core.core.size())},

@@ -17,7 +17,6 @@ struct ExplainReport {
   std::string heuristic;
   /// Where the witness came from ("find", "path:job=N").
   std::string source;
-  std::string strategy;
   /// Maskable elements of the instance and how many the witness uses.
   int num_elements = 0;
   int support_size = 0;

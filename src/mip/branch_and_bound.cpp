@@ -317,26 +317,27 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
     }
   }
 
-  if (options_.use_presolve) {
-    // Node presolve pays per change: the root records its run, and every
-    // other node replays each step whose row still sees the root's
-    // bounds bit for bit, recomputing only the rows its branching
-    // changes reach. The box is bit-identical to a full presolve_into.
-    // The root's worker writes the trace before it pushes any child,
-    // and the queue mutex orders that write before every reader.
-    if (entry.node == nullptr) {
-      // The root box is the model's own (no bound changes yet).
-      lp::presolve_record(model_, ws.pre, root_presolve_);
-    } else {
-      lp::presolve_replay(model_, root_presolve_, ws.lbs, ws.ubs, ws.pre);
-    }
-    if (ws.pre.infeasible) {
-      c_pruned_infeas.inc();
-      return;
-    }
-    ws.lbs = ws.pre.lb;
-    ws.ubs = ws.pre.ub;
+  // Bound-propagation presolve at every node prunes provably infeasible
+  // nodes without an LP solve and shrinks node LPs by fixing variables
+  // (big-M indicator rows propagate well). It pays per change: the root
+  // records its run, and every other node replays each step whose row
+  // still sees the root's bounds bit for bit, recomputing only the rows
+  // its branching changes reach. The box is bit-identical to a full
+  // presolve_into. The root's worker writes the trace before it pushes
+  // any child, and the queue mutex orders that write before every
+  // reader.
+  if (entry.node == nullptr) {
+    // The root box is the model's own (no bound changes yet).
+    lp::presolve_record(model_, ws.pre, root_presolve_);
+  } else {
+    lp::presolve_replay(model_, root_presolve_, ws.lbs, ws.ubs, ws.pre);
   }
+  if (ws.pre.infeasible) {
+    c_pruned_infeas.inc();
+    return;
+  }
+  ws.lbs = ws.pre.lb;
+  ws.ubs = ws.pre.ub;
 
   // A complementarity pair with *both* sides bounded away from zero can
   // never be satisfied in this subtree — the node is infeasible. Caught

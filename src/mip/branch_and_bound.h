@@ -42,10 +42,6 @@ namespace metaopt::mip {
 struct MipOptions {
   double time_limit_seconds = 60.0;
   long max_nodes = 100000000;
-  /// Run bound-propagation presolve at every node: prunes provably
-  /// infeasible nodes without an LP solve and shrinks node LPs by fixing
-  /// variables (big-M indicator rows propagate well).
-  bool use_presolve = true;
   /// Lint the model before the search and run check::certify_mip on the
   /// final incumbent, recording the outcome in Solution::certified
   /// (failures are logged at Error level). On by default in Debug

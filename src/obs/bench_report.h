@@ -10,7 +10,7 @@
 //     "bench": "explain",
 //     "git_sha": "<12-hex or 'unknown'>",
 //     "timestamp_unix": 1754550000,
-//     "config": {"heuristic": "dp", "strategy": "greedy", ...},
+//     "config": {"heuristic": "dp", "source": "find", ...},
 //     "wall_seconds": 12.34,
 //     "metrics": {"simplex.solves": 123, ...},          // snapshot JSON
 //     "summaries": {

@@ -213,7 +213,6 @@ TEST(BnbParallel, BothSidesPositivePairPrunedAsInfeasible) {
   for (const int threads : {1, 2}) {
     MipOptions opt;
     opt.threads = threads;
-    opt.use_presolve = true;
     const obs::MetricsSnapshot before = obs::snapshot();
     const auto sol = BranchAndBound(opt).solve(m);
     const obs::MetricsSnapshot d = obs::diff(before, obs::snapshot());

@@ -1,9 +1,10 @@
-// Randomized 1-minimality invariant corpus for the core minimizers.
+// Randomized 1-minimality invariant corpus for the core minimizer.
 //
-// For seeded random instances of both heuristic families, any core a
-// strategy returns must satisfy the explain contract checked *from
+// For seeded random instances of DP, POP and FFD, every core the
+// minimizer returns must satisfy the explain contract checked *from
 // scratch* (a fresh ProbeContext, so the check cannot inherit minimizer
-// state):
+// state). The minimizer's own last deletion pass is its proof of
+// 1-minimality; this is the independent check of that proof:
 //   * gap(core) >= threshold, and
 //   * for every element e in the core, gap(core \ {e}) < threshold —
 //     the 1-minimality invariant.
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "domains/domains.h"
+#include "domains/te_instances.h"
 #include "explain/core_minimizer.h"
 #include "explain/probe.h"
 #include "heur/instance.h"
@@ -64,10 +66,13 @@ void check_one_minimal(const heur::HeuristicInstance& instance,
   EXPECT_TRUE(fresh.all_certified()) << label;
 }
 
+/// `support` restricts the random draws to the leader variables it
+/// marks (empty = all of them); the rest stay zero.
 void run_corpus(const heur::InstanceConfig& base_config,
                 const std::string& family, int count,
                 const std::vector<double>& levels,
-                const std::vector<double>& crafted) {
+                const std::vector<double>& crafted,
+                const std::vector<bool>& support = {}) {
   domains::register_builtin();
   const std::unique_ptr<heur::HeuristicInstance> instance =
       heur::make_instance(base_config);
@@ -86,9 +91,10 @@ void run_corpus(const heur::InstanceConfig& base_config,
     } else {
       util::Rng rng(
           util::derive_seed(root_seed(), static_cast<std::uint64_t>(i)));
-      witness.resize(static_cast<std::size_t>(n));
-      for (double& v : witness) {
-        v = levels[static_cast<std::size_t>(
+      witness.assign(static_cast<std::size_t>(n), 0.0);
+      for (std::size_t k = 0; k < witness.size(); ++k) {
+        if (!support.empty() && !support[k]) continue;
+        witness[k] = levels[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<int>(levels.size()) - 1))];
       }
     }
@@ -99,21 +105,17 @@ void run_corpus(const heur::InstanceConfig& base_config,
     ++explained;
     const double threshold = 0.95 * witness_gap;
 
-    for (const std::string& strategy : explain::minimizer_names()) {
-      explain::ProbeContext ctx(*instance, witness);
-      explain::MinimizeOptions options;
-      options.min_gap = threshold;
-      options.seed = util::derive_seed(root_seed(), 1000 + i);
-      const explain::CoreResult core =
-          explain::make_minimizer(strategy)->minimize(ctx, options);
-      const std::string label = family + " seed " + std::to_string(i) +
-                                " strategy " + strategy;
-      ASSERT_TRUE(core.minimal) << label;
-      EXPECT_LE(core.core.size(), ctx.support().size()) << label;
-      check_one_minimal(*instance, witness, core.core, threshold, label);
-    }
+    explain::ProbeContext ctx(*instance, witness);
+    explain::MinimizeOptions options;
+    options.min_gap = threshold;
+    options.seed = util::derive_seed(root_seed(), 1000 + i);
+    const explain::CoreResult core = explain::minimize_core(ctx, options);
+    const std::string label = family + " seed " + std::to_string(i);
+    ASSERT_TRUE(core.minimal) << label;
+    EXPECT_LE(core.core.size(), ctx.support().size()) << label;
+    check_one_minimal(*instance, witness, core.core, threshold, label);
   }
-  // The corpus must actually exercise the minimizers, not skip through.
+  // The corpus must actually exercise the minimizer, not skip through.
   EXPECT_GT(explained, 0) << family;
 }
 
@@ -139,6 +141,24 @@ TEST(ExplainFuzz, TeDpCoresAreOneMinimal) {
   // the crafted instance is the Fig. 1 witness with pathless padding.
   run_corpus(config, "dp", corpus_count(8), {0.0, 50.0, 50.0, 100.0, 110.0},
              {100.0, 50.0, 5.0, 110.0, 0.0, 0.0});
+}
+
+TEST(ExplainFuzz, TePopCoresAreOneMinimal) {
+  heur::InstanceConfig config;
+  config.heuristic = "pop";
+  config.topology = "b4";
+  config.support = 12;
+  config.partitions = 2;
+  config.stream_seed = 7;
+  // Random draws stay on the 12-pair support the finds search, at levels
+  // 0, half and full link capacity (full twice: saturating demands drive
+  // POP's gap); the crafted instance is the gap-floor corpus's POP
+  // witness found at this stream seed.
+  const int pairs = heur::make_instance(config)->num_leader_vars();
+  std::vector<double> crafted(static_cast<std::size_t>(pairs), 0.0);
+  for (const std::size_t k : {0u, 11u, 22u, 88u}) crafted[k] = 1000.0;
+  run_corpus(config, "pop", corpus_count(8), {0.0, 500.0, 1000.0, 1000.0},
+             crafted, domains::make_support_mask(pairs, config.support));
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // (the paper's motivating example, padded with a demand that cannot
 // matter), and on the classic FFD counterexample padded with a tiny
 // item — both real cases must shrink strictly below the witness support
-// through the same code path.
+// through the same code path. The gap-floor corpus pins the cores and
+// probe counts of every recorded witness.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,13 +19,15 @@
 #include "explain/explain.h"
 #include "explain/probe.h"
 #include "heur/instance.h"
+#include "runner/jsonl_io.h"
+#include "runner/sweep_runner.h"
 
 namespace metaopt {
 namespace {
 
 /// Synthetic instance: gap = 10 iff every element of `required` carries
 /// a nonzero leader value, else 0. The unique minimal core is exactly
-/// `required`, so strategy correctness is directly checkable.
+/// `required`, so minimizer correctness is directly checkable.
 class FakeOracle final : public heur::GapOracle {
  public:
   FakeOracle(int n, std::vector<int> required)
@@ -96,20 +99,32 @@ TEST(ProbeContext, SupportAndMasking) {
   EXPECT_TRUE(ctx.all_certified());
 }
 
-TEST(CoreMinimizer, BothStrategiesFindTheUniqueCore) {
-  for (const std::string& strategy : explain::minimizer_names()) {
-    const FakeInstance instance(12, {2, 7, 9});
-    explain::ProbeContext ctx(instance, std::vector<double>(12, 1.0));
-    explain::MinimizeOptions options;
-    options.min_gap = 5.0;
-    const explain::CoreResult core =
-        explain::make_minimizer(strategy)->minimize(ctx, options);
-    EXPECT_EQ(core.core, (std::vector<int>{2, 7, 9})) << strategy;
-    EXPECT_TRUE(core.minimal) << strategy;
-    EXPECT_TRUE(core.certified) << strategy;
-    EXPECT_DOUBLE_EQ(core.gap, 10.0) << strategy;
-    EXPECT_GT(core.probes, 0) << strategy;
-  }
+TEST(CoreMinimizer, FindsTheUniqueCore) {
+  const FakeInstance instance(12, {2, 7, 9});
+  explain::ProbeContext ctx(instance, std::vector<double>(12, 1.0));
+  explain::MinimizeOptions options;
+  options.min_gap = 5.0;
+  const explain::CoreResult core = explain::minimize_core(ctx, options);
+  EXPECT_EQ(core.core, (std::vector<int>{2, 7, 9}));
+  EXPECT_TRUE(core.minimal);
+  EXPECT_TRUE(core.certified);
+  EXPECT_DOUBLE_EQ(core.gap, 10.0);
+  EXPECT_GT(core.probes, 0);
+}
+
+TEST(CoreMinimizer, OneElementCoreProbesTheEmptySet) {
+  // The last pass proves 1-minimality, so a one-element core must have
+  // had its single deletion (the empty keep-set) probed too.
+  const FakeInstance instance(5, {3});
+  explain::ProbeContext ctx(instance, std::vector<double>(5, 1.0));
+  explain::MinimizeOptions options;
+  options.min_gap = 5.0;
+  const explain::CoreResult core = explain::minimize_core(ctx, options);
+  EXPECT_EQ(core.core, (std::vector<int>{3}));
+  EXPECT_TRUE(core.minimal);
+  const long probes = ctx.probes();
+  EXPECT_DOUBLE_EQ(ctx.probe({}).gap, 0.0);
+  EXPECT_EQ(ctx.probes(), probes) << "the empty set was never probed";
 }
 
 TEST(CoreMinimizer, WitnessBelowThresholdIsNotMinimized) {
@@ -117,8 +132,7 @@ TEST(CoreMinimizer, WitnessBelowThresholdIsNotMinimized) {
   explain::ProbeContext ctx(instance, std::vector<double>(6, 1.0));
   explain::MinimizeOptions options;
   options.min_gap = 50.0;  // unreachable: the fake gap is 10
-  const explain::CoreResult core =
-      explain::GreedyDeletionMinimizer().minimize(ctx, options);
+  const explain::CoreResult core = explain::minimize_core(ctx, options);
   EXPECT_FALSE(core.minimal);
   EXPECT_EQ(core.core, ctx.support());
 }
@@ -169,8 +183,7 @@ TEST(CoreMinimizer, SeedReproducesTieBreaks) {
     explain::MinimizeOptions options;
     options.min_gap = 5.0;
     options.seed = 42;
-    const explain::CoreResult core =
-        explain::GreedyDeletionMinimizer().minimize(ctx, options);
+    const explain::CoreResult core = explain::minimize_core(ctx, options);
     ASSERT_EQ(core.core.size(), 1u);
     EXPECT_LE(core.core[0], 2);
     if (run == 0) {
@@ -195,22 +208,17 @@ TEST(ExplainWitness, Fig1DpCoreShrinksBelowSupport) {
   // on the pathless pair 1->0 that cannot affect any allocation.
   const std::vector<double> witness = {100.0, 50.0, 5.0, 110.0, 0.0, 0.0};
 
-  for (const std::string& strategy : explain::minimizer_names()) {
-    explain::ExplainOptions options;
-    options.strategy = strategy;
-    const explain::ExplainOutcome outcome =
-        explain::explain_witness(*instance, witness, options);
-    ASSERT_TRUE(outcome.ok) << strategy << ": " << outcome.error;
-    EXPECT_EQ(outcome.report.support_size, 4) << strategy;
-    // Strictly smaller than the support: the padding is dropped.
-    EXPECT_EQ(outcome.report.core.core, (std::vector<int>{0, 1, 3}))
-        << strategy;
-    EXPECT_TRUE(outcome.report.core.minimal) << strategy;
-    EXPECT_TRUE(outcome.report.all_certified) << strategy;
-    EXPECT_NEAR(outcome.report.core.gap, 100.0, 1e-6) << strategy;
-    ASSERT_TRUE(outcome.report.breakdown.available) << strategy;
-    EXPECT_TRUE(outcome.report.breakdown.certified) << strategy;
-  }
+  const explain::ExplainOutcome outcome =
+      explain::explain_witness(*instance, witness, {});
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.report.support_size, 4);
+  // Strictly smaller than the support: the padding is dropped.
+  EXPECT_EQ(outcome.report.core.core, (std::vector<int>{0, 1, 3}));
+  EXPECT_TRUE(outcome.report.core.minimal);
+  EXPECT_TRUE(outcome.report.all_certified);
+  EXPECT_NEAR(outcome.report.core.gap, 100.0, 1e-6);
+  ASSERT_TRUE(outcome.report.breakdown.available);
+  EXPECT_TRUE(outcome.report.breakdown.certified);
 }
 
 TEST(ExplainWitness, FfdPaddedTinyItemIsDroppedFromCore) {
@@ -228,29 +236,20 @@ TEST(ExplainWitness, FfdPaddedTinyItemIsDroppedFromCore) {
   const std::vector<double> witness = {0.45, 0.45, 0.26, 0.26,
                                        0.26, 0.26, 0.01};
 
+  // The same run, twice: the second is the byte-reproducibility
+  // regression (identical report text).
   std::string first_text;
-  for (const std::string& strategy : explain::minimizer_names()) {
-    explain::ExplainOptions options;
-    options.strategy = strategy;
-    const explain::ExplainOutcome outcome =
-        explain::explain_witness(*instance, witness, options);
-    ASSERT_TRUE(outcome.ok) << strategy << ": " << outcome.error;
-    EXPECT_EQ(outcome.report.support_size, 7) << strategy;
-    EXPECT_EQ(outcome.report.core.core,
-              (std::vector<int>{0, 1, 2, 3, 4, 5}))
-        << strategy;
-    EXPECT_TRUE(outcome.report.core.minimal) << strategy;
-    EXPECT_TRUE(outcome.report.all_certified) << strategy;
-    EXPECT_NEAR(outcome.report.core.gap, 1.0, 1e-9) << strategy;
-    ASSERT_TRUE(outcome.report.breakdown.available) << strategy;
-  }
-
-  // Byte-reproducibility regression: the same run, twice, renders the
-  // identical report text.
   for (int run = 0; run < 2; ++run) {
     const explain::ExplainOutcome outcome =
         explain::explain_witness(*instance, witness, {});
-    ASSERT_TRUE(outcome.ok);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.report.support_size, 7);
+    EXPECT_EQ(outcome.report.core.core,
+              (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_TRUE(outcome.report.core.minimal);
+    EXPECT_TRUE(outcome.report.all_certified);
+    EXPECT_NEAR(outcome.report.core.gap, 1.0, 1e-9);
+    ASSERT_TRUE(outcome.report.breakdown.available);
     const std::string text = explain::render_text(outcome.report);
     if (run == 0) {
       first_text = text;
@@ -258,6 +257,53 @@ TEST(ExplainWitness, FfdPaddedTinyItemIsDroppedFromCore) {
       EXPECT_EQ(text, first_text);
     }
   }
+}
+
+TEST(ExplainWitness, CorpusCoresAndProbeCountsArePinned) {
+  // Every record of the gap-floor corpus, explained through the registry
+  // with default options (seed 1). The cores and probe counts are the
+  // ones the minimizer gave when it was pinned; a change to the deletion
+  // order, the probe memo or a probe's gap shows up here.
+  struct Pin {
+    std::vector<int> core;
+    long probes;
+  };
+  const std::vector<Pin> pins = {
+      {{0, 1, 3}, 4},
+      {{0, 1, 3}, 4},
+      {{0, 1, 2, 3, 4, 5}, 7},
+      {{0, 1, 2, 3, 4, 5, 6, 7, 8}, 10},
+      {{10, 20, 30, 40, 50, 60, 65, 75, 80, 85, 90, 95, 105}, 30},
+      {{44, 45, 46, 54, 56, 74}, 37},
+      {{11, 22, 88}, 8},
+      {{0, 22, 33, 88}, 5},
+      {{2, 4, 7, 8, 9, 16, 19}, 23},
+  };
+  domains::register_builtin();
+  const std::vector<runner::JobResult> records =
+      runner::read_sweep_jsonl(METAOPT_WITNESS_CORPUS);
+  ASSERT_EQ(records.size(), pins.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::unique_ptr<heur::HeuristicInstance> instance =
+        heur::make_instance(runner::instance_config(records[i].spec));
+    const explain::ExplainOutcome outcome = explain::explain_witness(
+        *instance, records[i].result.volumes, {});
+    ASSERT_TRUE(outcome.ok) << "job " << i << ": " << outcome.error;
+    EXPECT_EQ(outcome.report.core.core, pins[i].core) << "job " << i;
+    EXPECT_EQ(outcome.report.probes, pins[i].probes) << "job " << i;
+    EXPECT_TRUE(outcome.report.core.minimal) << "job " << i;
+    EXPECT_TRUE(outcome.report.all_certified) << "job " << i;
+  }
+}
+
+TEST(ExplainWitness, UnknownStrategyIsAnError) {
+  const FakeInstance instance(4, {0});
+  explain::ExplainOptions options;
+  options.strategy = "ddmin";
+  const explain::ExplainOutcome outcome = explain::explain_witness(
+      instance, std::vector<double>(4, 1.0), options);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_NE(outcome.error.find("ddmin"), std::string::npos);
 }
 
 TEST(ExplainWitness, BelowThresholdReportsNothingToExplain) {

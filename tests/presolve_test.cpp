@@ -130,7 +130,7 @@ TEST_P(PresolvePreservesOptimumTest, SameLpOptimum) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PresolvePreservesOptimumTest,
                          ::testing::Range(1, 31));
 
-TEST(Presolve, BnbWithAndWithoutPresolveAgree) {
+TEST(Presolve, BnbKeepsTheHandDerivedOptimum) {
   Model m;
   Var a = m.add_binary("a");
   Var b = m.add_binary("b");
@@ -138,13 +138,15 @@ TEST(Presolve, BnbWithAndWithoutPresolveAgree) {
   m.add_constraint(LinExpr(x) + 10.0 * LinExpr(a) <= LinExpr(10.0));
   m.add_constraint(a + b >= LinExpr(1.0));
   m.set_objective(ObjSense::Maximize, x + 3.0 * LinExpr(a) + LinExpr(b));
-  mip::MipOptions with, without;
-  without.use_presolve = false;
-  const auto s1 = mip::BranchAndBound(with).solve(m);
-  const auto s2 = mip::BranchAndBound(without).solve(m);
-  ASSERT_EQ(s1.status, SolveStatus::Optimal);
-  ASSERT_EQ(s2.status, SolveStatus::Optimal);
-  EXPECT_NEAR(s1.objective, s2.objective, 1e-7);
+  // By hand: a = 1 forces x = 0, worth at most 3 + 1 = 4; a = 0 forces
+  // b = 1 and leaves x = 10, worth 11. Node presolve (always on) must
+  // not cut that optimum away.
+  const auto sol = mip::BranchAndBound().solve(m);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_NEAR(sol.objective, 11.0, 1e-7);
+  EXPECT_NEAR(sol.values[x.id], 10.0, 1e-7);
+  EXPECT_NEAR(sol.values[a.id], 0.0, 1e-7);
+  EXPECT_NEAR(sol.values[b.id], 1.0, 1e-7);
 }
 
 // ---- the node replay ----

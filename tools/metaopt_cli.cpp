@@ -35,7 +35,6 @@
 #include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "explain/cluster.h"
-#include "explain/core_minimizer.h"
 #include "explain/explain.h"
 #include "heur/instance.h"
 #include "net/paths.h"
@@ -105,7 +104,6 @@ constexpr Flag kExplainFlags[] = {
     {"mip-threads", Positive, "1", "B&B threads of the witness find"},
     {"jsonl", String, "", "take the witness from this sweep file"},
     {"job", Integer, "", "campaign job (default: worst region's)"},
-    {"strategy", String, "greedy", "core minimizer: greedy|ddmin"},
     {"min-gap", Number, "-1", "core keeps >= P% gap; -1 = 95% of own"},
     {"probe-budget", Seconds, "10", "seconds per embedded OPT solve"},
     {"bench-out", String, "", "also write a BENCH json report"},
@@ -451,7 +449,6 @@ int cmd_explain(const Cli& cli) {
   const obs::MetricsSnapshot obs_baseline = obs::snapshot();
 
   explain::ExplainOptions options;
-  options.strategy = cli.str("strategy");
   options.min_gap_percent = cli.number("min-gap");
   options.seed = cli.u64("seed");
   options.probe.opt_budget_seconds = cli.number("probe-budget");
@@ -657,11 +654,10 @@ void print_help(std::FILE* out) {
                  command.summary);
   }
   std::fprintf(out,
-               "\nregistered heuristics: %s\ncore-minimizer strategies: %s\n"
+               "\nregistered heuristics: %s\n"
                "\n`metaopt <cmd> --help` lists a subcommand's flags.\n"
                "exit codes: 0 ok, 1 error, 2 usage, 3 nothing found\n",
-               util::join(heur::registered_heuristics(), ", ").c_str(),
-               util::join(explain::minimizer_names(), ", ").c_str());
+               util::join(heur::registered_heuristics(), ", ").c_str());
 }
 
 /// Exports whatever the obs subsystem recorded (runs even when the
