@@ -9,7 +9,7 @@
 // pass). Fig. 4a and the bin-packing figure are spec files next to this
 // program (figures/*.spec), run by `metaopt sweep --spec`.
 //
-// Finds and bounds go through the heuristic registry.
+// Finds and bounds go through heur::make_instance.
 // core::AdversarialGapFinder is called directly only for Fig. 6's model
 // sizes (*_problem_sizes) and for the ablation's dp.kkt_bare row, a find
 // without the primal heuristic, which no instance switches off.
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/adversarial.h"
-#include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "net/paths.h"
 #include "net/topologies.h"
@@ -342,7 +341,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  domains::register_builtin();
   for (const auto& [name, run] : figures) {
     if (chosen.empty() || std::ranges::find(chosen, name) != chosen.end()) {
       run();

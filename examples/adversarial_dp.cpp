@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "domains/domains.h"
 #include "heur/instance.h"
 #include "lp/simplex.h"
 #include "net/topologies.h"
@@ -36,7 +35,6 @@ int main(int argc, char** argv) {
   dp.threshold = threshold;
 
   // --- white box ------------------------------------------------------
-  domains::register_builtin();
   heur::InstanceConfig config;
   config.heuristic = "dp";
   config.topology = name == "b4" || name == "swan" ? name : "abilene";

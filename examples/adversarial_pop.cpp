@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "domains/domains.h"
 #include "heur/instance.h"
 #include "lp/simplex.h"
 #include "net/topologies.h"
@@ -30,7 +29,6 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> train_seeds;
   for (int i = 1; i <= instances; ++i) train_seeds.push_back(i);
 
-  domains::register_builtin();
   heur::InstanceConfig config;
   config.heuristic = "pop";
   config.topology = "b4";

@@ -10,7 +10,6 @@
 // Run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "domains/domains.h"
 #include "heur/instance.h"
 #include "lp/simplex.h"
 #include "net/topologies.h"
@@ -42,7 +41,6 @@ int main() {
               gap.opt, gap.heur, gap.gap(), 100.0 * gap.gap() / gap.opt);
 
   // --- now let the framework find the worst case by itself -----------
-  domains::register_builtin();
   heur::InstanceConfig config;
   config.heuristic = "dp";
   config.topology = "fig1";

@@ -92,7 +92,7 @@ heur::SolutionBreakdown BinPackInstance::explain_solution(
     const std::string heur_bin =
         ff.assignment[i] >= 0 ? "bin " + std::to_string(ff.assignment[i])
                               : "unplaced (out of bins)";
-    note.note = name_ + " -> " + heur_bin + ", opt -> bin " +
+    note.note = name() + " -> " + heur_bin + ", opt -> bin " +
                 std::to_string(opt.assignment[i]) +
                 (config_.decreasing
                      ? " (key " + format3(total) + ")"
@@ -110,7 +110,7 @@ std::unique_ptr<heur::HeuristicInstance> make_binpack_instance(
   bp.bins = config.bins;
   bp.size_ub = config.leader_ub;  // <= 0 keeps the capacity default
   bp.decreasing = decreasing;
-  return std::make_unique<BinPackInstance>(decreasing ? "ffd" : "ff", bp);
+  return std::make_unique<BinPackInstance>(bp);
 }
 
 }  // namespace metaopt::binpack

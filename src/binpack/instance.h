@@ -14,10 +14,12 @@ namespace metaopt::binpack {
 /// interface. Leader variables are the item-major size entries.
 class BinPackInstance final : public heur::HeuristicInstance {
  public:
-  BinPackInstance(std::string name, BinPackConfig config)
-      : name_(std::move(name)), config_(config) {}
+  explicit BinPackInstance(BinPackConfig config) : config_(config) {}
 
-  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::string name() const override {
+    return heur::to_string(config_.decreasing ? heur::Heuristic::Ffd
+                                              : heur::Heuristic::Ff);
+  }
   [[nodiscard]] int num_leader_vars() const override {
     return config_.items * config_.dims;
   }
@@ -57,12 +59,11 @@ class BinPackInstance final : public heur::HeuristicInstance {
   [[nodiscard]] const BinPackConfig& config() const { return config_; }
 
  private:
-  std::string name_;
   BinPackConfig config_;
 };
 
 /// Maps the flat InstanceConfig onto a BinPackConfig ("ffd" when
-/// `decreasing`, else "ff") — the factory domains/domains.cpp registers.
+/// `decreasing`, else "ff"); heur::make_instance's bin-packing case.
 std::unique_ptr<heur::HeuristicInstance> make_binpack_instance(
     const heur::InstanceConfig& config, bool decreasing);
 

@@ -41,10 +41,6 @@ class Certifier {
 
     const bool duals_present =
         sol_.duals.size() == static_cast<std::size_t>(model_.num_constraints());
-    if (opt_.require_duals && !duals_present) {
-      add(ViolationClass::Structure, "duals", 0.0, 0.0,
-          "solution carries no duals but require_duals is set");
-    }
     if (sol_.status == SolveStatus::Optimal && duals_present) {
       cert_.checked_duals = true;
       check_dual_signs();
@@ -107,11 +103,6 @@ class Certifier {
   // ---- structure ----
 
   bool check_lp_structure() {
-    if (model_.has_quadratic_objective()) {
-      add(ViolationClass::Structure, "objective", 0.0, 0.0,
-          "quadratic objectives are not certifiable (solvers reject them)");
-      return false;
-    }
     if (sol_.status != SolveStatus::Optimal && !sol_.has_solution()) {
       add(ViolationClass::Structure, "status", 0.0, 0.0,
           std::string("status ") + lp::to_string(sol_.status) +
@@ -135,11 +126,6 @@ class Certifier {
   }
 
   bool check_mip_structure() {
-    if (model_.has_quadratic_objective()) {
-      add(ViolationClass::Structure, "objective", 0.0, 0.0,
-          "quadratic objectives are not certifiable (solvers reject them)");
-      return false;
-    }
     if (!sol_.has_solution()) {
       add(ViolationClass::Structure, "status", 0.0, 0.0,
           std::string("status ") + lp::to_string(sol_.status) +
@@ -504,15 +490,8 @@ const char* to_string(ViolationClass cls) {
   return "Unknown";
 }
 
-CertifyOptions CertifyOptions::for_lp() {
-  CertifyOptions out;
-  out.primal_tol = std::max(tol::kCertifyTol, 10.0 * tol::kFeasTol);
-  out.dual_tol = std::max(tol::kCertifyTol, 100.0 * tol::kCostTol);
-  return out;
-}
-
 CertifyOptions CertifyOptions::for_mip() {
-  CertifyOptions out = for_lp();
+  CertifyOptions out;
   // MIP incumbents may be externally assembled KKT points, screened at
   // the assembled-point tolerance — the certifier must accept what the
   // search was configured to accept.

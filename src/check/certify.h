@@ -88,15 +88,11 @@ struct CertifyOptions {
   /// Incumbent-vs-bound gaps accepted for a proven-Optimal MIP solve.
   double mip_rel_gap = tol::kRelGap;
   double mip_abs_gap = tol::kAbsGap;
-  /// When set, certify_lp reports a Structure violation if the solution
-  /// carries no duals; otherwise a dual-less solution gets the primal
-  /// and objective pillars only.
-  bool require_duals = false;
 
-  /// Defaults matched to the solvers' tolerances (util/tolerances.h):
-  /// the certifier must not be stricter than what the simplex and
-  /// branch-and-bound were asked to achieve.
-  static CertifyOptions for_lp();
+  /// The defaults suit LP solves: kCertifyTol is no stricter than what
+  /// the simplex was asked to achieve (util/tolerances.h). for_mip()
+  /// loosens them to what branch-and-bound accepts from assembled KKT
+  /// points.
   static CertifyOptions for_mip();
 };
 

@@ -117,12 +117,6 @@ class Linter {
                 var_name(v));
       }
     }
-    for (const auto& [v, coef] : model_.quadratic_objective()) {
-      if (!std::isfinite(coef)) {
-        add(LintCode::NonFiniteValue, LintSeverity::Error, "objective", -1,
-            "non-finite quadratic coefficient on " + var_name(v));
-      }
-    }
   }
 
   void lint_rows() {
@@ -249,8 +243,7 @@ class Linter {
         add(LintCode::StructurallyUnboundedColumn, LintSeverity::Error,
             info.name, v,
             "appears in no row; objective pushes it to lb = -Inf");
-      } else if (obj_coef[v] == 0.0 &&
-                 model_.quadratic_objective().count(v) == 0) {
+      } else if (obj_coef[v] == 0.0) {
         add(LintCode::UnusedVariable, LintSeverity::Warning, info.name, v,
             "appears in no row and no objective");
       }

@@ -1,6 +1,7 @@
 #include "domains/domains.h"
 
-#include <mutex>
+#include <memory>
+#include <stdexcept>
 
 #include "binpack/instance.h"
 #include "domains/te_instances.h"
@@ -8,22 +9,24 @@
 
 namespace metaopt::domains {
 
-void register_builtin() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    heur::register_heuristic("dp", [](const heur::InstanceConfig& config) {
-      return std::make_unique<TeDpInstance>(config);
-    });
-    heur::register_heuristic("pop", [](const heur::InstanceConfig& config) {
-      return std::make_unique<TePopInstance>(config);
-    });
-    heur::register_heuristic("ffd", [](const heur::InstanceConfig& config) {
-      return binpack::make_binpack_instance(config, /*decreasing=*/true);
-    });
-    heur::register_heuristic("ff", [](const heur::InstanceConfig& config) {
-      return binpack::make_binpack_instance(config, /*decreasing=*/false);
-    });
-  });
-}
+void register_builtin() {}
 
 }  // namespace metaopt::domains
+
+namespace metaopt::heur {
+
+std::unique_ptr<HeuristicInstance> make_instance(const InstanceConfig& config) {
+  const Heuristic h = heuristic_from_string(config.heuristic);
+  switch (h) {
+    case Heuristic::Dp:
+      return std::make_unique<domains::TeDpInstance>(config);
+    case Heuristic::Pop:
+      return std::make_unique<domains::TePopInstance>(config);
+    case Heuristic::Ffd:
+    case Heuristic::Ff:
+      return binpack::make_binpack_instance(config, h == Heuristic::Ffd);
+  }
+  throw std::logic_error("make_instance: unhandled heuristic");
+}
+
+}  // namespace metaopt::heur

@@ -1,16 +1,13 @@
-// Builtin heuristic-domain registration.
-//
-// Registration is an explicit call, not static-initializer magic: static
-// libraries silently drop unreferenced initializers, and an explicit
-// register_builtin() in each binary's main() is trivially auditable.
+// The builtin heuristic families. heur::make_instance (declared in
+// heur/instance.h) is defined in domains.cpp, the one layer that links
+// both the TE and the bin-packing domains.
 #pragma once
 
 namespace metaopt::domains {
 
-/// Registers every builtin heuristic family with the heur:: registry:
-/// "dp", "pop" (TE), "ffd", "ff" (bin packing). Idempotent and
-/// thread-safe; call once near the top of main() (or a test fixture)
-/// before heur::make_instance.
+/// Does nothing: the families are a closed list (heur::Heuristic), so
+/// there is nothing to register. Kept only because the benchmark driver
+/// (perfbench/driver.cpp) still calls it.
 void register_builtin();
 
 }  // namespace metaopt::domains

@@ -1,72 +1,44 @@
 #include "heur/instance.h"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
+
+#include "util/string_util.h"
 
 namespace metaopt::heur {
 
-namespace {
-
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, InstanceFactory> factories;
-};
-
-Registry& registry() {
-  static Registry* r = new Registry();  // leaked: outlives static dtors
-  return *r;
+const char* to_string(Heuristic h) {
+  switch (h) {
+    case Heuristic::Dp: return "dp";
+    case Heuristic::Pop: return "pop";
+    case Heuristic::Ffd: return "ffd";
+    case Heuristic::Ff: return "ff";
+  }
+  return "?";
 }
 
-}  // namespace
+Heuristic heuristic_from_string(const std::string& name) {
+  const std::string lower = util::to_lower(name);
+  for (const Heuristic h : kHeuristics) {
+    if (lower == to_string(h)) return h;
+  }
+  throw std::invalid_argument("unknown heuristic '" + name + "' (known: " +
+                              known_heuristics() + ")");
+}
+
+std::string known_heuristics() {
+  std::string out;
+  for (const Heuristic h : kHeuristics) {
+    if (!out.empty()) out += ", ";
+    out += to_string(h);
+  }
+  return out;
+}
 
 GapBoundResult HeuristicInstance::bound_gap(const FindOptions& options) const {
   (void)options;
   throw std::invalid_argument("'" + name() +
                               "' has no primal-dual gap bound; bound "
                               "supports the TE heuristics dp and pop");
-}
-
-void register_heuristic(const std::string& name, InstanceFactory factory) {
-  if (name.empty() || !factory) {
-    throw std::invalid_argument("register_heuristic: empty name or factory");
-  }
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  r.factories[name] = std::move(factory);
-}
-
-std::vector<std::string> registered_heuristics() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.factories.size());
-  for (const auto& [name, factory] : r.factories) names.push_back(name);
-  return names;  // std::map iterates sorted
-}
-
-std::unique_ptr<HeuristicInstance> make_instance(const InstanceConfig& config) {
-  InstanceFactory factory;
-  {
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mutex);
-    const auto it = r.factories.find(config.heuristic);
-    if (it != r.factories.end()) factory = it->second;
-  }
-  if (!factory) {
-    std::string known;
-    for (const std::string& name : registered_heuristics()) {
-      if (!known.empty()) known += ", ";
-      known += name;
-    }
-    throw std::invalid_argument(
-        "unknown heuristic '" + config.heuristic + "'" +
-        (known.empty() ? " (no domains registered; call "
-                         "domains::register_builtin() first)"
-                       : " (registered: " + known + ")"));
-  }
-  return factory(config);
 }
 
 }  // namespace metaopt::heur

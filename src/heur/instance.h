@@ -8,14 +8,15 @@
 //   * find_gap()     — the single-shot white-box adversarial search,
 //   * bound_gap()    — the §5 primal-dual upper bound (TE only).
 //
-// search/ and runner/ depend only on this header, never on a domain, so
-// adding a heuristic family is: implement the interface, register a
-// factory (domains/domains.h), done — the CLI, the sweep runner and the
-// figure specs pick it up by name.
+// The families are a closed list (Heuristic below): each needs a
+// hand-written encoding of its heuristic, so a new family is a new
+// enumerator plus a case in make_instance, which domains/domains.cpp
+// defines. search/ and runner/ depend only on this header, never on a
+// domain; a binary that builds instances links metaopt_domains.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,6 +26,32 @@
 #include "lp/model.h"
 
 namespace metaopt::heur {
+
+/// The heuristic families: Demand Pinning and POP (TE), first-fit
+/// decreasing and first-fit (bin packing).
+enum class Heuristic { Dp, Pop, Ffd, Ff };
+
+/// Every family, in the order error messages and --help list them.
+inline constexpr std::array<Heuristic, 4> kHeuristics = {
+    Heuristic::Dp, Heuristic::Pop, Heuristic::Ffd, Heuristic::Ff};
+
+/// "dp", "pop", "ffd" or "ff".
+const char* to_string(Heuristic h);
+
+/// Parses a family name, case-insensitively; throws std::invalid_argument
+/// "unknown heuristic '<name>' (known: dp, pop, ffd, ff)". Every name the
+/// CLI, a sweep spec or a JSONL record carries is read through here.
+Heuristic heuristic_from_string(const std::string& name);
+
+/// The known names, comma-separated in kHeuristics order (error
+/// messages, --help).
+std::string known_heuristics();
+
+/// True for the bin-packing families, which sweep the items axis and
+/// ignore the topology/threshold/partitions/paths axes entirely.
+[[nodiscard]] constexpr bool is_binpack(Heuristic h) {
+  return h == Heuristic::Ffd || h == Heuristic::Ff;
+}
 
 /// Budgets for a single white-box gap-finding run (the domain-neutral
 /// subset of what used to be core::AdversarialOptions).
@@ -93,12 +120,13 @@ struct GapBoundResult {
   bool certified = false;
 };
 
-/// Everything a factory may need to build an instance. One flat struct
-/// rather than per-domain types so the sweep runner and the CLI can fill
-/// it from a JobSpec / argv without knowing which keys a domain reads;
-/// domains ignore the knobs that are not theirs.
+/// Everything make_instance may need to build an instance. One flat
+/// struct rather than per-domain types so the sweep runner and the CLI
+/// can fill it from a JobSpec / argv without knowing which keys a domain
+/// reads; domains ignore the knobs that are not theirs.
 struct InstanceConfig {
-  std::string heuristic = "dp";  ///< registry key: dp, pop, ffd, ff, ...
+  /// Family name, read through heuristic_from_string (so "DP" is dp).
+  std::string heuristic = "dp";
 
   // ---- shared knobs ----
   /// Leader box upper bound; <= 0 means the domain default (max link
@@ -172,7 +200,8 @@ class HeuristicInstance {
  public:
   virtual ~HeuristicInstance() = default;
 
-  /// Registry key this instance was built under ("dp", "ffd", ...).
+  /// The family's to_string name ("dp", "ffd", ...), whatever case the
+  /// config spelled it in.
   [[nodiscard]] virtual std::string name() const = 0;
   /// Dimension of the leader vector.
   [[nodiscard]] virtual int num_leader_vars() const = 0;
@@ -239,24 +268,10 @@ class HeuristicInstance {
   }
 };
 
-// ---- registry ----
-//
-// Domains self-describe with a name -> factory map. Registration is
-// explicit (domains::register_builtin()), not static-initializer magic:
-// static libraries silently drop unreferenced initializers, and an
-// explicit call site in each binary is trivially auditable.
-
-using InstanceFactory =
-    std::function<std::unique_ptr<HeuristicInstance>(const InstanceConfig&)>;
-
-/// Registers (or replaces) a factory under `name`. Thread-safe.
-void register_heuristic(const std::string& name, InstanceFactory factory);
-
-/// Registered names, sorted (error messages, --help listings).
-[[nodiscard]] std::vector<std::string> registered_heuristics();
-
-/// Builds an instance of config.heuristic. Throws std::invalid_argument
-/// naming the unknown heuristic and listing the registered ones.
+/// Builds an instance of config.heuristic; throws std::invalid_argument
+/// on an unknown name (heuristic_from_string). Defined in
+/// domains/domains.cpp, the one layer that links every family, so
+/// callers link metaopt_domains.
 [[nodiscard]] std::unique_ptr<HeuristicInstance> make_instance(
     const InstanceConfig& config);
 

@@ -1,16 +1,10 @@
 #include "lp/bounded_form.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace metaopt::lp {
 
 BoundedForm BoundedForm::build(const Model& model) {
-  if (model.has_quadratic_objective()) {
-    throw std::invalid_argument(
-        "BoundedForm: quadratic objectives are only supported by the KKT "
-        "rewriter, not the solvers");
-  }
   const int n = model.num_vars();
   const int m = model.num_constraints();
   BoundedForm bf;

@@ -97,7 +97,7 @@ struct BoundedForm {
                    std::vector<signed char>& mark) const;
 
   /// Builds the form (bounds intentionally excluded — they are supplied
-  /// per solve). Throws std::invalid_argument on quadratic objectives.
+  /// per solve).
   static BoundedForm build(const Model& model);
 
   /// Model-space objective value at structural point x (size num_structs).

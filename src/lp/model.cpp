@@ -66,13 +66,6 @@ void Model::set_objective(ObjSense sense, LinExpr expr) {
   objective_ = std::move(expr);
 }
 
-void Model::add_quadratic_objective(Var v, double coef) {
-  if (!v.valid() || v.id >= num_vars()) {
-    throw std::invalid_argument("Model::add_quadratic_objective: invalid var");
-  }
-  quad_obj_[v.id] += coef;
-}
-
 void Model::set_bounds(Var v, double lb, double ub) {
   if (!v.valid() || v.id >= num_vars()) {
     throw std::invalid_argument("Model::set_bounds: invalid var");
@@ -89,9 +82,7 @@ double Model::eval(const LinExpr& expr, std::span<const double> x) const {
 }
 
 double Model::objective_value(std::span<const double> x) const {
-  double value = eval(objective_, x);
-  for (const auto& [id, coef] : quad_obj_) value += coef * x[id] * x[id];
-  return value;
+  return eval(objective_, x);
 }
 
 double Model::max_violation(std::span<const double> x) const {

@@ -1,8 +1,7 @@
 // The optimization model container shared by the LP, MIP, and KKT layers.
 //
-// A Model holds variables (with bounds and kind), linear constraints, an
-// objective (optionally with a convex diagonal quadratic part, used only
-// by the KKT rewriter), and complementarity (SOS1) pairs produced by KKT
+// A Model holds variables (with bounds and kind), linear constraints, a
+// linear objective, and complementarity (SOS1) pairs produced by KKT
 // rewrites. The simplex solver consumes the continuous linear part; the
 // branch-and-bound layer additionally enforces binaries and
 // complementarity pairs.
@@ -11,7 +10,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lp/expr.h"
@@ -69,13 +67,8 @@ class Model {
   /// Adds a complementarity pair (a * b == 0; both vars must have lb >= 0).
   void add_complementarity(Var a, Var b, std::string name = "");
 
-  /// Sets the linear objective. Any quadratic part is kept.
+  /// Sets the linear objective.
   void set_objective(ObjSense sense, LinExpr expr);
-
-  /// Adds a convex diagonal quadratic objective term `coef * v^2`
-  /// (coef > 0 under Minimize, coef < 0 under Maximize). Only the KKT
-  /// rewriter understands quadratic terms; the solvers reject them.
-  void add_quadratic_objective(Var v, double coef);
 
   /// Tightens/overwrites the bounds of an existing variable.
   void set_bounds(Var v, double lb, double ub);
@@ -100,13 +93,6 @@ class Model {
   }
   [[nodiscard]] ObjSense objective_sense() const { return obj_sense_; }
   [[nodiscard]] const LinExpr& objective() const { return objective_; }
-  [[nodiscard]] const std::unordered_map<VarId, double>& quadratic_objective()
-      const {
-    return quad_obj_;
-  }
-  [[nodiscard]] bool has_quadratic_objective() const {
-    return !quad_obj_.empty();
-  }
 
   // ---- evaluation / checking ----
 
@@ -115,7 +101,7 @@ class Model {
   [[nodiscard]] double eval(const LinExpr& expr,
                             std::span<const double> x) const;
 
-  /// Objective value (including quadratic part) at `x`.
+  /// Objective value at `x`.
   [[nodiscard]] double objective_value(std::span<const double> x) const;
 
   /// Maximum violation of constraints + bounds + complementarity +
@@ -134,7 +120,6 @@ class Model {
   std::vector<ConInfo> cons_;
   std::vector<Complementarity> compl_;
   LinExpr objective_;
-  std::unordered_map<VarId, double> quad_obj_;
   ObjSense obj_sense_ = ObjSense::Minimize;
 };
 

@@ -124,8 +124,7 @@ void SimplexSolver::maybe_certify(const Model& model, Solution& sol,
                                   const std::vector<double>& ub) const {
   if (!options_.certify || sol.status != SolveStatus::Optimal) return;
   MO_SPAN("simplex.certify");
-  const check::Certificate cert = check::certify_lp(
-      model, sol, check::CertifyOptions::for_lp(), &lb, &ub);
+  const check::Certificate cert = check::certify_lp(model, sol, {}, &lb, &ub);
   sol.certified = cert.ok;
   if (!cert.ok) {
     MO_LOG(Error) << "LP certification FAILED: " << cert.to_string();

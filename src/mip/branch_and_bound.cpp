@@ -70,8 +70,6 @@ struct BoundChange {
 struct Node {
   std::shared_ptr<const Node> parent;
   std::vector<BoundChange> changes;
-  double bound = 0.0;  ///< parent relaxation objective (valid for children)
-  int depth = 0;
   /// Parent's optimal basis (statuses only, shared across siblings);
   /// null at the root, below an unbounded parent, and when the parent's
   /// optimum failed certification.
@@ -160,8 +158,7 @@ class TreeSearch {
       : model_(model),
         options_(options),
         callbacks_(callbacks),
-        maximize_(model.objective_sense() == lp::ObjSense::Maximize),
-        dir_(maximize_ ? 1.0 : -1.0),
+        dir_(model.objective_sense() == lp::ObjSense::Maximize ? 1.0 : -1.0),
         root_score_(lp::kInf) {
     lp_opts_ = options.lp;
     lp_opts_.want_duals = false;
@@ -196,7 +193,6 @@ class TreeSearch {
   const Model& model_;
   const MipOptions& options_;
   const MipCallbacks& callbacks_;
-  const bool maximize_;
   const double dir_;
   const double root_score_;
   lp::SimplexOptions lp_opts_;
@@ -395,8 +391,6 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
       auto child = std::make_shared<Node>();
       child->parent = entry.node;
       child->changes = {BoundChange{v, lb, ub}};
-      child->bound = maximize_ ? lp::kInf : -lp::kInf;
-      child->depth = entry.node ? entry.node->depth + 1 : 1;
       child->basis = node_basis;  // null here (unbounded parent)
       children.push_back(QueueEntry{lp::kInf, 0, std::move(child)});
     };
@@ -503,8 +497,6 @@ void TreeSearch::process_node(const QueueEntry& entry, WorkerState& ws) {
     auto child = std::make_shared<Node>();
     child->parent = entry.node;
     child->changes = std::move(changes);
-    child->bound = node_bound;
-    child->depth = entry.node ? entry.node->depth + 1 : 1;
     child->basis = node_basis;  // siblings share the parent basis
     children.push_back(QueueEntry{dir_ * node_bound, 0, std::move(child)});
   };

@@ -102,7 +102,7 @@ std::string to_json(const JobResult& result);
 /// std::invalid_argument on an unknown heuristic.
 JobResult from_json(const std::string& record);
 
-/// The heur:: registry config a job runs under. SweepRunner::execute_job
+/// The heur::InstanceConfig a job runs under. SweepRunner::execute_job
 /// and `metaopt explain --jsonl` both build their instance from it, so an
 /// explain probe re-solves the exact instance the campaign saw (POP
 /// instantiation seeds derive from the stream seed).
@@ -159,12 +159,10 @@ class SweepRunner {
   [[nodiscard]] SweepReport run_jobs(const std::vector<JobSpec>& jobs,
                                      const JobFn& fn) const;
 
-  /// The default job body: builds the job's HeuristicInstance through
-  /// the heur:: registry (instance_config) and runs its single-shot
+  /// The default job body: builds the job's HeuristicInstance with
+  /// heur::make_instance(instance_config(job)) and runs its single-shot
   /// adversarial search.
-  /// Stateless and thread-safe; throws on an unregistered heuristic
-  /// (call domains::register_builtin() in the binary first) or unknown
-  /// topology.
+  /// Stateless and thread-safe; throws on an unknown topology.
   static heur::GapFindResult execute_job(const JobSpec& job);
 
  private:

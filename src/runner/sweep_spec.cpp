@@ -1,7 +1,6 @@
 #include "runner/sweep_spec.h"
 
 #include <algorithm>
-#include <cctype>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -10,30 +9,6 @@
 #include "util/string_util.h"
 
 namespace metaopt::runner {
-
-const char* to_string(Heuristic h) {
-  switch (h) {
-    case Heuristic::Dp: return "dp";
-    case Heuristic::Pop: return "pop";
-    case Heuristic::Ffd: return "ffd";
-    case Heuristic::Ff: return "ff";
-  }
-  return "?";
-}
-
-Heuristic heuristic_from_string(const std::string& name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (char c : name) {
-    lower.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (lower == "dp") return Heuristic::Dp;
-  if (lower == "pop") return Heuristic::Pop;
-  if (lower == "ffd") return Heuristic::Ffd;
-  if (lower == "ff") return Heuristic::Ff;
-  throw std::invalid_argument("unknown heuristic '" + name +
-                              "' (known: dp, pop, ffd, ff)");
-}
 
 std::vector<JobSpec> expand_spec(const SweepSpec& spec) {
   if (spec.topologies.empty() || spec.heuristics.empty() ||

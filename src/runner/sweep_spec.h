@@ -18,21 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "heur/instance.h"
+
 namespace metaopt::runner {
 
-enum class Heuristic { Dp, Pop, Ffd, Ff };
-
-const char* to_string(Heuristic h);
-
-/// Parses "dp", "pop", "ffd", or "ff" (case-insensitive); throws
-/// std::invalid_argument listing the known names.
-Heuristic heuristic_from_string(const std::string& name);
-
-/// True for the bin-packing families, which sweep the items axis and
-/// ignore the topology/threshold/partitions/paths axes entirely.
-[[nodiscard]] constexpr bool is_binpack(Heuristic h) {
-  return h == Heuristic::Ffd || h == Heuristic::Ff;
-}
+// The family list is heur::Heuristic; sweep code names it from here.
+using heur::Heuristic;
+using heur::heuristic_from_string;
+using heur::is_binpack;
+using heur::to_string;
 
 struct SweepSpec {
   // ---- grid axes (cartesian product) ----

@@ -1,10 +1,11 @@
 #include "util/logging.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+
+#include "util/string_util.h"
 
 namespace metaopt::util {
 
@@ -47,12 +48,7 @@ void set_log_level(LogLevel level) {
 }
 
 bool set_log_level(const std::string& name) {
-  std::string lower;
-  lower.reserve(name.size());
-  for (char c : name) {
-    lower.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
+  const std::string lower = to_lower(name);
   if (lower == "trace") set_log_level(LogLevel::Trace);
   else if (lower == "debug") set_log_level(LogLevel::Debug);
   else if (lower == "info") set_log_level(LogLevel::Info);

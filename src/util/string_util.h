@@ -16,6 +16,9 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep);
 /// ("12.5", "3", "0.0001").
 std::string format_double(double value, int max_decimals = 6);
 
+/// ASCII lower-case copy of `s` (case-insensitive name lookups).
+std::string to_lower(const std::string& s);
+
 /// True if `s` starts with `prefix`.
 bool starts_with(const std::string& s, const std::string& prefix);
 

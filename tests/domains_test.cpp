@@ -1,5 +1,6 @@
-// Tests for the builtin domains behind the heuristic registry: topology
-// specs, and the primal-dual bound as an instance operation.
+// Tests for the builtin domains behind heur::make_instance: the closed
+// family list, topology specs, and the primal-dual bound as an instance
+// operation.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -7,10 +8,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "heur/instance.h"
 #include "net/topologies.h"
+#include "runner/sweep_spec.h"
 
 namespace metaopt::domains {
 namespace {
@@ -38,16 +39,15 @@ TEST(LoadTopology, MalformedOrOutOfRangeCirculantThrows) {
   }
 }
 
-/// The bound of `config` through the registry, at a budget no build
+/// The bound of `config` through its instance, at a budget no build
 /// type reaches before proving it.
 heur::GapBoundResult bound(const heur::InstanceConfig& config) {
-  register_builtin();
   heur::FindOptions options;
   options.budget_seconds = 600.0;
   return heur::make_instance(config)->bound_gap(options);
 }
 
-// The bound did not move when it became a registry operation: these
+// The bound did not move when it became an instance operation: these
 // values were measured on the standalone bounder it replaced.
 TEST(RegistryBound, Fig1DpBoundIsPinned) {
   heur::InstanceConfig config;
@@ -86,6 +86,31 @@ TEST(RegistryBound, BinPackingHasNoBound) {
     FAIL() << "ffd returned a bound";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("'ffd'"), std::string::npos)
+        << e.what();
+  }
+}
+
+// The families are a closed list: make_instance builds every one of them
+// with no registration step, under any spelling of its name, and names
+// all four when it rejects one.
+TEST(Families, BuildWithoutRegistration) {
+  heur::InstanceConfig config;
+  config.topology = "fig1";
+  for (const runner::Heuristic h :
+       {runner::Heuristic::Dp, runner::Heuristic::Pop, runner::Heuristic::Ffd,
+        runner::Heuristic::Ff}) {
+    config.heuristic = runner::to_string(h);
+    EXPECT_EQ(heur::make_instance(config)->name(), runner::to_string(h));
+  }
+  config.heuristic = "DP";
+  EXPECT_EQ(heur::make_instance(config)->name(), "dp");
+  config.heuristic = "bogus";
+  try {
+    (void)heur::make_instance(config);
+    FAIL() << "'bogus' built an instance";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'bogus' (known: dp, pop, ffd, ff)"),
+              std::string::npos)
         << e.what();
   }
 }

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "explain/core_minimizer.h"
 #include "explain/probe.h"
@@ -73,7 +72,6 @@ void run_corpus(const heur::InstanceConfig& base_config,
                 const std::vector<double>& levels,
                 const std::vector<double>& crafted,
                 const std::vector<bool>& support = {}) {
-  domains::register_builtin();
   const std::unique_ptr<heur::HeuristicInstance> instance =
       heur::make_instance(base_config);
   const int n = instance->num_leader_vars();

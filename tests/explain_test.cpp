@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "domains/domains.h"
 #include "explain/cluster.h"
 #include "explain/core_minimizer.h"
 #include "explain/explain.h"
@@ -195,7 +194,6 @@ TEST(CoreMinimizer, SeedReproducesTieBreaks) {
 }
 
 TEST(ExplainWitness, Fig1DpCoreShrinksBelowSupport) {
-  domains::register_builtin();
   heur::InstanceConfig config;
   config.heuristic = "dp";
   config.topology = "fig1";
@@ -222,7 +220,6 @@ TEST(ExplainWitness, Fig1DpCoreShrinksBelowSupport) {
 }
 
 TEST(ExplainWitness, FfdPaddedTinyItemIsDroppedFromCore) {
-  domains::register_builtin();
   heur::InstanceConfig config;
   config.heuristic = "ffd";
   config.items = 7;
@@ -260,10 +257,11 @@ TEST(ExplainWitness, FfdPaddedTinyItemIsDroppedFromCore) {
 }
 
 TEST(ExplainWitness, CorpusCoresAndProbeCountsArePinned) {
-  // Every record of the gap-floor corpus, explained through the registry
-  // with default options (seed 1). The cores and probe counts are the
-  // ones the minimizer gave when it was pinned; a change to the deletion
-  // order, the probe memo or a probe's gap shows up here.
+  // Every record of the gap-floor corpus, explained through
+  // heur::make_instance with default options (seed 1). The cores and
+  // probe counts are the ones the minimizer gave when it was pinned; a
+  // change to the deletion order, the probe memo or a probe's gap shows
+  // up here.
   struct Pin {
     std::vector<int> core;
     long probes;
@@ -279,7 +277,6 @@ TEST(ExplainWitness, CorpusCoresAndProbeCountsArePinned) {
       {{0, 22, 33, 88}, 5},
       {{2, 4, 7, 8, 9, 16, 19}, 23},
   };
-  domains::register_builtin();
   const std::vector<runner::JobResult> records =
       runner::read_sweep_jsonl(METAOPT_WITNESS_CORPUS);
   ASSERT_EQ(records.size(), pins.size());

@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "runner/jsonl_io.h"
 #include "util/jsonl.h"
@@ -214,7 +213,6 @@ void expect_same_config(const heur::InstanceConfig& a,
 // 2^53 a seed parsed as a double comes back rounded, and a POP job then
 // re-solves different partitions than the campaign did.
 TEST(SweepJsonl, RecordRoundTripsTheJobExactly) {
-  domains::register_builtin();
   for (const runner::Heuristic h :
        {runner::Heuristic::Dp, runner::Heuristic::Pop, runner::Heuristic::Ffd,
         runner::Heuristic::Ff}) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/adversarial.h"
-#include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "find_te_model.h"
 #include "heur/instance.h"
@@ -588,7 +587,6 @@ TEST(FindTeRoots, ColdSolvesArePinnedBitForBit) {
   // counts and objective bits were recorded before the hypersparse
   // kernels existed; a kernel change that is not bit-identical moves
   // them here, at the LP layer, before any tree does.
-  domains::register_builtin();
   heur::InstanceConfig dp;
   dp.heuristic = "dp";
   dp.topology = "abilene";
@@ -640,7 +638,6 @@ TEST(MaintainedReducedCosts, MatchFreshOnesOnFindTeNodes) {
   // (simplex.reduced_cost_drift counts a miss by more than
   // tol::kCostTol * (1 + |d|)), and every Optimal answer, certified with
   // its duals and reduced costs, holds on fresh reduced costs.
-  domains::register_builtin();
   heur::InstanceConfig dp;
   dp.heuristic = "dp";
   dp.topology = "abilene";

@@ -323,7 +323,7 @@ class InnerLpTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(InnerLpTest, MatchesSubstitutedReference) {
   const std::unique_ptr<Case> c = make_case(GetParam());
   const auto lps = make_lps(*c);
-  const check::CertifyOptions certify = check::CertifyOptions::for_lp();
+  const check::CertifyOptions certify{};
   int assembled = 0;  // points where every follower assembled
   for (std::size_t i = 0; i < c->points.size(); ++i) {
     const std::vector<double>& point = c->points[i];

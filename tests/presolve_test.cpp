@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "binpack/encoding.h"
-#include "domains/domains.h"
+#include "domains/te_instances.h"
 #include "find_te_model.h"
 #include "heur/instance.h"
 #include "kkt/kkt_rewriter.h"
@@ -217,7 +217,6 @@ int expect_replay_matches(const Model& model, int boxes, std::uint64_t seed) {
 }
 
 Model find_te_model(const heur::InstanceConfig& config) {
-  domains::register_builtin();
   const std::unique_ptr<heur::HeuristicInstance> inst =
       heur::make_instance(config);
   return testmodels::find_te_model(

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "domains/domains.h"
 #include "runner/jsonl_io.h"
 #include "runner/scheduler.h"
 #include "runner/sweep_runner.h"
@@ -531,7 +530,6 @@ std::string real_sweep_payload(SweepSpec spec, int threads, int mip_threads,
 // match. (B4's optima have ties, so a parallel B&B may return another
 // witness.)
 TEST(SweepRunnerTest, RealDpSweepIsDeterministicAcrossThreads) {
-  domains::register_builtin();
   double max_gap = 0.0;
   {
     SCOPED_TRACE("b4 grid");
@@ -569,11 +567,10 @@ TEST(SweepRunnerTest, RealDpSweepIsDeterministicAcrossThreads) {
   }
 }
 
-// End-to-end over the registry: a tiny FFD sweep goes through
+// End to end: a tiny FFD sweep goes through
 // execute_job -> heur::make_instance -> binpack::find_ffd_gap and comes
 // back with real items/dims/bins fields in the JSONL payload.
 TEST(SweepRunnerTest, RealFfdSweepRunsThroughRegistry) {
-  domains::register_builtin();
   SweepSpec spec;
   spec.heuristics = {Heuristic::Ffd};
   spec.items = {3};
@@ -596,10 +593,9 @@ TEST(SweepRunnerTest, RealFfdSweepRunsThroughRegistry) {
   EXPECT_EQ(report.jobs[0].result.volumes.size(), 3u);
 }
 
-// An unregistered heuristic name in a hand-built job must surface as a
-// per-job failure with the registry's message, not kill the campaign.
+// An unknown heuristic name in a hand-built job must surface as a
+// per-job failure with make_instance's message, not kill the campaign.
 TEST(SweepRunnerTest, UnknownHeuristicJobFailsWithClearMessage) {
-  domains::register_builtin();
   SweepSpec spec;
   spec.heuristics = {Heuristic::Ffd};
   spec.items = {3};
@@ -619,7 +615,6 @@ TEST(SweepRunnerTest, UnknownHeuristicJobFailsWithClearMessage) {
 }
 
 TEST(SweepRunnerTest, JobMetricsAggregateSpawnedWorkerShards) {
-  domains::register_builtin();
   // A job that fans out onto scheduler workers (mip-threads=2 on one
   // sweep lane) must still attribute the WHOLE tree to its "metrics"
   // delta: the shard-group bracket follows the job onto its B&B
@@ -663,7 +658,6 @@ TEST(SweepRunnerTest, JobMetricsAggregateSpawnedWorkerShards) {
 // carries a "metrics" object (the registered gauges used to ride along
 // as zeros).
 TEST(SweepRunnerTest, NoMetricsObjectWithRecordingOff) {
-  domains::register_builtin();
   obs::set_enabled(false);
   SweepSpec spec;
   spec.topologies = {"fig1"};

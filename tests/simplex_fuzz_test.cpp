@@ -451,8 +451,7 @@ void certify_optimal(const Model& model, const Solution& sol,
                      const std::vector<double>& lb,
                      const std::vector<double>& ub, const std::string& what) {
   if (sol.status != SolveStatus::Optimal) return;
-  const check::Certificate cert = check::certify_lp(
-      model, sol, check::CertifyOptions::for_lp(), &lb, &ub);
+  const check::Certificate cert = check::certify_lp(model, sol, {}, &lb, &ub);
   EXPECT_TRUE(cert.ok) << what << ": " << cert.to_string();
 }
 

@@ -355,11 +355,6 @@ lp::Solution solve_standard(const StandardForm& sf, const Model& model,
 
 StandardForm StandardForm::build(const Model& model, const double* lbs,
                                  const double* ubs) {
-  if (model.has_quadratic_objective()) {
-    throw std::invalid_argument(
-        "StandardForm: quadratic objectives are only supported by the KKT "
-        "rewriter, not the solvers");
-  }
   const int n = model.num_vars();
   StandardForm sf;
   sf.var_map.resize(n);

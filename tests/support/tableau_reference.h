@@ -65,8 +65,7 @@ struct StandardForm {
 
   /// Builds the standard form. `lbs`/`ubs` override the model's variable
   /// bounds when non-null (both must then have size model.num_vars()).
-  /// Throws std::invalid_argument if the model has a quadratic objective
-  /// or if some override has lb > ub.
+  /// Throws std::invalid_argument if some override has lb > ub.
   static StandardForm build(const Model& model, const double* lbs = nullptr,
                             const double* ubs = nullptr);
 

@@ -3,12 +3,12 @@
 //
 // tests/data/witnesses.jsonl holds sweep records (runner::to_json, read
 // back with runner::from_json). In each record `volumes` is the witness
-// input and `gap` its exact gap under the registry oracle; two extra
+// input and `gap` its exact gap under the instance's oracle; two extra
 // keys, which from_json ignores, give the fixed-work find that found it:
 // `node_budget` (B&B nodes, one thread, seeding off) and `floor`, the
 // gap that find reached when the record was written. The replay checks
 // both halves:
-//   * every witness re-scores through the registry oracle to its
+//   * every witness re-scores through the instance's oracle to its
 //     recorded gap, within tol::kFeasTol relative;
 //   * every fixed-node find, re-run with certification, returns a
 //     certified gap at or above its floor.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "core/adversarial.h"
-#include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "heur/instance.h"
 #include "runner/sweep_runner.h"
@@ -104,12 +103,7 @@ heur::GapFindResult fixed_node_find(const Witness& w,
   return finder.find_dp_gap(dp, options);
 }
 
-class WitnessCorpus : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() { domains::register_builtin(); }
-};
-
-TEST_F(WitnessCorpus, CoversEveryFamily) {
+TEST(WitnessCorpus, CoversEveryFamily) {
   const std::vector<Witness> corpus = load_corpus();
   ASSERT_FALSE(corpus.empty());
   const auto has = [&](const std::string& topology, runner::Heuristic h) {
@@ -134,7 +128,7 @@ TEST_F(WitnessCorpus, CoversEveryFamily) {
   }
 }
 
-TEST_F(WitnessCorpus, WitnessesRescoreToTheirGap) {
+TEST(WitnessCorpus, WitnessesRescoreToTheirGap) {
   for (const Witness& w : load_corpus()) {
     SCOPED_TRACE(label(w.record.spec));
     const std::unique_ptr<heur::HeuristicInstance> inst =
@@ -145,7 +139,7 @@ TEST_F(WitnessCorpus, WitnessesRescoreToTheirGap) {
   }
 }
 
-TEST_F(WitnessCorpus, FixedNodeFindsKeepTheirFloor) {
+TEST(WitnessCorpus, FixedNodeFindsKeepTheirFloor) {
   for (const Witness& w : load_corpus()) {
     SCOPED_TRACE(label(w.record.spec));
     const std::unique_ptr<heur::HeuristicInstance> inst =

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "domains/domains.h"
 #include "domains/te_instances.h"
 #include "explain/cluster.h"
 #include "explain/explain.h"
@@ -75,7 +74,7 @@ constexpr Flag kGlobalFlags[] = {
 };
 
 constexpr Flag kInstanceFlags[] = {
-    {"heuristic", String, "", "registry name (or positional)"},
+    {"heuristic", String, "", "dp|pop|ffd|ff, any case (or positional)"},
     {"topology", String, "b4",
      "b4|abilene|swan|fig1|circulant:n:k|file.topo"},
     {"paths", Positive, "2", "paths per pair"},
@@ -198,7 +197,7 @@ std::string heuristic_arg(const Cli& cli, std::size_t slot) {
   return cli.positional.size() > slot ? cli.positional[slot] : "";
 }
 
-/// Fills the registry config from the instance flags, for the heuristic
+/// Fills the instance config from the instance flags, for the heuristic
 /// named by heuristic_arg(cli, slot). Domains ignore the knobs that are
 /// not theirs.
 heur::InstanceConfig instance_config(const Cli& cli, std::size_t slot) {
@@ -462,8 +461,9 @@ int cmd_explain(const Cli& cli) {
     // regions, then explain --job N or the worst region's representative.
     std::vector<runner::JobResult> records = runner::read_sweep_jsonl(jsonl);
     if (!heuristic.empty()) {
+      const heur::Heuristic keep = heur::heuristic_from_string(heuristic);
       std::erase_if(records, [&](const runner::JobResult& r) {
-        return runner::to_string(r.spec.heuristic) != heuristic;
+        return r.spec.heuristic != keep;
       });
     }
     regions = explain::cluster_regions(records, /*min_norm_gap=*/1e-9);
@@ -654,10 +654,10 @@ void print_help(std::FILE* out) {
                  command.summary);
   }
   std::fprintf(out,
-               "\nregistered heuristics: %s\n"
+               "\nheuristics: %s\n"
                "\n`metaopt <cmd> --help` lists a subcommand's flags.\n"
                "exit codes: 0 ok, 1 error, 2 usage, 3 nothing found\n",
-               util::join(heur::registered_heuristics(), ", ").c_str());
+               heur::known_heuristics().c_str());
 }
 
 /// Exports whatever the obs subsystem recorded (runs even when the
@@ -682,7 +682,6 @@ void export_obs(const Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  domains::register_builtin();
   Cli cli;
   int rc = 1;
   try {
