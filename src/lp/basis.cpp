@@ -1,7 +1,9 @@
 #include "lp/basis.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "obs/obs.h"
@@ -21,6 +23,15 @@ const obs::Histogram h_fillin_ratio = obs::histogram("simplex.fillin_ratio");
 // Wall time of each successful factorization of a non-empty basis (the
 // events simplex.fillin_ratio records): the lp.factorize ledger bucket.
 const obs::Histogram h_factorize_ns = obs::histogram("simplex.factorize_ns");
+// In-place updates of the primal's y (cost_btran_update), and the U'
+// and L' steps they recomputed.
+const obs::Counter c_y_updates = obs::counter("simplex.primal_y_updates");
+const obs::Counter c_y_reach = obs::counter("simplex.primal_y_reach");
+
+/// Bitwise equality: tells -0.0 from +0.0 (and compares NaN payloads).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 }  // namespace
 
@@ -35,6 +46,7 @@ bool BasisFactor::factorize(const BoundedForm& form,
   const int m = form.num_rows;
   m_ = 0;
   pivots_ = 0;
+  cost_etas_ = -1;
   etas_.clear();
   eta_nnz_ = 0;
   lu_nnz_ = 0;
@@ -424,32 +436,42 @@ bool BasisFactor::ftran(std::vector<double>& x, std::vector<int>& nz) const {
 
 void BasisFactor::btran(std::vector<double>& x) const {
   if (m_ == 0) return;
+  btran_stages(x, zwork_, x);
+}
+
+void BasisFactor::eta_pass(std::vector<double>& e) const {
   // Eta transposes, newest first.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = x[it->r];
-    for (const SparseEntry& e : it->terms) acc -= e.val * x[e.idx];
-    x[it->r] = acc / it->pivot;
+    double acc = e[it->r];
+    for (const SparseEntry& t : it->terms) acc -= t.val * e[t.idx];
+    e[it->r] = acc / it->pivot;
   }
+}
+
+void BasisFactor::btran_stages(std::vector<double>& e, std::vector<double>& z,
+                               std::vector<double>& y) const {
+  eta_pass(e);
   // Position space -> step space.
-  zwork_.resize(m_);
-  for (int k = 0; k < m_; ++k) zwork_[k] = x[col_of_step_[k]];
+  z.resize(m_);
+  for (int k = 0; k < m_; ++k) z[k] = e[col_of_step_[k]];
   // U' w = c': forward, U' is lower triangular in step order.
   for (int k = 0; k < m_; ++k) {
-    double acc = zwork_[k];
-    for (int e = ustart_[k]; e < ustart_[k + 1]; ++e) {
-      acc -= ucol_[e].val * zwork_[ucol_[e].idx];
+    double acc = z[k];
+    for (int t = ustart_[k]; t < ustart_[k + 1]; ++t) {
+      acc -= ucol_[t].val * z[ucol_[t].idx];
     }
-    zwork_[k] = acc / diag_[k];
+    z[k] = acc / diag_[k];
   }
   // L' v = w: backward; the result lands row-indexed through pivrow_.
   // L columns only reference rows pivoted at later steps, which this
   // descending sweep has already written.
+  y.resize(m_);
   for (int k = m_ - 1; k >= 0; --k) {
-    double acc = zwork_[k];
-    for (int e = lstart_[k]; e < lstart_[k + 1]; ++e) {
-      acc -= lcol_[e].val * x[lcol_[e].idx];
+    double acc = z[k];
+    for (int t = lstart_[k]; t < lstart_[k + 1]; ++t) {
+      acc -= lcol_[t].val * y[lcol_[t].idx];
     }
-    x[pivrow_[k]] = acc;
+    y[pivrow_[k]] = acc;
   }
 }
 
@@ -553,6 +575,122 @@ bool BasisFactor::btran_unit(int r, std::vector<double>& x,
   }
   std::sort(nz.begin(), nz.end());
   observe(static_cast<int>(nz.size()));
+  return true;
+}
+
+void BasisFactor::cost_btran(const std::vector<double>& cost,
+                             const std::vector<int>& basic) {
+  cb_.resize(m_);
+  for (int p = 0; p < m_; ++p) cb_[p] = cost[basic[p]];
+  cost_btran_dense();
+}
+
+void BasisFactor::cost_btran_dense() {
+  ce_ = cb_;
+  btran_stages(ce_, cz_, cy_);
+  if (cost_mark_.size() != static_cast<std::size_t>(m_)) {
+    cost_mark_.assign(m_, 0);
+  } else {
+    for (const int p : cost_pos_) cost_mark_[p] = 0;
+  }
+  cost_pos_.clear();
+  for (const Eta& eta : etas_) {
+    if (cost_mark_[eta.r] == 0) {
+      cost_mark_[eta.r] = 1;
+      cost_pos_.push_back(eta.r);
+    }
+  }
+  cost_etas_ = eta_count();
+}
+
+bool BasisFactor::cost_btran_update(int r, double c,
+                                    std::vector<int>& changed) {
+  const bool in_place = m_ >= kHyperMinRows && cost_etas_ >= 0 &&
+                        cost_etas_ + 1 == eta_count() && etas_.back().r == r;
+  cb_[r] = c;
+  if (!in_place) {
+    cost_btran_dense();
+    return false;
+  }
+
+  // The eta pass from c_B, as in btran. Only the positions it writes
+  // can differ from c_B, and r (the only changed entry of c_B) is one of
+  // them: a step is a seed when its position's post-eta bits changed.
+  if (cost_mark_[r] == 0) {
+    cost_mark_[r] = 1;
+    cost_pos_.push_back(r);
+  }
+  cost_old_.resize(cost_pos_.size());
+  for (std::size_t k = 0; k < cost_pos_.size(); ++k) {
+    const int p = cost_pos_[k];
+    cost_old_[k] = ce_[p];
+    ce_[p] = cb_[p];
+  }
+  eta_pass(ce_);
+  cost_etas_ = eta_count();
+  const int words = (m_ + 63) / 64;
+  if (cost_due_.size() != static_cast<std::size_t>(words)) {
+    cost_due_.assign(words, 0);
+  }
+  const auto due = [&](int k) {
+    cost_due_[k >> 6] |= std::uint64_t{1} << (k & 63);
+  };
+  int lo = words;
+  for (std::size_t k = 0; k < cost_pos_.size(); ++k) {
+    const int p = cost_pos_[k];
+    if (!same_bits(ce_[p], cost_old_[k])) {
+      due(step_of_pos_[p]);
+      lo = std::min(lo, step_of_pos_[p] >> 6);
+    }
+  }
+
+  // U' steps, ascending (U' is lower triangular), each with the dense
+  // loop's column sum over the current step-space vector. A step is due
+  // when an input changed bits; one whose result kept its bits changes
+  // nothing downstream, so only changed results make later steps due.
+  long reach = 0;
+  int hi = -1;
+  bpos_.clear();  // the steps whose U' result changed
+  for (int w = lo; w < words; ++w) {
+    while (cost_due_[w] != 0) {
+      const int k = (w << 6) + std::countr_zero(cost_due_[w]);
+      cost_due_[w] &= cost_due_[w] - 1;
+      ++reach;
+      double acc = ce_[col_of_step_[k]];
+      for (int e = ustart_[k]; e < ustart_[k + 1]; ++e) {
+        acc -= ucol_[e].val * cz_[ucol_[e].idx];
+      }
+      const double z = acc / diag_[k];
+      if (same_bits(z, cz_[k])) continue;
+      cz_[k] = z;
+      bpos_.push_back(k);
+      hi = std::max(hi, k >> 6);
+      for (int e = ut_start_[k]; e < ut_start_[k + 1]; ++e) due(ut_step_[e]);
+    }
+  }
+  // L' steps, descending, the same way: rows of y whose bits changed
+  // make the earlier steps whose L column reads them due.
+  for (const int k : bpos_) due(k);
+  changed.clear();
+  for (int w = hi; w >= 0; --w) {
+    while (cost_due_[w] != 0) {
+      const int b = 63 - std::countl_zero(cost_due_[w]);
+      cost_due_[w] &= ~(std::uint64_t{1} << b);
+      const int k = (w << 6) + b;
+      ++reach;
+      double acc = cz_[k];
+      for (int e = lstart_[k]; e < lstart_[k + 1]; ++e) {
+        acc -= lcol_[e].val * cy_[lcol_[e].idx];
+      }
+      double& y = cy_[pivrow_[k]];
+      if (same_bits(acc, y)) continue;
+      y = acc;
+      changed.push_back(pivrow_[k]);
+      for (int e = lt_start_[k]; e < lt_start_[k + 1]; ++e) due(lt_step_[e]);
+    }
+  }
+  c_y_updates.inc();
+  c_y_reach.add(static_cast<std::uint64_t>(reach));
   return true;
 }
 

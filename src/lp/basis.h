@@ -67,6 +67,19 @@
 // only in the sign of a zero), and the result's nonzero rows come back
 // in ascending order. The same density limits as the sparse ftran pick
 // the dense loop instead.
+//
+// The primal's cost solve y = B^{-T} c_B, kept up to date in place
+// (cost_btran, cost_btran_update): the factor keeps c_B by position and
+// every stage of the last solve (post-eta vector, U' result by step, y
+// by row). After an exchange at position r (one new eta, c_B changed at
+// r only) the update re-runs the eta pass as btran_unit does, then
+// re-evaluates, in a bitset sweep, only the U' steps (ascending) and L'
+// steps (descending) with an input whose bits changed, each with the
+// dense loop's column sum, and lists the rows of y whose bits changed.
+// An entry whose inputs kept their bits keeps its bits, so y is
+// bit-identical to a fresh dense btran of c_B, zero signs included.
+// Forms below kHyperMinRows and any factor other than the one the last
+// solve saw plus one eta solve densely.
 #pragma once
 
 #include <cstdint>
@@ -156,6 +169,26 @@ class BasisFactor {
   /// ran instead (see kHyperMaxDensity); x is btran(e_r) and `nz` is
   /// unspecified.
   bool btran_unit(int r, std::vector<double>& x, std::vector<int>& nz) const;
+
+  /// The primal's cost solve y = B^{-T} c_B from scratch, with
+  /// c_B[p] = cost[basic[p]]: the bits of btran() of that c_B. Keeps c_B
+  /// and the solve's intermediates for cost_btran_update.
+  void cost_btran(const std::vector<double>& cost,
+                  const std::vector<int>& basic);
+
+  /// Brings cost_y() up to date after update(r, ...) appended one eta
+  /// to the factor cost_btran (or this) last solved for (see file
+  /// header):
+  /// c_B[r] := c, then the same bits a fresh cost_btran would give.
+  /// Returns true when it updated in place; `changed` then lists (in no
+  /// particular order, each once) every row whose bits changed. Returns
+  /// false when it solved from scratch instead (forms below
+  /// kHyperMinRows, or a factor it did not solve for); `changed` is then
+  /// unspecified.
+  bool cost_btran_update(int r, double c, std::vector<int>& changed);
+
+  /// y of the last cost_btran / cost_btran_update, by row.
+  [[nodiscard]] const std::vector<double>& cost_y() const { return cy_; }
 
   /// Replaces basis position `r` by a column whose ftran image is `w`
   /// (w = B^{-1} a_q). `nz`, when given, lists w's nonzero positions in
@@ -255,6 +288,27 @@ class BasisFactor {
   mutable std::vector<double> bwork_;
   mutable std::vector<int> bpos_;  ///< positions the eta pass wrote
   mutable double btran_density_ = 0.0;
+
+  /// btran's eta transposes, newest first, in place on e (by position).
+  void eta_pass(std::vector<double>& e) const;
+  /// btran's dense loops: the eta pass in place on e (by position), the
+  /// U' solve into z (by step), the L' solve into y (by row; may alias
+  /// e, which the U' stage has finished reading).
+  void btran_stages(std::vector<double>& e, std::vector<double>& z,
+                    std::vector<double>& y) const;
+  /// The dense solve of cost_btran from cb_, keeping every stage.
+  void cost_btran_dense();
+
+  // cost_btran: c_B and the stages of its solve (post-eta vector by
+  // position, U' result by step, y by row), valid for the factor with
+  // cost_etas_ etas (-1: none). cost_pos_ lists the positions the eta
+  // pass writes (each once, flagged in cost_mark_), cost_old_ their
+  // post-eta values before the current update.
+  std::vector<double> cb_, ce_, cz_, cy_, cost_old_;
+  std::vector<int> cost_pos_;
+  std::vector<signed char> cost_mark_;
+  std::vector<std::uint64_t> cost_due_;  ///< steps to re-evaluate (bitset)
+  int cost_etas_ = -1;
 };
 
 }  // namespace metaopt::lp

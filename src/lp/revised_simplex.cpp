@@ -1,6 +1,7 @@
 #include "lp/revised_simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/obs.h"
@@ -35,6 +36,11 @@ const obs::Counter c_cost_drift = obs::counter("simplex.reduced_cost_drift");
 // of bounds) before crashing from the slack/artificial basis instead.
 const obs::Counter c_start_solves = obs::counter("simplex.start_solves");
 const obs::Counter c_start_rejects = obs::counter("simplex.start_rejects");
+// The primal's cached pricing: stale columns re-scored, and pricings from
+// scratch (loop entry, refactorization, or a y update that re-solved).
+const obs::Counter c_primal_repriced = obs::counter("simplex.primal_repriced");
+const obs::Counter c_primal_full_prices =
+    obs::counter("simplex.primal_full_prices");
 
 /// Absolute window inside which two ratio-test values count as tied.
 constexpr double kRatioTieTol = 1e-12;
@@ -46,10 +52,6 @@ constexpr double kDegenerateStep = 1e-12;
 /// cannot flip, and that an Optimal verdict of the dual tolerates on
 /// fresh reduced costs.
 constexpr double kDualBailTol = 100.0 * tol::kCostTol;
-
-/// Columns per partial-pricing window (at least this many; larger
-/// problems scan total/8 so a window is never a vanishing fraction).
-constexpr int kMinPriceWindow = 64;
 
 /// Deterministic hash of a column id into [0, 1): the perturbation
 /// spread. A local splitmix64 so the epsilons are a pure function of
@@ -110,6 +112,7 @@ bool RevisedSimplex::refactorize() {
     return false;
   }
   factored_basic_ = basic_;
+  prices_fresh_ = false;
   compute_basic_values();
   if (dual_costs_) refresh_reduced_costs();
   return true;
@@ -260,7 +263,7 @@ void RevisedSimplex::clear_pivot_row() {
   }
 }
 
-bool RevisedSimplex::accuracy_ok() const {
+bool RevisedSimplex::accuracy_ok() {
   // Terminal safety net against product-form drift: bounds and row
   // residuals must hold at a loose multiple of the feasibility
   // tolerance, else the result is discarded (Error).
@@ -276,20 +279,20 @@ bool RevisedSimplex::accuracy_ok() const {
       return false;
     }
   }
-  std::vector<double> resid = form_.rhs;
+  resid_ = form_.rhs;  // scratch: keeps its capacity across solves
   for (int j = 0; j < total_; ++j) {
     const double xj = x_[j];
     if (xj == 0.0) continue;
     if (j < n_) {
       for (int t = form_.col_start[j]; t < form_.col_start[j + 1]; ++t) {
-        resid[form_.col_row[t]] -= form_.col_val[t] * xj;
+        resid_[form_.col_row[t]] -= form_.col_val[t] * xj;
       }
     } else {
-      resid[j < n_ + m_ ? j - n_ : j - n_ - m_] -= xj;
+      resid_[j < n_ + m_ ? j - n_ : j - n_ - m_] -= xj;
     }
   }
   for (int i = 0; i < m_; ++i) {
-    if (std::abs(resid[i]) > slack * (1.0 + std::abs(form_.rhs[i]))) {
+    if (std::abs(resid_[i]) > slack * (1.0 + std::abs(form_.rhs[i]))) {
       return false;
     }
   }
@@ -297,16 +300,114 @@ bool RevisedSimplex::accuracy_ok() const {
 }
 
 double RevisedSimplex::phase1_objective() const {
+  // A nonbasic artificial rests at an exact zero, and a +-0 term changes
+  // no bit of a sum that starts at +0.0: the basic artificials alone, in
+  // row order, give the bits of the sum over every row.
   double obj = 0.0;
-  for (int i = 0; i < m_; ++i) {
+  for (const int i : phase1_rows_) {
     const int a = form_.artificial_col(i);
     obj += cost1_[a] * x_[a];
   }
   return obj;
 }
 
+int RevisedSimplex::price_column(const std::vector<double>& cost,
+                              const std::vector<double>& y, int j,
+                              double* score) const {
+  if (status_[j] == VarStatus::Basic) return 0;
+  if (cu_[j] - cl_[j] <= 0.0) return 0;  // fixed: can't move
+  const double d = cost[j] - form_.col_dot(y, j);
+  switch (status_[j]) {
+    case VarStatus::AtLower:
+      if (d < -tol::kCostTol) {
+        *score = -d;
+        return 1;
+      }
+      break;
+    case VarStatus::AtUpper:
+      if (d > tol::kCostTol) {
+        *score = d;
+        return -1;
+      }
+      break;
+    case VarStatus::Free:
+      if (std::abs(d) > tol::kCostTol) {
+        *score = std::abs(d);
+        return d < 0.0 ? 1 : -1;
+      }
+      break;
+    case VarStatus::Basic:
+      break;
+  }
+  return 0;
+}
+
+void RevisedSimplex::refresh_prices(const std::vector<double>& cost) {
+  bool full = !prices_fresh_;
+  if (full) {
+    price_dir_.resize(total_);
+    price_score_.resize(total_);
+    eligible_.assign((total_ + 63) / 64, 0);
+    factor_.cost_btran(cost, basic_);
+    prices_fresh_ = true;
+  } else if (price_r_ >= 0) {
+    full = !factor_.cost_btran_update(price_r_, cost[basic_[price_r_]],
+                                      changed_rows_);
+  }
+  price_r_ = -1;
+  if (full) {
+    stale_.assign(eligible_.size(), ~std::uint64_t{0});
+    c_primal_full_prices.inc();
+    return;
+  }
+  // A column's d_j reads y only on the rows of its nonzeros.
+  for (const int i : changed_rows_) {
+    for (int t = form_.row_start[i]; t < form_.row_start[i + 1]; ++t) {
+      mark_stale(form_.row_col[t]);
+    }
+    mark_stale(form_.logical_col(i));
+    mark_stale(form_.artificial_col(i));
+  }
+}
+
+void RevisedSimplex::reprice_stale(const std::vector<double>& cost, int from,
+                                   int to) {
+  const std::vector<double>& y = factor_.cost_y();
+  long count = 0;
+  for (int w = from >> 6; w << 6 < to; ++w) {
+    std::uint64_t bits = stale_[w] & range_bits(w, from, to);
+    if (bits == 0) continue;
+    stale_[w] &= ~bits;
+    std::uint64_t elig = eligible_[w] & ~bits;
+    for (; bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      const int j = (w << 6) + b;
+      double score = 0.0;
+      const int dir = price_column(cost, y, j, &score);
+      price_dir_[j] = static_cast<signed char>(dir);
+      price_score_[j] = score;
+      if (dir != 0) elig |= std::uint64_t{1} << b;
+      ++count;
+    }
+    eligible_[w] = elig;
+  }
+  c_primal_repriced.add(static_cast<std::uint64_t>(count));
+}
+
 int RevisedSimplex::price_entering(const std::vector<double>& cost, bool bland,
                                    int* dir) {
+  if (form_.has_rows()) {
+    refresh_prices(cost);
+    const int q = pick_entering(
+        eligible_, price_score_, total_, bland, &price_cursor_,
+        [&](int from, int to) { reprice_stale(cost, from, to); });
+    *dir = q >= 0 ? price_dir_[q] : 0;
+    return q;
+  }
+
+  // The dense scan keeps its own copy of price_column's rule: calling
+  // the member from this loop measured 3-4% slower on small forms.
+  compute_y(cost, y_);
   // Eligibility and raw score of one column; returns the moving
   // direction (0 = not eligible).
   const auto candidate = [&](int j, double* score) -> int {
@@ -498,6 +599,8 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
   long degen_streak = 0;
   bool bland = false;
   price_cursor_ = 0;
+  prices_fresh_ = false;
+  price_r_ = -1;
   for (;;) {
     if (*iters >= opt.max_iterations) return SolveStatus::IterationLimit;
     if ((*iters & 15) == 0 && watch_.seconds() > opt.time_limit_seconds) {
@@ -509,8 +612,6 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
     if (phase1 && phase1_objective() <= 0.25 * tol::kFeasTol) {
       return SolveStatus::Optimal;
     }
-
-    compute_y(cost, y_);
 
     int dir = 0;
     const int q = price_entering(cost, bland, &dir);
@@ -539,6 +640,7 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
       }
       x_[q] = dir > 0 ? cu_[q] : cl_[q];
       status_[q] = dir > 0 ? VarStatus::AtUpper : VarStatus::AtLower;
+      mark_stale(q);
       ++*iters;
       c_bound_flips.inc();
       continue;
@@ -565,6 +667,21 @@ SolveStatus RevisedSimplex::primal_iterate(const std::vector<double>& cost,
     x_[q] += dir * step;
     status_[lcol] = leave_up ? VarStatus::AtUpper : VarStatus::AtLower;
     if (!exchange(leave, q)) return SolveStatus::Error;
+    price_r_ = leave;
+    mark_stale(q);
+    mark_stale(lcol);
+    if (phase1) {
+      const int art0 = form_.artificial_col(0);
+      if (lcol >= art0) {
+        phase1_rows_.erase(std::lower_bound(phase1_rows_.begin(),
+                                            phase1_rows_.end(), lcol - art0));
+      }
+      if (q >= art0) {
+        phase1_rows_.insert(std::lower_bound(phase1_rows_.begin(),
+                                             phase1_rows_.end(), q - art0),
+                            q - art0);
+      }
+    }
     ++*iters;
     c_revised_pivots.inc();
     if (phase1) c_phase1_pivots.inc();
@@ -785,6 +902,7 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
   }
   cost1_.assign(total_, 0.0);
   basic_.clear();
+  phase1_rows_.clear();
   bool need_phase1 = false;
   for (int i = 0; i < m_; ++i) {
     const int s = form_.logical_col(i);
@@ -800,6 +918,7 @@ SolveStatus RevisedSimplex::solve_cold(const SimplexOptions& opt,
       x_[s] = r;
     } else {
       basic_.push_back(a);
+      phase1_rows_.push_back(i);
       status_[a] = VarStatus::Basic;
       x_[a] = r;
       if (r >= 0.0) {

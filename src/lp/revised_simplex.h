@@ -48,9 +48,23 @@
 // y = B^{-T} c_B (a second dense btran) per pivot. d is computed from
 // scratch at loop entry (solve_warm seeds it from its dual-feasibility
 // scan), after every refactorization and before any Optimal verdict,
-// which must hold on the fresh d. The primal keeps recomputing y every
-// pivot: maintained d changes its pivot choices, and so the trees (see
-// DESIGN.md, "Solver: paying per change").
+// which must hold on the fresh d.
+//
+// The primal prices from the fresh y = B^{-T} c_B of every pivot, bit for
+// bit (maintained d would change its pivot choices, and so the trees),
+// but on forms of at least kHyperMinRows rows it pays only for what an
+// exchange changed (DESIGN.md, "Primal pricing that pays per change"):
+// BasisFactor::cost_btran_update recomputes the entries of y with an
+// input whose bits changed and lists the rows whose bits changed; each
+// column caches its score, and a column with a nonzero in such a row
+// (found through the row-wise copy) or whose status changed is marked
+// stale and re-scored with the same cost_j - y'A_j, on demand, before
+// pick_entering reads it; pick_entering reproduces the cyclic window
+// scan over a bitset of the eligible columns. An entry whose inputs kept
+// their bits keeps its bits, so every choice is the dense scan's. A
+// refactorization or a new primal_iterate (a new cost vector) re-solves
+// y and marks every column stale. Smaller forms recompute y and scan
+// densely each pivot.
 //
 // Numerical policy: product-form updates accrue roundoff, so the factor
 // is rebuilt every kRefactorInterval pivots, and every terminal point
@@ -58,6 +72,9 @@
 // failures surface as Error, never as a silently wrong Optimal.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -69,6 +86,80 @@
 #include "util/stopwatch.h"
 
 namespace metaopt::lp {
+
+/// Columns per partial-pricing window (at least this many; larger
+/// problems scan total/8 so a window is never a vanishing fraction).
+inline constexpr int kMinPriceWindow = 64;
+
+/// The bits of 64-bit word w of a column bitset that fall in [from, to).
+[[nodiscard]] inline std::uint64_t range_bits(int w, int from, int to) {
+  std::uint64_t mask = ~std::uint64_t{0};
+  if ((w << 6) < from) mask &= ~std::uint64_t{0} << (from & 63);
+  if ((w << 6) + 64 > to) mask &= ~(~std::uint64_t{0} << (to & 63));
+  return mask;
+}
+
+/// The primal's entering choice over cached scores: `eligible` holds one
+/// bit per column of [0, total) (none past it) and `score` each eligible
+/// column's pricing score. Returns the column RevisedSimplex's partial
+/// pricing picks from these candidates, or -1 when none is eligible:
+/// under `bland` the lowest eligible column; otherwise the strict
+/// maximum (first in scan order on ties) of the first window, in the
+/// cyclic scan resuming at *cursor, that holds a candidate, after which
+/// *cursor moves past that window (back to where the scan started after
+/// the truncated last one). Bland's rule leaves *cursor alone.
+/// ready(from, to) runs on each column range [from, to) before any of
+/// its bits or scores is read, so stale entries can be brought up to
+/// date on demand; the ranges cover only the windows the scan reaches.
+template <class Ready>
+[[nodiscard]] int pick_entering(const std::vector<std::uint64_t>& eligible,
+                                const std::vector<double>& score, int total,
+                                bool bland, int* cursor, Ready&& ready) {
+  if (bland) {
+    for (int from = 0; from < total; from += 64) {
+      ready(from, std::min(from + 64, total));
+      const std::uint64_t bits = eligible[from >> 6];
+      if (bits != 0) return from + std::countr_zero(bits);
+    }
+    return -1;
+  }
+  int q = -1;
+  double best = 0.0;
+  // Eligible columns of [from, to) in ascending order.
+  const auto scan = [&](int from, int to) {
+    ready(from, to);
+    for (int w = from >> 6; w << 6 < to; ++w) {
+      for (std::uint64_t bits = eligible[w] & range_bits(w, from, to);
+           bits != 0; bits &= bits - 1) {
+        const int j = (w << 6) + std::countr_zero(bits);
+        if (q < 0 || score[j] > best) {
+          best = score[j];
+          q = j;
+        }
+      }
+    }
+  };
+  const int window = std::max(kMinPriceWindow, total / 8);
+  const int start = *cursor >= total ? 0 : *cursor;
+  for (int first = 0; first < total; first += window) {
+    // The window's columns in scan order, wrapping past the last column.
+    const int a = start + first;
+    const int b = start + std::min(first + window, total);
+    if (b <= total) {
+      scan(a, b);
+    } else if (a >= total) {
+      scan(a - total, b - total);
+    } else {
+      scan(a, total);
+      scan(0, b - total);
+    }
+    if (q >= 0) {
+      *cursor = b >= total ? b - total : b;
+      return q;
+    }
+  }
+  return -1;
+}
 
 class RevisedSimplex {
  public:
@@ -154,16 +245,37 @@ class RevisedSimplex {
   void update_reduced_costs(int q, int leaving, double theta);
   /// Restores alpha_ to +0.0 after a pivot row.
   void clear_pivot_row();
-  [[nodiscard]] bool accuracy_ok() const;
+  [[nodiscard]] bool accuracy_ok();
+  /// Phase 1's infeasibility: the sum of cost1_ * x over the basic
+  /// artificials (phase1_rows_), in row order.
   [[nodiscard]] double phase1_objective() const;
   /// Applies one basis exchange at position r (entering q along w_).
   [[nodiscard]] bool exchange(int r, int q);
   /// Entering-variable selection for primal_iterate: partial pricing
   /// over a cyclic column window (Bland's first-eligible rule when
   /// `bland`). Returns the column or -1 (optimal), with the moving
-  /// direction in *dir.
+  /// direction in *dir. Forms with the row-wise copy price from the
+  /// cached scores (refresh_prices, pick_entering); the others compute
+  /// y and scan.
   [[nodiscard]] int price_entering(const std::vector<double>& cost, bool bland,
                                    int* dir);
+  /// Moving direction of column j under pricing (0 = not eligible:
+  /// basic, fixed, or no improving reduced cost cost_j - y'A_j), with
+  /// its score in *score.
+  [[nodiscard]] int price_column(const std::vector<double>& cost,
+                              const std::vector<double>& y, int j,
+                              double* score) const;
+  /// Brings factor_.cost_y() up to date for `cost` and marks stale the
+  /// columns whose scores it may have changed: all of them when
+  /// !prices_fresh_ (or when the update solved from scratch), else the
+  /// columns with a nonzero in a row whose y bits changed.
+  void refresh_prices(const std::vector<double>& cost);
+  /// Re-scores the stale columns of [from, to) from factor_.cost_y().
+  void reprice_stale(const std::vector<double>& cost, int from, int to);
+  /// Marks column j for re-pricing after its status changed.
+  void mark_stale(int j) {
+    if (!stale_.empty()) stale_[j >> 6] |= std::uint64_t{1} << (j & 63);
+  }
   /// Bounded ratio test of primal_iterate along w_ (direction `dir` of
   /// the entering column): the leaving position or -1, with its step in
   /// *limit and its bound side in *leave_up. kSparse walks w_nz_
@@ -210,6 +322,21 @@ class RevisedSimplex {
 
   // pricing state (reset at each primal iterate entry)
   int price_cursor_ = 0;  ///< partial pricing resume point
+  // The primal's cached pricing (forms with the row-wise copy): each
+  // column's direction (0 = not eligible) and score for the current cost
+  // vector, the eligible columns as a bitset, and the stale columns
+  // (whose cached entries are to be recomputed before they are read) as
+  // another, valid while prices_fresh_ (cleared by refactorize).
+  // price_r_ is the basis position exchanged since the last pricing
+  // (-1: none).
+  bool prices_fresh_ = false;
+  int price_r_ = -1;
+  std::vector<int> changed_rows_;
+  std::vector<signed char> price_dir_;
+  std::vector<double> price_score_;
+  std::vector<std::uint64_t> eligible_, stale_;
+  // Rows whose artificial is basic, ascending (phase 1 only).
+  std::vector<int> phase1_rows_;
 
   // The dual's maintained reduced costs: d_ for cost2_ (valid while
   // dual_costs_), and the exchanges applied since d_ was last computed

@@ -757,6 +757,112 @@ TEST(BasisFactor, UnitBtranMatchesDense) {
   EXPECT_GT(4 * sparse_runs, runs) << sparse_runs << " of " << runs;
 }
 
+TEST(BasisFactor, IncrementalBtranMatchesDense) {
+  // The primal's cost solve y = B^{-T} c_B kept up to date across
+  // simplex-style exchanges, on forms of at least kHyperMinRows rows:
+  // the KKT root basis and the slack bases of random models. After each
+  // exchange (up to the refactorization trigger) y must equal a fresh
+  // dense btran of c_B bit for bit, zero signs included, and every row
+  // whose bits changed must be on the returned list. Costs mix random
+  // magnitudes, +0.0 and -0.0, and entering columns sometimes keep the
+  // leaving column's cost, so some exchanges change no bit of y.
+  std::vector<BasisCase> cases = {structured_cases().back()};
+  for (const int seed : {5, 6}) {
+    util::Rng model_rng(static_cast<std::uint64_t>(seed));
+    BasisCase random_case;
+    random_case.name = "random-" + std::to_string(seed);
+    random_case.form = BoundedForm::build(
+        make_model(model_rng, 60, lp::kHyperMinRows + 10 * seed));
+    for (int i = 0; i < random_case.form.num_rows; ++i) {
+      random_case.basic.push_back(random_case.form.logical_col(i));
+    }
+    cases.push_back(std::move(random_case));
+  }
+
+  long updates = 0;
+  long changed_rows = 0;
+  for (const BasisCase& c : cases) {
+    ASSERT_GE(c.form.num_rows, lp::kHyperMinRows) << c.name;
+    const int m = c.form.num_rows;
+    const int total = c.form.num_cols();
+    for (const int trial : {0, 1, 2}) {
+      SCOPED_TRACE(c.name + " trial " + std::to_string(trial));
+      util::Rng rng(static_cast<std::uint64_t>(900 + 10 * trial + m));
+      std::vector<double> cost(total);
+      for (double& v : cost) {
+        const double u = rng.uniform(0.0, 1.0);
+        v = u < 0.2   ? 0.0
+            : u < 0.3 ? -0.0
+                      : rng.uniform(-1.0, 1.0) *
+                            std::pow(10.0, rng.uniform(-3.0, 3.0));
+      }
+      std::vector<int> basic = c.basic;
+      std::vector<bool> is_basic(total, false);
+      for (const int b : basic) is_basic[b] = true;
+      BasisFactor factor;
+      ASSERT_TRUE(factor.factorize(c.form, basic));
+      factor.cost_btran(cost, basic);
+
+      const auto expect_dense_bits = [&](const std::string& when) {
+        std::vector<double> dense(m);
+        for (int p = 0; p < m; ++p) dense[p] = cost[basic[p]];
+        factor.btran(dense);
+        for (int i = 0; i < m; ++i) {
+          ASSERT_EQ(bits(factor.cost_y()[i]), bits(dense[i]))
+              << when << " row " << i << ": " << factor.cost_y()[i]
+              << " vs " << dense[i];
+        }
+      };
+      expect_dense_bits("fresh solve");
+
+      std::vector<int> changed;
+      std::vector<int> nz;
+      while (!factor.needs_refactor()) {
+        const int q = rng.uniform_int(0, c.form.num_structs - 1);
+        if (is_basic[q]) continue;
+        std::vector<double> w = column_rhs(c.form, q, nz);
+        if (nz.empty()) continue;
+        factor.ftran(w);
+        int r = 0;
+        for (int p = 1; p < m; ++p) {
+          if (std::abs(w[p]) > std::abs(w[r])) r = p;
+        }
+        if (std::abs(w[r]) <= 1e-3) continue;
+        if (rng.bernoulli(0.2)) cost[q] = cost[basic[r]];
+        ASSERT_TRUE(factor.update(r, w));
+        is_basic[basic[r]] = false;
+        is_basic[q] = true;
+        basic[r] = q;
+
+        const std::vector<double> before = factor.cost_y();
+        ASSERT_TRUE(factor.cost_btran_update(r, cost[q], changed));
+        const std::string when =
+            "after " + std::to_string(factor.eta_count()) + " exchanges";
+        expect_dense_bits(when);
+        std::vector<bool> listed(m, false);
+        for (const int i : changed) {
+          ASSERT_FALSE(listed[i]) << when << " lists row " << i << " twice";
+          listed[i] = true;
+        }
+        for (int i = 0; i < m; ++i) {
+          if (bits(factor.cost_y()[i]) != bits(before[i])) {
+            ASSERT_TRUE(listed[i]) << when << " misses changed row " << i;
+          }
+        }
+        ++updates;
+        changed_rows += static_cast<long>(changed.size());
+      }
+      // A refactorization invalidates the kept solve: the next update
+      // solves from scratch, with the same bits.
+      ASSERT_TRUE(factor.factorize(c.form, basic));
+      EXPECT_FALSE(factor.cost_btran_update(0, cost[basic[0]], changed));
+      expect_dense_bits("after refactorization");
+    }
+  }
+  EXPECT_GT(updates, 100);
+  EXPECT_GT(changed_rows, 0);
+}
+
 TEST(BasisFactor, EtasFromTheSparseListMatchDenseScanEtas) {
   // Two factors of the KKT root basis take the same 63 exchanges: one
   // builds each eta from the sparse ftran's nonzero list, the other by

@@ -3,6 +3,7 @@
 // shapes (pivot count and objective bits).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -626,6 +627,96 @@ TEST(FindTeRoots, ColdSolvesArePinnedBitForBit) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(root.objective), pin.objective_bits)
         << root.objective;
   }
+}
+
+// ---- the primal's entering choice over cached scores ----
+
+/// A literal copy of the primal's dense pricing scan (the path forms
+/// below kHyperMinRows still take), with column j a candidate when
+/// dir[j] != 0: Bland's first eligible column, else the best of the
+/// first cyclic window that holds a candidate.
+int literal_scan(const std::vector<int>& dir, const std::vector<double>& score,
+                 int total, bool bland, int* cursor) {
+  int q = -1;
+  if (bland) {
+    for (int j = 0; j < total; ++j) {
+      if (dir[j] != 0) return j;
+    }
+    return -1;
+  }
+  const int window = std::max(kMinPriceWindow, total / 8);
+  double best = 0.0;
+  int idx = *cursor >= total ? 0 : *cursor;
+  int in_window = 0;
+  for (int scanned = 0; scanned < total; ++scanned) {
+    if (dir[idx] != 0 && (q < 0 || score[idx] > best)) {
+      best = score[idx];
+      q = idx;
+    }
+    if (++idx == total) idx = 0;
+    if (++in_window == window) {
+      if (q >= 0) break;
+      in_window = 0;
+    }
+  }
+  if (q >= 0) *cursor = idx;
+  return q;
+}
+
+TEST(PickEntering, ReproducesTheCyclicWindowScan) {
+  // Random eligibility sets (empty to full) and scores with many ties,
+  // column counts below one window, at whole windows and with a
+  // truncated last window, cursors anywhere (past the end too) and
+  // carried from pick to pick so windows wrap past the last column, and
+  // Bland's rule. pick_entering sees the bits and scores only through
+  // ready(): everything else reads as ineligible garbage, so a range it
+  // fails to ready before reading shows up as a different pick.
+  util::Rng rng(77);
+  int wrapped = 0;
+  int picks = 0;
+  for (const int total : {1, 63, 64, 65, 130, 512, 520, 1000, 5724}) {
+    const int words = (total + 63) / 64;
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE("total " + std::to_string(total) + " trial " +
+                   std::to_string(trial));
+      const double density = trial % 10 == 0 ? 0.0 : rng.uniform(0.0, 1.0);
+      std::vector<int> dir(total, 0);
+      std::vector<double> score(total, 0.0);
+      for (int j = 0; j < total; ++j) {
+        if (!rng.bernoulli(density)) continue;
+        dir[j] = rng.bernoulli(0.5) ? 1 : -1;
+        score[j] = static_cast<double>(rng.uniform_int(1, 4));
+      }
+      int literal_cursor = rng.uniform_int(0, total + 2);
+      int cursor = literal_cursor;
+      for (int call = 0; call < 12; ++call) {
+        const bool bland = call % 5 == 4;
+        std::vector<std::uint64_t> eligible(words, 0);
+        std::vector<double> seen(total, -1.0);
+        const auto ready = [&](int from, int to) {
+          ASSERT_LE(0, from);
+          ASSERT_LE(from, to);
+          ASSERT_LE(to, total);
+          for (int j = from; j < to; ++j) {
+            seen[j] = score[j];
+            if (dir[j] != 0) eligible[j >> 6] |= std::uint64_t{1} << (j & 63);
+          }
+        };
+        const int start = cursor >= total ? 0 : cursor;
+        const int want = literal_scan(dir, score, total, bland,
+                                      &literal_cursor);
+        const int got =
+            pick_entering(eligible, seen, total, bland, &cursor, ready);
+        ASSERT_EQ(got, want) << "call " << call << (bland ? " (Bland)" : "");
+        ASSERT_EQ(cursor, literal_cursor) << "call " << call;
+        ++picks;
+        if (got >= 0 && !bland && got < start) ++wrapped;
+        if (got >= 0) dir[got] = 0;  // the column enters the basis
+      }
+    }
+  }
+  EXPECT_GT(wrapped, 20);
+  EXPECT_GT(picks, 5000);
 }
 
 // ---- the dual's maintained reduced costs ----

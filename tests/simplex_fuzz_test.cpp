@@ -43,6 +43,7 @@
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "lp/solution.h"
+#include "obs/metrics.h"
 #include "tableau_reference.h"
 #include "util/rng.h"
 
@@ -709,7 +710,8 @@ TEST(SimplexFuzz, HostileFamiliesRevisedVsTableauDifferential) {
 
 TEST(SimplexFuzz, FlowLpsAboveTheHypersparseRowLimitWarmMatchesCold) {
   // Forms of at least lp::kHyperMinRows rows run the sparse ftran and
-  // the row-wise dual pivot row. Each root is solved cold; each of two
+  // the row-wise dual pivot row, and their primal pivots update y and
+  // the pricing in place. Each root is solved cold; each of two
   // children per root is solved warm from the root basis and again
   // cold from scratch, and the two must agree. Every optimum passes
   // the certifier.
@@ -720,6 +722,8 @@ TEST(SimplexFuzz, FlowLpsAboveTheHypersparseRowLimitWarmMatchesCold) {
   const lp::SimplexSolver solver(opt);
 
   constexpr int kInstances = 4;
+  obs::set_enabled(true);
+  const obs::MetricsSnapshot before = obs::snapshot();
   int warm_dual_answers = 0;
   int children = 0;
   for (int i = 0; i < kInstances; ++i) {
@@ -765,6 +769,16 @@ TEST(SimplexFuzz, FlowLpsAboveTheHypersparseRowLimitWarmMatchesCold) {
   }
   EXPECT_GE(children, kInstances);
   EXPECT_GE(warm_dual_answers, (children * 3) / 4);
+
+  // The cold solves took the in-place primal pricing path.
+  const obs::MetricsSnapshot moved = obs::diff(before, obs::snapshot());
+  obs::set_enabled(false);
+  for (const char* name :
+       {"simplex.primal_y_updates", "simplex.primal_y_reach",
+        "simplex.primal_repriced", "simplex.primal_full_prices"}) {
+    const obs::MetricValue* m = moved.find(name);
+    EXPECT_TRUE(m != nullptr && m->value > 0.0) << name;
+  }
 }
 
 }  // namespace
