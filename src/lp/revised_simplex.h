@@ -74,6 +74,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -84,6 +85,7 @@
 #include "lp/solution.h"
 #include "lp/bounded_form.h"
 #include "util/stopwatch.h"
+#include "util/tolerances.h"
 
 namespace metaopt::lp {
 
@@ -261,14 +263,43 @@ class RevisedSimplex {
                                    int* dir);
   /// Moving direction of column j under pricing (0 = not eligible:
   /// basic, fixed, or no improving reduced cost cost_j - y'A_j), with
-  /// its score in *score.
+  /// its score in *score. The one pricing rule of both the dense scan
+  /// and the cached scores; inline so the dense scan's loop keeps it.
   [[nodiscard]] int price_column(const std::vector<double>& cost,
-                              const std::vector<double>& y, int j,
-                              double* score) const;
+                                 const std::vector<double>& y, int j,
+                                 double* score) const {
+    if (status_[j] == VarStatus::Basic) return 0;
+    if (cu_[j] - cl_[j] <= 0.0) return 0;  // fixed: can't move
+    const double d = cost[j] - form_.col_dot(y, j);
+    switch (status_[j]) {
+      case VarStatus::AtLower:
+        if (d < -tol::kCostTol) {
+          *score = -d;
+          return 1;
+        }
+        break;
+      case VarStatus::AtUpper:
+        if (d > tol::kCostTol) {
+          *score = d;
+          return -1;
+        }
+        break;
+      case VarStatus::Free:
+        if (std::abs(d) > tol::kCostTol) {
+          *score = std::abs(d);
+          return d < 0.0 ? 1 : -1;
+        }
+        break;
+      case VarStatus::Basic:
+        break;
+    }
+    return 0;
+  }
   /// Brings factor_.cost_y() up to date for `cost` and marks stale the
   /// columns whose scores it may have changed: all of them when
-  /// !prices_fresh_ (or when the update solved from scratch), else the
-  /// columns with a nonzero in a row whose y bits changed.
+  /// !prices_fresh_ (or when the update solved from scratch), none when
+  /// no exchange happened since the last call, else the columns with a
+  /// nonzero in a row whose y bits changed.
   void refresh_prices(const std::vector<double>& cost);
   /// Re-scores the stale columns of [from, to) from factor_.cost_y().
   void reprice_stale(const std::vector<double>& cost, int from, int to);
